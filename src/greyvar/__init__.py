@@ -21,7 +21,7 @@ The package splits into a small stack of layers:
 """
 
 from .errors import (ConfigError, CoverageError, DomainError, GreyvarError,
-                     InvertibilityError, NormalizationError, TruncationError)
+                     NormalizationError, TruncationError)
 from .estimator import (EstimateResult, Indicator, SmoothPlateau, alpha_f,
                         default_weight, estimate_surface,
                         estimate_volume_binary, estimate_volume_grey,
@@ -52,7 +52,7 @@ __all__ = [
     "AnnulusFourier", "AsymptoticReport", "Ball", "BoundReport", "Box",
     "ConfigError", "CoverageError", "DomainError", "EstimateResult",
     "GreyvarError", "HalfSpace", "HalfspaceProfile", "Indicator",
-    "IntensityModel", "InvertibilityError", "Lattice", "LatticePlacement",
+    "IntensityModel", "Lattice", "LatticePlacement",
     "MCResult", "NormalizationError", "Psf", "RadialFourier",
     "RadiusDensity", "ShellSumInfo", "SmoothPlateau", "TransformedBall",
     "TruncationError", "VarianceReport", "alpha_f", "ball_indicator",

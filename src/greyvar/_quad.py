@@ -13,6 +13,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .errors import TruncationError
+
 DEFAULT_ABS_TOL = 1e-10
 
 
@@ -47,6 +49,8 @@ def oscillatory_nodes(a: float, b: float, freq: float, order: int = 15,
     """Composite GL nodes with panel width <= quarter period of cos(2*pi*freq*t).
 
     `freq` is in cycles per unit of t; freq <= 0 falls back to min_panels.
+    Raises TruncationError, before allocating, if the rule would need more
+    than max_nodes nodes.
     """
     width = b - a
     if width <= 0:
@@ -55,7 +59,7 @@ def oscillatory_nodes(a: float, b: float, freq: float, order: int = 15,
     if freq > 0:
         n = max(min_panels, int(np.ceil(width * 4.0 * freq)))
     if n * order > max_nodes:
-        raise MemoryError(
+        raise TruncationError(
             f"oscillatory rule would need {n * order} nodes (freq={freq:g})")
     return panel_nodes(a, b, n, order)
 

@@ -17,10 +17,6 @@ class NormalizationError(GreyvarError, ArithmeticError):
     """A normalization constant is degenerate (e.g. alpha_f ~ 0)."""
 
 
-class InvertibilityError(GreyvarError, ArithmeticError):
-    """A profile cannot be inverted at the requested level (flat region)."""
-
-
 class CoverageError(GreyvarError, ValueError):
     """A sampling window fails to cover the region an estimator needs."""
 

@@ -130,11 +130,6 @@ class Box:
         hi = np.asarray(self.hi)
         return np.all((pts >= lo) & (pts < hi), axis=1)
 
-    @property
-    def inradius(self) -> float:
-        """Radius of the largest origin-centered ball inside the box."""
-        return float(min(min(-l for l in self.lo), min(self.hi)))
-
 
 def centered_box(half_widths) -> Box:
     hw = tuple(float(h) for h in np.atleast_1d(half_widths))

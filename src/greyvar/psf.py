@@ -18,6 +18,15 @@ Three kernels are provided:
                        rho(x) = c_d (1 - |x|^2/D^2)^3 on |x| <= D;
 * ``ball_indicator`` - uniform density on a ball (discontinuous; only
                        suitable for volume-estimator baselines).
+
+All three have theta_H, m, phi and the radial mass in closed form
+(scipy.special): the Gaussian marginal is the standard normal, so
+theta_H is its survival function ndtr(-t) and the ball mass is
+gammainc(d/2, r^2/2).  The compact kernels are rho ~ (1 - |x|^2/D^2)^k
+(k = 3 for the bump, k = 0 for the ball indicator); their marginal is
+~ (1 - s^2/D^2)^p with p = k + (d-1)/2, which makes theta_H a regularized
+incomplete beta function of (1 - t/D)/2 and the ball mass
+betainc(d/2, k+1, (r/D)^2).
 """
 
 from __future__ import annotations
@@ -27,17 +36,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline, CubicSpline
-from scipy.special import gammaincc
+from scipy.special import (betainc, betaincinv, gammainc, gammainccinv, ndtr,
+                           ndtri)
 
-from ._quad import adaptive_quad, panel_nodes
-from .errors import DomainError, InvertibilityError
+from .errors import DomainError
 
 _KINDS = ("gaussian", "bump", "ball_indicator")
 
-#: number of tabulation nodes for edge profiles
-PROFILE_GRID = 4096
-#: grid half-width for the Gaussian profile (tail beyond is < 1e-15)
+#: working support half-width of the Gaussian (tail beyond is < 1e-15)
 GAUSSIAN_T = 8.0
 
 
@@ -116,14 +122,20 @@ def eval_rho(psf: Psf, r):
     return np.where(r <= D, 1.0 / ball_volume(d, D), 0.0)
 
 
+def _compact_power(psf: Psf) -> int:
+    """Exponent k of a compact kernel rho ~ (1 - |x|^2/D^2)^k."""
+    return 3 if psf.kind == "bump" else 0
+
+
 def radial_mass(psf: Psf, r: float) -> float:
-    """Mass of rho inside the centered ball of radius r (by quadrature)."""
+    """Mass of rho inside the centered ball of radius r."""
     if r <= 0:
         return 0.0
     d = psf.dim
-    hi = min(r, _integration_radius(psf))
-    return sphere_area(d) * adaptive_quad(
-        lambda u: eval_rho(psf, u) * u ** (d - 1), 0.0, hi, abs_tol=1e-12)
+    if psf.compact:
+        x = min(r / psf.support_radius, 1.0) ** 2
+        return float(betainc(d / 2.0, _compact_power(psf) + 1.0, x))
+    return float(gammainc(d / 2.0, 0.5 * r * r))
 
 
 def effective_radius(psf: Psf, eps: float) -> float:
@@ -133,47 +145,12 @@ def effective_radius(psf: Psf, eps: float) -> float:
     if psf.compact:
         return psf.support_radius
     # gaussian tail: P(|Z| > r) = Q(d/2, r^2/2)
-    d = psf.dim
-    lo, hi = 0.0, 50.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if gammaincc(d / 2.0, 0.5 * mid * mid) > eps:
-            lo = mid
-        else:
-            hi = mid
-    return hi
+    return math.sqrt(2.0 * gammainccinv(psf.dim / 2.0, min(eps, 1.0)))
 
 
 def _integration_radius(psf: Psf) -> float:
     """Radius beyond which rho is (numerically) zero."""
     return psf.support_radius if psf.compact else 20.0
-
-
-def marginal(psf: Psf, s):
-    """1-D marginal m(s) of rho along a fixed direction (vectorized).
-
-    m(s) = surf(S^{d-2}) * int_0^{u_max} rho(sqrt(s^2+u^2)) u^{d-2} du.
-    Evaluated on a shared tensor quadrature grid; accuracy is far below
-    1e-12 for the smooth kernels.
-    """
-    s = np.atleast_1d(np.asarray(s, dtype=float))
-    d = psf.dim
-    surf = 2.0 if d == 2 else 2.0 * math.pi
-    R = _integration_radius(psf)
-    out = np.zeros_like(s)
-    inside = np.abs(s) < R
-    if not np.any(inside):
-        return out
-    si = np.abs(s[inside])
-    umax = np.sqrt(R * R - si * si)
-    # u = umax * v, v in [0,1].  The bump integrand is a polynomial of
-    # degree <= 8 in v (two panels are already exact); the Gaussian decays
-    # over v ~ sqrt(2)/umax and needs the finer subdivision.
-    v, w = panel_nodes(0.0, 1.0, 2 if psf.compact else 30, order=15)
-    rr = np.sqrt(si[:, None] ** 2 + (umax[:, None] * v[None, :]) ** 2)
-    integrand = eval_rho(psf, rr) * (umax[:, None] * v[None, :]) ** (d - 2)
-    out[inside] = surf * umax * (integrand @ w)
-    return out
 
 
 @dataclass(frozen=True)
@@ -213,101 +190,63 @@ def check_conditions(psf: Psf) -> ConditionReport:
 
 
 class HalfspaceProfile:
-    """Tabulated edge profile theta_H with derivative and inverse.
+    """Closed-form edge profile theta_H with derivative and inverse.
 
-    theta(t) is computed by cumulative panel quadrature of the marginal on
-    a uniform grid of PROFILE_GRID nodes over [-T, T] and interpolated with
-    a cubic Hermite spline whose slopes are the exact marginal values, so
-    the interpolant is monotone and accurate to ~1e-12 between nodes.
+    Gaussian: theta = ndtr(-t), dtheta = -(standard normal density) and
+    phi = -ndtri(y).  Compact kernels: with p = k + (d-1)/2, (1 - s/D)/2
+    is Beta(p+1, p+1) distributed under the marginal, so
+    theta = betainc(p+1, p+1, (1 - t/D)/2), dtheta is minus the marginal
+    density and phi = D (1 - 2 betaincinv(p+1, p+1, y)).  theta is
+    exactly 1 for t <= -T and 0 for t >= T, where T is the support radius
+    (GAUSSIAN_T for the Gaussian, whose tail beyond it is < 1e-15).
     """
 
-    def __init__(self, psf: Psf, n_grid: int = PROFILE_GRID):
+    def __init__(self, psf: Psf):
         self.psf = psf
-        self.T = psf.support_radius if psf.compact else GAUSSIAN_T
-        t = np.linspace(-self.T, self.T, n_grid)
-        m = marginal(psf, t)
-
-        # panel integrals of m between consecutive nodes (node spacing is
-        # ~4e-3, so GL-7 per panel is already at machine accuracy)
-        v, w = panel_nodes(0.0, 1.0, 1, order=7)
-        lo = t[:-1]
-        h = np.diff(t)
-        nodes = lo[:, None] + h[:, None] * v[None, :]
-        piece = (marginal(psf, nodes.ravel()).reshape(nodes.shape) @ w) * h
-
-        tail = 0.0
-        if not psf.compact:
-            R = _integration_radius(psf)
-            nt, wt = panel_nodes(self.T, R, 40, order=15)
-            tail = float(np.dot(marginal(psf, nt), wt))
-
-        cum = np.concatenate(([0.0], np.cumsum(piece[::-1])))[::-1]
-        theta = cum + tail
-
-        self.t_grid = t
-        self.theta_grid = theta
-        self.m_grid = m
-        self._theta_spline = CubicHermiteSpline(t, theta, -m)
-        self._m_spline = CubicSpline(t, m)
-        self.total_mass = float(theta[0] + self._tail_below())
-
-    def _tail_below(self) -> float:
-        # mass of m below -T (equals the tail above T by symmetry)
-        if self.psf.compact:
-            return 0.0
-        R = _integration_radius(self.psf)
-        nt, wt = panel_nodes(self.T, R, 40, order=15)
-        return float(np.dot(marginal(self.psf, nt), wt))
+        if psf.compact:
+            self.T = psf.support_radius
+            p = self._p = _compact_power(psf) + 0.5 * (psf.dim - 1)
+            # marginal m(s) = c (1 - s^2/D^2)^p, where the integral of
+            # (1 - s^2/D^2)^p over [-D, D] is D * B(1/2, p+1)
+            self._c = math.gamma(p + 1.5) / (
+                self.T * math.gamma(0.5) * math.gamma(p + 1.0))
+        else:
+            self.T = GAUSSIAN_T
 
     def theta(self, t):
-        """Edge profile value(s); clamps to {1, 0} beyond the grid."""
+        """Edge profile value(s); clamps to {1, 0} at and beyond -T, T."""
         t = np.asarray(t, dtype=float)
-        scalar = t.ndim == 0
-        t = np.atleast_1d(t)
-        out = np.empty_like(t)
-        out[t <= -self.T] = 1.0
-        out[t >= self.T] = 0.0
-        inner = (t > -self.T) & (t < self.T)
-        if np.any(inner):
-            out[inner] = np.clip(self._theta_spline(t[inner]), 0.0, 1.0)
-        return float(out[0]) if scalar else out
+        if self.psf.compact:
+            x = np.clip(0.5 * (1.0 - t / self.T), 0.0, 1.0)
+            out = betainc(self._p + 1.0, self._p + 1.0, x)
+        else:
+            out = np.where(t <= -self.T, 1.0,
+                           np.where(t >= self.T, 0.0, ndtr(-t)))
+        return float(out) if out.ndim == 0 else out
 
     def dtheta(self, t):
-        """Profile derivative -m(t) (vectorized)."""
+        """Profile derivative -m(t) (vectorized); 0 for |t| >= T."""
         t = np.asarray(t, dtype=float)
-        scalar = t.ndim == 0
-        t = np.atleast_1d(t)
-        out = np.zeros_like(t)
-        inner = (np.abs(t) < self.T)
-        if np.any(inner):
-            out[inner] = -np.maximum(self._m_spline(t[inner]), 0.0)
-        return float(out[0]) if scalar else out
+        inside = np.abs(t) < self.T
+        if self.psf.compact:
+            u = np.where(inside, 1.0 - (t / self.T) ** 2, 0.0)
+            out = -self._c * u ** self._p
+        else:
+            out = np.where(inside, -np.exp(-0.5 * t * t)
+                           / math.sqrt(2.0 * math.pi), 0.0)
+        return float(out) if out.ndim == 0 else out
 
     def phi(self, y: float) -> float:
-        """Inverse profile: the t with theta(t) = y, for y in (0, 1).
-
-        Bisection to 1e-12; raises InvertibilityError if the profile is
-        flat at the requested level.
-        """
+        """Inverse profile: the t with theta(t) = y, for y in (0, 1)."""
         if not (0.0 < y < 1.0):
             raise DomainError(f"phi is defined on (0,1); got {y!r}")
-        lo, hi = -self.T, self.T  # theta(lo) = 1 > y > 0 = theta(hi)
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if self.theta(mid) > y:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo < 1e-13:
-                break
-        t = 0.5 * (lo + hi)
-        if abs(self.theta(t) - y) > 1e-9:
-            raise InvertibilityError(
-                f"profile not invertible at level {y:g} (flat region?)")
-        return t
+        if self.psf.compact:
+            x = betaincinv(self._p + 1.0, self._p + 1.0, y)
+            return float(self.T * (1.0 - 2.0 * x))
+        return float(-ndtri(y))
 
 
 @lru_cache(maxsize=16)
-def halfspace_profile(psf: Psf, n_grid: int = PROFILE_GRID) -> HalfspaceProfile:
+def halfspace_profile(psf: Psf) -> HalfspaceProfile:
     """Cached constructor for the edge profile of a PSF."""
-    return HalfspaceProfile(psf, n_grid)
+    return HalfspaceProfile(psf)

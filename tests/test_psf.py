@@ -1,8 +1,9 @@
 """PSF kernels and half-space edge profiles against closed forms.
 
-The Gaussian case has everything in closed form (marginal, profile,
-tail mass), so it anchors the quadrature-based paths; the compact
-kernels are checked for normalization, support, and smoothness class.
+The closed-form profiles are checked against erfc and the circular
+segment area, and every kind against a direct quadrature of rho over
+the half-space; the kernels themselves are checked for normalization,
+support, and smoothness class.
 """
 
 import math
@@ -14,8 +15,8 @@ from scipy.integrate import quad
 from greyvar.errors import DomainError
 from greyvar.psf import (GAUSSIAN_T, ball_indicator, ball_volume,
                          check_conditions, compact_bump, effective_radius,
-                         eval_rho, gaussian, halfspace_profile, marginal,
-                         radial_mass, sphere_area)
+                         eval_rho, gaussian, halfspace_profile, radial_mass,
+                         sphere_area)
 
 ALL_KINDS = [gaussian, compact_bump, ball_indicator]
 
@@ -44,6 +45,18 @@ def test_radial_mass_saturates(make, dim):
     assert radial_mass(psf, 0.0) == 0.0
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("make", ALL_KINDS)
+def test_radial_mass_matches_quadrature(make, dim):
+    psf = make(dim)
+    for r in (0.2, 0.5, 0.9, 1.7):
+        hi = min(r, psf.support_radius) if psf.compact else r
+        want, _ = quad(lambda u: sphere_area(dim) * u ** (dim - 1)
+                       * float(eval_rho(psf, u)), 0.0, hi,
+                       epsabs=1e-14, epsrel=1e-13)
+        assert radial_mass(psf, r) == pytest.approx(want, abs=1e-12)
+
+
 def test_bump_is_c2_at_the_edge():
     psf = compact_bump(2, 1.0)
     assert eval_rho(psf, 1.0) == 0.0
@@ -70,15 +83,16 @@ def test_eval_rho_rejects_negative_radius():
 def test_gaussian_marginal_is_standard_normal(dim):
     s = np.linspace(-5.0, 5.0, 41)
     expected = np.exp(-0.5 * s * s) / math.sqrt(2.0 * math.pi)
-    np.testing.assert_allclose(marginal(gaussian(dim), s), expected,
-                               atol=1e-12)
+    marginal = -halfspace_profile(gaussian(dim)).dtheta(s)
+    np.testing.assert_allclose(marginal, expected, atol=1e-12)
 
 
 @pytest.mark.parametrize("make", ALL_KINDS)
 def test_marginal_normalizes(make):
     psf = make(2)
     hi = psf.support_radius if psf.compact else 10.0
-    total, _ = quad(lambda s: marginal(psf, s)[0], -hi, hi, limit=200)
+    prof = halfspace_profile(psf)
+    total, _ = quad(lambda s: -prof.dtheta(s), -hi, hi, limit=200)
     assert total == pytest.approx(1.0, abs=1e-9)
 
 
@@ -88,6 +102,12 @@ def test_gaussian_effective_radius_closed_form():
         expected = math.sqrt(-2.0 * math.log(eps))
         assert effective_radius(gaussian(2), eps) == pytest.approx(
             expected, abs=1e-9)
+    # in d=3 it is erfc(r/sqrt 2) + sqrt(2/pi) r exp(-r^2/2)
+    for eps in (1e-3, 1e-6, 1e-9, 1e-12):
+        r = effective_radius(gaussian(3), eps)
+        tail = (math.erfc(r / math.sqrt(2.0))
+                + math.sqrt(2.0 / math.pi) * r * math.exp(-0.5 * r * r))
+        assert tail == pytest.approx(eps, rel=1e-12)
 
 
 def test_effective_radius_compact_support():
@@ -106,21 +126,51 @@ def test_gaussian_profile_matches_erfc(dim):
 
 
 def test_disc_profile_closed_form():
-    # circular-segment area: theta(t) = (acos t - t sqrt(1-t^2)) / pi.
-    # The disc marginal has a sqrt singularity at the support edge, so
-    # the tabulated profile carries a few-1e-9 quadrature offset; that
-    # kernel is only admitted for volume baselines anyway.
+    # circular-segment area: theta(t) = (acos t - t sqrt(1-t^2)) / pi
     prof = halfspace_profile(ball_indicator(2, 1.0))
     for t in (-0.8, -0.3, 0.0, 0.5, 0.9):
         expected = (math.acos(t) - t * math.sqrt(1 - t * t)) / math.pi
-        assert prof.theta(t) == pytest.approx(expected, abs=1e-8)
+        assert prof.theta(t) == pytest.approx(expected, abs=1e-12)
+
+
+def _halfspace_mass(psf, t):
+    """theta_H(t) = int sphere_area r^{d-1} rho(r) P(U_1 >= t/r) dr, with
+    U uniform on the unit sphere: the mass of rho beyond the plane
+    <x, u> = t, summed over spherical shells."""
+    d = psf.dim
+
+    def cap(s):
+        s = min(max(s, -1.0), 1.0)
+        return math.acos(s) / math.pi if d == 2 else 0.5 * (1.0 - s)
+
+    def shell(r):
+        return (sphere_area(d) * r ** (d - 1) * float(eval_rho(psf, r))
+                * cap(t / r))
+
+    R = psf.support_radius if psf.compact else 40.0
+    # the integrand is not smooth at r = |t|, where the shell starts to
+    # cross the plane
+    points = [abs(t)] if 0.0 < abs(t) < R else None
+    total, _ = quad(shell, 0.0, R, points=points, limit=200,
+                    epsabs=1e-14, epsrel=1e-13)
+    return total
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("make", ALL_KINDS)
+def test_profile_matches_halfspace_quadrature(make, dim):
+    psf = make(dim)
+    prof = halfspace_profile(psf)
+    for t in (-0.95, -0.6, -0.25, 0.0, 0.1, 0.45, 0.8, 0.99):
+        assert prof.theta(t) == pytest.approx(_halfspace_mass(psf, t),
+                                              abs=1e-12)
 
 
 @pytest.mark.parametrize("make", ALL_KINDS)
 def test_profile_shape(make):
     prof = halfspace_profile(make(2))
     T = prof.T
-    tol = 1e-10 if make is not ball_indicator else 1e-8
+    tol = 1e-10
     assert prof.theta(-T - 1.0) == 1.0
     assert prof.theta(T + 1.0) == 0.0
     assert prof.theta(0.0) == pytest.approx(0.5, abs=tol)
@@ -156,7 +206,6 @@ def test_condition_report_flags():
 
 def test_profile_total_mass():
     prof = halfspace_profile(gaussian(2))
-    assert prof.total_mass == pytest.approx(1.0, abs=1e-10)
     assert prof.T == GAUSSIAN_T
 
 

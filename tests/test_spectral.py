@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from greyvar.errors import DomainError
+from greyvar._quad import oscillatory_nodes
+from greyvar.errors import DomainError, TruncationError
 from greyvar.estimator import Indicator, SmoothPlateau, alpha_f
 from greyvar.phantom import Ball, intensity_model, transition_offsets
 from greyvar.psf import (ball_indicator, ball_volume, compact_bump,
@@ -246,3 +247,9 @@ def test_main_term_rejects_nonpositive_q():
     profile = halfspace_profile(gaussian(2))
     with pytest.raises(DomainError):
         ball_main_term(1.0, profile, Indicator(), 0.05, 0.0, 2)
+
+
+def test_oscillatory_rule_over_budget_is_truncation_error():
+    # the node budget is checked before any node is allocated
+    with pytest.raises(TruncationError):
+        oscillatory_nodes(0.0, 1.0, freq=1e9)
