@@ -17,8 +17,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import fft as sfft
 
-from .errors import DomainError
+from .errors import DomainError, TruncationError
 
 
 @dataclass(frozen=True)
@@ -191,6 +192,23 @@ def dual_points(lattice: Lattice, xi_max: float) -> np.ndarray:
 
 _SHELL_TABLES: dict[int, np.ndarray] = {}
 
+# Largest sum-of-squares sieve a process may allocate.  The d=2 table at
+# |xi| = 16384 (about 1.1 GB) fits; in d=3 the FFT convolution is
+# refused beyond |xi| of about 4700 (n_max 2.2e7).
+SIEVE_BUDGET_BYTES = 2 << 30
+
+
+def _sieve_bytes(dim: int, n_max: int) -> int:
+    """Upper estimate of the bytes _sum_of_squares_counts allocates, as
+    if every array were alive at once: the int32 table, and in d=3 four
+    more arrays of n_max + 1 entries (32 bytes per entry in all), three
+    complex half-spectra and the inverse transform of the FFT."""
+    n = n_max + 1
+    if dim == 2:
+        return 4 * n
+    size = sfft.next_fast_len(2 * n_max + 1, real=True)
+    return 32 * n + 3 * 16 * (size // 2 + 1) + 8 * size
+
 
 def _sum_of_squares_counts(dim: int, n_max: int) -> np.ndarray:
     """counts[n] = number of z in Z^dim with |z|^2 = n, for n <= n_max.
@@ -200,11 +218,19 @@ def _sum_of_squares_counts(dim: int, n_max: int) -> np.ndarray:
     table.  This is what makes dual sums over the integer lattice cheap
     at large radii, where point enumeration would need |ball| memory.
     The largest table per dimension is kept and sliced for smaller
-    requests, so geometric-growth sums pay for each radius once.
+    requests, so geometric-growth sums pay for each radius once.  A
+    table over SIEVE_BUDGET_BYTES raises TruncationError before
+    anything is allocated.
     """
     have = _SHELL_TABLES.get(dim)
     if have is not None and len(have) > n_max:
         return have[:n_max + 1]
+    need = _sieve_bytes(dim, n_max)
+    if need > SIEVE_BUDGET_BYTES:
+        raise TruncationError(
+            f"shell sieve to |z|^2 <= {n_max} in d={dim} needs about "
+            f"{need / 2 ** 30:.3g} GiB, over the "
+            f"{SIEVE_BUDGET_BYTES / 2 ** 30:g} GiB budget; lower xi_cap")
     kmax = math.isqrt(n_max)
     ks = np.arange(kmax + 1)
     mult = np.where(ks == 0, 1, 2).astype(np.int32)
@@ -219,12 +245,13 @@ def _sum_of_squares_counts(dim: int, n_max: int) -> np.ndarray:
         return counts2
     # fold the third coordinate in by convolution with the 1-D counts;
     # FFT keeps this near-linear, and the result is rounded back to the
-    # exact integers (the residual is checked, not assumed)
+    # exact integers (the residual is checked, not assumed).  Any length
+    # >= 2 n_max + 1 avoids wrap-around; a 5-smooth one is fast.
     counts1 = np.zeros(n_max + 1)
     counts1[sq[sq <= n_max]] = mult[: np.count_nonzero(sq <= n_max)]
-    size = 1 << int(2 * n_max + 1).bit_length()
-    conv = np.fft.irfft(np.fft.rfft(counts2.astype(float), size)
-                        * np.fft.rfft(counts1, size), size)[:n_max + 1]
+    size = sfft.next_fast_len(2 * n_max + 1, real=True)
+    conv = sfft.irfft(sfft.rfft(counts2.astype(float), size)
+                      * sfft.rfft(counts1, size), size)[:n_max + 1]
     counts3 = np.rint(conv)
     if np.abs(conv - counts3).max() > 0.1:
         raise ArithmeticError("shell count convolution lost integrality")
@@ -242,12 +269,16 @@ def _integer_scale(lattice: Lattice) -> float | None:
     return None
 
 
-def dual_shells(lattice: Lattice, xi_max: float, group_tol: float = 1e-9):
-    """Dual-lattice shells: sorted norms with multiplicities.
+def dual_shells(lattice: Lattice, xi_max: float, xi_min: float = 0.0,
+                group_tol: float = 1e-9):
+    """Dual-lattice shells with xi_min < norm <= xi_max: sorted norms
+    with multiplicities.
 
     Returns (norms, counts) with equal norms (within group_tol) merged.
-    Scaled integer lattices take an exact sum-of-squares sieve; other
-    lattices enumerate points, which limits their practical radius.
+    Scaled integer lattices take an exact sum-of-squares sieve and read
+    only the part of the table above xi_min; other lattices enumerate
+    points, which limits their practical radius.  Either way the shells
+    kept are exactly those of the full list with norm > xi_min.
     """
     if xi_max <= 0:
         raise DomainError("xi_max must be positive")
@@ -255,8 +286,12 @@ def dual_shells(lattice: Lattice, xi_max: float, group_tol: float = 1e-9):
     if s is not None:
         n_max = int((xi_max * s) ** 2 * (1 + 1e-12))
         counts = _sum_of_squares_counts(lattice.dim, n_max)
-        n = np.flatnonzero(counts[1:]) + 1
-        return np.sqrt(n.astype(float)) / s, counts[n].astype(int)
+        # start just below the bound; the float test decides
+        lo = max(1, int((xi_min * s) ** 2 * (1 - 1e-9)))
+        n = np.flatnonzero(counts[lo:]) + lo
+        norms = np.sqrt(n.astype(float)) / s
+        above = norms > xi_min
+        return norms[above], counts[n[above]].astype(int)
     xi = dual_points(lattice, xi_max)
     norms = np.sort(np.linalg.norm(xi, axis=1))
     if norms.size == 0:
@@ -266,7 +301,8 @@ def dual_shells(lattice: Lattice, xi_max: float, group_tol: float = 1e-9):
     ends = np.concatenate((breaks + 1, [norms.size]))
     shell_norms = np.array([norms[s:e].mean() for s, e in zip(starts, ends)])
     counts = (ends - starts).astype(int)
-    return shell_norms, counts
+    above = shell_norms > xi_min
+    return shell_norms[above], counts[above]
 
 
 def random_rotation(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy import special
@@ -50,9 +51,10 @@ _MC_CHUNK = 256
 # ---------------------------------------------------------------------------
 # convergent sums over dual shells
 
-@dataclass
+@dataclass(frozen=True)
 class ShellSumInfo:
-    """Truncation record of an adaptive dual-lattice sum."""
+    """Truncation record of an adaptive dual-lattice sum (immutable, so
+    a cached record can be shared)."""
 
     xi_max: float
     n_shells: int
@@ -92,9 +94,7 @@ def convergent_dual_sum(lattice: Lattice, summand, *, decay_power: float,
     tail = math.inf
     converged = False
     while True:
-        norms, counts = lat.dual_shells(lattice, xi)
-        fresh = norms > xi_prev
-        norms, counts = norms[fresh], counts[fresh]
+        norms, counts = lat.dual_shells(lattice, xi, xi_prev)
         if len(norms):
             vals = _octave_eval(summand, norms)
             block = float(counts @ vals)
@@ -242,6 +242,7 @@ class AsymptoticReport:
     prefactor: float
     a: float
     shells: ShellSumInfo
+    flags: list[str] = field(default_factory=list)
 
 
 def profile_lattice_sum(f, profile: HalfspaceProfile, lattice: Lattice, *,
@@ -258,28 +259,49 @@ def profile_lattice_sum(f, profile: HalfspaceProfile, lattice: Lattice, *,
     measures the oscillating residual.  Other weights go through
     oscillatory quadrature; their faster transform decay keeps the
     shell count small and needs no correction.
+
+    LS does not depend on the scales a and b, so results are cached per
+    (f, profile, lattice, tail_tol, xi_cap), as halfspace_profile caches
+    per PSF; a weight that cannot be hashed is summed afresh each call.
+    A sum that reaches its cap comes back with shells.converged False
+    (variance_asymptotic_isotropic flags it frequency-capped) while its
+    tail bound stays under 1% of the partial sum, and raises
+    TruncationError beyond that.
     """
+    try:
+        hash(f)
+    except TypeError:
+        return _lattice_sum(f, profile, lattice, tail_tol, xi_cap)
+    return _cached_lattice_sum(f, profile, lattice, tail_tol, xi_cap)
+
+
+def _lattice_sum(f, profile, lattice, tail_tol, xi_cap):
     d = lattice.dim
-    if isinstance(f, Indicator):
+    indicator = isinstance(f, Indicator)
+    if indicator:
         w = profile.phi(f.beta) - profile.phi(f.omega)
 
         def summand(q):
             return (np.sin(math.pi * q * w) / (math.pi * q)) ** 2 \
                 * q ** (-(d - 1.0))
+    else:
+        xi_cap = min(xi_cap, 4096.0)
 
-        total, info = convergent_dual_sum(
-            lattice, summand, decay_power=d + 1.0, tail_tol=tail_tol,
-            xi_cap=xi_cap)
-        mean_tail = (lattice.cell_volume * sphere_area(d)
-                     / (2.0 * math.pi ** 2 * info.xi_max))
-        return total + mean_tail, info
+        def summand(q):
+            return np.abs(profile_fourier_1d(f, profile, q)) ** 2 \
+                * q ** (-(d - 1.0))
 
-    def summand(q):
-        return np.abs(profile_fourier_1d(f, profile, q)) ** 2 \
-            * q ** (-(d - 1.0))
-    return convergent_dual_sum(lattice, summand, decay_power=d + 1.0,
-                               tail_tol=tail_tol,
-                               xi_cap=min(xi_cap, 4096.0))
+    total, info = convergent_dual_sum(lattice, summand, decay_power=d + 1.0,
+                                      tail_tol=tail_tol, xi_cap=xi_cap)
+    if not info.converged:
+        _require_tail_under_1pct(info, total, xi_cap)
+    if indicator:
+        total += (lattice.cell_volume * sphere_area(d)
+                  / (2.0 * math.pi ** 2 * info.xi_max))
+    return total, info
+
+
+_cached_lattice_sum = lru_cache(maxsize=64)(_lattice_sum)
 
 
 def variance_asymptotic_isotropic(surface_area: float, psf: Psf, f,
@@ -298,8 +320,9 @@ def variance_asymptotic_isotropic(surface_area: float, psf: Psf, f,
     alpha = alpha_f(f, profile)
     pref = (2.0 / sphere_area(psf.dim) / alpha ** 2) * surface_area
     main = a ** (psf.dim - 1) * pref * ls
+    flags = [] if info.converged else ["frequency-capped"]
     return AsymptoticReport(main=main, envelope=2.0 * main, lattice_sum=ls,
-                            prefactor=pref, a=a, shells=info)
+                            prefactor=pref, a=a, shells=info, flags=flags)
 
 
 @dataclass(frozen=True)
@@ -345,7 +368,8 @@ def variance_asymptotic_random_radius(psf: Psf, f, lattice: Lattice,
                                         **ls_options)
     return AsymptoticReport(main=rep.main, envelope=rep.main,
                             lattice_sum=rep.lattice_sum,
-                            prefactor=rep.prefactor, a=a, shells=rep.shells)
+                            prefactor=rep.prefactor, a=a, shells=rep.shells,
+                            flags=rep.flags)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ resolve from the child's temporary working directory.
 """
 
 import csv
+import hashlib
 import json
 import math
 import os
@@ -18,6 +19,7 @@ import sys
 import pytest
 
 import greyvar
+from greyvar import lattice, variance
 from greyvar.cli import main
 from greyvar.estimator import Indicator
 from greyvar.lattice import unit_lattice
@@ -167,6 +169,41 @@ def test_theory_variance_matches_library(tmp_path):
         assert lib.value == pytest.approx(want[a], rel=1e-4)
         assert float(row[5]) > 0.0
         assert float(row[7]) > 0.0
+
+
+def test_theory_variance_cache_independent(tmp_path, monkeypatch):
+    """Cold caches, warm caches, and cold again after clearing the
+    lattice-sum cache and the shell tables: same CSV bytes."""
+    monkeypatch.setattr(lattice, "_SHELL_TABLES", {})
+    variance._cached_lattice_sum.cache_clear()
+    args = ["theory-variance", "--set", "scales.a=0.1,0.05"]
+    outs = [tmp_path / n for n in ("cold", "warm", "cleared")]
+    assert main(args + ["--out", str(outs[0])]) == 0
+    assert main(args + ["--out", str(outs[1])]) == 0
+    monkeypatch.setattr(lattice, "_SHELL_TABLES", {})
+    variance._cached_lattice_sum.cache_clear()
+    assert main(args + ["--out", str(outs[2])]) == 0
+    blobs = [(out / "theory-variance.csv").read_bytes() for out in outs]
+    assert blobs[0] == blobs[1] == blobs[2]
+
+
+def test_manifest_records_output_sha256(tmp_path):
+    assert main(["shells", "--set", "shells.xi_max=5",
+                 "--out", str(tmp_path)]) == 0
+    blob = (tmp_path / "shells.csv").read_bytes()
+    man = _read_manifest(tmp_path)
+    assert man["output_sha256"] == {
+        "shells.csv": hashlib.sha256(blob).hexdigest()}
+
+
+def test_sieve_over_budget_is_exit_3(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(lattice, "_SHELL_TABLES", {})
+    rc = main(["shells", "--set", "phantom.dim=3",
+               "--set", "shells.xi_max=16384", "--out", str(tmp_path)])
+    assert rc == 3
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["kind"] == "TruncationError"
+    assert "budget" in record["message"]
 
 
 def test_fourier_gap_column(tmp_path):

@@ -8,10 +8,14 @@ the d=3 convolution path.
 
 import math
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.fft import next_fast_len
 
-from greyvar.errors import DomainError
+from greyvar import lattice as lattice_module
+from greyvar.errors import DomainError, TruncationError
 from greyvar.lattice import (Box, Lattice, LatticePlacement, centered_box,
                              dual_points, dual_shells, enumerate_points,
                              hexagonal_lattice, random_placement,
@@ -73,6 +77,40 @@ def test_sum_of_squares_sieve_vs_enumeration(dim):
     np.testing.assert_array_equal(counts, brute)
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("n_max", [160, 1000])
+def test_cold_sieve_vs_enumeration(dim, n_max, monkeypatch):
+    """A table built anew (no cached larger table to slice) at
+    sizes whose FFT length is 5-smooth, not a power of two."""
+    monkeypatch.setattr(lattice_module, "_SHELL_TABLES", {})
+    size = next_fast_len(2 * n_max + 1, real=True)
+    assert size & (size - 1) != 0
+    counts = _sum_of_squares_counts(dim, n_max)
+    assert lattice_module._SHELL_TABLES[dim] is counts
+    reach = int(math.isqrt(n_max)) + 1
+    rng = np.arange(-reach, reach + 1)
+    k = np.stack(np.meshgrid(*([rng] * dim), indexing="ij"),
+                 axis=-1).reshape(-1, dim)
+    n = np.sum(k * k, axis=1)
+    brute = np.bincount(n[n <= n_max], minlength=n_max + 1)
+    np.testing.assert_array_equal(counts, brute)
+
+
+def test_sieve_over_budget_allocates_nothing(monkeypatch):
+    """d=3 at |xi| = 16384 would need tens of GB of FFT arrays; the
+    budget check refuses it before any array exists."""
+    monkeypatch.setattr(lattice_module, "_SHELL_TABLES", {})
+    tracemalloc.start()
+    try:
+        with pytest.raises(TruncationError, match="budget"):
+            dual_shells(unit_lattice(3), 16384.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert lattice_module._SHELL_TABLES == {}
+
+
 def test_sieve_d3_known_values():
     # r_3(n) for small n: 0->1, 1->6, 2->12, 3->8, 4->6, 5->24, 6->24, 7->0
     counts = _sum_of_squares_counts(3, 7)
@@ -104,6 +142,28 @@ def test_dual_shells_hexagonal():
     assert counts[0] == 6
     pts = dual_points(hexagonal_lattice(), 3.0)
     assert int(counts.sum()) == len(pts)
+
+
+@pytest.mark.parametrize("lattice,xi_max", [
+    (unit_lattice(2), 40.0),
+    (unit_lattice(3), 20.0),
+    (scaled_lattice(2, 0.25), 160.0),
+    (hexagonal_lattice(), 12.0),
+])
+def test_dual_shells_lower_bound_is_filtered_full_list(lattice, xi_max):
+    """dual_shells(L, xi, xi_min) is the full list filtered by norm >
+    xi_min, bit for bit, including bounds on a shell norm and the
+    geometric rungs of convergent_dual_sum."""
+    for xi in (xi_max / 1.7, xi_max):
+        full_norms, full_counts = dual_shells(lattice, xi)
+        bounds = [0.0, xi / 1.7, xi / 2.0, float(full_norms[3]),
+                  float(full_norms[-1]), xi]
+        for xi_min in bounds:
+            norms, counts = dual_shells(lattice, xi, xi_min)
+            above = full_norms > xi_min
+            assert np.array_equal(norms, full_norms[above])
+            assert np.array_equal(counts, full_counts[above])
+            assert counts.dtype == full_counts.dtype
 
 
 def test_dual_shells_sorted_and_even():

@@ -9,6 +9,7 @@ engine itself is pinned by the Jacobi theta identity, and the asymptotic
 and bound layers by frozen constants and structural properties.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -189,6 +190,65 @@ def test_profile_lattice_sum_tolerance_stability():
         coarse, _ = profile_lattice_sum(f, prof, Z2, tail_tol=1e-3)
         fine, _ = profile_lattice_sum(f, prof, Z2, tail_tol=1e-5)
         assert coarse == pytest.approx(fine, rel=drift)
+
+
+def test_capped_lattice_sum_is_flagged():
+    # stopped at the cap with the tail bound under 1% of the partial
+    # sum: reported and flagged, not refused, by both asymptotic models
+    opts = dict(tail_tol=1e-5, xi_cap=1000.0)
+    rep = variance_asymptotic_isotropic(2.0 * math.pi, GAUSS2, Indicator(),
+                                        Z2, 0.05, **opts)
+    assert rep.flags == ["frequency-capped"]
+    assert not rep.shells.converged
+    assert rep.shells.xi_max == 1000.0
+    assert rep.lattice_sum == pytest.approx(0.337933407, rel=1e-6)
+    rand = variance_asymptotic_random_radius(GAUSS2, Indicator(), Z2, 0.05,
+                                             RadiusDensity(1.0, 2.0), **opts)
+    assert rand.flags == ["frequency-capped"]
+    default = variance_asymptotic_isotropic(2.0 * math.pi, GAUSS2,
+                                            Indicator(), Z2, 0.05)
+    assert default.shells.converged
+    assert default.flags == []
+
+
+@pytest.mark.parametrize("f", [Indicator(), SmoothPlateau()])
+def test_lattice_sum_tail_over_one_percent_raises(f):
+    prof = halfspace_profile(GAUSS2)
+    with pytest.raises(TruncationError, match=r"xi_cap=3.*try 6"):
+        profile_lattice_sum(f, prof, Z2, xi_cap=3.0)
+    with pytest.raises(TruncationError):
+        variance_asymptotic_isotropic(2.0 * math.pi, GAUSS2, f, Z2, 0.05,
+                                      xi_cap=3.0)
+
+
+def test_lattice_sum_cached_per_arguments():
+    prof = halfspace_profile(GAUSS2)
+    first = profile_lattice_sum(SmoothPlateau(), prof, Z2, tail_tol=1e-4)
+    assert profile_lattice_sum(SmoothPlateau(), prof, Z2,
+                               tail_tol=1e-4) is first
+    assert profile_lattice_sum(SmoothPlateau(), prof, Z2,
+                               tail_tol=1e-3) is not first
+    # the shared record cannot be changed by a caller
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        first[1].converged = False
+
+
+def test_lattice_sum_of_unhashable_weight():
+    class Unhashable:
+        __hash__ = None
+
+        def __init__(self):
+            self._f = SmoothPlateau()
+            self.knots = self._f.knots
+
+        def __call__(self, values):
+            return self._f(values)
+
+    prof = halfspace_profile(GAUSS2)
+    got, info = profile_lattice_sum(Unhashable(), prof, Z2)
+    want, want_info = profile_lattice_sum(SmoothPlateau(), prof, Z2)
+    assert got == want
+    assert info == want_info
 
 
 def test_asymptotic_report_structure():
