@@ -22,7 +22,12 @@ silently trusted.
 
 Monte Carlo uses the shift-only fast path for balls, a fixed number of
 batches with seeds spawned from one root seed, and a reduction ordered
-by batch index, so results are bit-identical for any worker count.
+by batch index, so results are bit-identical for any worker count.  Its
+kernel scores squared radii |p + o|^2, one matrix product per chunk of
+shifts o: the indicator weight and the binary volume compare them with
+squared band radii (f(theta(r)) = 1[r_in <= r <= r_out] exactly, as
+the annulus transform of the exact engine uses), and any other weight
+takes f(theta(r)) of the spline intensity at their square roots.
 """
 
 from __future__ import annotations
@@ -45,7 +50,9 @@ from .psf import HalfspaceProfile, Psf, halfspace_profile, sphere_area
 from .spectral import (AnnulusFourier, RadialFourier, ball_indicator_fourier,
                        profile_fourier_1d, psf_fourier)
 
-_MC_CHUNK = 256
+# bytes of one (N, K) float64 array of squared radii in the Monte Carlo
+# kernel; the chunk width K follows from it (at least one column)
+_MC_CHUNK_BYTES = 8 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -407,39 +414,55 @@ def _reduce_batches(means, variances, n):
 @dataclass
 class _RadialSampler:
     """Shift-only sampler for a centered ball: precomputed lattice points
-    restricted to the annulus that can meet the evaluation band."""
+    restricted to those that can meet the evaluation band.
 
-    lattice: Lattice
-    b: float
+    Each chunk of shifts o gets its squared radii |p + o|^2 = |p|^2 +
+    2 p.o + |o|^2 from one BLAS product of the lifted points [p, |p|^2,
+    1] (built once) with the columns [2 o, 1, |o|^2]; `evaluate` maps
+    those squared radii to weights.  The expansion can round a little
+    below 0 near the origin, so a weight that needs radii clamps first.
+    """
+
     base_points: np.ndarray  # (N, d) scaled lattice points b A k
     basis_b: np.ndarray      # b A, mapping a unit-cell shift to an offset
-    evaluate: callable       # radii (N, K) -> weights (N, K)
+    evaluate: callable       # squared radii (N, K) -> weights (N, K)
     scale: float             # multiplies the summed weights
+    lifted: np.ndarray = field(init=False, repr=False)  # (N, d + 2)
+
+    def __post_init__(self):
+        pts = self.base_points
+        self.lifted = np.column_stack(
+            [pts, np.einsum("ij,ij->i", pts, pts), np.ones(len(pts))])
 
     def run_batch(self, seed, n_reps) -> tuple[float, float]:
         rng = np.random.default_rng(seed)
-        d = self.lattice.dim
+        d = len(self.basis_b)
+        # successive draws concatenate, so the shifts do not depend on
+        # the chunk width
+        width = max(1, _MC_CHUNK_BYTES // (8 * max(len(self.lifted), 1)))
         vals = np.empty(n_reps)
-        for i0 in range(0, n_reps, _MC_CHUNK):
-            k = min(_MC_CHUNK, n_reps - i0)
+        for i0 in range(0, n_reps, width):
+            k = min(width, n_reps - i0)
             offs = rng.random((k, d)) @ self.basis_b.T
-            rsq = np.zeros((len(self.base_points), k))
-            for j in range(d):
-                rsq += (self.base_points[:, j, None] + offs[None, :, j]) ** 2
-            w = self.evaluate(np.sqrt(rsq))
+            cols = np.vstack([2.0 * offs.T, np.ones(k),
+                              np.einsum("ij,ij->i", offs, offs)])
+            w = self.evaluate(self.lifted @ cols)
             vals[i0:i0 + k] = self.scale * w.sum(axis=0)
         return float(vals.mean()), float(vals.var(ddof=1))
 
 
 def _annulus_points(lattice: Lattice, b: float, r_lo: float, r_hi: float):
-    """All b A k whose shifted copies can fall in [r_lo, r_hi]."""
-    pad = b * lattice.cell_diameter
-    window = lat.centered_box(((r_hi + pad),) * lattice.dim)
+    """All b A k whose shifted copies b A (k + u), u in [0, 1)^d, can fall
+    in [r_lo, r_hi]: every copy lies within half a cell diameter of the
+    cell centre b A (k + 1/2)."""
+    reach = 0.5 * b * lattice.cell_diameter
+    window = lat.centered_box(((r_hi + 2.0 * reach),) * lattice.dim)
     ks = lat.integer_cover(lat.LatticePlacement(lattice, b), window,
                            any_shift=True)
-    pts = b * (ks @ np.asarray(lattice.basis).T)
-    r = np.linalg.norm(pts, axis=1)
-    keep = (r >= max(r_lo - pad, 0.0) - 1e-12) & (r <= r_hi + pad + 1e-12)
+    basis = np.asarray(lattice.basis)
+    pts = b * (ks @ basis.T)
+    rc = np.linalg.norm(pts + 0.5 * b * basis.sum(axis=1), axis=1)
+    keep = (rc >= r_lo - reach - 1e-12) & (rc <= r_hi + reach + 1e-12)
     return pts[keep]
 
 
@@ -462,10 +485,17 @@ def _surface_sampler(radius, psf, f, a, lattice, b, alpha,
     r_in, r_out = _band_radii(model, f)
     pts = _annulus_points(lattice, b, r_in, r_out)
     scale = (lattice.cell_volume / alpha) * b ** psf.dim / a
-    return _RadialSampler(
-        lattice=lattice, b=b, base_points=pts,
-        basis_b=b * np.asarray(lattice.basis),
-        evaluate=lambda r: f(model.radial(r)), scale=scale)
+    if isinstance(f, Indicator):
+        # f(theta(r)) = 1[r_in <= r <= r_out]; a band reaching the centre
+        # (r_in = 0) must also take squared radii rounded below 0
+        lo = r_in * r_in if r_in > 0.0 else -math.inf
+        hi = r_out * r_out
+        evaluate = lambda rsq: (rsq >= lo) & (rsq <= hi)
+    else:
+        evaluate = lambda rsq: f(model.radial(np.sqrt(np.maximum(rsq, 0.0))))
+    return _RadialSampler(base_points=pts,
+                          basis_b=b * np.asarray(lattice.basis),
+                          evaluate=evaluate, scale=scale)
 
 
 def _run_batches(sampler: _RadialSampler, n_reps, seed, n_batches, workers):
@@ -520,11 +550,10 @@ def mc_volume_binary(phantom, lattice: Lattice, b: float, n_reps: int,
     n_core = int(np.count_nonzero(always_in))
     vol_cell = b ** d * lattice.cell_volume
 
-    sampler = _RadialSampler(
-        lattice=lattice, b=b, base_points=pts[undecided],
-        basis_b=b * np.asarray(lattice.basis),
-        evaluate=lambda r: (r <= radius).astype(float),
-        scale=vol_cell)
+    sampler = _RadialSampler(base_points=pts[undecided],
+                             basis_b=b * np.asarray(lattice.basis),
+                             evaluate=lambda rsq: rsq <= radius * radius,
+                             scale=vol_cell)
     res = _run_batches(sampler, n_reps, seed, n_batches, workers)
     core_vol = vol_cell * n_core
     return MCResult(

@@ -1,0 +1,107 @@
+"""Reference Monte Carlo batch kernel: radii summed coordinate by
+coordinate, then sqrt, then the weight of the spline intensity
+f(IntensityModel.radial(r)), in chunks of 256 shifts.
+
+This is the kernel the package used before it scored squared radii with
+one matrix product, kept here as the oracle for that product, for the
+indicator shortcut (comparing squared radii with the band radii squared)
+and for the trimmed point set.  It enumerates its own lattice points:
+every b A k within one cell diameter of the radii where the spline
+intensity crosses the band edges, found by its own root search.  A shift
+moves a point by at most a cell diameter, and beyond those radii the
+grey value lies outside the band, where every weight vanishes.  Seeds
+and batch sizes follow the package's scheme (one root SeedSequence
+spawned per batch, sizes differing by at most one), so each oracle batch
+sees exactly the shifts the package draws.
+"""
+
+import math
+
+import numpy as np
+from scipy.optimize import brentq
+
+from greyvar.estimator import alpha_f
+from greyvar.phantom import Ball, IntensityModel
+from greyvar.psf import halfspace_profile
+
+CHUNK = 256
+
+
+def lattice_points(lattice, b, r_max):
+    """All b A k with |b A k| <= r_max, enumerated over an integer box."""
+    A = np.asarray(lattice.basis)
+    kmax = math.ceil(r_max / (b * np.linalg.svd(A, compute_uv=False)[-1]))
+    axis = np.arange(-kmax, kmax + 1)
+    ks = np.stack(np.meshgrid(*([axis] * lattice.dim), indexing="ij"),
+                  axis=-1).reshape(-1, lattice.dim)
+    pts = b * (ks @ A.T)
+    return pts[np.linalg.norm(pts, axis=1) <= r_max]
+
+
+def batch_values(points, basis_b, weight, scale, seed, n_reps):
+    """Mean and sample variance of scale * sum_p weight(|p + o|) over
+    n_reps uniform cell shifts o drawn from seed."""
+    rng = np.random.default_rng(seed)
+    d = points.shape[1]
+    vals = np.empty(n_reps)
+    for i0 in range(0, n_reps, CHUNK):
+        k = min(CHUNK, n_reps - i0)
+        offs = rng.random((k, d)) @ basis_b.T
+        rsq = np.zeros((len(points), k))
+        for j in range(d):
+            rsq += (points[:, j, None] + offs[None, :, j]) ** 2
+        w = weight(np.sqrt(rsq))
+        vals[i0:i0 + k] = scale * w.sum(axis=0)
+    return float(vals.mean()), float(vals.var(ddof=1))
+
+
+def _batches(points, basis_b, weight, scale, n_reps, seed, n_batches):
+    seeds = np.random.SeedSequence(seed).spawn(n_batches)
+    sizes = np.full(n_batches, n_reps // n_batches)
+    sizes[:n_reps % n_batches] += 1
+    out = [batch_values(points, basis_b, weight, scale, s, n)
+           for s, n in zip(seeds, sizes)]
+    return (np.array([m for m, _ in out]), np.array([v for _, v in out]))
+
+
+def surface_points(radius, psf, f, a, lattice, b, n_grid=1025):
+    """The intensity model and every lattice point that can see a grey
+    value inside the band of f under some shift."""
+    model = IntensityModel(Ball(psf.dim, radius), psf, a, n_grid=n_grid)
+    r_lo, r_hi = model.table_range
+    r_in, r_out = (
+        brentq(lambda r: model.radial(np.array([r]))[0] - y, r_lo, r_hi,
+               xtol=1e-13)
+        for y in (f.knots[-1], f.knots[0]))
+    pad = b * lattice.cell_diameter + 1e-9
+    pts = lattice_points(lattice, b, r_out + pad)
+    return model, pts[np.linalg.norm(pts, axis=1) >= r_in - pad]
+
+
+def mc_surface(radius, psf, f, a, lattice, b, n_reps, seed, n_batches=20,
+               n_grid=1025):
+    """Batch means and batch variances of the surface estimator."""
+    model, pts = surface_points(radius, psf, f, a, lattice, b, n_grid)
+    alpha = alpha_f(f, halfspace_profile(psf))
+    scale = (lattice.cell_volume / alpha) * b ** psf.dim / a
+    return _batches(pts, b * np.asarray(lattice.basis),
+                    lambda r: f(model.radial(r)), scale, n_reps, seed,
+                    n_batches)
+
+
+def mc_volume_binary(radius, lattice, b, n_reps, seed, n_batches=20):
+    """Batch means and batch variances of the binary volume estimator:
+    points that stay inside for every shift are counted once and added
+    after the batch reduction, as the package does."""
+    d = lattice.dim
+    pad = b * lattice.cell_diameter
+    pts = lattice_points(lattice, b, radius + 2 * pad)
+    r = np.linalg.norm(pts, axis=1)
+    always_in = r < radius - pad - 1e-12
+    undecided = ~always_in & (r <= radius + pad + 1e-12)
+    vol_cell = b ** d * lattice.cell_volume
+    means, variances = _batches(
+        pts[undecided], b * np.asarray(lattice.basis),
+        lambda r: (r <= radius).astype(float), vol_cell, n_reps, seed,
+        n_batches)
+    return means + vol_cell * int(np.count_nonzero(always_in)), variances

@@ -18,6 +18,7 @@ from scipy.integrate import quad
 from scipy.special import j0
 from scipy.stats import norm
 
+from greyvar import variance
 from greyvar.errors import DomainError, TruncationError
 from greyvar.estimator import Indicator, SmoothPlateau
 from greyvar.lattice import dual_points, hexagonal_lattice, unit_lattice
@@ -27,6 +28,7 @@ from greyvar.spectral import AnnulusFourier
 from greyvar.variance import (AsymptoticReport, RadiusDensity,
                               ShellSumInfo, VarianceReport,
                               convergent_dual_sum, envelope_check,
+                              _annulus_points, _band_radii,
                               mc_surface, mc_volume_binary,
                               profile_lattice_sum,
                               variance_asymptotic_isotropic,
@@ -38,6 +40,8 @@ Z2 = unit_lattice(2)
 GAUSS2 = gaussian(2)
 
 
+# the coordinate-loop, sqrt and spline Monte Carlo kernel
+import _mc_oracle as mc_oracle
 # independent grey-layer pieces built on scipy only; shared with the
 # acceptance suite
 from _spatial_oracle import (GreyLayer as _GreyLayer,
@@ -355,6 +359,85 @@ def test_mc_volume_binary_matches_exact():
     mc = mc_volume_binary(Ball(2, 1.0), Z2, 0.04, 4000, seed=1)
     assert abs(mc.variance - ex.value) < 4.0 * mc.variance_se
     assert mc.mean == pytest.approx(math.pi, rel=1e-3)
+
+
+# the squared-radius kernel against tests/_mc_oracle.py
+
+@pytest.mark.parametrize("dim, ab, seed", [(2, 0.05, 3), (2, 0.05, 4),
+                                           (3, 0.1, 3), (3, 0.1, 4)])
+def test_mc_surface_indicator_equals_oracle(dim, ab, seed):
+    """Comparing squared radii with the band radii squared scores every
+    point as the spline intensity does; 300 shifts per batch span two of
+    the oracle's chunks."""
+    psf, latt = gaussian(dim), unit_lattice(dim)
+    got = mc_surface(Ball(dim, 1.0), psf, Indicator(), ab, latt, ab, 600,
+                     seed, n_batches=2)
+    means, variances = mc_oracle.mc_surface(1.0, psf, Indicator(), ab,
+                                            latt, ab, 600, seed,
+                                            n_batches=2)
+    np.testing.assert_array_equal(got.batch_means, means)
+    np.testing.assert_array_equal(got.batch_variances, variances)
+
+
+def test_mc_surface_smooth_weight_matches_oracle():
+    """A smooth weight still goes through the spline; only the rounding
+    of the squared radii differs."""
+    got = mc_surface(Ball(2, 1.0), GAUSS2, SmoothPlateau(), 0.05, Z2, 0.05,
+                     600, 5, n_batches=2)
+    means, variances = mc_oracle.mc_surface(1.0, GAUSS2, SmoothPlateau(),
+                                            0.05, Z2, 0.05, 600, 5,
+                                            n_batches=2)
+    np.testing.assert_allclose(got.batch_means, means, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(got.batch_variances, variances, rtol=1e-12,
+                               atol=0)
+
+
+@pytest.mark.parametrize("latt, b", [(Z2, 0.04), (unit_lattice(3), 0.08)])
+def test_mc_volume_binary_equals_oracle(latt, b):
+    got = mc_volume_binary(Ball(latt.dim, 1.0), latt, b, 600, seed=2,
+                           n_batches=2)
+    means, variances = mc_oracle.mc_volume_binary(1.0, latt, b, 600, 2,
+                                                  n_batches=2)
+    np.testing.assert_array_equal(got.batch_means, means)
+    np.testing.assert_array_equal(got.batch_variances, variances)
+
+
+@pytest.mark.parametrize("latt, ab", [(unit_lattice(3), 0.05),
+                                      (hexagonal_lattice(), 0.05)])
+def test_annulus_points_drop_only_zero_weight_points(latt, ab):
+    """Points kept by their cell centre are a subset of the oracle's
+    points, and no dropped point gets a nonzero weight under any of 1000
+    random shifts."""
+    dim = latt.dim
+    psf = gaussian(dim)
+    f = Indicator()
+    model, every = mc_oracle.surface_points(1.0, psf, f, ab, latt, ab)
+    r_in, r_out = _band_radii(model, f)
+    kept = _annulus_points(latt, ab, r_in, r_out)
+    coords = lambda pts: [tuple(k) for k in np.rint(
+        np.linalg.solve(latt.basis, pts.T / ab).T).astype(int)]
+    kept_keys = set(coords(kept))
+    every_keys = coords(every)
+    assert kept_keys <= set(every_keys)
+    dropped = every[[k not in kept_keys for k in every_keys]]
+    assert 0 < len(dropped) < len(every)
+    offs = (np.random.default_rng(0).random((1000, dim))
+            @ (ab * np.asarray(latt.basis)).T)
+    for chunk in np.split(offs, 10):
+        r = np.linalg.norm(dropped[:, None, :] + chunk[None, :, :], axis=2)
+        assert not np.any(f(model.radial(r)))
+
+
+def test_mc_chunk_width_does_not_change_batches(monkeypatch):
+    """Successive shift draws concatenate, so a one-column chunk gives
+    the batches of the default width bit for bit."""
+    args = (Ball(2, 1.0), GAUSS2, Indicator(), 0.05, Z2, 0.05, 400, 8)
+    wide = mc_surface(*args, n_batches=4)
+    monkeypatch.setattr(variance, "_MC_CHUNK_BYTES", 1)
+    narrow = mc_surface(*args, n_batches=4)
+    np.testing.assert_array_equal(narrow.batch_means, wide.batch_means)
+    np.testing.assert_array_equal(narrow.batch_variances,
+                                  wide.batch_variances)
 
 
 def test_volume_grey_never_exceeds_binary():
