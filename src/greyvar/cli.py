@@ -391,13 +391,6 @@ def _cmd_fourier(view: ConfigView, seed: int, workers: int):
     return ["q", "layer_exact", "layer_main", "rel_gap"], rows
 
 
-def _mc_row(phantom, psf, f, lattice, a, b, n_reps, n_batches, seed_tuple,
-            workers):
-    result = mc_surface(phantom, psf, f, a, lattice, b, n_reps,
-                        seed_tuple, n_batches=n_batches, workers=workers)
-    return result.variance, result.variance_se
-
-
 def _theory_cells(phantom, psf, f, lattice, a, b, view: ConfigView):
     options = {}
     tail_tol = view.get("theory.tail_tol")
@@ -418,54 +411,47 @@ def _theory_cells(phantom, psf, f, lattice, a, b, view: ConfigView):
             exact.shells.tail_bound)
 
 
-def _cmd_mc_variance(view: ConfigView, seed: int, workers: int):
+def _variance_rows(view: ConfigView, seed: int, workers: int, *,
+                   with_mc: bool, with_theory: bool,
+                   default_reps: int | None = None):
+    """One row per (a, b): Monte Carlo and/or exact plus asymptotic
+    cells, the ones switched off left empty."""
     phantom = _build_phantom(view)
     psf = _build_psf(view, phantom.dim)
     f = _build_weight(view)
     lattice = _build_lattice(view, phantom.dim)
-    n_reps = view.intval("mc.replicates", 10000, minimum=100)
-    n_batches = view.intval("mc.batches", 20, minimum=20)
-    rows = []
-    for i, (a, b) in enumerate(_scale_pairs(view)):
-        var_emp, se = _mc_row(phantom, psf, f, lattice, a, b, n_reps,
-                              n_batches, (seed, i), workers)
-        rows.append([a, b, var_emp, se, None, None, None, None, None])
-    return _VAR_HEADER, rows
-
-
-def _cmd_theory_variance(view: ConfigView, seed: int, workers: int):
-    phantom = _build_phantom(view)
-    psf = _build_psf(view, phantom.dim)
-    f = _build_weight(view)
-    lattice = _build_lattice(view, phantom.dim)
-    rows = []
-    for a, b in _scale_pairs(view):
-        cells = _theory_cells(phantom, psf, f, lattice, a, b, view)
-        rows.append([a, b, None, None, *cells])
-    return _VAR_HEADER, rows
-
-
-def _cmd_scaling_study(view: ConfigView, seed: int, workers: int):
-    phantom = _build_phantom(view)
-    psf = _build_psf(view, phantom.dim)
-    f = _build_weight(view)
-    lattice = _build_lattice(view, phantom.dim)
-    with_mc = view.boolval("scaling.mc", True)
-    with_theory = view.boolval("scaling.theory", True)
-    n_reps = view.intval("mc.replicates", 2000, minimum=100) if with_mc \
-        else 0
-    n_batches = view.intval("mc.batches", 20, minimum=20) if with_mc else 0
+    if with_mc:
+        n_reps = view.intval("mc.replicates", default_reps, minimum=100)
+        n_batches = view.intval("mc.batches", 20, minimum=20)
     rows = []
     for i, (a, b) in enumerate(_scale_pairs(view)):
         var_emp = se = None
         if with_mc:
-            var_emp, se = _mc_row(phantom, psf, f, lattice, a, b, n_reps,
-                                  n_batches, (seed, i), workers)
+            mc = mc_surface(phantom, psf, f, a, lattice, b, n_reps,
+                            (seed, i), n_batches=n_batches, workers=workers)
+            var_emp, se = mc.variance, mc.variance_se
         cells = (None,) * 5
         if with_theory:
             cells = _theory_cells(phantom, psf, f, lattice, a, b, view)
         rows.append([a, b, var_emp, se, *cells])
     return _VAR_HEADER, rows
+
+
+def _cmd_mc_variance(view: ConfigView, seed: int, workers: int):
+    return _variance_rows(view, seed, workers, with_mc=True,
+                          with_theory=False, default_reps=10000)
+
+
+def _cmd_theory_variance(view: ConfigView, seed: int, workers: int):
+    return _variance_rows(view, seed, workers, with_mc=False,
+                          with_theory=True)
+
+
+def _cmd_scaling_study(view: ConfigView, seed: int, workers: int):
+    return _variance_rows(view, seed, workers,
+                          with_mc=view.boolval("scaling.mc", True),
+                          with_theory=view.boolval("scaling.theory", True),
+                          default_reps=2000)
 
 
 _COMMANDS = {

@@ -25,6 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.interpolate import CubicSpline
+from scipy.optimize import brentq
 
 from . import psf as psf_mod
 from ._quad import panel_nodes
@@ -187,16 +188,56 @@ def _ball_intensity_radii(psf: Psf, a: float, R: float, radii) -> np.ndarray:
     return np.clip(out, 0.0, 1.0)
 
 
+# nodes of the radial intensity table (see IntensityModel)
+_N_TABLE = 2049
+
+
+def _transition_zone(psf: Psf, a: float, R: float) -> tuple[float, float]:
+    """Radii outside which the grey value of the centered ball B(R) is
+    1 or 0 up to the PSF tail."""
+    W = psf_mod._integration_radius(psf)
+    return max(R - a * W, 0.0), R + a * W
+
+
+def _level_radius(psf: Psf, a: float, R: float, level: float) -> float:
+    """Radius where the grey value of the centered ball B(R) falls
+    through `level`, rooted on the exact cap quadrature."""
+    lo, hi = _transition_zone(psf, a, R)
+    theta_lo, theta_hi = _ball_intensity_radii(psf, a, R, [lo, hi])
+    if not theta_hi < level < theta_lo:
+        raise DomainError(
+            f"level {level:g} not bracketed in the transition zone")
+    return brentq(
+        lambda r: float(_ball_intensity_radii(psf, a, R, [r])[0]) - level,
+        lo, hi, xtol=1e-13)
+
+
+def ball_band_radii(radius: float, psf: Psf, a: float, beta: float,
+                    omega: float) -> tuple[float, float]:
+    """Radii (r_in, r_out) of the centered ball B(radius) between which
+    its grey value lies in [beta, omega].  r_in is the inner end of the
+    transition zone (0 for a wide blur) when the grey value there is
+    already at most omega."""
+    r_lo, _ = _transition_zone(psf, a, radius)
+    theta0 = float(_ball_intensity_radii(psf, a, radius, [r_lo])[0])
+    if theta0 <= beta:
+        raise DomainError("blur swamps the ball: grey band never reached")
+    r_in = r_lo if theta0 <= omega else _level_radius(psf, a, radius, omega)
+    return r_in, _level_radius(psf, a, radius, beta)
+
+
 class IntensityModel:
     """Fast vectorized grey-value evaluator for a (phantom, psf, a) triple.
 
     For balls, the radial intensity is tabulated over the transition zone
-    on 2049 nodes and interpolated with a cubic spline (abs error ~1e-11);
-    outside the zone the value is exactly 1 or 0 up to the PSF tail.
-    Half-spaces evaluate through the edge profile directly.
+    on 2049 nodes and interpolated with a cubic spline (abs error 2.1e-10
+    for the Gaussian); outside the zone the value is exactly 1 or 0 up to
+    the PSF tail.  Half-spaces evaluate through the edge profile directly.
+    Band radii come from ball_band_radii, not from the table, so the
+    variance engine builds one only for weights that read grey values.
     """
 
-    def __init__(self, phantom: Phantom, psf: Psf, a: float, n_grid: int = 2049):
+    def __init__(self, phantom: Phantom, psf: Psf, a: float):
         if a <= 0:
             raise DomainError("blur scale a must be positive")
         if psf.dim != phantom.dim:
@@ -225,14 +266,12 @@ class IntensityModel:
 
         self._kind = "ball"
         self.R = R
-        W = psf_mod._integration_radius(psf)
-        r_lo = max(R - a * W, 0.0)
-        r_hi = R + a * W
-        grid = np.linspace(r_lo, r_hi, n_grid)
+        r_lo, r_hi = _transition_zone(psf, a, R)
+        grid = np.linspace(r_lo, r_hi, _N_TABLE)
         vals = _ball_intensity_radii(psf, a, R, grid)
         self._r_lo, self._r_hi = r_lo, r_hi
         self._spline = CubicSpline(grid, vals)
-        self.tube_halfwidth = a * W
+        self.tube_halfwidth = a * psf_mod._integration_radius(psf)
 
     @property
     def table_range(self) -> tuple[float, float]:
@@ -307,22 +346,6 @@ def intensity(phantom: Phantom, psf: Psf, a: float, x) -> float:
     return float(_ball_intensity_radii(psf, a, R, [r])[0])
 
 
-def halfspace_gap(phantom: Phantom, psf: Psf, a: float, x) -> float:
-    """|theta_a(X)(x) - theta_a(H)(x)| for the supporting half-space H at
-    the boundary point nearest to x.  Zero for half-space phantoms."""
-    x = np.asarray(x, dtype=float)
-    if isinstance(phantom, HalfSpace):
-        return 0.0
-    if isinstance(phantom, TransformedBall):
-        R, c = phantom.effective_radius, np.asarray(phantom.center)
-    else:
-        R, c = phantom.radius, np.zeros(phantom.dim)
-    r = float(np.linalg.norm(x - c))
-    prof = halfspace_profile(psf)
-    flat = prof.theta((r - R) / a)
-    return abs(intensity(phantom, psf, a, x) - flat)
-
-
 @dataclass(frozen=True)
 class TransitionOffsets:
     """Signed normal offsets where the grey value crosses omega / beta."""
@@ -351,21 +374,5 @@ def transition_offsets(phantom: Phantom, psf: Psf, a: float,
     else:
         raise DomainError(f"unsupported phantom {phantom!r}")
 
-    W = psf_mod._integration_radius(psf)
-
-    def solve(level: float) -> float:
-        lo, hi = -a * W, a * W  # theta decreasing in the offset
-        flo = _ball_intensity_radii(psf, a, R, [R + lo])[0]
-        fhi = _ball_intensity_radii(psf, a, R, [R + hi])[0]
-        if not (fhi < level < flo):
-            raise DomainError(
-                f"level {level:g} not bracketed in the transition zone")
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if _ball_intensity_radii(psf, a, R, [R + mid])[0] > level:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
-
-    return TransitionOffsets(t_minus=solve(omega), t_plus=solve(beta))
+    return TransitionOffsets(t_minus=_level_radius(psf, a, R, omega) - R,
+                             t_plus=_level_radius(psf, a, R, beta) - R)

@@ -39,13 +39,12 @@ from functools import lru_cache
 
 import numpy as np
 from scipy import special
-from scipy.optimize import brentq
 
 from . import lattice as lat
 from .errors import DomainError, TruncationError
 from .estimator import Indicator, alpha_f, weight_tv
 from .lattice import Lattice
-from .phantom import Ball, IntensityModel, TransformedBall
+from .phantom import Ball, TransformedBall, ball_band_radii, intensity_model
 from .psf import HalfspaceProfile, Psf, halfspace_profile, sphere_area
 from .spectral import (AnnulusFourier, RadialFourier, ball_indicator_fourier,
                        profile_fourier_1d, psf_fourier)
@@ -160,33 +159,32 @@ def _ball_radius(phantom) -> float:
     raise DomainError("exact dual sums are implemented for balls only")
 
 
-def weighted_layer(radius: float, psf: Psf, a: float, f,
-                   n_grid: int = 2049):
+def weighted_layer(radius: float, psf: Psf, a: float, f):
     """Radial transform of the weighted grey layer r -> f(theta(r)) of a
     ball, supported exactly between the radii where theta crosses the
     outer band edges of f.
 
     An indicator weight makes the layer an annulus indicator, whose
-    transform is the closed-form difference of two ball transforms; any
-    other weight goes through Hankel quadrature.
+    transform is the closed-form difference of two ball transforms and
+    needs no grey values; any other weight goes through Hankel
+    quadrature of the (cached) intensity model.
     """
-    model = IntensityModel(Ball(psf.dim, radius), psf, a, n_grid=n_grid)
-    r_in, r_out = _band_radii(model, f)
+    r_in, r_out = ball_band_radii(radius, psf, a, f.knots[0], f.knots[-1])
     if isinstance(f, Indicator):
         return AnnulusFourier(r_in, r_out, psf.dim)
+    model = intensity_model(Ball(psf.dim, radius), psf, a)
     return RadialFourier(lambda r: f(model.radial(r)), r_in, r_out, psf.dim)
 
 
 def variance_exact_ball(phantom, psf: Psf, f, a: float, lattice: Lattice,
                         b: float, *, tail_tol: float = 1e-3,
-                        xi_cap: float | None = None,
-                        n_grid: int = 2049) -> VarianceReport:
+                        xi_cap: float | None = None) -> VarianceReport:
     """Exact variance of the normalized surface estimator for a ball
     phantom, as a dual-shell sum of squared layer transforms."""
     if lattice.dim != psf.dim:
         raise DomainError("lattice and psf dimensions differ")
     radius = _ball_radius(phantom)
-    layer = weighted_layer(radius, psf, a, f, n_grid=n_grid)
+    layer = weighted_layer(radius, psf, a, f)
     alpha = alpha_f(f, halfspace_profile(psf))
     flags: list[str] = []
     if xi_cap is None:
@@ -466,23 +464,8 @@ def _annulus_points(lattice: Lattice, b: float, r_lo: float, r_hi: float):
     return pts[keep]
 
 
-def _band_radii(model: IntensityModel, f) -> tuple[float, float]:
-    beta, omega = f.knots[0], f.knots[-1]
-    r_lo, r_hi = model.table_range
-    scalar = lambda r: float(model.radial(np.array([r]))[0])
-    theta0 = scalar(r_lo)
-    if theta0 <= beta:
-        raise DomainError("blur swamps the ball: grey band never reached")
-    r_in = (r_lo if theta0 <= omega
-            else brentq(lambda r: scalar(r) - omega, r_lo, r_hi, xtol=1e-13))
-    r_out = brentq(lambda r: scalar(r) - beta, r_in, r_hi, xtol=1e-13)
-    return r_in, r_out
-
-
-def _surface_sampler(radius, psf, f, a, lattice, b, alpha,
-                     n_grid) -> _RadialSampler:
-    model = IntensityModel(Ball(psf.dim, radius), psf, a, n_grid=n_grid)
-    r_in, r_out = _band_radii(model, f)
+def _surface_sampler(radius, psf, f, a, lattice, b, alpha) -> _RadialSampler:
+    r_in, r_out = ball_band_radii(radius, psf, a, f.knots[0], f.knots[-1])
     pts = _annulus_points(lattice, b, r_in, r_out)
     scale = (lattice.cell_volume / alpha) * b ** psf.dim / a
     if isinstance(f, Indicator):
@@ -492,6 +475,7 @@ def _surface_sampler(radius, psf, f, a, lattice, b, alpha,
         hi = r_out * r_out
         evaluate = lambda rsq: (rsq >= lo) & (rsq <= hi)
     else:
+        model = intensity_model(Ball(psf.dim, radius), psf, a)
         evaluate = lambda rsq: f(model.radial(np.sqrt(np.maximum(rsq, 0.0))))
     return _RadialSampler(base_points=pts,
                           basis_b=b * np.asarray(lattice.basis),
@@ -514,7 +498,7 @@ def _run_batches(sampler: _RadialSampler, n_reps, seed, n_batches, workers):
 
 def mc_surface(phantom, psf: Psf, f, a: float, lattice: Lattice, b: float,
                n_reps: int, seed, *, n_batches: int = 20,
-               workers: int = 1, n_grid: int = 1025) -> MCResult:
+               workers: int = 1) -> MCResult:
     """Monte Carlo distribution of the surface estimator for a ball over
     the stationary random lattice.
 
@@ -527,7 +511,7 @@ def mc_surface(phantom, psf: Psf, f, a: float, lattice: Lattice, b: float,
         raise DomainError("need at least 2 batches and 2 reps per batch")
     radius = _ball_radius(phantom)
     alpha = alpha_f(f, halfspace_profile(psf))
-    sampler = _surface_sampler(radius, psf, f, a, lattice, b, alpha, n_grid)
+    sampler = _surface_sampler(radius, psf, f, a, lattice, b, alpha)
     return _run_batches(sampler, n_reps, seed, n_batches, workers)
 
 
@@ -566,8 +550,8 @@ def mc_volume_binary(phantom, lattice: Lattice, b: float, n_reps: int,
 
 def mc_random_radius(psf: Psf, f, a: float, lattice: Lattice, b: float,
                      density: RadiusDensity, n_radii: int, n_shifts: int,
-                     seed, *, n_batches: int = 20, workers: int = 1,
-                     n_grid: int = 513) -> MCResult:
+                     seed, *, n_batches: int = 20,
+                     workers: int = 1) -> MCResult:
     """Mean conditional variance of the surface estimator when the ball
     radius is random.
 
@@ -592,7 +576,7 @@ def mc_random_radius(psf: Psf, f, a: float, lattice: Lattice, b: float,
         cond_means = np.empty(n_r)
         for i, s in enumerate(radii):
             sampler = _surface_sampler(float(s), psf, f, a, lattice, b,
-                                       alpha, n_grid)
+                                       alpha)
             m, v = sampler.run_batch(rng.integers(0, 2 ** 63), n_shifts)
             cond_means[i] = m
             cond_vars[i] = v

@@ -64,10 +64,10 @@ def _batches(points, basis_b, weight, scale, n_reps, seed, n_batches):
     return (np.array([m for m, _ in out]), np.array([v for _, v in out]))
 
 
-def surface_points(radius, psf, f, a, lattice, b, n_grid=1025):
+def surface_points(radius, psf, f, a, lattice, b):
     """The intensity model and every lattice point that can see a grey
     value inside the band of f under some shift."""
-    model = IntensityModel(Ball(psf.dim, radius), psf, a, n_grid=n_grid)
+    model = IntensityModel(Ball(psf.dim, radius), psf, a)
     r_lo, r_hi = model.table_range
     r_in, r_out = (
         brentq(lambda r: model.radial(np.array([r]))[0] - y, r_lo, r_hi,
@@ -78,10 +78,9 @@ def surface_points(radius, psf, f, a, lattice, b, n_grid=1025):
     return model, pts[np.linalg.norm(pts, axis=1) >= r_in - pad]
 
 
-def mc_surface(radius, psf, f, a, lattice, b, n_reps, seed, n_batches=20,
-               n_grid=1025):
+def mc_surface(radius, psf, f, a, lattice, b, n_reps, seed, n_batches=20):
     """Batch means and batch variances of the surface estimator."""
-    model, pts = surface_points(radius, psf, f, a, lattice, b, n_grid)
+    model, pts = surface_points(radius, psf, f, a, lattice, b)
     alpha = alpha_f(f, halfspace_profile(psf))
     scale = (lattice.cell_volume / alpha) * b ** psf.dim / a
     return _batches(pts, b * np.asarray(lattice.basis),

@@ -18,7 +18,7 @@ from scipy.stats import ncx2
 
 from greyvar.errors import DomainError
 from greyvar.phantom import (Ball, HalfSpace, IntensityModel,
-                             TransformedBall, capfrac, halfspace_gap,
+                             TransformedBall, ball_band_radii, capfrac,
                              intensity, intensity_model, transition_offsets)
 from greyvar.psf import (compact_bump, eval_rho, gaussian,
                          halfspace_profile)
@@ -131,6 +131,21 @@ def test_intensity_model_cache_keyed_on_arguments():
     assert m1 is m2 and m1 is not m3
 
 
+def halfspace_gap(phantom, psf, a, x):
+    """|theta_a(X)(x) - theta_a(H)(x)| for the supporting half-space H at
+    the boundary point nearest to x.  Zero for half-space phantoms."""
+    x = np.asarray(x, dtype=float)
+    if isinstance(phantom, HalfSpace):
+        return 0.0
+    if isinstance(phantom, TransformedBall):
+        R, c = phantom.effective_radius, np.asarray(phantom.center)
+    else:
+        R, c = phantom.radius, np.zeros(phantom.dim)
+    r = float(np.linalg.norm(x - c))
+    flat = halfspace_profile(psf).theta((r - R) / a)
+    return abs(intensity(phantom, psf, a, x) - flat)
+
+
 def test_halfspace_gap_small_and_positive():
     # the curvature correction at the boundary is O(a) for fixed R
     psf = gaussian(2)
@@ -148,11 +163,17 @@ def test_transition_offsets_match_chi2_roots(dim):
     psf = gaussian(dim)
     a, R, beta, omega = 0.05, 1.0, 0.3, 0.7
     offs = transition_offsets(Ball(dim, R), psf, a, beta, omega)
+    crossings = {}
     for level, t_off in ((omega, offs.t_minus), (beta, offs.t_plus)):
         r_cross = brentq(
             lambda r: _gauss_ball_theta(r, R, a, dim) - level,
             R - 6 * a, R + 6 * a, xtol=1e-14)
         assert t_off == pytest.approx(r_cross - R, abs=1e-8)
+        crossings[level] = r_cross
+    # the band radii the variance engine uses are the same crossings
+    r_in, r_out = ball_band_radii(R, psf, a, beta, omega)
+    assert r_in == pytest.approx(crossings[omega], abs=1e-12)
+    assert r_out == pytest.approx(crossings[beta], abs=1e-12)
     # curvature pulls both crossings inward relative to the flat edge
     prof = halfspace_profile(psf)
     assert offs.t_minus < a * prof.phi(omega)

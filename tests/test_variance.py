@@ -18,17 +18,17 @@ from scipy.integrate import quad
 from scipy.special import j0
 from scipy.stats import norm
 
-from greyvar import variance
+from greyvar import phantom, variance
 from greyvar.errors import DomainError, TruncationError
 from greyvar.estimator import Indicator, SmoothPlateau
 from greyvar.lattice import dual_points, hexagonal_lattice, unit_lattice
-from greyvar.phantom import Ball
+from greyvar.phantom import Ball, ball_band_radii
 from greyvar.psf import gaussian, halfspace_profile, sphere_area
 from greyvar.spectral import AnnulusFourier
 from greyvar.variance import (AsymptoticReport, RadiusDensity,
                               ShellSumInfo, VarianceReport,
                               convergent_dual_sum, envelope_check,
-                              _annulus_points, _band_radii,
+                              _annulus_points,
                               mc_surface, mc_volume_binary,
                               profile_lattice_sum,
                               variance_asymptotic_isotropic,
@@ -412,7 +412,7 @@ def test_annulus_points_drop_only_zero_weight_points(latt, ab):
     psf = gaussian(dim)
     f = Indicator()
     model, every = mc_oracle.surface_points(1.0, psf, f, ab, latt, ab)
-    r_in, r_out = _band_radii(model, f)
+    r_in, r_out = ball_band_radii(1.0, psf, ab, f.beta, f.omega)
     kept = _annulus_points(latt, ab, r_in, r_out)
     coords = lambda pts: [tuple(k) for k in np.rint(
         np.linalg.solve(latt.basis, pts.T / ab).T).astype(int)]
@@ -426,6 +426,49 @@ def test_annulus_points_drop_only_zero_weight_points(latt, ab):
     for chunk in np.split(offs, 10):
         r = np.linalg.norm(dropped[:, None, :] + chunk[None, :, :], axis=2)
         assert not np.any(f(model.radial(r)))
+
+
+@pytest.mark.parametrize("f, builds", [(Indicator(), 0),
+                                       (SmoothPlateau(), 1)])
+def test_row_builds_intensity_tables_only_for_smooth_weights(monkeypatch, f,
+                                                             builds):
+    """An indicator row needs only the band radii; a smooth weight's exact
+    and Monte Carlo variance share one cached intensity table."""
+    inits = []
+    init = phantom.IntensityModel.__init__
+
+    def counted(self, *args, **kwargs):
+        inits.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(phantom.IntensityModel, "__init__", counted)
+    phantom.intensity_model.cache_clear()
+    args = (Ball(2, 1.0), GAUSS2, f, 0.1, Z2, 0.1)
+    variance_exact_ball(*args)
+    mc_surface(*args, 400, seed=0)
+    assert len(inits) == builds
+
+
+def test_band_radii_edge_rules():
+    """A blur wide enough to put the centre grey value inside the band
+    starts the band at the centre; one that keeps it below beta is
+    refused."""
+    a = 0.85
+    assert 0.3 < _theta_ball(0.0, 1.0, a) < 0.7
+    r_in, r_out = ball_band_radii(1.0, GAUSS2, a, 0.3, 0.7)
+    assert r_in == 0.0
+    assert _theta_ball(r_out, 1.0, a) == pytest.approx(0.3, abs=1e-12)
+    assert weighted_layer(1.0, GAUSS2, a, Indicator()).r_lo == 0.0
+    mc = mc_surface(Ball(2, 1.0), GAUSS2, Indicator(), a, Z2, a, 400, seed=0)
+    assert math.isfinite(mc.variance) and mc.mean > 0.0
+
+    assert _theta_ball(0.0, 1.0, 2.0) < 0.3
+    for run in (lambda: variance_exact_ball(Ball(2, 1.0), GAUSS2,
+                                            Indicator(), 2.0, Z2, 2.0),
+                lambda: mc_surface(Ball(2, 1.0), GAUSS2, Indicator(), 2.0,
+                                   Z2, 2.0, 400, seed=0)):
+        with pytest.raises(DomainError, match="blur swamps the ball"):
+            run()
 
 
 def test_mc_chunk_width_does_not_change_batches(monkeypatch):
