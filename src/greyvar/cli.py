@@ -392,6 +392,17 @@ def _cmd_fourier(view: ConfigView, seed: int, workers: int):
 
 
 def _theory_cells(phantom, psf, f, lattice, a, b, view: ConfigView):
+    """The theory cells of one (a, b) row: var_exact, var_asym,
+    osc_bound, xi_max and tail_bound.
+
+    osc_bound is the asymptotic main term, the same number as var_asym:
+    the oscillation band the exact variance should lie in is
+    [0, 2 * osc_bound].  xi_max and tail_bound are the exact sum's
+    truncation record in raw (unnormalized) units; an indicator weight's
+    finite primal sum reports xi_max = inf and a rounding bound.
+    theory.tail_tol and theory.xi_cap reach only the dual-sum route of
+    the exact variance (weights other than the indicator).
+    """
     options = {}
     tail_tol = view.get("theory.tail_tol")
     if tail_tol is not None:
@@ -401,9 +412,10 @@ def _theory_cells(phantom, psf, f, lattice, a, b, view: ConfigView):
     if xi_cap is not None:
         options["xi_cap"] = view.floatval("theory.xi_cap", positive=True)
     # The asymptotic model goes first: its lattice sum LS is scale-free,
-    # so it is summed once per run (cached) and reaches the largest dual
-    # radius of the run; the exact sums then slice the shell table it
-    # sieved instead of rebuilding it rung by rung.
+    # so it is summed once per run (cached), and for a smooth weight it
+    # reaches the largest dual radius of the run; the exact dual sums
+    # then slice the shell table it sieved instead of rebuilding it rung
+    # by rung.
     surface = sphere_area(phantom.dim) * phantom.radius ** (phantom.dim - 1)
     asym = variance_asymptotic_isotropic(surface, psf, f, lattice, a)
     exact = variance_exact_ball(phantom, psf, f, a, lattice, b, **options)
@@ -515,7 +527,7 @@ _HELP = {
     "fourier": "tabulate the blurred-ball layer transform and its "
                "leading-term model",
     "mc-variance": "Monte Carlo variance over random placements",
-    "theory-variance": "exact dual-sum variance plus asymptotic model",
+    "theory-variance": "exact variance plus asymptotic model",
     "scaling-study": "empirical and exact variance over an (a, b) grid",
 }
 

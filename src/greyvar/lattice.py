@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import fft as sfft
+from scipy import special
 
 from .errors import DomainError, TruncationError
 
@@ -173,28 +174,47 @@ def enumerate_points(placement: LatticePlacement, window: Box) -> np.ndarray:
     return pts[window.contains(pts)]
 
 
-def dual_points(lattice: Lattice, xi_max: float) -> np.ndarray:
-    """Nonzero dual vectors with norm <= xi_max."""
-    if xi_max <= 0:
-        raise DomainError("xi_max must be positive")
-    B = lattice.dual_basis
-    d = lattice.dim
-    reach = int(np.ceil(np.linalg.norm(lattice.basis, 2) * xi_max)) + 1
+def _points_within(gen: np.ndarray, inv_norm: float,
+                   r_max: float) -> np.ndarray:
+    """Nonzero points gen k (k integer) with norm <= r_max, where
+    inv_norm >= |k| / |gen k| (the spectral norm of gen^{-1}).
+
+    The integer box that covers the ball is checked against
+    SIEVE_BUDGET_BYTES before it is allocated (about 32 d bytes per box
+    point alive at once: the coordinate grids, their stack, the nonzero
+    selection and the points) and refused with TruncationError beyond.
+    """
+    d = len(gen)
+    reach = int(np.ceil(inv_norm * r_max)) + 1
+    need = 32 * d * (2 * reach + 1) ** d
+    if need > SIEVE_BUDGET_BYTES:
+        raise TruncationError(
+            f"enumerating lattice points to radius {r_max:g} in d={d} "
+            f"needs about {need / 2 ** 30:.3g} GiB, over the "
+            f"{SIEVE_BUDGET_BYTES / 2 ** 30:g} GiB budget")
     rng = np.arange(-reach, reach + 1)
     grids = np.meshgrid(*([rng] * d), indexing="ij")
     k = np.stack([g.ravel() for g in grids], axis=1)
     k = k[np.any(k != 0, axis=1)]
-    xi = k @ B.T
-    norms = np.linalg.norm(xi, axis=1)
-    keep = norms <= xi_max + 1e-12
-    return xi[keep]
+    pts = k @ gen.T
+    norms = np.linalg.norm(pts, axis=1)
+    keep = norms <= r_max + 1e-12
+    return pts[keep]
+
+
+def dual_points(lattice: Lattice, xi_max: float) -> np.ndarray:
+    """Nonzero dual vectors with norm <= xi_max."""
+    if xi_max <= 0:
+        raise DomainError("xi_max must be positive")
+    return _points_within(lattice.dual_basis,
+                          float(np.linalg.norm(lattice.basis, 2)), xi_max)
 
 
 _SHELL_TABLES: dict[int, np.ndarray] = {}
 
-# Largest sum-of-squares sieve a process may allocate.  The d=2 table at
-# |xi| = 16384 (about 1.1 GB) fits; in d=3 the FFT convolution is
-# refused beyond |xi| of about 4700 (n_max 2.2e7).
+# Largest sum-of-squares sieve, or point enumeration, a process may
+# allocate.  The d=2 table at |xi| = 16384 (about 1.1 GB) fits; in d=3
+# the FFT convolution is refused beyond |xi| of about 4700 (n_max 2.2e7).
 SIEVE_BUDGET_BYTES = 2 << 30
 
 
@@ -269,6 +289,19 @@ def _integer_scale(lattice: Lattice) -> float | None:
     return None
 
 
+def _group_shells(norms: np.ndarray, group_tol: float):
+    """Sorted shell norms (equal within group_tol merged, each shell at
+    its members' mean) with multiplicities."""
+    norms = np.sort(norms)
+    if norms.size == 0:
+        return np.empty(0), np.empty(0, dtype=int)
+    breaks = np.flatnonzero(np.diff(norms) > group_tol)
+    starts = np.concatenate(([0], breaks + 1))
+    ends = np.concatenate((breaks + 1, [norms.size]))
+    shell_norms = np.array([norms[s:e].mean() for s, e in zip(starts, ends)])
+    return shell_norms, (ends - starts).astype(int)
+
+
 def dual_shells(lattice: Lattice, xi_max: float, xi_min: float = 0.0,
                 group_tol: float = 1e-9):
     """Dual-lattice shells with xi_min < norm <= xi_max: sorted norms
@@ -293,16 +326,76 @@ def dual_shells(lattice: Lattice, xi_max: float, xi_min: float = 0.0,
         above = norms > xi_min
         return norms[above], counts[n[above]].astype(int)
     xi = dual_points(lattice, xi_max)
-    norms = np.sort(np.linalg.norm(xi, axis=1))
-    if norms.size == 0:
-        return np.empty(0), np.empty(0, dtype=int)
-    breaks = np.flatnonzero(np.diff(norms) > group_tol)
-    starts = np.concatenate(([0], breaks + 1))
-    ends = np.concatenate((breaks + 1, [norms.size]))
-    shell_norms = np.array([norms[s:e].mean() for s, e in zip(starts, ends)])
-    counts = (ends - starts).astype(int)
+    shell_norms, counts = _group_shells(np.linalg.norm(xi, axis=1), group_tol)
     above = shell_norms > xi_min
     return shell_norms[above], counts[above]
+
+
+def point_shells(lattice: Lattice, r_max: float):
+    """Shells of the nonzero lattice points A z with norm <= r_max:
+    sorted norms with multiplicities (equal within 1e-9 merged), the
+    primal twin of dual_shells.
+
+    Finite primal sums (a compactly supported summand, or one summed to
+    a fixed radius) use it.  Scaled integer lattices read the same
+    sum-of-squares sieve; other lattices enumerate points under the
+    memory budget.
+    """
+    if r_max <= 0:
+        raise DomainError("r_max must be positive")
+    s = _integer_scale(lattice)
+    if s is not None:
+        counts = _sum_of_squares_counts(lattice.dim,
+                                        int((r_max / s) ** 2 * (1 + 1e-12)))
+        n = np.flatnonzero(counts[1:]) + 1
+        return s * np.sqrt(n.astype(float)), counts[n].astype(int)
+    pts = _points_within(lattice.basis,
+                         float(np.linalg.norm(lattice.dual_basis, 2)), r_max)
+    return _group_shells(np.linalg.norm(pts, axis=1), 1e-9)
+
+
+def epstein_zeta(lattice: Lattice, s: float) -> float:
+    """Epstein zeta Z(s) = sum over nonzero z of |A z|^{-s}, continued
+    analytically to every s other than the pole s = d.
+
+    Ewald's split of the Mellin integral for Gamma(s/2) pi^{-s/2} |z|^{-s}
+    at t = eta, with eta = det(A)^{-2/d} balancing the two sides:
+
+        pi^{-s/2} Gamma(s/2) Z(s)
+          = sum_z pi^{-s/2} |z|^{-s} Gamma(s/2, pi eta |z|^2)
+          + det(A)^{-1} sum_xi pi^{-(d-s)/2} |xi|^{s-d}
+                                  Gamma((d-s)/2, pi |xi|^2 / eta)
+          + 2 eta^{(s-d)/2} / (det(A) (s - d)) - 2 eta^{s/2} / s,
+
+    sums over nonzero primal z and dual xi, each cut where the
+    incomplete gamma argument reaches 50 (terms below e^{-50}).
+    """
+    d = lattice.dim
+    if s == d or s <= 0:
+        raise DomainError(f"Epstein zeta needs 0 < s != {d}")
+    vol = lattice.cell_volume
+    eta = vol ** (-2.0 / d)
+    cut = 50.0
+    zn, zc = point_shells(lattice, math.sqrt(cut / (math.pi * eta)))
+    dual = Lattice(tuple(tuple(row) for row in lattice.dual_basis))
+    xn, xc = point_shells(dual, math.sqrt(cut * eta / math.pi))
+    direct = zc @ (zn ** -s * _upper_gamma(s / 2.0, math.pi * eta * zn ** 2))
+    recip = xc @ (xn ** (s - d)
+                  * _upper_gamma((d - s) / 2.0, math.pi * xn ** 2 / eta))
+    total = (math.pi ** (-s / 2.0) * direct
+             + math.pi ** ((s - d) / 2.0) * recip / vol
+             + 2.0 * eta ** ((s - d) / 2.0) / (vol * (s - d))
+             - 2.0 * eta ** (s / 2.0) / s)
+    return float(total / (math.pi ** (-s / 2.0) * special.gamma(s / 2.0)))
+
+
+def _upper_gamma(a: float, x):
+    """Upper incomplete gamma Gamma(a, x) for x > 0 and any real a that
+    is not a nonpositive integer, by Gamma(a, x) = (Gamma(a + 1, x) -
+    x^a e^{-x}) / a below a = 0."""
+    if a > 0:
+        return special.gammaincc(a, x) * special.gamma(a)
+    return (_upper_gamma(a + 1.0, x) - x ** a * np.exp(-x)) / a
 
 
 def random_rotation(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -252,7 +252,6 @@ class IntensityModel:
             self._kind = "halfspace"
             self._normal = np.asarray(phantom.normal)
             self._offset = phantom.offset
-            self.tube_halfwidth = a * self._profile.T
             return
 
         if isinstance(phantom, TransformedBall):
@@ -271,7 +270,6 @@ class IntensityModel:
         vals = _ball_intensity_radii(psf, a, R, grid)
         self._r_lo, self._r_hi = r_lo, r_hi
         self._spline = CubicSpline(grid, vals)
-        self.tube_halfwidth = a * psf_mod._integration_radius(psf)
 
     @property
     def table_range(self) -> tuple[float, float]:

@@ -1,4 +1,4 @@
-"""Variance of lattice-sampled estimators: exact dual sums, asymptotic
+"""Variance of lattice-sampled estimators: exact lattice sums, asymptotic
 models, and Monte Carlo over stationary random lattices.
 
 For a placement b Q (A Z^d + U) with U uniform over the fundamental cell,
@@ -14,11 +14,25 @@ exactly, so the sum is one-dimensional over dual shells.  The volume
 estimators obey the same identity with g_a replaced by the set indicator
 (binary) or the intensity itself (grey).
 
-Dual sums are truncated adaptively: shells are accumulated in geometric
-blocks until both the newest block and an envelope-fitted tail bound
-C |xi|^{-p} (integrated over the remaining frequencies, safety factor 2)
-fall below a relative tolerance.  The resulting bound is reported, not
-silently trusted.
+Read the other way round, the same identity is a primal sum of the
+layer's autocorrelation C_g,
+
+    Var_raw = b^d det(A) sum_z C_g(|b A z|) - (int g)^2,
+
+which is finite because g has compact support.  Where C_g has a closed
+form (the indicator weight's annulus and the binary volume's ball,
+whose autocorrelations are circle-circle or sphere-sphere intersection
+measures) the exact variance is this finite sum, and the indicator's
+lattice sum LS is a short primal sum plus Epstein zeta constants.  Both
+come out converged, with xi_max = inf and a rounding (or certified
+remainder) bound; tail_tol and xi_cap do not apply to them.
+
+The other weights and the grey volume keep the dual sums.  These are
+truncated adaptively: shells are accumulated in geometric blocks until
+both the newest block and an envelope-fitted tail bound C |xi|^{-p}
+(integrated over the remaining frequencies, safety factor 2) fall below
+a relative tolerance.  The resulting bound is reported, not silently
+trusted.
 
 Monte Carlo uses the shift-only fast path for balls, a fixed number of
 batches with seeds spawned from one root seed, and a reduction ordered
@@ -26,8 +40,8 @@ by batch index, so results are bit-identical for any worker count.  Its
 kernel scores squared radii |p + o|^2, one matrix product per chunk of
 shifts o: the indicator weight and the binary volume compare them with
 squared band radii (f(theta(r)) = 1[r_in <= r <= r_out] exactly, as
-the annulus transform of the exact engine uses), and any other weight
-takes f(theta(r)) of the spline intensity at their square roots.
+the annulus autocorrelation of the exact engine uses), and any other
+weight takes f(theta(r)) of the spline intensity at their square roots.
 """
 
 from __future__ import annotations
@@ -45,7 +59,8 @@ from .errors import DomainError, TruncationError
 from .estimator import Indicator, alpha_f, weight_tv
 from .lattice import Lattice
 from .phantom import Ball, TransformedBall, ball_band_radii, intensity_model
-from .psf import HalfspaceProfile, Psf, halfspace_profile, sphere_area
+from .psf import (HalfspaceProfile, Psf, ball_volume, halfspace_profile,
+                  sphere_area)
 from .spectral import (AnnulusFourier, RadialFourier, ball_indicator_fourier,
                        profile_fourier_1d, psf_fourier)
 
@@ -53,14 +68,21 @@ from .spectral import (AnnulusFourier, RadialFourier, ball_indicator_fourier,
 # kernel; the chunk width K follows from it (at least one column)
 _MC_CHUNK_BYTES = 8 << 20
 
+# rounding allowance of a finite primal sum, in units of eps times the
+# magnitude of every term: each term is a few dozen floating-point
+# operations on O(1) inputs, summed exactly by math.fsum
+_ROUNDING_ULPS = 64
+_EPS = float(np.finfo(float).eps)
+
 
 # ---------------------------------------------------------------------------
 # convergent sums over dual shells
 
 @dataclass(frozen=True)
 class ShellSumInfo:
-    """Truncation record of an adaptive dual-lattice sum (immutable, so
-    a cached record can be shared)."""
+    """Truncation record of an adaptive dual-lattice sum, or of a finite
+    primal sum (xi_max = inf, tail_bound its rounding or remainder
+    bound); immutable, so a cached record can be shared."""
 
     xi_max: float
     n_shells: int
@@ -176,26 +198,94 @@ def weighted_layer(radius: float, psf: Psf, a: float, f):
     return RadialFourier(lambda r: f(model.radial(r)), r_in, r_out, psf.dim)
 
 
+def _lens(r1: float, r2: float, s, dim: int):
+    """Measure of the intersection of two balls of radii r1, r2 whose
+    centres are s apart (vectorized over s >= 0): the closed-form
+    circle-circle area (d=2) or sphere-sphere volume (d=3).
+
+    The circle case takes both half-angles by atan2 from the one half
+    chord h, so that near tangency, where the area is far smaller than
+    its pieces, the pieces' rounding cancels with them.
+    """
+    s = np.asarray(s, dtype=float)
+    out = np.zeros_like(s)
+    out[s <= abs(r1 - r2)] = ball_volume(dim, min(r1, r2))
+    mid = (s > abs(r1 - r2)) & (s < r1 + r2)
+    t = s[mid]
+    if dim == 2:
+        h = np.sqrt((r1 + r2 - t) * (t + r1 - r2) * (t - r1 + r2)
+                    * (r1 + r2 + t)) / (2.0 * t)
+        d1 = (t * t + r1 * r1 - r2 * r2) / (2.0 * t)
+        out[mid] = (r1 * r1 * np.arctan2(h, d1)
+                    + r2 * r2 * np.arctan2(h, t - d1) - t * h)
+    else:
+        out[mid] = (math.pi * (r1 + r2 - t) ** 2
+                    * (t * t + 2.0 * t * (r1 + r2) - 3.0 * (r1 - r2) ** 2)
+                    / (12.0 * t))
+    return out
+
+
+def _primal_variance(lattice: Lattice, b: float, pieces, mass: float):
+    """Var_raw = b^d det(A) sum_z C(|b A z|) - mass^2 for the
+    autocorrelation C(s) = sum_k c_k _lens(r1_k, r2_k, s) given as pieces
+    (c_k, r1_k, r2_k); the sum is finite, |b A z| < max(r1_k + r2_k).
+
+    Terms are summed exactly (math.fsum) in shell order; the cancellation
+    against mass^2 costs digits, so the report carries a rounding bound
+    of _ROUNDING_ULPS ulps of every term's magnitude as its tail bound.
+    """
+    d = lattice.dim
+    norms, counts = lat.point_shells(
+        lattice, max(r1 + r2 for _, r1, r2 in pieces) / b)
+    autocorr = lambda s: sum(c * _lens(r1, r2, s, d) for c, r1, r2 in pieces)
+    cell = b ** d * lattice.cell_volume
+    # C(0) is the integral of g^2 = g, the mass
+    terms = cell * np.concatenate(([mass], counts * autocorr(b * norms)))
+    raw = math.fsum(terms.tolist() + [-mass * mass])
+    size = sum(abs(c) * ball_volume(d, max(r1, r2)) for c, r1, r2 in pieces)
+    bound = (_ROUNDING_ULPS * _EPS * size
+             * (cell * (1 + int(counts.sum())) + mass))
+    return raw, ShellSumInfo(xi_max=math.inf, n_shells=len(norms),
+                             tail_bound=bound, converged=True)
+
+
 def variance_exact_ball(phantom, psf: Psf, f, a: float, lattice: Lattice,
                         b: float, *, tail_tol: float = 1e-3,
                         xi_cap: float | None = None) -> VarianceReport:
     """Exact variance of the normalized surface estimator for a ball
-    phantom, as a dual-shell sum of squared layer transforms."""
+    phantom.
+
+    An indicator weight makes the grey layer an annulus indicator, whose
+    autocorrelation is closed-form: the variance is the finite primal
+    sum over |b A z| < 2 r_out, converged with xi_max = inf and a
+    rounding bound (raw units) as tail_bound.  Any other weight takes
+    the dual-shell sum of squared layer transforms, truncated by
+    tail_tol and xi_cap (default max(2e3 b / a, 64)); those two options
+    govern only that route.
+    """
     if lattice.dim != psf.dim:
         raise DomainError("lattice and psf dimensions differ")
     radius = _ball_radius(phantom)
     layer = weighted_layer(radius, psf, a, f)
     alpha = alpha_f(f, halfspace_profile(psf))
     flags: list[str] = []
-    if xi_cap is None:
-        xi_cap = max(2e3 * b / a, 64.0)
-    summand = lambda q: layer.at(q / b) ** 2
-    total, info = convergent_dual_sum(
-        lattice, summand, decay_power=lattice.dim + 1.0,
-        tail_tol=tail_tol, xi_cap=xi_cap)
-    if not info.converged:
-        _require_tail_under_1pct(info, total, xi_cap)
-        flags.append("frequency-capped")
+    if isinstance(layer, AnnulusFourier):
+        r_in, r_out = layer.r_lo, layer.r_hi
+        pieces = [(1.0, r_out, r_out)]
+        if r_in > 0.0:
+            pieces += [(-2.0, r_out, r_in), (1.0, r_in, r_in)]
+        total, info = _primal_variance(lattice, b, pieces,
+                                       layer.volume_integral())
+    else:
+        if xi_cap is None:
+            xi_cap = max(2e3 * b / a, 64.0)
+        summand = lambda q: layer.at(q / b) ** 2
+        total, info = convergent_dual_sum(
+            lattice, summand, decay_power=lattice.dim + 1.0,
+            tail_tol=tail_tol, xi_cap=xi_cap)
+        if not info.converged:
+            _require_tail_under_1pct(info, total, xi_cap)
+            flags.append("frequency-capped")
     value = total / (a * alpha) ** 2
     return VarianceReport(value=value, a=a, b=b, alpha=alpha,
                           shells=info, flags=flags)
@@ -207,19 +297,25 @@ def volume_variance_exact(radius: float, lattice: Lattice, b: float, *,
                           xi_cap: float = 4096.0) -> VarianceReport:
     """Exact variance of the volume estimators for a centered ball.
 
-    Binary (psf=None): sum |F(1_B)(|xi|/b)|^2 over nonzero dual shells.
-    Grey: each term additionally carries |F(rho)(a |xi| / b)|^2.
+    Binary (psf=None): the finite primal sum of the ball's
+    autocorrelation lens(R, R, s), converged with a rounding bound.
+    Grey: the dual sum of |F(1_B)(|xi|/b)|^2 |F(rho)(a |xi| / b)|^2 over
+    nonzero dual shells, truncated by tail_tol and xi_cap (which govern
+    only this route).
     """
     d = lattice.dim
-    if psf is not None and a is None:
+    if psf is None:
+        total, info = _primal_variance(lattice, b, [(1.0, radius, radius)],
+                                       ball_volume(d, radius))
+        return VarianceReport(value=total, a=math.nan, b=b, alpha=1.0,
+                              shells=info)
+    if a is None:
         raise DomainError("grey volume variance needs the blur scale a")
 
     def summand(xi):
         q = xi / b
-        vals = ball_indicator_fourier(radius, d, q) ** 2
-        if psf is not None:
-            vals = vals * psf_fourier(psf, a * q) ** 2
-        return vals
+        return (ball_indicator_fourier(radius, d, q) ** 2
+                * psf_fourier(psf, a * q) ** 2)
 
     total, info = convergent_dual_sum(
         lattice, summand, decay_power=d + 1.0, tail_tol=tail_tol,
@@ -228,8 +324,8 @@ def volume_variance_exact(radius: float, lattice: Lattice, b: float, *,
     if not info.converged:
         _require_tail_under_1pct(info, total, xi_cap)
         flags.append("frequency-capped")
-    return VarianceReport(value=total, a=(a if a is not None else math.nan),
-                          b=b, alpha=1.0, shells=info, flags=flags)
+    return VarianceReport(value=total, a=a, b=b, alpha=1.0, shells=info,
+                          flags=flags)
 
 
 # ---------------------------------------------------------------------------
@@ -256,21 +352,19 @@ def profile_lattice_sum(f, profile: HalfspaceProfile, lattice: Lattice, *,
     """LS = sum over nonzero dual xi of |F1(f o theta_H)(|xi|)|^2
     |xi|^{-(d-1)}; the scale-free factor of matched-resolution variance.
 
-    The indicator weight has the closed form |F1(q)| = |sin(pi q w)| /
-    (pi q) with w the band width in profile coordinates.  Its summand
-    decays only like |xi|^{-d-1}, so after truncation the mean of the
-    remaining shells (sin^2 averaging to 1/2 over equidistributed
-    phases) is added back analytically; the engine's fitted bound then
-    measures the oscillating residual.  Other weights go through
-    oscillatory quadrature; their faster transform decay keeps the
-    shell count small and needs no correction.
+    The indicator weight is summed on the primal side in closed form
+    (see _indicator_lattice_sum): converged, xi_max = inf, and a
+    tail_bound that certifies the remainder (d=2) and rounding.  Other
+    weights go through the dual sum of an oscillatory quadrature,
+    truncated by tail_tol and xi_cap (at most 4096); those two options
+    govern only that route.
 
     LS does not depend on the scales a and b, so results are cached per
     (f, profile, lattice, tail_tol, xi_cap), as halfspace_profile caches
     per PSF; a weight that cannot be hashed is summed afresh each call.
-    A sum that reaches its cap comes back with shells.converged False
-    (variance_asymptotic_isotropic flags it frequency-capped) while its
-    tail bound stays under 1% of the partial sum, and raises
+    A dual sum that reaches its cap comes back with shells.converged
+    False (variance_asymptotic_isotropic flags it frequency-capped) while
+    its tail bound stays under 1% of the partial sum, and raises
     TruncationError beyond that.
     """
     try:
@@ -281,29 +375,96 @@ def profile_lattice_sum(f, profile: HalfspaceProfile, lattice: Lattice, *,
 
 
 def _lattice_sum(f, profile, lattice, tail_tol, xi_cap):
+    if isinstance(f, Indicator):
+        return _indicator_lattice_sum(
+            profile.phi(f.beta) - profile.phi(f.omega), lattice)
     d = lattice.dim
-    indicator = isinstance(f, Indicator)
-    if indicator:
-        w = profile.phi(f.beta) - profile.phi(f.omega)
+    xi_cap = min(xi_cap, 4096.0)
 
-        def summand(q):
-            return (np.sin(math.pi * q * w) / (math.pi * q)) ** 2 \
-                * q ** (-(d - 1.0))
-    else:
-        xi_cap = min(xi_cap, 4096.0)
-
-        def summand(q):
-            return np.abs(profile_fourier_1d(f, profile, q)) ** 2 \
-                * q ** (-(d - 1.0))
+    def summand(q):
+        return np.abs(profile_fourier_1d(f, profile, q)) ** 2 \
+            * q ** (-(d - 1.0))
 
     total, info = convergent_dual_sum(lattice, summand, decay_power=d + 1.0,
                                       tail_tol=tail_tol, xi_cap=xi_cap)
     if not info.converged:
         _require_tail_under_1pct(info, total, xi_cap)
-    if indicator:
-        total += (lattice.cell_volume * sphere_area(d)
-                  / (2.0 * math.pi ** 2 * info.xi_max))
     return total, info
+
+
+# the d=2 indicator lattice sum adds the remainder directly out to
+# _LS_REACH times the larger of the band width and the cell diameter
+_LS_REACH = 64.0
+
+
+def _indicator_lattice_sum(w: float, lattice: Lattice):
+    """LS of an indicator band of profile width w, by Poisson summation
+    the other way round.
+
+    |F1(q)|^2 is the transform of the triangle Phi(t) = (w - |t|)_+, so
+    LS = (omega_d / 2) sum_{xi != 0} G(xi) with G the transform of the
+    ridge average g(z) = avg_u Phi(<z, u>), and Poisson gives the primal
+    side det(A) sum_z g(z).  g decays like 1/|z|; its power-law part is
+    summed with Epstein zeta constants Z(s) (lattice.epstein_zeta), and
+    the rest is short:
+
+    d=3: g(r) = w - r/2 for r < w and w^2 / (2r) beyond, so
+        LS = 2 pi [det(A) (w + (w^2/2) Z(1)
+                   - sum_{0<|z|<w} (w - |z|)^2 / (2|z|)) + pi w^4 / 6].
+    d=2: g(r) = w - 2r/pi for r <= w and (2/pi)(w arcsin(w/r) - r +
+        sqrt(r^2 - w^2)) beyond, expanding as c1/r + c3/r^3 + h(r) with
+        c1 = w^2/pi, c3 = w^4/(12 pi) and h ~ w^6/(40 pi r^5), so
+        LS = pi det(A) (w + c1 Z(1) + c3 Z(3) + sum_{z != 0} g_c(z)),
+        g_c = g - c1/r - c3/r^3; the transform of g_c vanishes at 0.
+
+    The d=2 remainder is summed over |z| <= K and its tail beyond K is
+    bracketed: h is positive and decreasing with h_lo = w^6/(40 pi r^5)
+    <= h <= h_lo / (1 - w^2/r^2), and each cell (diameter D) lies within
+    D/2 of its point, so det(A) sum_{|z|>K} h lies between the integrals
+    of h_lo(r + D/2) beyond K + D/2 and h_hi(r - D/2) beyond K - D/2.
+    The midpoint is added and the half-width reported, with a rounding
+    allowance, as tail_bound.
+    """
+    d = lattice.dim
+    vol = lattice.cell_volume
+    if d == 3:
+        norms, counts = lat.point_shells(lattice, w)
+        inside = norms < w
+        near = counts[inside] @ ((w - norms[inside]) ** 2
+                                 / (2.0 * norms[inside]))
+        far = 0.5 * w * w * lat.epstein_zeta(lattice, 1.0)
+        background = math.pi * w ** 4 / 6.0
+        ls = 2.0 * math.pi * (vol * math.fsum([w, far, -near]) + background)
+        size = 2.0 * math.pi * (vol * (w + abs(far) + near) + background)
+        half_width = 0.0
+    else:
+        diam = lattice.cell_diameter
+        reach = _LS_REACH * max(w, diam)
+        norms, counts = lat.point_shells(lattice, reach)
+        r = norms
+        beyond = np.maximum(r, w)
+        g = np.where(r <= w, w - 2.0 * r / math.pi,
+                     (2.0 / math.pi) * (w * np.arcsin(w / beyond)
+                                        - w * w / (beyond + np.sqrt(
+                                            beyond * beyond - w * w))))
+        c1, c3 = w * w / math.pi, w ** 4 / (12.0 * math.pi)
+        power = c1 / r + c3 / r ** 3
+        far = (c1 * lat.epstein_zeta(lattice, 1.0)
+               + c3 * lat.epstein_zeta(lattice, 3.0))
+        lo, hi = reach + diam, reach - diam
+        w6 = w ** 6 / 20.0
+        tail_lo = w6 * (1.0 / (3.0 * lo ** 3) - diam / (8.0 * lo ** 4))
+        tail_hi = (w6 * (1.0 / (3.0 * hi ** 3) + diam / (8.0 * hi ** 4))
+                   / (1.0 - (w / hi) ** 2))
+        remainder = math.fsum((counts * (g - power)).tolist())
+        ls = math.pi * (vol * math.fsum([w, far, remainder])
+                        + 0.5 * (tail_lo + tail_hi))
+        size = math.pi * (vol * (w + abs(far) + counts @ (g + power))
+                          + tail_hi)
+        half_width = math.pi * 0.5 * (tail_hi - tail_lo)
+    bound = half_width + _ROUNDING_ULPS * _EPS * float(size)
+    return ls, ShellSumInfo(xi_max=math.inf, n_shells=len(norms),
+                            tail_bound=bound, converged=True)
 
 
 _cached_lattice_sum = lru_cache(maxsize=64)(_lattice_sum)

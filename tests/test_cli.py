@@ -158,7 +158,9 @@ def test_theory_variance_matches_library(tmp_path):
     assert header == ["a", "b", "var_emp", "se", "var_exact", "var_asym",
                       "osc_bound", "xi_max", "tail_bound"]
     assert len(rows) == 2
-    want = {0.1: 7.813185e-2, 0.05: 3.383114e-2}
+    # the indicator's finite primal sums (the capped dual sums gave
+    # 7.813185e-2 and 3.383114e-2, short by their 1/xi tails)
+    want = {0.1: 7.816065e-2, 0.05: 3.384560e-2}
     for row in rows:
         a = float(row[0])
         assert float(row[1]) == a  # matched resolution default
@@ -294,8 +296,24 @@ def test_unknown_key_is_rejected_with_hint(tmp_path, capsys):
         == "shells.xi_max"
 
 
+def test_osc_bound_is_asymptotic_main_term(tmp_path):
+    """osc_bound repeats var_asym, the main term; the band is
+    [0, 2 osc_bound].  Indicator rows are finite primal sums."""
+    assert main(["theory-variance", "--set", "scales.a=0.1,0.05",
+                 "--out", str(tmp_path)]) == 0
+    header, rows = _read_csv(tmp_path / "theory-variance.csv")
+    cells = [dict(zip(header, row)) for row in rows]
+    for cell in cells:
+        assert cell["osc_bound"] == cell["var_asym"]
+        assert 0.0 < float(cell["var_exact"]) < 2.0 * float(cell["osc_bound"])
+        assert cell["xi_max"] == "inf"
+        assert 0.0 < float(cell["tail_bound"]) < 1e-9
+
+
 def test_truncation_is_exit_3(tmp_path, capsys):
+    # the cap reaches only the dual route: a smooth weight
     rc = main(["theory-variance", "--set", "scales.a=0.05",
+               "--set", "weight.kind=plateau",
                "--set", "theory.xi_cap=3", "--out", str(tmp_path)])
     assert rc == 3
     record = json.loads(capsys.readouterr().err.strip())

@@ -13,13 +13,15 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.fft import next_fast_len
+from scipy.special import bernoulli, zeta
 
 from greyvar import lattice as lattice_module
 from greyvar.errors import DomainError, TruncationError
 from greyvar.lattice import (Box, Lattice, LatticePlacement, centered_box,
                              dual_points, dual_shells, enumerate_points,
-                             hexagonal_lattice, random_placement,
-                             random_rotation, scaled_lattice, unit_lattice,
+                             epstein_zeta, hexagonal_lattice, point_shells,
+                             random_placement, random_rotation,
+                             scaled_lattice, unit_lattice,
                              _sum_of_squares_counts)
 
 
@@ -109,6 +111,88 @@ def test_sieve_over_budget_allocates_nothing(monkeypatch):
         tracemalloc.stop()
     assert peak < 1 << 20
     assert lattice_module._SHELL_TABLES == {}
+
+
+@pytest.mark.parametrize("lattice,r_max", [
+    (unit_lattice(2), 7.3),
+    (scaled_lattice(2, 0.7), 5.0),
+    (hexagonal_lattice(), 6.1),
+    (Lattice(((1.0, 0.3), (0.1, 0.8))), 5.5),
+    (unit_lattice(3), 4.2),
+    (scaled_lattice(3, 1.3), 5.0),
+])
+def test_point_shells_vs_brute_force(lattice, r_max):
+    d = lattice.dim
+    span = np.arange(-12, 13)
+    k = np.stack([g.ravel() for g in np.meshgrid(*([span] * d),
+                                                 indexing="ij")], axis=1)
+    norms = np.linalg.norm(k @ lattice.basis.T, axis=1)
+    norms = np.sort(norms[(norms > 0) & (norms <= r_max)])
+    want, want_counts = np.unique(np.round(norms, 9), return_counts=True)
+    got, counts = point_shells(lattice, r_max)
+    np.testing.assert_allclose(got, want, atol=1e-9)
+    np.testing.assert_array_equal(counts, want_counts)
+
+
+def test_point_enumeration_over_budget_allocates_nothing():
+    """A non-integer lattice enumerates points; a ball whose covering
+    box would exceed the budget is refused before any array exists."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(TruncationError, match="budget"):
+            point_shells(Lattice(((1.0, 0.3, 0.0), (0.0, 1.0, 0.0),
+                                  (0.0, 0.0, 1.0))), 1000.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def _hurwitz_zeta(s, q, n=40, terms=8):
+    """Hurwitz zeta by Euler-Maclaurin, valid for every real s != 1."""
+    head = sum((k + q) ** -s for k in range(n))
+    x = n + q
+    tail = x ** (1.0 - s) / (s - 1.0) + 0.5 * x ** -s
+    rising = s
+    bern = bernoulli(2 * terms)
+    for j in range(1, terms + 1):
+        tail += bern[2 * j] / math.factorial(2 * j) * rising \
+            * x ** (-s - 2 * j + 1)
+        rising *= (s + 2 * j - 1) * (s + 2 * j)
+    return head + tail
+
+
+def test_hurwitz_helper_matches_scipy():
+    for q in (0.25, 1.0 / 3.0, 0.75):
+        assert _hurwitz_zeta(1.5, q) == pytest.approx(zeta(1.5, q),
+                                                      rel=1e-13)
+    assert _hurwitz_zeta(0.5, 1.0) == pytest.approx(zeta(0.5), rel=1e-13)
+
+
+@pytest.mark.parametrize("s", [1.0, 3.0])
+def test_epstein_zeta_closed_forms_d2(s):
+    """Z^2: 4 zeta(s/2) beta(s/2); hexagonal: 6 zeta(s/2) L_{-3}(s/2)
+    (Borwein et al., Lattice Sums Then and Now, 2013), the Dirichlet L
+    series from Hurwitz zeta values."""
+    h = s / 2.0
+    beta = 4.0 ** -h * (_hurwitz_zeta(h, 0.25) - _hurwitz_zeta(h, 0.75))
+    l3 = 3.0 ** -h * (_hurwitz_zeta(h, 1.0 / 3.0)
+                      - _hurwitz_zeta(h, 2.0 / 3.0))
+    zh = _hurwitz_zeta(h, 1.0)
+    assert epstein_zeta(unit_lattice(2), s) == pytest.approx(
+        4.0 * zh * beta, rel=1e-12)
+    assert epstein_zeta(hexagonal_lattice(), s) == pytest.approx(
+        6.0 * zh * l3, rel=1e-12)
+
+
+def test_epstein_zeta_d3_and_scaling():
+    assert epstein_zeta(unit_lattice(3), 1.0) == pytest.approx(
+        -2.8372974794806, rel=1e-12)
+    # Z_{cL}(s) = c^{-s} Z_L(s)
+    assert epstein_zeta(scaled_lattice(3, 2.0), 1.0) == pytest.approx(
+        -2.8372974794806 / 2.0, rel=1e-12)
+    assert epstein_zeta(scaled_lattice(2, 0.5), 3.0) == pytest.approx(
+        8.0 * epstein_zeta(unit_lattice(2), 3.0), rel=1e-12)
 
 
 def test_sieve_d3_known_values():

@@ -18,12 +18,13 @@ from scipy.integrate import quad
 from scipy.special import j0
 from scipy.stats import norm
 
-from greyvar import phantom, variance
+from greyvar import lattice, phantom, variance
 from greyvar.errors import DomainError, TruncationError
 from greyvar.estimator import Indicator, SmoothPlateau
 from greyvar.lattice import dual_points, hexagonal_lattice, unit_lattice
 from greyvar.phantom import Ball, ball_band_radii
-from greyvar.psf import gaussian, halfspace_profile, sphere_area
+from greyvar.psf import (ball_volume, compact_bump, gaussian,
+                         halfspace_profile, sphere_area)
 from greyvar.spectral import AnnulusFourier
 from greyvar.variance import (AsymptoticReport, RadiusDensity,
                               ShellSumInfo, VarianceReport,
@@ -42,6 +43,8 @@ GAUSS2 = gaussian(2)
 
 # the coordinate-loop, sqrt and spline Monte Carlo kernel
 import _mc_oracle as mc_oracle
+# the dual-shell sums of the indicator and binary-volume variances and LS
+import _dual_oracle as dual_oracle
 # independent grey-layer pieces built on scipy only; shared with the
 # acceptance suite
 from _spatial_oracle import (GreyLayer as _GreyLayer,
@@ -146,33 +149,173 @@ def test_variance_scale_identity():
 
 
 def test_exact_variance_frozen_value():
-    # indicator weight, a = b = 0.05: value frozen from two independent
-    # computations (dual sum and scipy.quad over brute shells)
+    # indicator weight, a = b = 0.05: the finite primal sum.  The dual
+    # sum approaches it like 1/xi from below: 0.0338311, 0.0338384 and
+    # 0.0338420 at xi = 2000, 4000 and 8000, extrapolating to 0.0338456
     rep = variance_exact_ball(Ball(2, 1.0), GAUSS2, Indicator(), 0.05,
                               Z2, 0.05)
-    assert rep.value == pytest.approx(3.383114e-2, rel=1e-4)
+    assert rep.value == pytest.approx(3.384560e-2, rel=1e-4)
     assert rep.flags == []
     assert rep.alpha == pytest.approx(2.0 * norm.ppf(0.7), rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
+# finite primal sums against the dual-shell oracle
+
+@pytest.mark.parametrize("latt, xi_cap", [(Z2, 1000.0),
+                                          (hexagonal_lattice(), 256.0),
+                                          (unit_lattice(3), 300.0)])
+def test_indicator_primal_sum_vs_dual(latt, xi_cap):
+    """Every dual term is positive, so the capped dual sum falls short
+    of the primal value by no more than its own tail bound."""
+    d, a = latt.dim, 0.1
+    psf = gaussian(d)
+    rep = variance_exact_ball(Ball(d, 1.0), psf, Indicator(), a, latt, a)
+    assert rep.shells.converged and rep.shells.xi_max == math.inf
+    assert rep.flags == []
+    primal = rep.value * (a * rep.alpha) ** 2
+    r_in, r_out = ball_band_radii(1.0, psf, a, 0.3, 0.7)
+    dual, info = dual_oracle.annulus_variance_raw(r_in, r_out, latt, a,
+                                                  xi_cap=xi_cap)
+    rounding = rep.shells.tail_bound
+    assert -rounding <= primal - dual <= info.tail_bound + rounding
+
+
+@pytest.mark.parametrize("latt, xi_cap", [(Z2, 1000.0),
+                                          (unit_lattice(3), 300.0)])
+def test_binary_volume_primal_sum_vs_dual(latt, xi_cap):
+    rep = volume_variance_exact(1.0, latt, 0.05)
+    assert rep.shells.converged and rep.flags == []
+    dual, info = dual_oracle.ball_variance_raw(1.0, latt, 0.05,
+                                               xi_cap=xi_cap)
+    rounding = rep.shells.tail_bound
+    assert -rounding <= rep.value - dual <= info.tail_bound + rounding
+
+
+@pytest.mark.parametrize("latt, xi_cap", [(Z2, 1024.0),
+                                          (hexagonal_lattice(), 256.0),
+                                          (unit_lattice(3), 1024.0)])
+@pytest.mark.parametrize("kernel", [gaussian, compact_bump])
+def test_indicator_lattice_sum_vs_dual(latt, xi_cap, kernel):
+    """The closed-form LS against the mean-corrected dual sum.  The dual
+    tail bound is loose; the two agreed to 1.1e-6 relative or better
+    (the hexagonal lattice at xi = 256) when written."""
+    profile = halfspace_profile(kernel(latt.dim))
+    w = profile.phi(0.3) - profile.phi(0.7)
+    ls, info = profile_lattice_sum(Indicator(), profile, latt)
+    assert info.converged and info.xi_max == math.inf
+    dual, dual_info = dual_oracle.indicator_lattice_sum(w, latt,
+                                                        xi_cap=xi_cap)
+    assert abs(ls - dual) <= dual_info.tail_bound + info.tail_bound
+    assert ls == pytest.approx(dual, rel=1e-5)
+
+
+@pytest.mark.parametrize("latt", [Z2, hexagonal_lattice()])
+def test_indicator_lattice_sum_certificate(latt, monkeypatch):
+    """The d=2 remainder is summed out to a fixed reach and its tail
+    bracketed; summing four times further lands inside the bound."""
+    profile = halfspace_profile(GAUSS2)
+    w = profile.phi(0.3) - profile.phi(0.7)
+    near, near_info = variance._indicator_lattice_sum(w, latt)
+    monkeypatch.setattr(variance, "_LS_REACH", 4.0 * variance._LS_REACH)
+    far, far_info = variance._indicator_lattice_sum(w, latt)
+    assert far_info.tail_bound < near_info.tail_bound / 10.0
+    assert abs(near - far) <= near_info.tail_bound + far_info.tail_bound
+
+
+def _lens_extended(r1, r2, s, dim):
+    """Intersection measure of two balls in long double, by the arccos
+    form (d=2) and as two spherical caps (d=3)."""
+    r1, r2, s = (np.longdouble(v) for v in (r1, r2, s))
+    if s >= r1 + r2:
+        return np.longdouble(0)
+    small = min(r1, r2)
+    if s <= abs(r1 - r2):
+        return (np.longdouble(math.pi) * small ** 2 if dim == 2
+                else np.longdouble(4) / 3 * np.longdouble(math.pi)
+                * small ** 3)
+    d1 = (s * s + r1 * r1 - r2 * r2) / (2 * s)
+    d2 = s - d1
+    if dim == 2:
+        prod = (r1 + r2 - s) * (s + r1 - r2) * (s - r1 + r2) * (r1 + r2 + s)
+        return (r1 * r1 * np.arccos(d1 / r1) + r2 * r2 * np.arccos(d2 / r2)
+                - np.sqrt(prod) / 2)
+    h1, h2 = r1 - d1, r2 - d2
+    return np.longdouble(math.pi) / 3 * (h1 * h1 * (3 * r1 - h1)
+                                         + h2 * h2 * (3 * r2 - h2))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_primal_rounding_bound_covers_extended_precision(dim):
+    """tail_bound of a finite primal sum bounds its rounding: the same
+    sum over brute-force points in long double lands inside it."""
+    a = b = 0.1
+    psf = gaussian(dim)
+    rep = variance_exact_ball(Ball(dim, 1.0), psf, Indicator(), a,
+                              unit_lattice(dim), b)
+    r_in, r_out = ball_band_radii(1.0, psf, a, 0.3, 0.7)
+    reach = int(2 * r_out / b) + 1
+    span = np.arange(-reach, reach + 1)
+    grids = np.meshgrid(*([span] * dim), indexing="ij")
+    nsq = sum(g.astype(np.int64) ** 2 for g in grids).ravel()
+    counts = np.bincount(nsq)
+    total = np.longdouble(0)
+    for n in np.flatnonzero(counts):
+        s = np.longdouble(b) * np.sqrt(np.longdouble(int(n)))
+        c = (_lens_extended(r_out, r_out, s, dim)
+             - 2 * _lens_extended(r_out, r_in, s, dim)
+             + _lens_extended(r_in, r_in, s, dim))
+        total += int(counts[n]) * c
+    mass = (np.longdouble(ball_volume(dim, 1.0))
+            * (np.longdouble(r_out) ** dim - np.longdouble(r_in) ** dim))
+    want = np.longdouble(b) ** dim * total - mass * mass
+    got = rep.value * (a * rep.alpha) ** 2
+    assert abs(np.longdouble(got) - want) <= rep.shells.tail_bound
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_indicator_and_binary_sums_need_no_dual_shells(dim, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("dual_shells called")
+
+    monkeypatch.setattr(lattice, "dual_shells", refuse)
+    variance._cached_lattice_sum.cache_clear()
+    psf, latt = gaussian(dim), unit_lattice(dim)
+    reports = [
+        variance_exact_ball(Ball(dim, 1.0), psf, Indicator(), 0.05, latt,
+                            0.05),
+        volume_variance_exact(1.0, latt, 0.05),
+        variance_asymptotic_isotropic(sphere_area(dim), psf, Indicator(),
+                                      latt, 0.05)]
+    assert all(r.shells.converged for r in reports)
+    variance._cached_lattice_sum.cache_clear()
+    # the grey volume keeps the dual route
+    with pytest.raises(AssertionError, match="dual_shells called"):
+        volume_variance_exact(1.0, latt, 0.05, psf=psf, a=0.05)
+
+
+# ---------------------------------------------------------------------------
 # truncation policy
+
+# (the dual routes: smooth weights and the grey volume)
 
 def test_truncation_error_names_cap_and_suggests_double():
     with pytest.raises(TruncationError, match=r"xi_cap=3.*try 6"):
-        variance_exact_ball(Ball(2, 1.0), GAUSS2, Indicator(), 0.05, Z2,
-                            0.05, xi_cap=3.0)
+        variance_exact_ball(Ball(2, 1.0), GAUSS2, SmoothPlateau(), 0.05,
+                            Z2, 0.05, xi_cap=3.0)
     with pytest.raises(TruncationError, match=r"xi_cap=2.*try 4"):
-        volume_variance_exact(1.0, Z2, 0.05, xi_cap=2.0)
+        volume_variance_exact(1.0, Z2, 0.05, psf=GAUSS2, a=0.05,
+                              xi_cap=2.0)
 
 
 def test_frequency_capped_flag_below_one_percent():
     # cap reached with the tail bound under 1%: flagged, not fatal
-    rep = variance_exact_ball(Ball(2, 1.0), GAUSS2, Indicator(), 0.05, Z2,
-                              0.05, tail_tol=1e-10, xi_cap=320.0)
+    args = (Ball(2, 1.0), GAUSS2, SmoothPlateau(), 0.05, Z2, 0.05)
+    rep = variance_exact_ball(*args, tail_tol=1e-10, xi_cap=40.0)
     assert rep.flags == ["frequency-capped"]
     assert not rep.shells.converged
-    assert rep.value == pytest.approx(3.383114e-2, rel=5e-3)
+    assert rep.value == pytest.approx(variance_exact_ball(*args).value,
+                                      rel=5e-3)
 
 
 # ---------------------------------------------------------------------------
@@ -199,23 +342,25 @@ def test_profile_lattice_sum_tolerance_stability():
 def test_capped_lattice_sum_is_flagged():
     # stopped at the cap with the tail bound under 1% of the partial
     # sum: reported and flagged, not refused, by both asymptotic models
-    opts = dict(tail_tol=1e-5, xi_cap=1000.0)
-    rep = variance_asymptotic_isotropic(2.0 * math.pi, GAUSS2, Indicator(),
-                                        Z2, 0.05, **opts)
+    opts = dict(tail_tol=1e-5, xi_cap=13.0)
+    rep = variance_asymptotic_isotropic(2.0 * math.pi, GAUSS2,
+                                        SmoothPlateau(), Z2, 0.05, **opts)
     assert rep.flags == ["frequency-capped"]
     assert not rep.shells.converged
-    assert rep.shells.xi_max == 1000.0
-    assert rep.lattice_sum == pytest.approx(0.337933407, rel=1e-6)
-    rand = variance_asymptotic_random_radius(GAUSS2, Indicator(), Z2, 0.05,
-                                             RadiusDensity(1.0, 2.0), **opts)
+    assert rep.shells.xi_max == 13.0
+    assert rep.lattice_sum == pytest.approx(0.259998438, rel=1e-6)
+    rand = variance_asymptotic_random_radius(GAUSS2, SmoothPlateau(), Z2,
+                                             0.05, RadiusDensity(1.0, 2.0),
+                                             **opts)
     assert rand.flags == ["frequency-capped"]
     default = variance_asymptotic_isotropic(2.0 * math.pi, GAUSS2,
-                                            Indicator(), Z2, 0.05)
+                                            SmoothPlateau(), Z2, 0.05)
     assert default.shells.converged
     assert default.flags == []
 
 
-@pytest.mark.parametrize("f", [Indicator(), SmoothPlateau()])
+@pytest.mark.parametrize("f", [SmoothPlateau(0.2, 0.35, 0.65, 0.8),
+                               SmoothPlateau()])
 def test_lattice_sum_tail_over_one_percent_raises(f):
     prof = halfspace_profile(GAUSS2)
     with pytest.raises(TruncationError, match=r"xi_cap=3.*try 6"):
