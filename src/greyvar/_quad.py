@@ -24,23 +24,26 @@ def _gl_rule(order: int):
     return x, w
 
 
-def panel_nodes(a: float, b: float, n_panels: int, order: int = 15):
-    """Nodes/weights of a composite Gauss-Legendre rule on [a, b].
-
-    Returns flat arrays of len n_panels*order; summing f(nodes)*weights
-    integrates f over [a, b].
+def panel_nodes(edges, n_panels: int, order: int = 15):
+    """Nodes/weights of composite Gauss-Legendre rules over each row of
+    sorted breakpoints `edges` (shape (..., E)), every gap cut into
+    n_panels equal panels; a gap of zero width gets zero weights.
+    Summing f(nodes) * weights over the last axis integrates each row.
     """
     x, w = _gl_rule(order)
-    edges = np.linspace(a, b, n_panels + 1)
-    lo = edges[:-1, None]
-    half = 0.5 * (edges[1:, None] - lo)
-    nodes = (lo + half + half * x[None, :]).ravel()
-    weights = (half * w[None, :]).ravel()
-    return nodes, weights
+    edges = np.asarray(edges, dtype=float)
+    # each gap's np.linspace(a, b, n_panels + 1), bit for bit, but cheaper
+    a, b = edges[..., :-1, None], edges[..., 1:, None]
+    cuts = np.arange(n_panels + 1) * ((b - a) / n_panels) + a
+    cuts[..., -1] = b[..., 0]
+    lo = cuts[..., :-1, None]
+    half = 0.5 * (cuts[..., 1:, None] - lo)
+    shape = edges.shape[:-1] + ((edges.shape[-1] - 1) * n_panels * order,)
+    return (lo + half + half * x).reshape(shape), (half * w).reshape(shape)
 
 
 def fixed_quad(f, a: float, b: float, n_panels: int = 1, order: int = 15) -> float:
-    nodes, weights = panel_nodes(a, b, n_panels, order)
+    nodes, weights = panel_nodes((a, b), n_panels, order)
     return float(np.dot(np.asarray(f(nodes), dtype=float), weights))
 
 
@@ -61,7 +64,7 @@ def oscillatory_nodes(a: float, b: float, freq: float, order: int = 15,
     if n * order > max_nodes:
         raise TruncationError(
             f"oscillatory rule would need {n * order} nodes (freq={freq:g})")
-    return panel_nodes(a, b, n, order)
+    return panel_nodes((a, b), n, order)
 
 
 def adaptive_quad(f, a: float, b: float, abs_tol: float = DEFAULT_ABS_TOL,

@@ -397,30 +397,20 @@ def _theory_cells(phantom, psf, f, lattice, a, b, view: ConfigView):
 
     osc_bound is the asymptotic main term, the same number as var_asym:
     the oscillation band the exact variance should lie in is
-    [0, 2 * osc_bound].  xi_max and tail_bound are the exact sum's
-    truncation record in raw (unnormalized) units; an indicator weight's
-    finite primal sum reports xi_max = inf and a rounding bound.
-    theory.tail_tol and theory.xi_cap reach only the dual-sum route of
-    the exact variance (weights other than the indicator).
+    [0, 2 * osc_bound].  xi_max and tail_bound (in the units of
+    var_exact) are the exact sum's truncation record; an indicator
+    weight's finite primal sum reports xi_max = inf and a rounding
+    bound.  theory.tail_tol and theory.xi_cap reach only the dual-sum
+    route of the exact variance (weights other than the indicator).
     """
-    options = {}
-    tail_tol = view.get("theory.tail_tol")
-    if tail_tol is not None:
-        options["tail_tol"] = view.floatval("theory.tail_tol",
-                                            positive=True)
-    xi_cap = view.get("theory.xi_cap")
-    if xi_cap is not None:
-        options["xi_cap"] = view.floatval("theory.xi_cap", positive=True)
-    # The asymptotic model goes first: its lattice sum LS is scale-free,
-    # so it is summed once per run (cached), and for a smooth weight it
-    # reaches the largest dual radius of the run; the exact dual sums
-    # then slice the shell table it sieved instead of rebuilding it rung
-    # by rung.
+    options = {key: view.floatval(f"theory.{key}", positive=True)
+               for key in ("tail_tol", "xi_cap")
+               if view.get(f"theory.{key}") is not None}
     surface = sphere_area(phantom.dim) * phantom.radius ** (phantom.dim - 1)
     asym = variance_asymptotic_isotropic(surface, psf, f, lattice, a)
     exact = variance_exact_ball(phantom, psf, f, a, lattice, b, **options)
     return (exact.value, asym.main, asym.main, exact.shells.xi_max,
-            exact.shells.tail_bound)
+            exact.shells.tail_bound / (a * exact.alpha) ** 2)
 
 
 def _variance_rows(view: ConfigView, seed: int, workers: int, *,

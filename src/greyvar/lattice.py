@@ -248,9 +248,9 @@ def _sum_of_squares_counts(dim: int, n_max: int) -> np.ndarray:
     need = _sieve_bytes(dim, n_max)
     if need > SIEVE_BUDGET_BYTES:
         raise TruncationError(
-            f"shell sieve to |z|^2 <= {n_max} in d={dim} needs about "
-            f"{need / 2 ** 30:.3g} GiB, over the "
-            f"{SIEVE_BUDGET_BYTES / 2 ** 30:g} GiB budget; lower xi_cap")
+            f"shell sieve to radius {math.sqrt(n_max):.6g} of Z^{dim} "
+            f"(|z|^2 <= {n_max}) needs about {need / 2 ** 30:.3g} GiB, "
+            f"over the {SIEVE_BUDGET_BYTES / 2 ** 30:g} GiB budget")
     kmax = math.isqrt(n_max)
     ks = np.arange(kmax + 1)
     mult = np.where(ks == 0, 1, 2).astype(np.int32)

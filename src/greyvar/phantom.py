@@ -153,7 +153,7 @@ def _ball_intensity_radii(psf: Psf, a: float, R: float, radii) -> np.ndarray:
     inside = rr < R
     core_hi = np.minimum(w1, W)
     if np.any(inside):
-        v, w = panel_nodes(0.0, 1.0, _N_CORE, order=15)
+        v, w = panel_nodes((0.0, 1.0), _N_CORE, order=15)
         hi = core_hi[inside]
         nodes = hi[:, None] * v[None, :]
         f = eval_rho(psf, nodes) * nodes ** (d - 1)
@@ -168,7 +168,7 @@ def _ball_intensity_radii(psf: Psf, a: float, R: float, radii) -> np.ndarray:
         ri = rr[open_seg]
         mid = 0.5 * (li + hi_)
         contrib = np.zeros_like(li)
-        z, zw = panel_nodes(0.0, 1.0, _N_EDGE, order=15)
+        z, zw = panel_nodes((0.0, 1.0), _N_EDGE, order=15)
         for seg_lo, seg_hi, anchor_lo in ((li, mid, True), (mid, hi_, False)):
             span = seg_hi - seg_lo
             # w = anchor +/- (sqrt(span) * z)^2 grades nodes toward the

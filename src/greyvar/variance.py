@@ -22,17 +22,17 @@ layer's autocorrelation C_g,
 which is finite because g has compact support.  Where C_g has a closed
 form (the indicator weight's annulus and the binary volume's ball,
 whose autocorrelations are circle-circle or sphere-sphere intersection
-measures) the exact variance is this finite sum, and the indicator's
-lattice sum LS is a short primal sum plus Epstein zeta constants.  Both
-come out converged, with xi_max = inf and a rounding (or certified
-remainder) bound; tail_tol and xi_cap do not apply to them.
+measures) the exact variance is this finite sum, and the lattice sum LS
+of every weight is a short primal sum of the profile layer's
+autocorrelation plus Epstein zeta constants.  Both come out converged,
+with xi_max = inf and a certified bound; tail_tol and xi_cap do not
+apply to them.
 
-The other weights and the grey volume keep the dual sums.  These are
-truncated adaptively: shells are accumulated in geometric blocks until
-both the newest block and an envelope-fitted tail bound C |xi|^{-p}
-(integrated over the remaining frequencies, safety factor 2) fall below
-a relative tolerance.  The resulting bound is reported, not silently
-trusted.
+The other exact variances keep the dual sums.  These are truncated
+adaptively: shells are accumulated in geometric blocks until both the
+newest block and an envelope-fitted tail bound C |xi|^{-p} (integrated
+over the remaining frequencies, safety factor 2) fall below a relative
+tolerance.  The resulting bound is reported, not silently trusted.
 
 Monte Carlo uses the shift-only fast path for balls, a fixed number of
 batches with seeds spawned from one root seed, and a reduction ordered
@@ -48,19 +48,21 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
 from scipy import special
 
 from . import lattice as lat
+from ._quad import fixed_quad, panel_nodes
 from .errors import DomainError, TruncationError
 from .estimator import Indicator, alpha_f, weight_tv
 from .lattice import Lattice
 from .phantom import Ball, TransformedBall, ball_band_radii, intensity_model
 from .psf import (HalfspaceProfile, Psf, ball_volume, halfspace_profile,
                   sphere_area)
+# profile_fourier_1d is unused here: perfbench/spans.py wraps it by name
 from .spectral import (AnnulusFourier, RadialFourier, ball_indicator_fourier,
                        profile_fourier_1d, psf_fourier)
 
@@ -343,126 +345,136 @@ class AsymptoticReport:
     prefactor: float
     a: float
     shells: ShellSumInfo
-    flags: list[str] = field(default_factory=list)
 
 
-def profile_lattice_sum(f, profile: HalfspaceProfile, lattice: Lattice, *,
-                        tail_tol: float = 1e-3,
-                        xi_cap: float = 16384.0) -> tuple[float, ShellSumInfo]:
+def profile_lattice_sum(f, profile: HalfspaceProfile,
+                        lattice: Lattice) -> tuple[float, ShellSumInfo]:
     """LS = sum over nonzero dual xi of |F1(f o theta_H)(|xi|)|^2
     |xi|^{-(d-1)}; the scale-free factor of matched-resolution variance.
 
-    The indicator weight is summed on the primal side in closed form
-    (see _indicator_lattice_sum): converged, xi_max = inf, and a
-    tail_bound that certifies the remainder (d=2) and rounding.  Other
-    weights go through the dual sum of an oscillatory quadrature,
-    truncated by tail_tol and xi_cap (at most 4096); those two options
-    govern only that route.
-
-    LS does not depend on the scales a and b, so results are cached per
-    (f, profile, lattice, tail_tol, xi_cap), as halfspace_profile caches
-    per PSF; a weight that cannot be hashed is summed afresh each call.
-    A dual sum that reaches its cap comes back with shells.converged
-    False (variance_asymptotic_isotropic flags it frequency-capped) while
-    its tail bound stays under 1% of the partial sum, and raises
-    TruncationError beyond that.
+    Summed on the primal side for every weight (see _lattice_sum):
+    converged, xi_max = inf, and a tail_bound in the units of LS.  LS
+    does not depend on the scales a and b, so results are cached per
+    (f, profile, lattice), as halfspace_profile caches per PSF; a weight
+    that cannot be hashed is summed afresh each call.
     """
     try:
         hash(f)
     except TypeError:
-        return _lattice_sum(f, profile, lattice, tail_tol, xi_cap)
-    return _cached_lattice_sum(f, profile, lattice, tail_tol, xi_cap)
+        return _lattice_sum(f, profile, lattice)
+    return _cached_lattice_sum(f, profile, lattice)
 
 
-def _lattice_sum(f, profile, lattice, tail_tol, xi_cap):
-    if isinstance(f, Indicator):
-        return _indicator_lattice_sum(
-            profile.phi(f.beta) - profile.phi(f.omega), lattice)
-    d = lattice.dim
-    xi_cap = min(xi_cap, 4096.0)
-
-    def summand(q):
-        return np.abs(profile_fourier_1d(f, profile, q)) ** 2 \
-            * q ** (-(d - 1.0))
-
-    total, info = convergent_dual_sum(lattice, summand, decay_power=d + 1.0,
-                                      tail_tol=tail_tol, xi_cap=xi_cap)
-    if not info.converged:
-        _require_tail_under_1pct(info, total, xi_cap)
-    return total, info
-
-
-# the d=2 indicator lattice sum adds the remainder directly out to
-# _LS_REACH times the larger of the band width and the cell diameter
+# the d=2 lattice sum adds the remainder directly out to _LS_REACH times
+# the larger of the band width and the cell diameter
 _LS_REACH = 64.0
+# Gauss-Legendre panels per smooth piece, and their order, of every rule
+# behind LS; the certificate compares against half as many panels
+_LS_PANELS, _LS_ORDER = 2, 10
 
 
-def _indicator_lattice_sum(w: float, lattice: Lattice):
-    """LS of an indicator band of profile width w, by Poisson summation
-    the other way round.
+def _layer_autocorrelation(f, profile: HalfspaceProfile):
+    """Phi(t, n_panels) = int h(s) h(s + t) ds for t in [0, w], h = f o
+    theta_H on [phi(omega), phi(beta)] of width w, and the breakpoints
+    of Phi: 0, the distances between knot images, and w.  An indicator's
+    Phi is the triangle (w - |t|)_+; any other weight takes a Gauss rule
+    in s split at the knot images and their shifts by -t."""
+    knots = np.sort([profile.phi(y) for y in f.knots])
+    w = knots[-1] - knots[0]
+    breaks = np.unique(np.abs(knots[:, None] - knots[None, :]))
+    if isinstance(f, Indicator):
+        return (lambda t, n: np.maximum(w - np.abs(t), 0.0)), breaks
 
-    |F1(q)|^2 is the transform of the triangle Phi(t) = (w - |t|)_+, so
-    LS = (omega_d / 2) sum_{xi != 0} G(xi) with G the transform of the
-    ridge average g(z) = avg_u Phi(<z, u>), and Poisson gives the primal
-    side det(A) sum_z g(z).  g decays like 1/|z|; its power-law part is
-    summed with Epstein zeta constants Z(s) (lattice.epstein_zeta), and
-    the rest is short:
+    def autocorr(t, n_panels):
+        t = np.asarray(t, dtype=float)[..., None]
+        edges = np.sort(np.concatenate(
+            [np.broadcast_to(knots, t.shape[:-1] + knots.shape),
+             knots - t], axis=-1), axis=-1)
+        s, v = panel_nodes(np.clip(edges, knots[0], knots[-1] - t),
+                           n_panels, _LS_ORDER)
+        # clipped breakpoints leave empty panels; skip their nodes
+        live = v > 0.0
+        s, shift = s[live], np.broadcast_to(t, v.shape)[live]
+        v[live] *= f(profile.theta(s)) * f(profile.theta(s + shift))
+        return v.sum(axis=-1)
 
-    d=3: g(r) = w - r/2 for r < w and w^2 / (2r) beyond, so
-        LS = 2 pi [det(A) (w + (w^2/2) Z(1)
-                   - sum_{0<|z|<w} (w - |z|)^2 / (2|z|)) + pi w^4 / 6].
-    d=2: g(r) = w - 2r/pi for r <= w and (2/pi)(w arcsin(w/r) - r +
-        sqrt(r^2 - w^2)) beyond, expanding as c1/r + c3/r^3 + h(r) with
-        c1 = w^2/pi, c3 = w^4/(12 pi) and h ~ w^6/(40 pi r^5), so
-        LS = pi det(A) (w + c1 Z(1) + c3 Z(3) + sum_{z != 0} g_c(z)),
-        g_c = g - c1/r - c3/r^3; the transform of g_c vanishes at 0.
+    return autocorr, breaks
 
-    The d=2 remainder is summed over |z| <= K and its tail beyond K is
-    bracketed: h is positive and decreasing with h_lo = w^6/(40 pi r^5)
-    <= h <= h_lo / (1 - w^2/r^2), and each cell (diameter D) lies within
-    D/2 of its point, so det(A) sum_{|z|>K} h lies between the integrals
-    of h_lo(r + D/2) beyond K + D/2 and h_hi(r - D/2) beyond K - D/2.
-    The midpoint is added and the half-width reported, with a rounding
-    allowance, as tail_bound.
+
+def _lattice_sum(f, profile, lattice):
+    """LS of any weight by Poisson summation the other way round.
+
+    |F1|^2 is the transform of Phi (_layer_autocorrelation), so LS is
+    (omega_d / 2) sum_{xi != 0} of the transform of g(z) = avg_u
+    Phi(<z, u>) = int_0^{pi/2} Phi(|z| sin phi) K_d(phi) dphi, K_2 = 2/pi
+    and K_3 = cos, which Poisson turns into det(A) sum_z g(z).  With
+    m_k = int_0^w t^k Phi, the power law sum_p c_p r^{-p} of g is summed
+    with Epstein zeta constants Z(p) (lattice.epstein_zeta) and the rest
+    g_c over a few shells:
+
+        LS = (omega_d / 2) [det(A) (Phi(0) + sum_p c_p Z(p)
+                                    + sum_{z != 0} g_c(z)) + B].
+
+    d=3: c_1 = m_0 and B = 2 pi m_2; g_c vanishes beyond w.
+    d=2: c_1 = 2 m_0 / pi, c_3 = m_2 / pi; from 2w on, g_c is taken as
+        R(r) = (2/pi) int_0^w Phi(t) k(t/r) / r dt, k(x) =
+        1/sqrt(1 - x^2) - 1 - x^2/2 written without cancellation, and the
+        sum stops at |z| = K.  For a nonnegative weight R_lo =
+        3 m_4 / (4 pi r^5) <= R <= R_lo / (1 - w^2/r^2), and each cell
+        (diameter D) lies within D/2 of its point, so the tail lies
+        between the integrals of R_lo(r + D/2) beyond K + D/2 and
+        R_hi(r - D/2) beyond K - D/2: B is its midpoint, and tail_bound
+        takes its half-width.
+
+    tail_bound adds rounding and the gap to rules with half the panels.
     """
-    d = lattice.dim
-    vol = lattice.cell_volume
-    if d == 3:
-        norms, counts = lat.point_shells(lattice, w)
-        inside = norms < w
-        near = counts[inside] @ ((w - norms[inside]) ** 2
-                                 / (2.0 * norms[inside]))
-        far = 0.5 * w * w * lat.epstein_zeta(lattice, 1.0)
-        background = math.pi * w ** 4 / 6.0
-        ls = 2.0 * math.pi * (vol * math.fsum([w, far, -near]) + background)
-        size = 2.0 * math.pi * (vol * (w + abs(far) + near) + background)
-        half_width = 0.0
-    else:
-        diam = lattice.cell_diameter
-        reach = _LS_REACH * max(w, diam)
-        norms, counts = lat.point_shells(lattice, reach)
-        r = norms
-        beyond = np.maximum(r, w)
-        g = np.where(r <= w, w - 2.0 * r / math.pi,
-                     (2.0 / math.pi) * (w * np.arcsin(w / beyond)
-                                        - w * w / (beyond + np.sqrt(
-                                            beyond * beyond - w * w))))
-        c1, c3 = w * w / math.pi, w ** 4 / (12.0 * math.pi)
-        power = c1 / r + c3 / r ** 3
-        far = (c1 * lat.epstein_zeta(lattice, 1.0)
-               + c3 * lat.epstein_zeta(lattice, 3.0))
-        lo, hi = reach + diam, reach - diam
-        w6 = w ** 6 / 20.0
-        tail_lo = w6 * (1.0 / (3.0 * lo ** 3) - diam / (8.0 * lo ** 4))
-        tail_hi = (w6 * (1.0 / (3.0 * hi ** 3) + diam / (8.0 * hi ** 4))
-                   / (1.0 - (w / hi) ** 2))
-        remainder = math.fsum((counts * (g - power)).tolist())
-        ls = math.pi * (vol * math.fsum([w, far, remainder])
-                        + 0.5 * (tail_lo + tail_hi))
-        size = math.pi * (vol * (w + abs(far) + counts @ (g + power))
-                          + tail_hi)
-        half_width = math.pi * 0.5 * (tail_hi - tail_lo)
-    bound = half_width + _ROUNDING_ULPS * _EPS * float(size)
+    autocorr, breaks = _layer_autocorrelation(f, profile)
+    w, d, diam = float(breaks[-1]), lattice.dim, lattice.cell_diameter
+    reach = w if d == 3 else _LS_REACH * max(w, diam)
+    norms, counts = lat.point_shells(lattice, reach)
+    powers = (1.0,) if d == 3 else (1.0, 3.0)
+    zeta = [lat.epstein_zeta(lattice, p) for p in powers]
+    close = norms < 2.0 * w
+
+    def summed(n_panels):
+        rule = lambda edges: panel_nodes(edges, n_panels, _LS_ORDER)
+        t, v = rule(breaks)
+        phi_t = v * autocorr(t, n_panels)
+        m0, m2, m4 = (float(phi_t @ t ** k) for k in (0, 2, 4))
+        coefs = (m0,) if d == 3 else (2.0 * m0 / math.pi, m2 / math.pi)
+        power = sum(c / norms ** p for c, p in zip(coefs, powers))
+        g_c = np.empty_like(norms)
+        # the angular integral, split where r sin(phi) meets a breakpoint
+        r = norms[close, None]
+        phi, u = rule(np.arcsin(np.clip(breaks / r, 0.0, 1.0)))
+        u *= np.cos(phi) if d == 3 else 2.0 / math.pi
+        g_c[close] = (np.sum(u * autocorr(r * np.sin(phi), n_panels), axis=1)
+                      - power[close])
+        x = t / norms[~close, None]
+        s = np.sqrt(1.0 - x * x)
+        k = x ** 4 * (2.0 + s) / (2.0 * s * (1.0 + s) ** 2)
+        g_c[~close] = (2.0 / math.pi) * (k @ phi_t) / norms[~close]
+        background, half_width = 2.0 * math.pi * m2, 0.0
+        if d == 2:
+            lo, hi, c = reach + diam, reach - diam, 1.5 * m4
+            tail_lo = c * (1.0 / (3.0 * lo ** 3) - diam / (8.0 * lo ** 4))
+            tail_hi = (c * (1.0 / (3.0 * hi ** 3) + diam / (8.0 * hi ** 4))
+                       / (1.0 - (w / hi) ** 2))
+            background = 0.5 * (tail_lo + tail_hi)
+            half_width = 0.5 * (tail_hi - tail_lo)
+        phi0 = float(autocorr(np.zeros(1), n_panels)[0])
+        far = math.fsum(c * z for c, z in zip(coefs, zeta))
+        half = 0.5 * sphere_area(d)
+        ls = half * (lattice.cell_volume * math.fsum(
+            [phi0, far, math.fsum((counts * g_c).tolist())]) + background)
+        size = half * (lattice.cell_volume * (
+            phi0 + abs(far) + counts @ (np.abs(g_c) + power))
+            + background + half_width)
+        return ls, size, half * half_width
+
+    ls, size, half_width = summed(_LS_PANELS)
+    gap = abs(ls - summed(_LS_PANELS // 2)[0])
+    bound = half_width + _ROUNDING_ULPS * _EPS * size + gap
     return ls, ShellSumInfo(xi_max=math.inf, n_shells=len(norms),
                             tail_bound=bound, converged=True)
 
@@ -471,8 +483,8 @@ _cached_lattice_sum = lru_cache(maxsize=64)(_lattice_sum)
 
 
 def variance_asymptotic_isotropic(surface_area: float, psf: Psf, f,
-                                  lattice: Lattice, a: float,
-                                  **ls_options) -> AsymptoticReport:
+                                  lattice: Lattice,
+                                  a: float) -> AsymptoticReport:
     """Matched-resolution (b = a) asymptotic variance for a set with
     surface area S:
 
@@ -482,13 +494,12 @@ def variance_asymptotic_isotropic(surface_area: float, psf: Psf, f,
     bounds the oscillation band.
     """
     profile = halfspace_profile(psf)
-    ls, info = profile_lattice_sum(f, profile, lattice, **ls_options)
+    ls, info = profile_lattice_sum(f, profile, lattice)
     alpha = alpha_f(f, profile)
     pref = (2.0 / sphere_area(psf.dim) / alpha ** 2) * surface_area
     main = a ** (psf.dim - 1) * pref * ls
-    flags = [] if info.converged else ["frequency-capped"]
     return AsymptoticReport(main=main, envelope=2.0 * main, lattice_sum=ls,
-                            prefactor=pref, a=a, shells=info, flags=flags)
+                            prefactor=pref, a=a, shells=info)
 
 
 @dataclass(frozen=True)
@@ -517,25 +528,20 @@ class RadiusDensity:
 
     def mean_power(self, k: int) -> float:
         """E[s^k]; a Beta(5,5) moment pushed to [s0, s1]."""
-        from ._quad import fixed_quad
         return fixed_quad(lambda s: s ** k * self.pdf(s),
                           self.s0, self.s1, n_panels=32)
 
 
 def variance_asymptotic_random_radius(psf: Psf, f, lattice: Lattice,
-                                      a: float, density: RadiusDensity,
-                                      **ls_options) -> AsymptoticReport:
+                                      a: float, density: RadiusDensity
+                                      ) -> AsymptoticReport:
     """Random-radius asymptotics: the ball radius is random with the
     given density, the oscillation averages out, and the mean conditional
     variance tends to 2 a^{d-1} omega_d^{-1} alpha_f^{-2} E[S(B(s))] LS."""
     d = psf.dim
     mean_surface = sphere_area(d) * density.mean_power(d - 1)
-    rep = variance_asymptotic_isotropic(mean_surface, psf, f, lattice, a,
-                                        **ls_options)
-    return AsymptoticReport(main=rep.main, envelope=rep.main,
-                            lattice_sum=rep.lattice_sum,
-                            prefactor=rep.prefactor, a=a, shells=rep.shells,
-                            flags=rep.flags)
+    rep = variance_asymptotic_isotropic(mean_surface, psf, f, lattice, a)
+    return replace(rep, envelope=rep.main)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,14 @@
 """Dual-shell oracles for the sums the package takes on the primal side.
 
-The indicator weight's exact variance and lattice sum, and the binary
-volume variance, are finite primal sums in the package.  Here they are
-summed the original way, over dual shells with the closed-form
-transforms and the adaptive truncation of convergent_dual_sum, so the
-two routes share only the lattice sieve.  Every term of the variance
-sums is positive, so a dual partial sum approaches the primal value from
-below and stops short of it by at most its own tail bound.
+The indicator weight's exact variance, the binary volume variance and
+the lattice sum LS of every weight are finite primal sums in the
+package.  Here they are summed the original way, over dual shells with
+the closed-form transforms (or, for the LS of a smooth weight, the
+oscillatory quadrature of spectral.profile_fourier_1d) and the adaptive
+truncation of convergent_dual_sum, so the two routes share only the
+lattice sieve.  Every term of these sums is positive, so a dual partial
+sum approaches the primal value from below and stops short of it by at
+most its own tail bound.
 """
 
 import math
@@ -14,8 +16,9 @@ import math
 import numpy as np
 
 from greyvar.psf import sphere_area
-from greyvar.spectral import AnnulusFourier, ball_indicator_fourier
-from greyvar.variance import convergent_dual_sum
+from greyvar.spectral import (AnnulusFourier, ball_indicator_fourier,
+                              profile_fourier_1d)
+from greyvar.variance import _require_tail_under_1pct, convergent_dual_sum
 
 
 def annulus_variance_raw(r_in, r_out, lattice, b, *, xi_cap,
@@ -50,4 +53,25 @@ def indicator_lattice_sum(w, lattice, *, xi_cap=1024.0, tail_tol=1e-12):
                                       tail_tol=tail_tol, xi_cap=xi_cap)
     total += (lattice.cell_volume * sphere_area(d)
               / (2.0 * math.pi ** 2 * info.xi_max))
+    return total, info
+
+
+def profile_lattice_sum(f, profile, lattice, *, tail_tol=1e-3,
+                        xi_cap=4096.0, refine=1):
+    """LS of any weight: sum of |F1(f o theta_H)(q)|^2 q^{-(d-1)} over
+    dual shells, F1 by oscillatory quadrature with `refine` times the
+    minimum panels, truncated by tail_tol and xi_cap (at most 4096);
+    refused while the tail bound of a capped sum exceeds 1% of the
+    partial sum."""
+    d = lattice.dim
+    xi_cap = min(xi_cap, 4096.0)
+
+    def summand(q):
+        return np.abs(profile_fourier_1d(f, profile, q, refine=refine)) ** 2 \
+            * q ** (-(d - 1.0))
+
+    total, info = convergent_dual_sum(lattice, summand, decay_power=d + 1.0,
+                                      tail_tol=tail_tol, xi_cap=xi_cap)
+    if not info.converged:
+        _require_tail_under_1pct(info, total, xi_cap)
     return total, info

@@ -104,7 +104,7 @@ def test_c05_fine_lattice_slope_is_two_d():
     vals = []
     for a in grid:
         rep = variance_exact_ball(Ball(2, 1.0), GAUSS2, Indicator(0.3, 0.7),
-                                  a, Z2, a * a, xi_cap=3000.0)
+                                  a, Z2, a * a)
         assert rep.flags == []
         vals.append(rep.value)
     slope = np.polyfit(np.log(grid), np.log(vals), 1)[0]

@@ -171,6 +171,7 @@ def test_theory_variance_matches_library(tmp_path):
         assert lib.value == pytest.approx(want[a], rel=1e-4)
         assert float(row[5]) > 0.0
         assert float(row[7]) > 0.0
+        assert float(row[8]) == lib.shells.tail_bound / (a * lib.alpha) ** 2
 
 
 def test_theory_variance_cache_independent(tmp_path, monkeypatch):

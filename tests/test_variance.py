@@ -11,6 +11,7 @@ and bound layers by frozen constants and structural properties.
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -213,14 +214,40 @@ def test_indicator_lattice_sum_vs_dual(latt, xi_cap, kernel):
 @pytest.mark.parametrize("latt", [Z2, hexagonal_lattice()])
 def test_indicator_lattice_sum_certificate(latt, monkeypatch):
     """The d=2 remainder is summed out to a fixed reach and its tail
-    bracketed; summing four times further lands inside the bound."""
+    bracketed; summing four times further lands inside the bound, for
+    the indicator's closed-form autocorrelation and a smooth weight's
+    quadrature alike."""
     profile = halfspace_profile(GAUSS2)
-    w = profile.phi(0.3) - profile.phi(0.7)
-    near, near_info = variance._indicator_lattice_sum(w, latt)
-    monkeypatch.setattr(variance, "_LS_REACH", 4.0 * variance._LS_REACH)
-    far, far_info = variance._indicator_lattice_sum(w, latt)
-    assert far_info.tail_bound < near_info.tail_bound / 10.0
-    assert abs(near - far) <= near_info.tail_bound + far_info.tail_bound
+    for f in (Indicator(), SmoothPlateau()):
+        near, near_info = variance._lattice_sum(f, profile, latt)
+        with monkeypatch.context() as m:
+            m.setattr(variance, "_LS_REACH", 4.0 * variance._LS_REACH)
+            far, far_info = variance._lattice_sum(f, profile, latt)
+        assert far_info.tail_bound < near_info.tail_bound / 10.0
+        assert (abs(near - far)
+                <= near_info.tail_bound + far_info.tail_bound)
+
+
+@pytest.mark.parametrize("latt", [Z2, hexagonal_lattice(), unit_lattice(3)])
+@pytest.mark.parametrize("kernel", [gaussian, compact_bump])
+@pytest.mark.parametrize("f", [SmoothPlateau(),
+                               SmoothPlateau(0.2, 0.35, 0.65, 0.8)])
+def test_lattice_sum_vs_dual(latt, kernel, f):
+    """The primal LS of a smooth weight against the dual-shell sum of
+    its squared profile transform.  Every dual term is positive, so the
+    truth lies between the dual partial sum and that plus its tail
+    bound, and the primal value within its own tail_bound of the truth.
+    The oscillatory rule is refined 16-fold: it is not split at the
+    knot images, and at refine=1 it is off by up to 6e-8 relative."""
+    profile = halfspace_profile(kernel(latt.dim))
+    ls, info = profile_lattice_sum(f, profile, latt)
+    assert info.converged and info.xi_max == math.inf
+    dual, dual_info = dual_oracle.profile_lattice_sum(f, profile, latt,
+                                                      tail_tol=1e-7,
+                                                      refine=16)
+    assert dual_info.converged
+    assert (-info.tail_bound <= ls - dual
+            <= dual_info.tail_bound + info.tail_bound)
 
 
 def _lens_extended(r1, r2, s, dim):
@@ -286,8 +313,11 @@ def test_indicator_and_binary_sums_need_no_dual_shells(dim, monkeypatch):
                             0.05),
         volume_variance_exact(1.0, latt, 0.05),
         variance_asymptotic_isotropic(sphere_area(dim), psf, Indicator(),
-                                      latt, 0.05)]
+                                      latt, 0.05),
+        variance_asymptotic_isotropic(sphere_area(dim), psf,
+                                      SmoothPlateau(), latt, 0.05)]
     assert all(r.shells.converged for r in reports)
+    assert all(r.shells.xi_max == math.inf for r in reports)
     variance._cached_lattice_sum.cache_clear()
     # the grey volume keeps the dual route
     with pytest.raises(AssertionError, match="dual_shells called"):
@@ -308,6 +338,23 @@ def test_truncation_error_names_cap_and_suggests_double():
                               xi_cap=2.0)
 
 
+def test_primal_sum_over_sieve_budget_allocates_nothing(monkeypatch):
+    """A finite primal sum too wide for the shell sieve is refused
+    before any table exists, with the radius it asked for; no xi_cap
+    applies to it, so none is suggested."""
+    monkeypatch.setattr(lattice, "_SHELL_TABLES", {})
+    tracemalloc.start()
+    try:
+        with pytest.raises(TruncationError, match="radius") as err:
+            variance_exact_ball(Ball(3, 1.0), gaussian(3), Indicator(),
+                                0.05, unit_lattice(3), 2e-4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert "xi_cap" not in str(err.value)
+
+
 def test_frequency_capped_flag_below_one_percent():
     # cap reached with the tail bound under 1%: flagged, not fatal
     args = (Ball(2, 1.0), GAUSS2, SmoothPlateau(), 0.05, Z2, 0.05)
@@ -323,60 +370,32 @@ def test_frequency_capped_flag_below_one_percent():
 
 def test_profile_lattice_sum_frozen_values():
     prof = halfspace_profile(GAUSS2)
-    ls_ind, info = profile_lattice_sum(Indicator(), prof, Z2,
-                                       tail_tol=1e-5)
+    ls_ind, info = profile_lattice_sum(Indicator(), prof, Z2)
     assert ls_ind == pytest.approx(0.337933407, rel=1e-6)
-    ls_pl, _ = profile_lattice_sum(SmoothPlateau(), prof, Z2,
-                                   tail_tol=1e-5)
+    ls_pl, _ = profile_lattice_sum(SmoothPlateau(), prof, Z2)
     assert ls_pl == pytest.approx(0.259998438, rel=1e-5)
 
 
-def test_profile_lattice_sum_tolerance_stability():
+def test_profile_lattice_sum_tolerance_stability(monkeypatch):
+    """The certificate covers the quadrature: rules with four times the
+    panels land inside the default tail_bound."""
     prof = halfspace_profile(GAUSS2)
-    for f, drift in [(Indicator(), 1e-6), (SmoothPlateau(), 1e-4)]:
-        coarse, _ = profile_lattice_sum(f, prof, Z2, tail_tol=1e-3)
-        fine, _ = profile_lattice_sum(f, prof, Z2, tail_tol=1e-5)
-        assert coarse == pytest.approx(fine, rel=drift)
-
-
-def test_capped_lattice_sum_is_flagged():
-    # stopped at the cap with the tail bound under 1% of the partial
-    # sum: reported and flagged, not refused, by both asymptotic models
-    opts = dict(tail_tol=1e-5, xi_cap=13.0)
-    rep = variance_asymptotic_isotropic(2.0 * math.pi, GAUSS2,
-                                        SmoothPlateau(), Z2, 0.05, **opts)
-    assert rep.flags == ["frequency-capped"]
-    assert not rep.shells.converged
-    assert rep.shells.xi_max == 13.0
-    assert rep.lattice_sum == pytest.approx(0.259998438, rel=1e-6)
-    rand = variance_asymptotic_random_radius(GAUSS2, SmoothPlateau(), Z2,
-                                             0.05, RadiusDensity(1.0, 2.0),
-                                             **opts)
-    assert rand.flags == ["frequency-capped"]
-    default = variance_asymptotic_isotropic(2.0 * math.pi, GAUSS2,
-                                            SmoothPlateau(), Z2, 0.05)
-    assert default.shells.converged
-    assert default.flags == []
-
-
-@pytest.mark.parametrize("f", [SmoothPlateau(0.2, 0.35, 0.65, 0.8),
-                               SmoothPlateau()])
-def test_lattice_sum_tail_over_one_percent_raises(f):
-    prof = halfspace_profile(GAUSS2)
-    with pytest.raises(TruncationError, match=r"xi_cap=3.*try 6"):
-        profile_lattice_sum(f, prof, Z2, xi_cap=3.0)
-    with pytest.raises(TruncationError):
-        variance_asymptotic_isotropic(2.0 * math.pi, GAUSS2, f, Z2, 0.05,
-                                      xi_cap=3.0)
+    for latt in (Z2, unit_lattice(3)):
+        for f in (Indicator(), SmoothPlateau(),
+                  SmoothPlateau(0.2, 0.35, 0.65, 0.8)):
+            ls, info = variance._lattice_sum(f, prof, latt)
+            with monkeypatch.context() as m:
+                m.setattr(variance, "_LS_PANELS", 4 * variance._LS_PANELS)
+                fine, _ = variance._lattice_sum(f, prof, latt)
+            assert abs(fine - ls) <= info.tail_bound
 
 
 def test_lattice_sum_cached_per_arguments():
     prof = halfspace_profile(GAUSS2)
-    first = profile_lattice_sum(SmoothPlateau(), prof, Z2, tail_tol=1e-4)
-    assert profile_lattice_sum(SmoothPlateau(), prof, Z2,
-                               tail_tol=1e-4) is first
-    assert profile_lattice_sum(SmoothPlateau(), prof, Z2,
-                               tail_tol=1e-3) is not first
+    first = profile_lattice_sum(SmoothPlateau(), prof, Z2)
+    assert profile_lattice_sum(SmoothPlateau(), prof, Z2) is first
+    assert profile_lattice_sum(SmoothPlateau(), prof,
+                               hexagonal_lattice()) is not first
     # the shared record cannot be changed by a caller
     with pytest.raises(dataclasses.FrozenInstanceError):
         first[1].converged = False
@@ -658,10 +677,9 @@ def test_bound_check_general_band():
 
 def test_bound_check_fast_b_bounded():
     ms = []
-    for b, cap in [(0.02, None), (0.01, None), (0.005, 2048.0)]:
-        kw = {} if cap is None else {"xi_cap": cap}
+    for b in (0.02, 0.01, 0.005):
         rep = variance_bound_check(Ball(2, 1.0), GAUSS2, Indicator(), 0.1,
-                                   Z2, b, regime="fast_b", **kw)
+                                   Z2, b, regime="fast_b")
         assert rep.regime == "fast_b"
         ms.append(rep.implied_constant)
     assert all(0.05 < m < 1.5 for m in ms)
