@@ -47,24 +47,28 @@ def fixed_quad(f, a: float, b: float, n_panels: int = 1, order: int = 15) -> flo
     return float(np.dot(np.asarray(f(nodes), dtype=float), weights))
 
 
-def oscillatory_nodes(a: float, b: float, freq: float, order: int = 15,
+def oscillatory_nodes(edges, freq: float, order: int = 15,
                       min_panels: int = 2, max_nodes: int = 20_000_000):
-    """Composite GL nodes with panel width <= quarter period of cos(2*pi*freq*t).
+    """Composite GL nodes over the sorted breakpoints `edges`, every gap
+    cut into the same number of panels, at least min_panels and enough
+    that no panel is wider than a quarter period of cos(2*pi*freq*t).
 
     `freq` is in cycles per unit of t; freq <= 0 falls back to min_panels.
     Raises TruncationError, before allocating, if the rule would need more
     than max_nodes nodes.
     """
-    width = b - a
+    edges = np.asarray(edges, dtype=float)
+    width = edges[-1] - edges[0]
     if width <= 0:
         return np.empty(0), np.empty(0)
     n = min_panels
     if freq > 0:
         n = max(min_panels, int(np.ceil(width * 4.0 * freq)))
-    if n * order > max_nodes:
+    n_nodes = n * order * (len(edges) - 1)
+    if n_nodes > max_nodes:
         raise TruncationError(
-            f"oscillatory rule would need {n * order} nodes (freq={freq:g})")
-    return panel_nodes((a, b), n, order)
+            f"oscillatory rule would need {n_nodes} nodes (freq={freq:g})")
+    return panel_nodes(edges, n, order)
 
 
 def adaptive_quad(f, a: float, b: float, abs_tol: float = DEFAULT_ABS_TOL,

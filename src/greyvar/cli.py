@@ -13,7 +13,8 @@ Every run writes ``<subcommand>.csv`` (RFC 4180, 17 significant digits)
 and ``manifest.json`` into the output directory.  The manifest echoes
 every config value the run actually resolved, defaults included, so the
 CSV is reproducible from the manifest alone, and records the sha256 of
-each output file under ``output_sha256``.  With a fixed config and
+each output file under ``output_sha256`` and the python, numpy and scipy
+versions under ``library_versions``.  With a fixed config and
 seed the CSV bytes do not depend on ``--workers``.
 
 Exit codes: 0 success, 2 usage or config error, 3 numerical failure.
@@ -30,10 +31,12 @@ import hashlib
 import json
 import math
 import os
+import platform
 import sys
 import time
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .errors import ConfigError, GreyvarError
@@ -391,24 +394,21 @@ def _cmd_fourier(view: ConfigView, seed: int, workers: int):
     return ["q", "layer_exact", "layer_main", "rel_gap"], rows
 
 
-def _theory_cells(phantom, psf, f, lattice, a, b, view: ConfigView):
+def _theory_cells(phantom, psf, f, lattice, a, b):
     """The theory cells of one (a, b) row: var_exact, var_asym,
     osc_bound, xi_max and tail_bound.
 
     osc_bound is the asymptotic main term, the same number as var_asym:
     the oscillation band the exact variance should lie in is
     [0, 2 * osc_bound].  xi_max and tail_bound (in the units of
-    var_exact) are the exact sum's truncation record; an indicator
-    weight's finite primal sum reports xi_max = inf and a rounding
-    bound.  theory.tail_tol and theory.xi_cap reach only the dual-sum
-    route of the exact variance (weights other than the indicator).
+    var_exact) are the exact sum's truncation record, always converged:
+    an indicator weight's finite primal sum reports xi_max = inf and a
+    rounding bound, any other weight's dual sum its last dual radius
+    and tail bound.
     """
-    options = {key: view.floatval(f"theory.{key}", positive=True)
-               for key in ("tail_tol", "xi_cap")
-               if view.get(f"theory.{key}") is not None}
     surface = sphere_area(phantom.dim) * phantom.radius ** (phantom.dim - 1)
     asym = variance_asymptotic_isotropic(surface, psf, f, lattice, a)
-    exact = variance_exact_ball(phantom, psf, f, a, lattice, b, **options)
+    exact = variance_exact_ball(phantom, psf, f, a, lattice, b)
     return (exact.value, asym.main, asym.main, exact.shells.xi_max,
             exact.shells.tail_bound / (a * exact.alpha) ** 2)
 
@@ -434,7 +434,7 @@ def _variance_rows(view: ConfigView, seed: int, workers: int, *,
             var_emp, se = mc.variance, mc.variance_se
         cells = (None,) * 5
         if with_theory:
-            cells = _theory_cells(phantom, psf, f, lattice, a, b, view)
+            cells = _theory_cells(phantom, psf, f, lattice, a, b)
         rows.append([a, b, var_emp, se, *cells])
     return _VAR_HEADER, rows
 
@@ -492,8 +492,7 @@ _KNOWN_KEYS = {
     "mc-variance": _COMMON_KEYS | _PHANTOM_KEYS | _PSF_KEYS | _WEIGHT_KEYS
     | _LATTICE_KEYS | _SCALE_KEYS | {"mc.replicates", "mc.batches"},
     "theory-variance": _COMMON_KEYS | _PHANTOM_KEYS | _PSF_KEYS
-    | _WEIGHT_KEYS | _LATTICE_KEYS | _SCALE_KEYS
-    | {"theory.tail_tol", "theory.xi_cap"},
+    | _WEIGHT_KEYS | _LATTICE_KEYS | _SCALE_KEYS,
 }
 _KNOWN_KEYS["scaling-study"] = (_KNOWN_KEYS["mc-variance"]
                                 | _KNOWN_KEYS["theory-variance"]
@@ -591,6 +590,9 @@ def main(argv=None) -> int:
         manifest = {
             "subcommand": args.command,
             "version": __version__,
+            "library_versions": {"python": platform.python_version(),
+                                 "numpy": np.__version__,
+                                 "scipy": scipy.__version__},
             "seed": seed,
             "seed_source": seed_source,
             "workers": args.workers,

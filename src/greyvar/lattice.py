@@ -289,25 +289,24 @@ def _integer_scale(lattice: Lattice) -> float | None:
     return None
 
 
-def _group_shells(norms: np.ndarray, group_tol: float):
-    """Sorted shell norms (equal within group_tol merged, each shell at
-    its members' mean) with multiplicities."""
+def _group_shells(norms: np.ndarray):
+    """Sorted shell norms (equal within 1e-9 merged, each shell at its
+    members' mean) with multiplicities."""
     norms = np.sort(norms)
     if norms.size == 0:
         return np.empty(0), np.empty(0, dtype=int)
-    breaks = np.flatnonzero(np.diff(norms) > group_tol)
+    breaks = np.flatnonzero(np.diff(norms) > 1e-9)
     starts = np.concatenate(([0], breaks + 1))
     ends = np.concatenate((breaks + 1, [norms.size]))
     shell_norms = np.array([norms[s:e].mean() for s, e in zip(starts, ends)])
     return shell_norms, (ends - starts).astype(int)
 
 
-def dual_shells(lattice: Lattice, xi_max: float, xi_min: float = 0.0,
-                group_tol: float = 1e-9):
+def dual_shells(lattice: Lattice, xi_max: float, xi_min: float = 0.0):
     """Dual-lattice shells with xi_min < norm <= xi_max: sorted norms
     with multiplicities.
 
-    Returns (norms, counts) with equal norms (within group_tol) merged.
+    Returns (norms, counts) with equal norms (within 1e-9) merged.
     Scaled integer lattices take an exact sum-of-squares sieve and read
     only the part of the table above xi_min; other lattices enumerate
     points, which limits their practical radius.  Either way the shells
@@ -326,7 +325,7 @@ def dual_shells(lattice: Lattice, xi_max: float, xi_min: float = 0.0,
         above = norms > xi_min
         return norms[above], counts[n[above]].astype(int)
     xi = dual_points(lattice, xi_max)
-    shell_norms, counts = _group_shells(np.linalg.norm(xi, axis=1), group_tol)
+    shell_norms, counts = _group_shells(np.linalg.norm(xi, axis=1))
     above = shell_norms > xi_min
     return shell_norms[above], counts[above]
 
@@ -351,7 +350,7 @@ def point_shells(lattice: Lattice, r_max: float):
         return s * np.sqrt(n.astype(float)), counts[n].astype(int)
     pts = _points_within(lattice.basis,
                          float(np.linalg.norm(lattice.dual_basis, 2)), r_max)
-    return _group_shells(np.linalg.norm(pts, axis=1), 1e-9)
+    return _group_shells(np.linalg.norm(pts, axis=1))
 
 
 def epstein_zeta(lattice: Lattice, s: float) -> float:

@@ -113,7 +113,7 @@ class RadialFourier:
     def _at_positive(self, q, refine):
         qmax = float(q.max())
         nodes, w = oscillatory_nodes(
-            self.r_lo, self.r_hi, freq=qmax,
+            (self.r_lo, self.r_hi), freq=qmax,
             order=self.order, min_panels=self.min_panels * refine)
         gv = self.fn(nodes) * nodes ** (self.dim / 2.0) * w
         nu = self.dim / 2.0 - 1.0
@@ -191,6 +191,13 @@ def psf_fourier(psf: Psf, q):
     return rf.at(q)
 
 
+def knot_images(f, profile: HalfspaceProfile):
+    """Sorted phi(knots): the profile layer f(theta_H(t)) lives between
+    the outer two and is only as smooth as f at each of them, so
+    quadrature rules over t split there."""
+    return np.sort([profile.phi(y) for y in f.knots])
+
+
 def profile_fourier_1d(f, profile: HalfspaceProfile, q, *,
                        refine: int = 1):
     """One-dimensional transform of the weighted edge profile,
@@ -199,9 +206,8 @@ def profile_fourier_1d(f, profile: HalfspaceProfile, q, *,
     q = np.asarray(q, dtype=float)
     scalar = q.ndim == 0
     q = np.atleast_1d(q)
-    lo = profile.phi(f.knots[-1])
-    hi = profile.phi(f.knots[0])
-    nodes, w = oscillatory_nodes(lo, hi, freq=float(np.abs(q).max()),
+    nodes, w = oscillatory_nodes(knot_images(f, profile),
+                                 freq=float(np.abs(q).max()),
                                  min_panels=8 * refine)
     fv = f(profile.theta(nodes)) * w
     out = np.empty(q.shape, dtype=complex)
@@ -235,9 +241,8 @@ def ball_main_term(radius: float, profile: HalfspaceProfile, f, a: float,
     q = np.atleast_1d(q)
     if np.any(q <= 0):
         raise DomainError("main term needs positive frequencies")
-    lo = profile.phi(f.knots[-1])
-    hi = profile.phi(f.knots[0])
-    nodes, w = oscillatory_nodes(lo, hi, freq=a * float(q.max()),
+    nodes, w = oscillatory_nodes(knot_images(f, profile),
+                                 freq=a * float(q.max()),
                                  min_panels=4 * refine)
     base = f(profile.theta(nodes)) * w
     rad = radius + a * nodes

@@ -25,14 +25,16 @@ whose autocorrelations are circle-circle or sphere-sphere intersection
 measures) the exact variance is this finite sum, and the lattice sum LS
 of every weight is a short primal sum of the profile layer's
 autocorrelation plus Epstein zeta constants.  Both come out converged,
-with xi_max = inf and a certified bound; tail_tol and xi_cap do not
-apply to them.
+with xi_max = inf and a certified bound.
 
-The other exact variances keep the dual sums.  These are truncated
-adaptively: shells are accumulated in geometric blocks until both the
-newest block and an envelope-fitted tail bound C |xi|^{-p} (integrated
-over the remaining frequencies, safety factor 2) fall below a relative
-tolerance.  The resulting bound is reported, not silently trusted.
+The other exact variances (smooth weights and the grey volume) keep the
+dual sums, whose transforms decay fast.  Shells are accumulated in
+geometric blocks until both the newest block and an envelope-fitted
+tail bound C |xi|^{-p} (integrated over the remaining frequencies,
+safety factor 2) fall below a fixed relative tolerance.  A sum that has
+not converged by |xi| = max(2e3 b / a, 64) is refused with a
+TruncationError, so every returned report is converged and carries its
+tail bound.
 
 Monte Carlo uses the shift-only fast path for balls, a fixed number of
 batches with seeds spawned from one root seed, and a reduction ordered
@@ -64,7 +66,7 @@ from .psf import (HalfspaceProfile, Psf, ball_volume, halfspace_profile,
                   sphere_area)
 # profile_fourier_1d is unused here: perfbench/spans.py wraps it by name
 from .spectral import (AnnulusFourier, RadialFourier, ball_indicator_fourier,
-                       profile_fourier_1d, psf_fourier)
+                       knot_images, profile_fourier_1d, psf_fourier)
 
 # bytes of one (N, K) float64 array of squared radii in the Monte Carlo
 # kernel; the chunk width K follows from it (at least one column)
@@ -105,14 +107,15 @@ def _octave_eval(fn, q):
 
 
 def convergent_dual_sum(lattice: Lattice, summand, *, decay_power: float,
-                        tail_tol: float, xi_start: float = 6.0,
-                        xi_cap: float = 4096.0, growth: float = 1.7):
+                        tail_tol: float, xi_cap: float = 4096.0):
     """Sum summand(|xi|) * multiplicity over nonzero dual shells.
 
     `summand` maps an ascending array of shell norms to nonnegative
     values; `decay_power` p is the envelope exponent used for the tail
     bound 2 C_fit * cell_volume * omega_d * Xi^{d-p} / (p - d) with
-    C_fit fitted to the last block.
+    C_fit fitted to the last block.  Blocks end at |xi| = 6, growing
+    1.7-fold, until the sum converges or reaches xi_cap; the record says
+    which.
     """
     d = lattice.dim
     if decay_power <= d:
@@ -120,7 +123,7 @@ def convergent_dual_sum(lattice: Lattice, summand, *, decay_power: float,
     total = 0.0
     n_shells = 0
     xi_prev = 0.0
-    xi = min(xi_start, xi_cap)
+    xi = min(6.0, xi_cap)
     tail = math.inf
     converged = False
     while True:
@@ -144,9 +147,29 @@ def convergent_dual_sum(lattice: Lattice, summand, *, decay_power: float,
         if xi >= xi_cap:
             break
         xi_prev = xi
-        xi = min(xi * growth, xi_cap)
+        xi = min(xi * 1.7, xi_cap)
     return total, ShellSumInfo(xi_max=xi, n_shells=n_shells,
                                tail_bound=tail, converged=converged)
+
+
+def _refusing_dual_sum(lattice: Lattice, summand, a: float, b: float,
+                       tail_tol: float):
+    """convergent_dual_sum of a squared radial transform, or a
+    TruncationError.
+
+    The summand varies on the frequency scale b / a, so the search
+    stops at |xi| = max(2e3 b / a, 64); that limit only decides when to
+    refuse, never which number is returned.
+    """
+    total, info = convergent_dual_sum(
+        lattice, summand, decay_power=lattice.dim + 1.0, tail_tol=tail_tol,
+        xi_cap=max(2e3 * b / a, 64.0))
+    if not info.converged:
+        raise TruncationError(
+            f"dual-shell sum did not converge by dual radius "
+            f"{info.xi_max:g}: tail bound {info.tail_bound:.3e} against a "
+            f"tolerance of {tail_tol:g} of the partial sum {total:.3e}")
+    return total, info
 
 
 # ---------------------------------------------------------------------------
@@ -154,25 +177,14 @@ def convergent_dual_sum(lattice: Lattice, summand, *, decay_power: float,
 
 @dataclass
 class VarianceReport:
-    """Exact (dual-sum) variance value with its truncation diagnostics."""
+    """Exact variance value with its truncation record; shells is
+    always converged."""
 
     value: float
     a: float
     b: float
     alpha: float
     shells: ShellSumInfo
-    flags: list[str] = field(default_factory=list)
-
-
-def _require_tail_under_1pct(info: ShellSumInfo, total: float,
-                             xi_cap: float) -> None:
-    """A capped sum is still reportable while the tail bound stays under
-    1% of the partial sum; beyond that the result is not trustworthy."""
-    if info.tail_bound > 0.01 * total:
-        raise TruncationError(
-            f"dual-sum tail bound {info.tail_bound:.3e} exceeds 1% of the "
-            f"partial sum {total:.3e} at xi_cap={xi_cap:g}; raise xi_cap "
-            f"(try {2.0 * xi_cap:g})")
 
 
 def _ball_radius(phantom) -> float:
@@ -252,8 +264,7 @@ def _primal_variance(lattice: Lattice, b: float, pieces, mass: float):
 
 
 def variance_exact_ball(phantom, psf: Psf, f, a: float, lattice: Lattice,
-                        b: float, *, tail_tol: float = 1e-3,
-                        xi_cap: float | None = None) -> VarianceReport:
+                        b: float) -> VarianceReport:
     """Exact variance of the normalized surface estimator for a ball
     phantom.
 
@@ -261,16 +272,15 @@ def variance_exact_ball(phantom, psf: Psf, f, a: float, lattice: Lattice,
     autocorrelation is closed-form: the variance is the finite primal
     sum over |b A z| < 2 r_out, converged with xi_max = inf and a
     rounding bound (raw units) as tail_bound.  Any other weight takes
-    the dual-shell sum of squared layer transforms, truncated by
-    tail_tol and xi_cap (default max(2e3 b / a, 64)); those two options
-    govern only that route.
+    the dual-shell sum of squared layer transforms to a relative
+    tolerance of 1e-3, or raises TruncationError if it does not
+    converge (see _refusing_dual_sum).
     """
     if lattice.dim != psf.dim:
         raise DomainError("lattice and psf dimensions differ")
     radius = _ball_radius(phantom)
     layer = weighted_layer(radius, psf, a, f)
     alpha = alpha_f(f, halfspace_profile(psf))
-    flags: list[str] = []
     if isinstance(layer, AnnulusFourier):
         r_in, r_out = layer.r_lo, layer.r_hi
         pieces = [(1.0, r_out, r_out)]
@@ -279,31 +289,22 @@ def variance_exact_ball(phantom, psf: Psf, f, a: float, lattice: Lattice,
         total, info = _primal_variance(lattice, b, pieces,
                                        layer.volume_integral())
     else:
-        if xi_cap is None:
-            xi_cap = max(2e3 * b / a, 64.0)
-        summand = lambda q: layer.at(q / b) ** 2
-        total, info = convergent_dual_sum(
-            lattice, summand, decay_power=lattice.dim + 1.0,
-            tail_tol=tail_tol, xi_cap=xi_cap)
-        if not info.converged:
-            _require_tail_under_1pct(info, total, xi_cap)
-            flags.append("frequency-capped")
+        total, info = _refusing_dual_sum(
+            lattice, lambda q: layer.at(q / b) ** 2, a, b, 1e-3)
     value = total / (a * alpha) ** 2
-    return VarianceReport(value=value, a=a, b=b, alpha=alpha,
-                          shells=info, flags=flags)
+    return VarianceReport(value=value, a=a, b=b, alpha=alpha, shells=info)
 
 
 def volume_variance_exact(radius: float, lattice: Lattice, b: float, *,
-                          psf: Psf | None = None, a: float | None = None,
-                          tail_tol: float = 1e-4,
-                          xi_cap: float = 4096.0) -> VarianceReport:
+                          psf: Psf | None = None,
+                          a: float | None = None) -> VarianceReport:
     """Exact variance of the volume estimators for a centered ball.
 
     Binary (psf=None): the finite primal sum of the ball's
     autocorrelation lens(R, R, s), converged with a rounding bound.
     Grey: the dual sum of |F(1_B)(|xi|/b)|^2 |F(rho)(a |xi| / b)|^2 over
-    nonzero dual shells, truncated by tail_tol and xi_cap (which govern
-    only this route).
+    nonzero dual shells to a relative tolerance of 1e-4, or a
+    TruncationError if it does not converge (see _refusing_dual_sum).
     """
     d = lattice.dim
     if psf is None:
@@ -319,15 +320,8 @@ def volume_variance_exact(radius: float, lattice: Lattice, b: float, *,
         return (ball_indicator_fourier(radius, d, q) ** 2
                 * psf_fourier(psf, a * q) ** 2)
 
-    total, info = convergent_dual_sum(
-        lattice, summand, decay_power=d + 1.0, tail_tol=tail_tol,
-        xi_cap=xi_cap)
-    flags = []
-    if not info.converged:
-        _require_tail_under_1pct(info, total, xi_cap)
-        flags.append("frequency-capped")
-    return VarianceReport(value=total, a=a, b=b, alpha=1.0, shells=info,
-                          flags=flags)
+    total, info = _refusing_dual_sum(lattice, summand, a, b, 1e-4)
+    return VarianceReport(value=total, a=a, b=b, alpha=1.0, shells=info)
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +373,7 @@ def _layer_autocorrelation(f, profile: HalfspaceProfile):
     of Phi: 0, the distances between knot images, and w.  An indicator's
     Phi is the triangle (w - |t|)_+; any other weight takes a Gauss rule
     in s split at the knot images and their shifts by -t."""
-    knots = np.sort([profile.phi(y) for y in f.knots])
+    knots = knot_images(f, profile)
     w = knots[-1] - knots[0]
     breaks = np.unique(np.abs(knots[:, None] - knots[None, :]))
     if isinstance(f, Indicator):
@@ -649,15 +643,18 @@ def _surface_sampler(radius, psf, f, a, lattice, b, alpha) -> _RadialSampler:
                           evaluate=evaluate, scale=scale)
 
 
-def _run_batches(sampler: _RadialSampler, n_reps, seed, n_batches, workers):
+def _run_batches(run_batch, n_items, seed, n_batches, workers):
+    """Split n_items over n_batches seeds spawned from seed, run
+    run_batch(seed, size) -> (mean, variance) for each, on a thread pool
+    when workers > 1, and reduce in batch order."""
     seeds = np.random.SeedSequence(seed).spawn(n_batches)
-    sizes = np.full(n_batches, n_reps // n_batches)
-    sizes[:n_reps % n_batches] += 1
+    sizes = np.full(n_batches, n_items // n_batches)
+    sizes[:n_items % n_batches] += 1
     if workers and workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            out = list(pool.map(sampler.run_batch, seeds, sizes))
+            out = list(pool.map(run_batch, seeds, sizes))
     else:
-        out = [sampler.run_batch(s, n) for s, n in zip(seeds, sizes)]
+        out = [run_batch(s, n) for s, n in zip(seeds, sizes)]
     means = [m for m, _ in out]
     variances = [v for _, v in out]
     return _reduce_batches(means, variances, int(sizes.sum()))
@@ -679,7 +676,7 @@ def mc_surface(phantom, psf: Psf, f, a: float, lattice: Lattice, b: float,
     radius = _ball_radius(phantom)
     alpha = alpha_f(f, halfspace_profile(psf))
     sampler = _surface_sampler(radius, psf, f, a, lattice, b, alpha)
-    return _run_batches(sampler, n_reps, seed, n_batches, workers)
+    return _run_batches(sampler.run_batch, n_reps, seed, n_batches, workers)
 
 
 def mc_volume_binary(phantom, lattice: Lattice, b: float, n_reps: int,
@@ -705,7 +702,7 @@ def mc_volume_binary(phantom, lattice: Lattice, b: float, n_reps: int,
                              basis_b=b * np.asarray(lattice.basis),
                              evaluate=lambda rsq: rsq <= radius * radius,
                              scale=vol_cell)
-    res = _run_batches(sampler, n_reps, seed, n_batches, workers)
+    res = _run_batches(sampler.run_batch, n_reps, seed, n_batches, workers)
     core_vol = vol_cell * n_core
     return MCResult(
         n=res.n, n_batches=res.n_batches,
@@ -731,10 +728,6 @@ def mc_random_radius(psf: Psf, f, a: float, lattice: Lattice, b: float,
     if n_batches < 2 or n_radii < n_batches:
         raise DomainError("need at least one radius per batch")
     alpha = alpha_f(f, halfspace_profile(psf))
-    root = np.random.SeedSequence(seed)
-    batch_seeds = root.spawn(n_batches)
-    sizes = np.full(n_batches, n_radii // n_batches)
-    sizes[:n_radii % n_batches] += 1
 
     def run_batch(bseed, n_r):
         rng = np.random.default_rng(bseed)
@@ -749,14 +742,8 @@ def mc_random_radius(psf: Psf, f, a: float, lattice: Lattice, b: float,
             cond_vars[i] = v
         return float(cond_means.mean()), float(cond_vars.mean())
 
-    if workers and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            out = list(pool.map(run_batch, batch_seeds, sizes))
-    else:
-        out = [run_batch(s, n) for s, n in zip(batch_seeds, sizes)]
-    means = [m for m, _ in out]
-    variances = [v for _, v in out]
-    return _reduce_batches(means, variances, int(sizes.sum()) * n_shifts)
+    res = _run_batches(run_batch, n_radii, seed, n_batches, workers)
+    return replace(res, n=res.n * n_shifts)
 
 
 # ---------------------------------------------------------------------------
@@ -799,8 +786,8 @@ class BoundReport:
 
 
 def variance_bound_check(phantom, psf: Psf, f, a: float, lattice: Lattice,
-                         b: float, *, regime: str = "general",
-                         **options) -> BoundReport:
+                         b: float, *,
+                         regime: str = "general") -> BoundReport:
     """Divide the exact variance by the structural part of its upper bound.
 
     regime "general" uses the a^{-1} b^d R^{d-1} envelope with the weight
@@ -828,7 +815,7 @@ def variance_bound_check(phantom, psf: Psf, f, a: float, lattice: Lattice,
             f_lo ** 2 + f_hi ** 2) / alpha ** 2
     else:
         raise DomainError(f"unknown bound regime {regime!r}")
-    report = variance_exact_ball(phantom, psf, f, a, lattice, b, **options)
+    report = variance_exact_ball(phantom, psf, f, a, lattice, b)
     return BoundReport(variance=report.value, structural=structural,
                        implied_constant=report.value / structural,
                        a=a, b=b, regime=regime)

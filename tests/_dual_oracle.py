@@ -15,10 +15,22 @@ import math
 
 import numpy as np
 
+from greyvar.errors import TruncationError
 from greyvar.psf import sphere_area
 from greyvar.spectral import (AnnulusFourier, ball_indicator_fourier,
                               profile_fourier_1d)
-from greyvar.variance import _require_tail_under_1pct, convergent_dual_sum
+from greyvar.variance import ShellSumInfo, convergent_dual_sum
+
+
+def _require_tail_under_1pct(info: ShellSumInfo, total: float,
+                             xi_cap: float) -> None:
+    """A capped sum is still reportable while the tail bound stays under
+    1% of the partial sum; beyond that the result is not trustworthy."""
+    if info.tail_bound > 0.01 * total:
+        raise TruncationError(
+            f"dual-sum tail bound {info.tail_bound:.3e} exceeds 1% of the "
+            f"partial sum {total:.3e} at xi_cap={xi_cap:g}; raise xi_cap "
+            f"(try {2.0 * xi_cap:g})")
 
 
 def annulus_variance_raw(r_in, r_out, lattice, b, *, xi_cap,
@@ -57,17 +69,17 @@ def indicator_lattice_sum(w, lattice, *, xi_cap=1024.0, tail_tol=1e-12):
 
 
 def profile_lattice_sum(f, profile, lattice, *, tail_tol=1e-3,
-                        xi_cap=4096.0, refine=1):
+                        xi_cap=4096.0):
     """LS of any weight: sum of |F1(f o theta_H)(q)|^2 q^{-(d-1)} over
-    dual shells, F1 by oscillatory quadrature with `refine` times the
-    minimum panels, truncated by tail_tol and xi_cap (at most 4096);
+    dual shells, F1 by oscillatory quadrature split at the knot images,
+    truncated by tail_tol and xi_cap (at most 4096);
     refused while the tail bound of a capped sum exceeds 1% of the
     partial sum."""
     d = lattice.dim
     xi_cap = min(xi_cap, 4096.0)
 
     def summand(q):
-        return np.abs(profile_fourier_1d(f, profile, q, refine=refine)) ** 2 \
+        return np.abs(profile_fourier_1d(f, profile, q)) ** 2 \
             * q ** (-(d - 1.0))
 
     total, info = convergent_dual_sum(lattice, summand, decay_power=d + 1.0,

@@ -13,10 +13,13 @@ import hashlib
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+import scipy
 
 import greyvar
 from greyvar import lattice, variance
@@ -199,6 +202,14 @@ def test_manifest_records_output_sha256(tmp_path):
         "shells.csv": hashlib.sha256(blob).hexdigest()}
 
 
+def test_manifest_records_library_versions(tmp_path):
+    assert main(["shells", "--set", "shells.xi_max=5",
+                 "--out", str(tmp_path)]) == 0
+    assert _read_manifest(tmp_path)["library_versions"] == {
+        "python": platform.python_version(), "numpy": np.__version__,
+        "scipy": scipy.__version__}
+
+
 def test_sieve_over_budget_is_exit_3(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(lattice, "_SHELL_TABLES", {})
     rc = main(["shells", "--set", "phantom.dim=3",
@@ -311,16 +322,28 @@ def test_osc_bound_is_asymptotic_main_term(tmp_path):
         assert 0.0 < float(cell["tail_bound"]) < 1e-9
 
 
-def test_truncation_is_exit_3(tmp_path, capsys):
-    # the cap reaches only the dual route: a smooth weight
+def test_truncation_is_exit_3(tmp_path, capsys, monkeypatch):
+    # a smooth weight takes the dual route; cut it off before it converges
+    real = variance.convergent_dual_sum
+    monkeypatch.setattr(variance, "convergent_dual_sum",
+                        lambda *args, **kwargs: real(*args, **{**kwargs,
+                                                               "xi_cap": 3.0}))
     rc = main(["theory-variance", "--set", "scales.a=0.05",
-               "--set", "weight.kind=plateau",
-               "--set", "theory.xi_cap=3", "--out", str(tmp_path)])
+               "--set", "weight.kind=plateau", "--out", str(tmp_path)])
     assert rc == 3
     record = json.loads(capsys.readouterr().err.strip())
     assert record["error"] == "numerical"
     assert record["kind"] == "TruncationError"
-    assert "xi_cap" in record["message"]
+    assert "dual radius 3" in record["message"]
+    assert "xi_cap" not in record["message"]
+
+
+@pytest.mark.parametrize("key", ["theory.xi_cap", "theory.tail_tol"])
+def test_truncation_knobs_are_unknown_keys(tmp_path, capsys, key):
+    rc = main(["theory-variance", "--set", f"{key}=3",
+               "--out", str(tmp_path)])
+    assert rc == 2
+    assert json.loads(capsys.readouterr().err.strip())["key"] == key
 
 
 def test_module_entry_point(tmp_path):

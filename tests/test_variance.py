@@ -99,8 +99,7 @@ def test_spatial_autocorrelation_oracle():
     R, a, b = 1.0, 0.05, 0.05
     f = SmoothPlateau()
     var_spatial = _spatial_variance(f, R, a, b)
-    rep = variance_exact_ball(Ball(2, R), GAUSS2, f, a, Z2, b,
-                              tail_tol=1e-8)
+    rep = variance_exact_ball(Ball(2, R), GAUSS2, f, a, Z2, b)
     assert rep.shells.converged
     assert rep.value == pytest.approx(var_spatial, rel=1e-4)
 
@@ -142,10 +141,8 @@ def test_variance_scale_identity():
     qs = np.array([3.0, 11.0, 29.0, 57.0])
     np.testing.assert_allclose(lay_R.at(qs), R ** 2 * lay_1.at(R * qs),
                                rtol=1e-6)
-    v_R = variance_exact_ball(Ball(2, R), GAUSS2, f, a, Z2, b,
-                              tail_tol=1e-7)
-    v_1 = variance_exact_ball(Ball(2, 1.0), GAUSS2, f, a / R, Z2, b / R,
-                              tail_tol=1e-7)
+    v_R = variance_exact_ball(Ball(2, R), GAUSS2, f, a, Z2, b)
+    v_1 = variance_exact_ball(Ball(2, 1.0), GAUSS2, f, a / R, Z2, b / R)
     assert v_R.value == pytest.approx(R ** 2 * v_1.value, rel=1e-6)
 
 
@@ -156,7 +153,7 @@ def test_exact_variance_frozen_value():
     rep = variance_exact_ball(Ball(2, 1.0), GAUSS2, Indicator(), 0.05,
                               Z2, 0.05)
     assert rep.value == pytest.approx(3.384560e-2, rel=1e-4)
-    assert rep.flags == []
+    assert rep.shells.converged
     assert rep.alpha == pytest.approx(2.0 * norm.ppf(0.7), rel=1e-9)
 
 
@@ -173,7 +170,6 @@ def test_indicator_primal_sum_vs_dual(latt, xi_cap):
     psf = gaussian(d)
     rep = variance_exact_ball(Ball(d, 1.0), psf, Indicator(), a, latt, a)
     assert rep.shells.converged and rep.shells.xi_max == math.inf
-    assert rep.flags == []
     primal = rep.value * (a * rep.alpha) ** 2
     r_in, r_out = ball_band_radii(1.0, psf, a, 0.3, 0.7)
     dual, info = dual_oracle.annulus_variance_raw(r_in, r_out, latt, a,
@@ -186,7 +182,7 @@ def test_indicator_primal_sum_vs_dual(latt, xi_cap):
                                           (unit_lattice(3), 300.0)])
 def test_binary_volume_primal_sum_vs_dual(latt, xi_cap):
     rep = volume_variance_exact(1.0, latt, 0.05)
-    assert rep.shells.converged and rep.flags == []
+    assert rep.shells.converged
     dual, info = dual_oracle.ball_variance_raw(1.0, latt, 0.05,
                                                xi_cap=xi_cap)
     rounding = rep.shells.tail_bound
@@ -237,14 +233,13 @@ def test_lattice_sum_vs_dual(latt, kernel, f):
     its squared profile transform.  Every dual term is positive, so the
     truth lies between the dual partial sum and that plus its tail
     bound, and the primal value within its own tail_bound of the truth.
-    The oscillatory rule is refined 16-fold: it is not split at the
-    knot images, and at refine=1 it is off by up to 6e-8 relative."""
+    The oscillatory rule is split at the knot images, so its base panel
+    count is accurate to rounding."""
     profile = halfspace_profile(kernel(latt.dim))
     ls, info = profile_lattice_sum(f, profile, latt)
     assert info.converged and info.xi_max == math.inf
     dual, dual_info = dual_oracle.profile_lattice_sum(f, profile, latt,
-                                                      tail_tol=1e-7,
-                                                      refine=16)
+                                                      tail_tol=1e-7)
     assert dual_info.converged
     assert (-info.tail_bound <= ls - dual
             <= dual_info.tail_bound + info.tail_bound)
@@ -329,13 +324,27 @@ def test_indicator_and_binary_sums_need_no_dual_shells(dim, monkeypatch):
 
 # (the dual routes: smooth weights and the grey volume)
 
-def test_truncation_error_names_cap_and_suggests_double():
-    with pytest.raises(TruncationError, match=r"xi_cap=3.*try 6"):
-        variance_exact_ball(Ball(2, 1.0), GAUSS2, SmoothPlateau(), 0.05,
-                            Z2, 0.05, xi_cap=3.0)
-    with pytest.raises(TruncationError, match=r"xi_cap=2.*try 4"):
-        volume_variance_exact(1.0, Z2, 0.05, psf=GAUSS2, a=0.05,
-                              xi_cap=2.0)
+def _force_dual_sum(monkeypatch, **forced):
+    """Make every dual sum of the variance module run with `forced`
+    in place of its own truncation arguments."""
+    real = variance.convergent_dual_sum
+    monkeypatch.setattr(
+        variance, "convergent_dual_sum",
+        lambda *args, **kwargs: real(*args, **{**kwargs, **forced}))
+
+
+def test_unconverged_dual_sum_is_refused(monkeypatch):
+    """A dual sum cut off before it converges raises, naming the dual
+    radius it reached; it suggests no knob, since there is none."""
+    _force_dual_sum(monkeypatch, xi_cap=3.0)
+    calls = [lambda: variance_exact_ball(Ball(2, 1.0), GAUSS2,
+                                         SmoothPlateau(), 0.05, Z2, 0.05),
+             lambda: volume_variance_exact(1.0, Z2, 0.05, psf=GAUSS2,
+                                           a=0.05)]
+    for call in calls:
+        with pytest.raises(TruncationError, match=r"dual radius 3\b") as err:
+            call()
+        assert "xi_cap" not in str(err.value)
 
 
 def test_primal_sum_over_sieve_budget_allocates_nothing(monkeypatch):
@@ -355,14 +364,16 @@ def test_primal_sum_over_sieve_budget_allocates_nothing(monkeypatch):
     assert "xi_cap" not in str(err.value)
 
 
-def test_frequency_capped_flag_below_one_percent():
-    # cap reached with the tail bound under 1%: flagged, not fatal
+def test_capped_sum_under_one_percent_is_refused(monkeypatch):
+    """A sum that stops at its cap is refused even when its tail bound
+    is far under 1% of the value: no report is ever unconverged."""
     args = (Ball(2, 1.0), GAUSS2, SmoothPlateau(), 0.05, Z2, 0.05)
-    rep = variance_exact_ball(*args, tail_tol=1e-10, xi_cap=40.0)
-    assert rep.flags == ["frequency-capped"]
-    assert not rep.shells.converged
-    assert rep.value == pytest.approx(variance_exact_ball(*args).value,
-                                      rel=5e-3)
+    rep = variance_exact_ball(*args)
+    assert rep.shells.converged
+    assert rep.shells.tail_bound < 1e-3 * rep.value * (0.05 * rep.alpha) ** 2
+    _force_dual_sum(monkeypatch, tail_tol=1e-10, xi_cap=40.0)
+    with pytest.raises(TruncationError, match="dual radius 40"):
+        variance_exact_ball(*args)
 
 
 # ---------------------------------------------------------------------------
