@@ -99,6 +99,8 @@ class ConfigView:
             value = float(raw)
         except ValueError:
             raise ConfigError(key, f"cannot parse {raw!r} as a number")
+        if not math.isfinite(value):
+            raise ConfigError(key, f"must be finite, got {value!r}")
         if positive and not value > 0.0:
             raise ConfigError(key, f"must be positive, got {value!r}")
         return value
@@ -142,6 +144,8 @@ class ConfigView:
                 raise ConfigError(key, f"cannot parse grid spec {raw!r}")
             if n < 1:
                 raise ConfigError(key, "grid count must be >= 1")
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ConfigError(key, "all scales must be finite")
             if kind == "geom" and (lo <= 0 or hi <= 0):
                 raise ConfigError(key, "geometric grid needs positive ends")
             pts = (np.linspace(lo, hi, n) if kind == "lin"
@@ -155,6 +159,8 @@ class ConfigView:
                                        f"list of numbers")
             if not values:
                 raise ConfigError(key, "grid is empty")
+            if not all(map(math.isfinite, values)):
+                raise ConfigError(key, "all scales must be finite")
         if any(not v > 0.0 for v in values):
             raise ConfigError(key, "all scales must be positive")
         return values
@@ -190,6 +196,9 @@ def _build_phantom(view: ConfigView) -> Ball:
 def _build_psf(view: ConfigView, dim: int):
     kind = view.get("psf.kind", "gaussian")
     if kind == "gaussian":
+        if "psf.support" in view.raw:
+            raise ConfigError("psf.support",
+                              "a gaussian PSF takes no support radius")
         return gaussian(dim)
     if kind == "bump":
         return compact_bump(dim, view.floatval("psf.support", 1.0,
@@ -234,6 +243,8 @@ def _build_lattice(view: ConfigView, dim: int) -> Lattice:
         except ValueError:
             raise ConfigError("lattice.matrix",
                               f"cannot parse {raw!r} as numbers")
+        if not all(map(math.isfinite, values)):
+            raise ConfigError("lattice.matrix", "entries must be finite")
         side = math.isqrt(len(values))
         if side * side != len(values):
             raise ConfigError("lattice.matrix",
@@ -331,11 +342,16 @@ def _signed_grid(view: ConfigView, key: str, default: str) -> list[float]:
             raise ConfigError(key, f"cannot parse grid spec {raw!r}")
         if n < 1:
             raise ConfigError(key, "grid count must be >= 1")
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ConfigError(key, "all values must be finite")
         return [float(v) for v in np.linspace(lo, hi, n)]
     try:
-        return [float(tok) for tok in raw.split(",") if tok.strip()]
+        values = [float(tok) for tok in raw.split(",") if tok.strip()]
     except ValueError:
         raise ConfigError(key, f"cannot parse {raw!r} as numbers")
+    if not all(map(math.isfinite, values)):
+        raise ConfigError(key, "all values must be finite")
+    return values
 
 
 def _cmd_shells(view: ConfigView, seed: int, workers: int):

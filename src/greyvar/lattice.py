@@ -35,6 +35,8 @@ class Lattice:
             raise DomainError("lattice matrix must be square")
         if A.shape[0] not in (2, 3):
             raise DomainError("only dimensions 2 and 3 are supported")
+        if not np.all(np.isfinite(A)):
+            raise DomainError("lattice matrix entries must be finite")
         if np.linalg.det(A) <= 0:
             raise DomainError("lattice matrix must have positive determinant")
         object.__setattr__(self, "matrix",

@@ -14,7 +14,7 @@ so   theta_a(B(R))(x) = int_0^inf rho(w) * surf(S^{d-1}) w^{d-1}
 In d=2 the cap fraction has square-root behaviour where the cap appears
 or disappears; the quadrature substitutes w = w_edge + zeta^2 there, which
 removes the singularity and grades nodes toward the edge.  The evaluation
-is vectorized over points, so tabulating a radial intensity model is cheap.
+is vectorized over points, so a Chebyshev radial intensity model is cheap.
 """
 
 from __future__ import annotations
@@ -24,12 +24,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.optimize import brentq
+from numpy.polynomial import Chebyshev
 
 from . import psf as psf_mod
 from ._quad import panel_nodes
-from .errors import DomainError
+from .errors import DomainError, TruncationError
 from .psf import Psf, eval_rho, halfspace_profile, sphere_area
 
 
@@ -50,8 +49,8 @@ class Ball(Phantom):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.radius <= 0:
-            raise DomainError("ball radius must be positive")
+        if not 0.0 < self.radius < math.inf:
+            raise DomainError("ball radius must be positive and finite")
 
     @property
     def surface_area(self) -> float:
@@ -72,11 +71,11 @@ class TransformedBall(Phantom):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.radius <= 0 or self.scale <= 0:
-            raise DomainError("radius and scale must be positive")
+        if not (0.0 < self.radius < math.inf and 0.0 < self.scale < math.inf):
+            raise DomainError("radius and scale must be positive and finite")
         c = tuple(float(v) for v in self.center) or (0.0,) * self.dim
-        if len(c) != self.dim:
-            raise DomainError("center has wrong dimension")
+        if len(c) != self.dim or not all(map(math.isfinite, c)):
+            raise DomainError("center must be a finite d-vector")
         object.__setattr__(self, "center", c)
 
     @property
@@ -188,28 +187,40 @@ def _ball_intensity_radii(psf: Psf, a: float, R: float, radii) -> np.ndarray:
     return np.clip(out, 0.0, 1.0)
 
 
-# nodes of the radial intensity table (see IntensityModel)
-_N_TABLE = 2049
+# degree of a ball's Chebyshev intensity model (see _radial_model) and
+# the Newton steps a level radius may take before it is refused
+_CHEB_DEGREE = 80
+_NEWTON_STEPS = 8
 
 
-def _transition_zone(psf: Psf, a: float, R: float) -> tuple[float, float]:
-    """Radii outside which the grey value of the centered ball B(R) is
-    1 or 0 up to the PSF tail."""
-    W = psf_mod._integration_radius(psf)
-    return max(R - a * W, 0.0), R + a * W
+@lru_cache(maxsize=64)
+def _radial_model(psf: Psf, a: float, R: float) -> Chebyshev:
+    """Chebyshev interpolant of the cap quadrature of B(R) on R -/+ a T,
+    T the edge profile's half-width; theta is 1 or 0 outside it."""
+    T = halfspace_profile(psf).T
+    return Chebyshev.interpolate(
+        lambda r: _ball_intensity_radii(psf, a, R, r), _CHEB_DEGREE,
+        domain=[max(R - a * T, 0.0), R + a * T])
 
 
 def _level_radius(psf: Psf, a: float, R: float, level: float) -> float:
     """Radius where the grey value of the centered ball B(R) falls
-    through `level`, rooted on the exact cap quadrature."""
-    lo, hi = _transition_zone(psf, a, R)
-    theta_lo, theta_hi = _ball_intensity_radii(psf, a, R, [lo, hi])
-    if not theta_hi < level < theta_lo:
+    through `level`: Newton steps on the exact cap quadrature with the
+    model's slope, from the crossing of the model's samples."""
+    theta = _radial_model(psf, a, R)
+    r, v = theta.linspace(_CHEB_DEGREE + 1)
+    j = int(np.argmax(v < level))
+    if not (j > 0 and v[j] < level):
         raise DomainError(
             f"level {level:g} not bracketed in the transition zone")
-    return brentq(
-        lambda r: float(_ball_intensity_radii(psf, a, R, [r])[0]) - level,
-        lo, hi, xtol=1e-13)
+    x = r[j - 1] + (r[j] - r[j - 1]) * (v[j - 1] - level) / (v[j - 1] - v[j])
+    slope = theta.deriv()
+    for _ in range(_NEWTON_STEPS):
+        step = (_ball_intensity_radii(psf, a, R, [x])[0] - level) / slope(x)
+        x -= step
+        if abs(step) < 1e-13:
+            return float(x)
+    raise TruncationError(f"level {level:g} radius: Newton did not converge")
 
 
 def ball_band_radii(radius: float, psf: Psf, a: float, beta: float,
@@ -218,8 +229,9 @@ def ball_band_radii(radius: float, psf: Psf, a: float, beta: float,
     its grey value lies in [beta, omega].  r_in is the inner end of the
     transition zone (0 for a wide blur) when the grey value there is
     already at most omega."""
-    r_lo, _ = _transition_zone(psf, a, radius)
-    theta0 = float(_ball_intensity_radii(psf, a, radius, [r_lo])[0])
+    theta = _radial_model(psf, a, radius)
+    r_lo = theta.domain[0]
+    theta0 = theta(r_lo)
     if theta0 <= beta:
         raise DomainError("blur swamps the ball: grey band never reached")
     r_in = r_lo if theta0 <= omega else _level_radius(psf, a, radius, omega)
@@ -229,12 +241,14 @@ def ball_band_radii(radius: float, psf: Psf, a: float, beta: float,
 class IntensityModel:
     """Fast vectorized grey-value evaluator for a (phantom, psf, a) triple.
 
-    For balls, the radial intensity is tabulated over the transition zone
-    on 2049 nodes and interpolated with a cubic spline (abs error 2.1e-10
-    for the Gaussian); outside the zone the value is exactly 1 or 0 up to
-    the PSF tail.  Half-spaces evaluate through the edge profile directly.
-    Band radii come from ball_band_radii, not from the table, so the
-    variance engine builds one only for weights that read grey values.
+    Balls read the cached degree-80 Chebyshev model of the transition
+    zone (_radial_model), which ball_band_radii shares, and are 1 or 0
+    outside it (within 6e-16 for the Gaussian).  Its largest error
+    against the quadrature, on 20001 radii at a = 0.1 and 0.0125, is
+    1.6e-13 for the Gaussian (also against its chi-square closed form),
+    the bump and the d=3 disc, and 4.7e-7 for the d=2 disc, whose
+    square-root edge converges slowly.  Half-spaces evaluate through the
+    edge profile directly.
     """
 
     def __init__(self, phantom: Phantom, psf: Psf, a: float):
@@ -265,35 +279,25 @@ class IntensityModel:
 
         self._kind = "ball"
         self.R = R
-        r_lo, r_hi = _transition_zone(psf, a, R)
-        grid = np.linspace(r_lo, r_hi, _N_TABLE)
-        vals = _ball_intensity_radii(psf, a, R, grid)
-        self._r_lo, self._r_hi = r_lo, r_hi
-        self._spline = CubicSpline(grid, vals)
+        self._theta = _radial_model(psf, a, R)
 
     @property
     def table_range(self) -> tuple[float, float]:
-        """Radius interval of the tabulated transition zone (balls only)."""
+        """Radius interval of the modelled transition zone (balls only)."""
         if self._kind != "ball":
             raise DomainError("table_range is only defined for ball phantoms")
-        return (self._r_lo, self._r_hi)
+        return tuple(map(float, self._theta.domain))
 
     def radial(self, r):
         """Grey value at radius r from the ball center (balls only)."""
         if self._kind != "ball":
             raise DomainError("radial() is only defined for ball phantoms")
         r = np.asarray(r, dtype=float)
-        out = np.empty_like(r)
-        hi_mask = r >= self._r_hi
-        out[hi_mask] = 0.0
-        if self._r_lo > 0.0:
-            lo_mask = r <= self._r_lo
-            out[lo_mask] = 1.0
-            mid = ~lo_mask & ~hi_mask
-        else:
-            mid = ~hi_mask
+        lo, hi = self._theta.domain
+        out = np.where(r < lo, 1.0, 0.0)
+        mid = (r >= lo) & (r < hi)
         if np.any(mid):
-            out[mid] = np.clip(self._spline(r[mid]), 0.0, 1.0)
+            out[mid] = np.clip(self._theta(r[mid]), 0.0, 1.0)
         return out
 
     def __call__(self, points):

@@ -80,8 +80,8 @@ class Psf:
             raise DomainError("only dimensions 2 and 3 are supported")
         if self.kind == "gaussian" and self.support_radius == 0.0:
             object.__setattr__(self, "support_radius", GAUSSIAN_T)
-        if self.support_radius <= 0.0:
-            raise DomainError("support_radius must be positive")
+        if not 0.0 < self.support_radius < math.inf:
+            raise DomainError("support_radius must be positive and finite")
 
     @property
     def compact(self) -> bool:

@@ -43,7 +43,7 @@ kernel scores squared radii |p + o|^2, one matrix product per chunk of
 shifts o: the indicator weight and the binary volume compare them with
 squared band radii (f(theta(r)) = 1[r_in <= r <= r_out] exactly, as
 the annulus autocorrelation of the exact engine uses), and any other
-weight takes f(theta(r)) of the spline intensity at their square roots.
+weight takes f(theta(r)) of the intensity model inside the band, 0 outside.
 """
 
 from __future__ import annotations
@@ -629,15 +629,20 @@ def _surface_sampler(radius, psf, f, a, lattice, b, alpha) -> _RadialSampler:
     r_in, r_out = ball_band_radii(radius, psf, a, f.knots[0], f.knots[-1])
     pts = _annulus_points(lattice, b, r_in, r_out)
     scale = (lattice.cell_volume / alpha) * b ** psf.dim / a
+    # f(theta(r)) vanishes outside [r_in, r_out]; a band reaching the
+    # centre (r_in = 0) must also take squared radii rounded below 0
+    lo = r_in * r_in if r_in > 0.0 else -math.inf
+    hi = r_out * r_out
     if isinstance(f, Indicator):
-        # f(theta(r)) = 1[r_in <= r <= r_out]; a band reaching the centre
-        # (r_in = 0) must also take squared radii rounded below 0
-        lo = r_in * r_in if r_in > 0.0 else -math.inf
-        hi = r_out * r_out
         evaluate = lambda rsq: (rsq >= lo) & (rsq <= hi)
     else:
         model = intensity_model(Ball(psf.dim, radius), psf, a)
-        evaluate = lambda rsq: f(model.radial(np.sqrt(np.maximum(rsq, 0.0))))
+
+        def evaluate(rsq):
+            band = (rsq >= lo) & (rsq <= hi)
+            w = np.zeros(rsq.shape)
+            w[band] = f(model.radial(np.sqrt(np.maximum(rsq[band], 0.0))))
+            return w
     return _RadialSampler(base_points=pts,
                           basis_b=b * np.asarray(lattice.basis),
                           evaluate=evaluate, scale=scale)

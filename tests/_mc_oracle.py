@@ -1,18 +1,18 @@
 """Reference Monte Carlo batch kernel: radii summed coordinate by
-coordinate, then sqrt, then the weight of the spline intensity
-f(IntensityModel.radial(r)), in chunks of 256 shifts.
+coordinate, then sqrt, then the weight of the model intensity
+f(IntensityModel.radial(r)) at every point, in chunks of 256 shifts.
 
 This is the kernel the package used before it scored squared radii with
 one matrix product, kept here as the oracle for that product, for the
-indicator shortcut (comparing squared radii with the band radii squared)
-and for the trimmed point set.  It enumerates its own lattice points:
-every b A k within one cell diameter of the radii where the spline
-intensity crosses the band edges, found by its own root search.  A shift
-moves a point by at most a cell diameter, and beyond those radii the
-grey value lies outside the band, where every weight vanishes.  Seeds
-and batch sizes follow the package's scheme (one root SeedSequence
-spawned per batch, sizes differing by at most one), so each oracle batch
-sees exactly the shifts the package draws.
+indicator shortcut (comparing squared radii with the band radii squared),
+for the band mask of smooth weights and for the trimmed point set.  It
+enumerates its own lattice points: every b A k within one cell diameter
+of the radii where the model intensity crosses the band edges, found by
+its own root search.  A shift moves a point by at most a cell diameter,
+and beyond those radii the grey value lies outside the band, where every
+weight vanishes.  Seeds and batch sizes follow the package's scheme (one
+root SeedSequence spawned per batch, sizes differing by at most one), so
+each oracle batch sees exactly the shifts the package draws.
 """
 
 import math

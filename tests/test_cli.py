@@ -282,6 +282,38 @@ def test_config_validation_exit_2(tmp_path, capsys, override, key):
     assert record["key"] == key
 
 
+@pytest.mark.parametrize("argv,key", [
+    (["shells", "--set", "lattice.matrix=nan,0,0,1"], "lattice.matrix"),
+    (["shells", "--set", "lattice.matrix=inf,0,0,1"], "lattice.matrix"),
+    (["theory-variance", "--set", "psf.kind=bump", "--set",
+      "psf.support=inf", "--set", "scales.a=0.1"], "psf.support"),
+    (["theory-variance", "--set", "phantom.radius=inf", "--set",
+      "scales.a=0.1"], "phantom.radius"),
+    (["theory-variance", "--set", "scales.a=inf"], "scales.a"),
+    (["theory-variance", "--set", "scales.a=nan"], "scales.a"),
+    (["theory-variance", "--set", "scales.a=geom:0.1:inf:3"], "scales.a"),
+    (["profile", "--set", "profile.range=nan,1"], "profile.range"),
+    (["profile", "--set", "profile.range=lin:-inf:1:3"], "profile.range"),
+])
+def test_non_finite_values_are_exit_2(tmp_path, capsys, argv, key):
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "config"
+    assert record["key"] == key
+    assert "finite" in record["message"]
+
+
+def test_gaussian_psf_support_is_exit_2(tmp_path, capsys):
+    """A Gaussian has no support radius, so psf.support would be ignored
+    silently; it is refused instead."""
+    rc = main(["profile", "--set", "psf.support=3", "--out", str(tmp_path)])
+    assert rc == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "config"
+    assert record["key"] == "psf.support"
+    assert not (tmp_path / "profile.csv").exists()
+
+
 def test_malformed_set_is_exit_2(tmp_path, capsys):
     rc = main(["profile", "--set", "nonsense", "--out", str(tmp_path)])
     assert rc == 2
@@ -356,3 +388,20 @@ def test_module_entry_point(tmp_path):
         capture_output=True, text=True, cwd=str(tmp_path), env=env)
     assert proc.returncode == 0
     assert "greyvar 0.1.0" in proc.stdout
+
+
+def test_import_loads_no_interpolate_or_optimize():
+    """Ball intensities and band radii come from one Chebyshev model, so
+    importing the package and its CLI leaves scipy.interpolate and
+    scipy.optimize unloaded."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(greyvar.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import sys, greyvar, greyvar.cli; print(sorted(m for m in "
+            "sys.modules if m.startswith(('scipy.interpolate', "
+            "'scipy.optimize'))))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -64,6 +64,9 @@ def test_lattice_validation():
         Lattice(((0.0, 1.0), (1.0, 0.0)))  # negative determinant
     with pytest.raises(DomainError):
         Lattice(((1.0,),))  # unsupported dimension
+    for bad in (math.inf, math.nan):
+        with pytest.raises(DomainError):
+            Lattice(((bad, 0.0), (0.0, 1.0)))
 
 
 @pytest.mark.parametrize("dim", [2, 3])

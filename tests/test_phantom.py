@@ -108,13 +108,27 @@ def test_capfrac_extremes_and_d3_closed_form():
 @pytest.mark.parametrize("dim", [2, 3])
 def test_intensity_model_radial_table(dim):
     psf = gaussian(dim)
-    a, R = 0.05, 1.0
-    model = IntensityModel(Ball(dim, R), psf, a)
-    r_lo, r_hi = model.table_range
-    assert r_lo < R < r_hi
-    rs = np.linspace(r_lo, r_hi, 201)
-    expected = _gauss_ball_theta(rs, R, a, dim)
-    np.testing.assert_allclose(model.radial(rs), expected, atol=2e-9)
+    R = 1.0
+    for a in (0.1, 0.05, 0.0125):
+        model = IntensityModel(Ball(dim, R), psf, a)
+        r_lo, r_hi = model.table_range
+        assert r_lo < R < r_hi
+        rs = np.linspace(r_lo, r_hi, 201)
+        expected = _gauss_ball_theta(rs, R, a, dim)
+        np.testing.assert_allclose(model.radial(rs), expected, atol=1e-12)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_intensity_model_radial_matches_bump_quadrature(dim):
+    psf = compact_bump(dim, 1.0)
+    R = 1.0
+    for a in (0.1, 0.0125):
+        model = IntensityModel(Ball(dim, R), psf, a)
+        r_lo, r_hi = model.table_range
+        rs = np.linspace(r_lo - a, r_hi + a, 101)
+        expected = [intensity(Ball(dim, R), psf, a, np.eye(dim)[0] * r)
+                    for r in rs]
+        np.testing.assert_allclose(model.radial(rs), expected, atol=1e-12)
 
 
 def test_intensity_model_clamps_outside_table():
@@ -192,6 +206,15 @@ def test_transition_offsets_shrink_with_a():
 def test_validation_errors():
     with pytest.raises(DomainError):
         Ball(2, -1.0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(DomainError):
+            Ball(2, bad)
+        with pytest.raises(DomainError):
+            TransformedBall(2, radius=bad)
+        with pytest.raises(DomainError):
+            TransformedBall(2, scale=bad)
+        with pytest.raises(DomainError):
+            TransformedBall(2, center=(0.0, bad))
     with pytest.raises(DomainError):
         HalfSpace(2, normal=(0.0, 0.0))
     with pytest.raises(DomainError):

@@ -13,7 +13,7 @@ import pytest
 from scipy.integrate import quad
 
 from greyvar.errors import DomainError
-from greyvar.psf import (GAUSSIAN_T, ball_indicator, ball_volume,
+from greyvar.psf import (GAUSSIAN_T, Psf, ball_indicator, ball_volume,
                          check_conditions, compact_bump, effective_radius,
                          eval_rho, gaussian, halfspace_profile, radial_mass,
                          sphere_area)
@@ -214,3 +214,8 @@ def test_psf_validation():
         gaussian(4)
     with pytest.raises(DomainError):
         compact_bump(2, -1.0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(DomainError):
+            compact_bump(2, bad)
+        with pytest.raises(DomainError):
+            Psf("gaussian", 2, bad)

@@ -42,7 +42,7 @@ Z2 = unit_lattice(2)
 GAUSS2 = gaussian(2)
 
 
-# the coordinate-loop, sqrt and spline Monte Carlo kernel
+# the coordinate-loop, sqrt and model-intensity Monte Carlo kernel
 import _mc_oracle as mc_oracle
 # the dual-shell sums of the indicator and binary-volume variances and LS
 import _dual_oracle as dual_oracle
@@ -542,7 +542,7 @@ def test_mc_volume_binary_matches_exact():
                                            (3, 0.1, 3), (3, 0.1, 4)])
 def test_mc_surface_indicator_equals_oracle(dim, ab, seed):
     """Comparing squared radii with the band radii squared scores every
-    point as the spline intensity does; 300 shifts per batch span two of
+    point as the model intensity does; 300 shifts per batch span two of
     the oracle's chunks."""
     psf, latt = gaussian(dim), unit_lattice(dim)
     got = mc_surface(Ball(dim, 1.0), psf, Indicator(), ab, latt, ab, 600,
@@ -555,8 +555,8 @@ def test_mc_surface_indicator_equals_oracle(dim, ab, seed):
 
 
 def test_mc_surface_smooth_weight_matches_oracle():
-    """A smooth weight still goes through the spline; only the rounding
-    of the squared radii differs."""
+    """A smooth weight still goes through the intensity model; only the
+    rounding of the squared radii and the band mask differ."""
     got = mc_surface(Ball(2, 1.0), GAUSS2, SmoothPlateau(), 0.05, Z2, 0.05,
                      600, 5, n_batches=2)
     means, variances = mc_oracle.mc_surface(1.0, GAUSS2, SmoothPlateau(),
@@ -601,6 +601,27 @@ def test_annulus_points_drop_only_zero_weight_points(latt, ab):
     for chunk in np.split(offs, 10):
         r = np.linalg.norm(dropped[:, None, :] + chunk[None, :, :], axis=2)
         assert not np.any(f(model.radial(r)))
+
+
+@pytest.mark.parametrize("psf, a", [(compact_bump(2, 1.0), 0.05),
+                                    (gaussian(3), 0.05), (GAUSS2, 0.85)])
+def test_smooth_mc_weight_reads_the_model_only_in_the_band(psf, a):
+    """The smooth-weight kernel scores only squared radii inside the
+    band, and gives f(theta(r)) of the intensity model on every radius;
+    a = 0.85 puts the band's inner end at the centre (r_in = 0)."""
+    f = SmoothPlateau()
+    latt = unit_lattice(psf.dim)
+    sampler = variance._surface_sampler(1.0, psf, f, a, latt, 0.05, 1.0)
+    model = phantom.intensity_model(Ball(psf.dim, 1.0), psf, a)
+    offs = (np.random.default_rng(3).random((16, psf.dim))
+            @ sampler.basis_b.T)
+    pts = sampler.base_points
+    rsq = np.einsum("ijk,ijk->ij", pts[:, None, :] + offs[None],
+                    pts[:, None, :] + offs[None])
+    rsq = np.append(rsq.ravel(), [-1e-17, 0.0])
+    expected = f(model.radial(np.sqrt(np.maximum(rsq, 0.0))))
+    assert np.any(expected > 0.0) and np.any(expected == 0.0)
+    np.testing.assert_array_equal(sampler.evaluate(rsq), expected)
 
 
 @pytest.mark.parametrize("f, builds", [(Indicator(), 0),
