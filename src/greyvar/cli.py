@@ -127,7 +127,10 @@ class ConfigView:
             return False
         raise ConfigError(key, f"cannot parse {raw!r} as a boolean")
 
-    def grid(self, key: str, default: str | None = None) -> list[float]:
+    def grid(self, key: str, default: str | None = None, *,
+             positive: bool = True) -> list[float]:
+        """A 'lin:start:stop:count' or 'geom:start:stop:count' grid, or a
+        comma list; finite, and positive unless positive is off."""
         raw = self.get(key, default)
         if raw is None:
             raise ConfigError(key, "required key is missing")
@@ -145,7 +148,7 @@ class ConfigView:
             if n < 1:
                 raise ConfigError(key, "grid count must be >= 1")
             if not (math.isfinite(lo) and math.isfinite(hi)):
-                raise ConfigError(key, "all scales must be finite")
+                raise ConfigError(key, "all values must be finite")
             if kind == "geom" and (lo <= 0 or hi <= 0):
                 raise ConfigError(key, "geometric grid needs positive ends")
             pts = (np.linspace(lo, hi, n) if kind == "lin"
@@ -160,9 +163,9 @@ class ConfigView:
             if not values:
                 raise ConfigError(key, "grid is empty")
             if not all(map(math.isfinite, values)):
-                raise ConfigError(key, "all scales must be finite")
-        if any(not v > 0.0 for v in values):
-            raise ConfigError(key, "all scales must be positive")
+                raise ConfigError(key, "all values must be finite")
+        if positive and any(not v > 0.0 for v in values):
+            raise ConfigError(key, "all values must be positive")
         return values
 
 
@@ -321,37 +324,12 @@ def _cmd_profile(view: ConfigView, seed: int, workers: int):
     dim = view.intval("phantom.dim", 2)
     psf = _build_psf(view, dim)
     profile = halfspace_profile(psf)
-    t = np.asarray(_signed_grid(view, "profile.range", "lin:-4:4:161"))
+    t = np.asarray(view.grid("profile.range", "lin:-4:4:161",
+                             positive=False))
     theta = profile.theta(t)
     dtheta = profile.dtheta(t)
     rows = [[tv, th, dth] for tv, th, dth in zip(t, theta, dtheta)]
     return ["t", "theta_h", "dtheta_h"], rows
-
-
-def _signed_grid(view: ConfigView, key: str, default: str) -> list[float]:
-    """Like ConfigView.grid but allowing nonpositive values (offsets)."""
-    raw = str(view.get(key, default)).strip()
-    if raw.startswith("lin:"):
-        parts = raw[4:].split(":")
-        if len(parts) != 3:
-            raise ConfigError(key, f"grid spec {raw!r} is not "
-                                   f"'lin:start:stop:count'")
-        try:
-            lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
-        except ValueError:
-            raise ConfigError(key, f"cannot parse grid spec {raw!r}")
-        if n < 1:
-            raise ConfigError(key, "grid count must be >= 1")
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise ConfigError(key, "all values must be finite")
-        return [float(v) for v in np.linspace(lo, hi, n)]
-    try:
-        values = [float(tok) for tok in raw.split(",") if tok.strip()]
-    except ValueError:
-        raise ConfigError(key, f"cannot parse {raw!r} as numbers")
-    if not all(map(math.isfinite, values)):
-        raise ConfigError(key, "all values must be finite")
-    return values
 
 
 def _cmd_shells(view: ConfigView, seed: int, workers: int):

@@ -217,8 +217,8 @@ def estimate_surface(phantom: Phantom, psf: Psf, f, a: float,
     Returns both the raw statistic S0 and the normalized estimate
     cell_volume * alpha_f^{-1} * S0.
     """
-    if a <= 0:
-        raise DomainError("blur scale a must be positive")
+    if not 0 < a < math.inf:
+        raise DomainError("blur scale a must be positive and finite")
     beta, omega = f.knots[0], f.knots[-1]
     d_eff = effective_radius(psf, 1e-6 * min(beta, 1.0 - omega))
     pts, window = _collect(phantom, psf, a, placement, window, a * d_eff)
@@ -239,8 +239,8 @@ def estimate_volume_grey(phantom: Phantom, psf: Psf, a: float,
                          placement: LatticePlacement,
                          window: Box | None = None) -> EstimateResult:
     """Grey volume estimate b^d * cell_volume * sum theta_a(X)(z)."""
-    if a <= 0:
-        raise DomainError("blur scale a must be positive")
+    if not 0 < a < math.inf:
+        raise DomainError("blur scale a must be positive and finite")
     reach = a * effective_radius(psf, 1e-9)
     pts, window = _collect(phantom, psf, a, placement, window, reach)
     _require_tube_coverage(phantom, window, reach)

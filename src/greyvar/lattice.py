@@ -7,8 +7,10 @@ uniform in C and Q Haar-distributed in SO(d); this makes the point process
 stationary and isotropic in law.
 
 The dual lattice is A^{-T} Z^d, normalized so that <xi, z> is an integer
-for every dual/primal pair; Fourier lattice sums run over dual shells
-grouped by norm.
+for every dual/primal pair.  Lattice sums, primal or dual, run over
+shells of points grouped by norm, from one lister: point_shells.  It
+reads an exact sum-of-squares table for s Z^d and enumerates points for
+other lattices; dual shells are the shells of Lattice.dual.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import fft as sfft
 from scipy import special
 
 from .errors import DomainError, TruncationError
@@ -55,9 +56,9 @@ class Lattice:
         return float(np.linalg.det(self.basis))
 
     @property
-    def dual_basis(self) -> np.ndarray:
-        """Basis of the dual lattice, A^{-T}."""
-        return np.linalg.inv(self.basis).T
+    def dual(self) -> "Lattice":
+        """The dual lattice A^{-T} Z^d."""
+        return Lattice(np.linalg.inv(self.basis).T)
 
     @property
     def cell_diameter(self) -> float:
@@ -97,8 +98,8 @@ class LatticePlacement:
 
     def __post_init__(self):
         d = self.lattice.dim
-        if self.b <= 0:
-            raise DomainError("lattice scale b must be positive")
+        if not 0 < self.b < math.inf:
+            raise DomainError("lattice scale b must be positive and finite")
         if self.shift is None:
             self.shift = np.zeros(d)
         self.shift = np.asarray(self.shift, dtype=float)
@@ -176,18 +177,17 @@ def enumerate_points(placement: LatticePlacement, window: Box) -> np.ndarray:
     return pts[window.contains(pts)]
 
 
-def _points_within(gen: np.ndarray, inv_norm: float,
-                   r_max: float) -> np.ndarray:
-    """Nonzero points gen k (k integer) with norm <= r_max, where
-    inv_norm >= |k| / |gen k| (the spectral norm of gen^{-1}).
+def _points_within(lattice: Lattice, r_max: float) -> np.ndarray:
+    """Nonzero lattice points A k (k integer) with norm <= r_max.
 
-    The integer box that covers the ball is checked against
-    SIEVE_BUDGET_BYTES before it is allocated (about 32 d bytes per box
-    point alive at once: the coordinate grids, their stack, the nonzero
-    selection and the points) and refused with TruncationError beyond.
+    The integer box |k_i| <= |A^{-1}| r_max + 1 covers the ball.  It is
+    checked against SIEVE_BUDGET_BYTES before it is allocated (about
+    32 d bytes per box point alive at once: the coordinate grids, their
+    stack, the nonzero selection and the points) and refused with
+    TruncationError beyond.
     """
-    d = len(gen)
-    reach = int(np.ceil(inv_norm * r_max)) + 1
+    gen, d = lattice.basis, lattice.dim
+    reach = int(np.ceil(np.linalg.norm(np.linalg.inv(gen), 2) * r_max)) + 1
     need = 32 * d * (2 * reach + 1) ** d
     if need > SIEVE_BUDGET_BYTES:
         raise TruncationError(
@@ -204,82 +204,65 @@ def _points_within(gen: np.ndarray, inv_norm: float,
     return pts[keep]
 
 
-def dual_points(lattice: Lattice, xi_max: float) -> np.ndarray:
-    """Nonzero dual vectors with norm <= xi_max."""
-    if xi_max <= 0:
-        raise DomainError("xi_max must be positive")
-    return _points_within(lattice.dual_basis,
-                          float(np.linalg.norm(lattice.basis, 2)), xi_max)
-
-
 _SHELL_TABLES: dict[int, np.ndarray] = {}
 
 # Largest sum-of-squares sieve, or point enumeration, a process may
-# allocate.  The d=2 table at |xi| = 16384 (about 1.1 GB) fits; in d=3
-# the FFT convolution is refused beyond |xi| of about 4700 (n_max 2.2e7).
+# allocate.  A table holds 4-byte counts: one array in d=2, which fits
+# to |z| of about 23000, and three in d=3 (the d=2 table, its double and
+# the result).
 SIEVE_BUDGET_BYTES = 2 << 30
-
-
-def _sieve_bytes(dim: int, n_max: int) -> int:
-    """Upper estimate of the bytes _sum_of_squares_counts allocates, as
-    if every array were alive at once: the int32 table, and in d=3 four
-    more arrays of n_max + 1 entries (32 bytes per entry in all), three
-    complex half-spectra and the inverse transform of the FFT."""
-    n = n_max + 1
-    if dim == 2:
-        return 4 * n
-    size = sfft.next_fast_len(2 * n_max + 1, real=True)
-    return 32 * n + 3 * 16 * (size // 2 + 1) + 8 * size
+# The d=3 fold adds the d=2 table once per x <= sqrt(n_max), so its time
+# grows like n_max^1.5 (about 2 s at this limit, |z| = 2048); larger
+# Z^3 tables are refused before anything is allocated.
+_FOLD_MAX_N = 1 << 22
 
 
 def _sum_of_squares_counts(dim: int, n_max: int) -> np.ndarray:
     """counts[n] = number of z in Z^dim with |z|^2 = n, for n <= n_max.
 
-    Sieved exactly in integer arithmetic: d=2 by a weighted bincount
-    over one quadrant, d=3 by folding one more coordinate into the d=2
-    table.  This is what makes dual sums over the integer lattice cheap
-    at large radii, where point enumeration would need |ball| memory.
-    The largest table per dimension is kept and sliced for smaller
-    requests, so geometric-growth sums pay for each radius once.  A
-    table over SIEVE_BUDGET_BYTES raises TruncationError before
-    anything is allocated.
+    Sieved exactly in int32: d=2 by a weighted bincount over one
+    quadrant, d=3 by folding the third coordinate x into the d=2 table,
+    counts3[n] = sum over x of counts2[n - x^2].  This is what makes
+    sums over the integer lattice cheap at large radii, where point
+    enumeration would need |ball| memory.  The largest table per
+    dimension is kept and sliced for smaller requests, so geometric-
+    growth sums pay for each radius once.  A table over
+    SIEVE_BUDGET_BYTES, or a Z^3 table beyond _FOLD_MAX_N, raises
+    TruncationError before anything is allocated.
     """
     have = _SHELL_TABLES.get(dim)
     if have is not None and len(have) > n_max:
         return have[:n_max + 1]
-    need = _sieve_bytes(dim, n_max)
+    need = 4 * (n_max + 1) * (1 if dim == 2 else 3)
+    if dim == 3 and n_max > _FOLD_MAX_N:
+        raise TruncationError(
+            f"shell sieve to radius {math.sqrt(n_max):.6g} of Z^3 "
+            f"(|z|^2 <= {n_max}) is over the time budget of the d=3 fold, "
+            f"which stops at radius {math.isqrt(_FOLD_MAX_N)} because its "
+            f"time grows like |z|^3")
     if need > SIEVE_BUDGET_BYTES:
         raise TruncationError(
             f"shell sieve to radius {math.sqrt(n_max):.6g} of Z^{dim} "
             f"(|z|^2 <= {n_max}) needs about {need / 2 ** 30:.3g} GiB, "
             f"over the {SIEVE_BUDGET_BYTES / 2 ** 30:g} GiB budget")
     kmax = math.isqrt(n_max)
-    ks = np.arange(kmax + 1)
-    mult = np.where(ks == 0, 1, 2).astype(np.int32)
-    sq = ks * ks
-    counts2 = np.zeros(n_max + 1, dtype=np.int32)
-    for x in range(kmax + 1):
-        n = x * x + sq
-        sel = n <= n_max
-        np.add.at(counts2, n[sel], mult[x] * mult[sel])
     if dim == 2:
-        _SHELL_TABLES[2] = counts2
-        return counts2
-    # fold the third coordinate in by convolution with the 1-D counts;
-    # FFT keeps this near-linear, and the result is rounded back to the
-    # exact integers (the residual is checked, not assumed).  Any length
-    # >= 2 n_max + 1 avoids wrap-around; a 5-smooth one is fast.
-    counts1 = np.zeros(n_max + 1)
-    counts1[sq[sq <= n_max]] = mult[: np.count_nonzero(sq <= n_max)]
-    size = sfft.next_fast_len(2 * n_max + 1, real=True)
-    conv = sfft.irfft(sfft.rfft(counts2.astype(float), size)
-                      * sfft.rfft(counts1, size), size)[:n_max + 1]
-    counts3 = np.rint(conv)
-    if np.abs(conv - counts3).max() > 0.1:
-        raise ArithmeticError("shell count convolution lost integrality")
-    out = counts3.astype(np.int32)
-    _SHELL_TABLES[3] = out
-    return out
+        ks = np.arange(kmax + 1)
+        mult = np.where(ks == 0, 1, 2).astype(np.int32)
+        sq = ks * ks
+        table = np.zeros(n_max + 1, dtype=np.int32)
+        for x in range(kmax + 1):
+            n = x * x + sq
+            sel = n <= n_max
+            np.add.at(table, n[sel], mult[x] * mult[sel])
+    else:
+        counts2 = _sum_of_squares_counts(2, n_max)
+        table = counts2.copy()
+        twice = 2 * counts2
+        for x in range(1, kmax + 1):
+            table[x * x:] += twice[:n_max + 1 - x * x]
+    _SHELL_TABLES[dim] = table
+    return table
 
 
 def _integer_scale(lattice: Lattice) -> float | None:
@@ -304,55 +287,36 @@ def _group_shells(norms: np.ndarray):
     return shell_norms, (ends - starts).astype(int)
 
 
-def dual_shells(lattice: Lattice, xi_max: float, xi_min: float = 0.0):
-    """Dual-lattice shells with xi_min < norm <= xi_max: sorted norms
-    with multiplicities.
+def point_shells(lattice: Lattice, r_max: float, r_min: float = 0.0):
+    """Shells of the lattice points A z with r_min < |A z| <= r_max:
+    sorted norms with multiplicities (equal norms within 1e-9 merged).
 
-    Returns (norms, counts) with equal norms (within 1e-9) merged.
-    Scaled integer lattices take an exact sum-of-squares sieve and read
-    only the part of the table above xi_min; other lattices enumerate
-    points, which limits their practical radius.  Either way the shells
-    kept are exactly those of the full list with norm > xi_min.
+    Scaled integer lattices s Z^d read the exact sum-of-squares table
+    and only the part of it above r_min; other lattices enumerate points
+    under the memory budget.  Either way the shells kept are exactly
+    those of the full list with norm > r_min.
     """
-    if xi_max <= 0:
-        raise DomainError("xi_max must be positive")
-    s = _integer_scale(lattice)
-    if s is not None:
-        n_max = int((xi_max * s) ** 2 * (1 + 1e-12))
-        counts = _sum_of_squares_counts(lattice.dim, n_max)
-        # start just below the bound; the float test decides
-        lo = max(1, int((xi_min * s) ** 2 * (1 - 1e-9)))
-        n = np.flatnonzero(counts[lo:]) + lo
-        norms = np.sqrt(n.astype(float)) / s
-        above = norms > xi_min
-        return norms[above], counts[n[above]].astype(int)
-    xi = dual_points(lattice, xi_max)
-    shell_norms, counts = _group_shells(np.linalg.norm(xi, axis=1))
-    above = shell_norms > xi_min
-    return shell_norms[above], counts[above]
-
-
-def point_shells(lattice: Lattice, r_max: float):
-    """Shells of the nonzero lattice points A z with norm <= r_max:
-    sorted norms with multiplicities (equal within 1e-9 merged), the
-    primal twin of dual_shells.
-
-    Finite primal sums (a compactly supported summand, or one summed to
-    a fixed radius) use it.  Scaled integer lattices read the same
-    sum-of-squares sieve; other lattices enumerate points under the
-    memory budget.
-    """
-    if r_max <= 0:
-        raise DomainError("r_max must be positive")
+    if not (0 < r_max < math.inf and 0 <= r_min < math.inf):
+        raise DomainError(f"shell radii must be finite with 0 <= r_min "
+                          f"and 0 < r_max, got {r_min!r}, {r_max!r}")
     s = _integer_scale(lattice)
     if s is not None:
         counts = _sum_of_squares_counts(lattice.dim,
                                         int((r_max / s) ** 2 * (1 + 1e-12)))
-        n = np.flatnonzero(counts[1:]) + 1
-        return s * np.sqrt(n.astype(float)), counts[n].astype(int)
-    pts = _points_within(lattice.basis,
-                         float(np.linalg.norm(lattice.dual_basis, 2)), r_max)
-    return _group_shells(np.linalg.norm(pts, axis=1))
+        # start just below the bound; the float test decides
+        lo = max(1, int((r_min / s) ** 2 * (1 - 1e-9)))
+        n = np.flatnonzero(counts[lo:]) + lo
+        norms, counts = s * np.sqrt(n.astype(float)), counts[n].astype(int)
+    else:
+        norms, counts = _group_shells(
+            np.linalg.norm(_points_within(lattice, r_max), axis=1))
+    above = norms > r_min
+    return norms[above], counts[above]
+
+
+def dual_shells(lattice: Lattice, xi_max: float, xi_min: float = 0.0):
+    """Shells of the dual lattice with xi_min < norm <= xi_max."""
+    return point_shells(lattice.dual, xi_max, xi_min)
 
 
 def epstein_zeta(lattice: Lattice, s: float) -> float:
@@ -378,8 +342,7 @@ def epstein_zeta(lattice: Lattice, s: float) -> float:
     eta = vol ** (-2.0 / d)
     cut = 50.0
     zn, zc = point_shells(lattice, math.sqrt(cut / (math.pi * eta)))
-    dual = Lattice(tuple(tuple(row) for row in lattice.dual_basis))
-    xn, xc = point_shells(dual, math.sqrt(cut * eta / math.pi))
+    xn, xc = point_shells(lattice.dual, math.sqrt(cut * eta / math.pi))
     direct = zc @ (zn ** -s * _upper_gamma(s / 2.0, math.pi * eta * zn ** 2))
     recip = xc @ (xn ** (s - d)
                   * _upper_gamma((d - s) / 2.0, math.pi * xn ** 2 / eta))

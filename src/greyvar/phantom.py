@@ -102,8 +102,11 @@ class HalfSpace(Phantom):
         super().__post_init__()
         n = np.asarray(self.normal if self.normal else
                        (1.0,) + (0.0,) * (self.dim - 1), dtype=float)
-        if n.shape != (self.dim,) or not np.linalg.norm(n) > 0:
-            raise DomainError("normal must be a nonzero d-vector")
+        if (n.shape != (self.dim,) or not np.all(np.isfinite(n))
+                or not np.linalg.norm(n) > 0):
+            raise DomainError("normal must be a finite nonzero d-vector")
+        if not math.isfinite(self.offset):
+            raise DomainError("offset must be finite")
         n = n / np.linalg.norm(n)
         object.__setattr__(self, "normal", tuple(n))
 
@@ -229,6 +232,8 @@ def ball_band_radii(radius: float, psf: Psf, a: float, beta: float,
     its grey value lies in [beta, omega].  r_in is the inner end of the
     transition zone (0 for a wide blur) when the grey value there is
     already at most omega."""
+    if not 0 < a < math.inf:
+        raise DomainError("blur scale a must be positive and finite")
     theta = _radial_model(psf, a, radius)
     r_lo = theta.domain[0]
     theta0 = theta(r_lo)
@@ -252,8 +257,8 @@ class IntensityModel:
     """
 
     def __init__(self, phantom: Phantom, psf: Psf, a: float):
-        if a <= 0:
-            raise DomainError("blur scale a must be positive")
+        if not 0 < a < math.inf:
+            raise DomainError("blur scale a must be positive and finite")
         if psf.dim != phantom.dim:
             raise DomainError("psf and phantom dimensions differ")
         self.phantom = phantom
@@ -328,8 +333,8 @@ def intensity(phantom: Phantom, psf: Psf, a: float, x) -> float:
     Absolute accuracy ~1e-10; balls go through the radial cap integral,
     half-spaces through the edge profile.
     """
-    if a <= 0:
-        raise DomainError("blur scale a must be positive")
+    if not 0 < a < math.inf:
+        raise DomainError("blur scale a must be positive and finite")
     x = np.asarray(x, dtype=float)
     if x.shape != (phantom.dim,):
         raise DomainError("point has wrong dimension")

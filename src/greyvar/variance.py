@@ -161,6 +161,8 @@ def _refusing_dual_sum(lattice: Lattice, summand, a: float, b: float,
     stops at |xi| = max(2e3 b / a, 64); that limit only decides when to
     refuse, never which number is returned.
     """
+    if not (0 < a < math.inf and 0 < b < math.inf):
+        raise DomainError("scales a and b must be positive and finite")
     total, info = convergent_dual_sum(
         lattice, summand, decay_power=lattice.dim + 1.0, tail_tol=tail_tol,
         xi_cap=max(2e3 * b / a, 64.0))

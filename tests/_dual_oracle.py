@@ -9,6 +9,9 @@ truncation of convergent_dual_sum, so the two routes share only the
 lattice sieve.  Every term of these sums is positive, so a dual partial
 sum approaches the primal value from below and stops short of it by at
 most its own tail bound.
+
+dual_points enumerates dual vectors by brute force, the oracle for the
+package's shell lister.
 """
 
 import math
@@ -20,6 +23,18 @@ from greyvar.psf import sphere_area
 from greyvar.spectral import (AnnulusFourier, ball_indicator_fourier,
                               profile_fourier_1d)
 from greyvar.variance import ShellSumInfo, convergent_dual_sum
+
+
+def dual_points(lattice, xi_max):
+    """Nonzero dual vectors A^{-T} k with norm <= xi_max, from every
+    integer k in the box |k_i| <= |A| xi_max + 1 (k = A^T xi)."""
+    d = lattice.dim
+    reach = int(np.ceil(np.linalg.norm(lattice.basis, 2) * xi_max)) + 1
+    span = np.arange(-reach, reach + 1)
+    k = np.stack([g.ravel() for g in np.meshgrid(*([span] * d),
+                                                 indexing="ij")], axis=1)
+    pts = k[np.any(k != 0, axis=1)] @ np.linalg.inv(lattice.basis)
+    return pts[np.linalg.norm(pts, axis=1) <= xi_max + 1e-12]
 
 
 def _require_tail_under_1pct(info: ShellSumInfo, total: float,

@@ -390,16 +390,17 @@ def test_module_entry_point(tmp_path):
     assert "greyvar 0.1.0" in proc.stdout
 
 
-def test_import_loads_no_interpolate_or_optimize():
-    """Ball intensities and band radii come from one Chebyshev model, so
-    importing the package and its CLI leaves scipy.interpolate and
-    scipy.optimize unloaded."""
+def test_import_loads_no_fft_interpolate_or_optimize():
+    """Ball intensities and band radii come from one Chebyshev model, and
+    Z^3 shells from an integer fold, so importing the package and its
+    CLI leaves scipy.fft, scipy.interpolate and scipy.optimize
+    unloaded."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(greyvar.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
     code = ("import sys, greyvar, greyvar.cli; print(sorted(m for m in "
-            "sys.modules if m.startswith(('scipy.interpolate', "
+            "sys.modules if m.startswith(('scipy.fft', 'scipy.interpolate', "
             "'scipy.optimize'))))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env)

@@ -212,9 +212,13 @@ def test_surface_coverage_error():
 
 def test_surface_validation():
     psf = gaussian(2)
-    with pytest.raises(DomainError):
-        estimate_surface(Ball(radius=1.0, dim=2), psf, Indicator(), -0.1,
-                         _placement(0.05))
+    for bad in (-0.1, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            estimate_surface(Ball(radius=1.0, dim=2), psf, Indicator(), bad,
+                             _placement(0.05))
+        with pytest.raises(DomainError):
+            estimate_volume_grey(Ball(radius=1.0, dim=2), psf, bad,
+                                 _placement(0.05))
     with pytest.raises(DomainError):
         estimate_surface(Ball(radius=1.0, dim=3), psf, Indicator(), 0.05,
                          _placement(0.05))

@@ -3,7 +3,8 @@
 The dual convention is pinned end to end by Poisson summation with a
 Gaussian (both sides computable to machine accuracy), and the shell
 sieve is cross-checked against explicit point enumeration, including
-the d=3 convolution path.
+the d=3 fold.  Dual points come from a brute-force oracle that shares
+no code with the package.
 """
 
 import math
@@ -12,17 +13,18 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.fft import next_fast_len
 from scipy.special import bernoulli, zeta
 
 from greyvar import lattice as lattice_module
 from greyvar.errors import DomainError, TruncationError
 from greyvar.lattice import (Box, Lattice, LatticePlacement, centered_box,
-                             dual_points, dual_shells, enumerate_points,
+                             dual_shells, enumerate_points,
                              epstein_zeta, hexagonal_lattice, point_shells,
                              random_placement, random_rotation,
                              scaled_lattice, unit_lattice,
                              _sum_of_squares_counts)
+
+from _dual_oracle import dual_points
 
 
 @pytest.mark.parametrize("lattice", [
@@ -46,14 +48,14 @@ def test_poisson_summation_gaussian(lattice):
                  axis=-1).reshape(-1, d)
     primal = np.exp(-math.pi * np.sum((k @ lattice.basis.T) ** 2,
                                       axis=1)).sum()
-    dual = np.exp(-math.pi * np.sum((k @ lattice.dual_basis.T) ** 2,
+    dual = np.exp(-math.pi * np.sum((k @ lattice.dual.basis.T) ** 2,
                                     axis=1)).sum()
     assert primal == pytest.approx(dual / lattice.cell_volume, rel=1e-13)
 
 
 def test_dual_basis_biorthogonal():
     lat = Lattice(((2.0, 0.5), (-0.3, 1.1)))
-    gram = lat.basis @ lat.dual_basis.T
+    gram = lat.basis @ lat.dual.basis.T
     np.testing.assert_allclose(gram, np.eye(2), atol=1e-14)
 
 
@@ -85,11 +87,8 @@ def test_sum_of_squares_sieve_vs_enumeration(dim):
 @pytest.mark.parametrize("dim", [2, 3])
 @pytest.mark.parametrize("n_max", [160, 1000])
 def test_cold_sieve_vs_enumeration(dim, n_max, monkeypatch):
-    """A table built anew (no cached larger table to slice) at
-    sizes whose FFT length is 5-smooth, not a power of two."""
+    """A table built anew, with no cached larger table to slice."""
     monkeypatch.setattr(lattice_module, "_SHELL_TABLES", {})
-    size = next_fast_len(2 * n_max + 1, real=True)
-    assert size & (size - 1) != 0
     counts = _sum_of_squares_counts(dim, n_max)
     assert lattice_module._SHELL_TABLES[dim] is counts
     reach = int(math.isqrt(n_max)) + 1
@@ -102,18 +101,21 @@ def test_cold_sieve_vs_enumeration(dim, n_max, monkeypatch):
 
 
 def test_sieve_over_budget_allocates_nothing(monkeypatch):
-    """d=3 at |xi| = 16384 would need tens of GB of FFT arrays; the
-    budget check refuses it before any array exists."""
+    """Z^3 tables stop at |z| = 2048, where the fold's n_max^1.5 time
+    reaches seconds; |xi| = 2049 and 16384 are refused before any array
+    exists, with the radius asked for."""
     monkeypatch.setattr(lattice_module, "_SHELL_TABLES", {})
-    tracemalloc.start()
-    try:
-        with pytest.raises(TruncationError, match="budget"):
-            dual_shells(unit_lattice(3), 16384.0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
-    assert lattice_module._SHELL_TABLES == {}
+    for xi in (16384.0, 2049.0):
+        tracemalloc.start()
+        try:
+            with pytest.raises(TruncationError, match="budget") as err:
+                dual_shells(unit_lattice(3), xi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert f"radius {xi:g}" in str(err.value)
+        assert lattice_module._SHELL_TABLES == {}
 
 
 @pytest.mark.parametrize("lattice,r_max", [
@@ -135,6 +137,13 @@ def test_point_shells_vs_brute_force(lattice, r_max):
     got, counts = point_shells(lattice, r_max)
     np.testing.assert_allclose(got, want, atol=1e-9)
     np.testing.assert_array_equal(counts, want_counts)
+    # a lower bound keeps the shells strictly above it, also when it
+    # equals a shell norm
+    for r_min in (r_max / 2.0, float(got[2]), float(got[-1])):
+        above = want > r_min + 1e-9
+        got_above, counts_above = point_shells(lattice, r_max, r_min)
+        np.testing.assert_allclose(got_above, want[above], atol=1e-9)
+        np.testing.assert_array_equal(counts_above, want_counts[above])
 
 
 def test_point_enumeration_over_budget_allocates_nothing():
@@ -332,9 +341,14 @@ def test_rotation_determinant_and_orthogonality_d3():
 
 def test_placement_validation():
     lat = unit_lattice(2)
-    with pytest.raises(DomainError):
-        LatticePlacement(lattice=lat, b=-0.1)
+    for bad in (-0.1, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            LatticePlacement(lattice=lat, b=bad)
     with pytest.raises(DomainError):
         LatticePlacement(lattice=lat, b=0.1, shift=np.zeros(3))
     with pytest.raises(DomainError):
         dual_shells(lat, 0.0)
+    for r_max, r_min in ((math.inf, 0.0), (math.nan, 0.0), (2.0, math.nan),
+                         (2.0, -1.0)):
+        with pytest.raises(DomainError):
+            point_shells(lat, r_max, r_min)

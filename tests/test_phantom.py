@@ -217,8 +217,18 @@ def test_validation_errors():
             TransformedBall(2, center=(0.0, bad))
     with pytest.raises(DomainError):
         HalfSpace(2, normal=(0.0, 0.0))
-    with pytest.raises(DomainError):
-        intensity(Ball(2, 1.0), gaussian(2), -0.1, np.zeros(2))
+    for bad in (math.inf, math.nan):
+        with pytest.raises(DomainError):
+            HalfSpace(2, normal=(bad, 0.0))
+        with pytest.raises(DomainError):
+            HalfSpace(2, offset=bad)
+    for bad in (-0.1, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            intensity(Ball(2, 1.0), gaussian(2), bad, np.zeros(2))
+        with pytest.raises(DomainError):
+            IntensityModel(Ball(2, 1.0), gaussian(2), bad)
+        with pytest.raises(DomainError):
+            ball_band_radii(1.0, gaussian(2), bad, 0.3, 0.7)
     with pytest.raises(DomainError):
         transition_offsets(Ball(2, 1.0), gaussian(2), 0.05, 0.7, 0.3)
     with pytest.raises(DomainError):

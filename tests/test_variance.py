@@ -22,7 +22,7 @@ from scipy.stats import norm
 from greyvar import lattice, phantom, variance
 from greyvar.errors import DomainError, TruncationError
 from greyvar.estimator import Indicator, SmoothPlateau
-from greyvar.lattice import dual_points, hexagonal_lattice, unit_lattice
+from greyvar.lattice import hexagonal_lattice, unit_lattice
 from greyvar.phantom import Ball, ball_band_radii
 from greyvar.psf import (ball_volume, compact_bump, gaussian,
                          halfspace_profile, sphere_area)
@@ -71,7 +71,7 @@ def test_dual_sum_matches_theta_identity():
 
 def test_dual_sum_hexagonal_vs_enumeration():
     hexl = hexagonal_lattice()
-    pts = dual_points(hexl, 9.0)
+    pts = dual_oracle.dual_points(hexl, 9.0)
     want = float(np.exp(-np.sum(pts ** 2, axis=1)).sum())
     got, _ = convergent_dual_sum(hexl, lambda q: np.exp(-q * q),
                                  decay_power=5.0, tail_tol=1e-12)
@@ -527,6 +527,23 @@ def test_mc_validation():
     with pytest.raises(DomainError):
         mc_surface(Ball(2, 1.0), GAUSS2, Indicator(), 0.1, Z2, 0.1, 100,
                    seed=0, n_batches=1)
+    # nonpositive and non-finite scales are refused, not turned into NaN,
+    # zero or negative-scale results
+    for bad in (-0.1, math.inf, math.nan):
+        for a, b in ((bad, 0.1), (0.1, bad)):
+            with pytest.raises(DomainError):
+                mc_surface(Ball(2, 1.0), GAUSS2, Indicator(), a, Z2, b, 100,
+                           seed=0, n_batches=10)
+            with pytest.raises(DomainError):
+                variance_exact_ball(Ball(2, 1.0), GAUSS2, Indicator(), a,
+                                    Z2, b)
+            with pytest.raises(DomainError):
+                variance_exact_ball(Ball(2, 1.0), GAUSS2, SmoothPlateau(), a,
+                                    Z2, b)
+            with pytest.raises(DomainError):
+                volume_variance_exact(1.0, Z2, b, psf=GAUSS2, a=a)
+        with pytest.raises(DomainError):
+            volume_variance_exact(1.0, Z2, bad)
 
 
 def test_mc_volume_binary_matches_exact():
