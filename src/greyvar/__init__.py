@@ -6,17 +6,18 @@ The package splits into a small stack of layers:
 
 * :mod:`greyvar.psf` -- blur kernels and the half-space profile they
   induce (the universal local model of a blurred edge);
-* :mod:`greyvar.phantom` -- test bodies with analytically tractable
-  blurred intensities;
+* :mod:`greyvar.phantom` -- the phantoms, ``Ball(dim, radius, center)``
+  and its local model ``HalfSpace``, with their blurred intensities;
 * :mod:`greyvar.lattice` -- sampling lattices, their duals, and random
   stationary placements;
 * :mod:`greyvar.estimator` -- the weighted grey-value estimators
   themselves;
 * :mod:`greyvar.spectral` -- radial Fourier transforms and the leading
   oscillatory models of the blurred-ball transform;
-* :mod:`greyvar.variance` -- exact dual-lattice variance sums,
-  asymptotic variance models, and the Monte Carlo engines that validate
-  them;
+* :mod:`greyvar.variance` -- exact variances (finite primal lattice
+  sums for the indicator weight and the binary volume, converged dual
+  sums otherwise), asymptotic variance models, and the Monte Carlo
+  engines that validate them;
 * :mod:`greyvar.cli` -- the experiment runner.
 """
 
@@ -30,8 +31,8 @@ from .lattice import (Box, Lattice, LatticePlacement, centered_box,
                       dual_shells, enumerate_points, hexagonal_lattice,
                       random_placement, random_rotation, scaled_lattice,
                       unit_lattice)
-from .phantom import (Ball, HalfSpace, IntensityModel, TransformedBall,
-                      intensity, intensity_model, transition_offsets)
+from .phantom import (Ball, HalfSpace, IntensityModel, intensity,
+                      intensity_model, transition_offsets)
 from .psf import (HalfspaceProfile, Psf, ball_indicator, check_conditions,
                   compact_bump, effective_radius, eval_rho, gaussian,
                   halfspace_profile)
@@ -54,8 +55,8 @@ __all__ = [
     "GreyvarError", "HalfSpace", "HalfspaceProfile", "Indicator",
     "IntensityModel", "Lattice", "LatticePlacement",
     "MCResult", "NormalizationError", "Psf", "RadialFourier",
-    "RadiusDensity", "ShellSumInfo", "SmoothPlateau", "TransformedBall",
-    "TruncationError", "VarianceReport", "alpha_f", "ball_indicator",
+    "RadiusDensity", "ShellSumInfo", "SmoothPlateau", "TruncationError",
+    "VarianceReport", "alpha_f", "ball_indicator",
     "ball_indicator_fourier", "ball_main_term", "bessel_j", "centered_box",
     "check_conditions", "compact_bump", "default_weight", "dual_shells",
     "effective_radius", "enumerate_points", "envelope_check",

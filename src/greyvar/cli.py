@@ -85,11 +85,6 @@ class ConfigView:
             self.resolved[key] = str(value)
         return value
 
-    def require(self, key: str) -> str:
-        if key not in self.raw:
-            raise ConfigError(key, "required key is missing")
-        return self.get(key)  # type: ignore[return-value]
-
     def floatval(self, key: str, default: float | None = None, *,
                  positive: bool = False) -> float:
         raw = self.get(key, None if default is None else repr(default))
@@ -354,10 +349,11 @@ def _cmd_estimate(view: ConfigView, seed: int, workers: int):
     psf = _build_psf(view, phantom.dim)
     f = _build_weight(view)
     lattice = _build_lattice(view, phantom.dim)
-    a = _single_scale(view, "scales.a")
-    raw_b = str(view.get("scales.b", "a")).strip().lower()
-    b = a if raw_b == "a" else a * a if raw_b in ("a^2", "a2") \
-        else _single_scale(view, "scales.b")
+    pairs = _scale_pairs(view)
+    if len(pairs) != 1:
+        raise ConfigError("scales.a", f"this command takes a single "
+                                      f"(a, b) pair, got {len(pairs)}")
+    (a, b), = pairs
     n_reps = view.intval("estimate.replicates", 1, minimum=1)
     children = np.random.SeedSequence(seed).spawn(n_reps)
     rows = []

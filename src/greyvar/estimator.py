@@ -26,11 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import lattice as lat
 from ._quad import adaptive_quad
 from .errors import CoverageError, DomainError, NormalizationError
 from .lattice import Box, LatticePlacement, enumerate_points
-from .phantom import Ball, HalfSpace, Phantom, TransformedBall, intensity_model
+from .phantom import Ball, HalfSpace, Phantom, intensity_model
 from .psf import HalfspaceProfile, Psf, effective_radius, halfspace_profile
 
 
@@ -175,38 +174,32 @@ class EstimateResult:
 
 
 def _phantom_bbox(phantom: Phantom, pad: float) -> Box:
-    if isinstance(phantom, Ball):
-        return lat.centered_box((phantom.radius + pad,) * phantom.dim)
-    if isinstance(phantom, TransformedBall):
-        r = phantom.effective_radius + pad
-        c = np.asarray(phantom.center)
-        return Box(tuple(c - r), tuple(c + r))
-    raise CoverageError(
-        "phantom has unbounded boundary; pass an explicit window")
-
-
-def _require_tube_coverage(phantom: Phantom, window: Box, reach: float):
-    """Window must contain the phantom dilated by `reach`."""
-    if isinstance(phantom, HalfSpace):
-        return  # finite-window readings of an unbounded boundary
-    tube = _phantom_bbox(phantom, reach)
-    if (np.any(np.asarray(window.lo) > np.asarray(tube.lo) + 1e-12)
-            or np.any(np.asarray(window.hi) < np.asarray(tube.hi) - 1e-12)):
+    if not isinstance(phantom, Ball):
         raise CoverageError(
-            f"window {window} does not cover the phantom tube {tube}")
+            "phantom has unbounded boundary; pass an explicit window")
+    c, r = np.asarray(phantom.center), phantom.radius + pad
+    return Box(tuple(c - r), tuple(c + r))
 
 
-def _collect(phantom, psf, a, placement, window, pad_reach):
-    """Shared enumeration: points in window and their grey values."""
+def _collect(phantom, psf, placement, window, reach):
+    """Placement points in the window, and the window.  The default
+    window is the phantom's box dilated by `reach` and two cells; a given
+    one must contain the box dilated by `reach`, except for a half-space,
+    which is read in any finite window."""
     if psf is not None and psf.dim != phantom.dim:
         raise DomainError("psf and phantom dimensions differ")
     if window is None:
-        pad = pad_reach + 2.0 * placement.b * placement.lattice.cell_diameter
-        window = _phantom_bbox(phantom, pad)
+        cells = 2.0 * placement.b * placement.lattice.cell_diameter
+        window = _phantom_bbox(phantom, reach + cells)
     elif window.dim != phantom.dim:
         raise DomainError("window dimension mismatch")
-    pts = enumerate_points(placement, window)
-    return pts, window
+    elif not isinstance(phantom, HalfSpace):
+        tube = _phantom_bbox(phantom, reach)
+        if (np.any(np.asarray(window.lo) > np.asarray(tube.lo) + 1e-12) or
+                np.any(np.asarray(window.hi) < np.asarray(tube.hi) - 1e-12)):
+            raise CoverageError(
+                f"window {window} does not cover the phantom tube {tube}")
+    return enumerate_points(placement, window), window
 
 
 def estimate_surface(phantom: Phantom, psf: Psf, f, a: float,
@@ -221,9 +214,7 @@ def estimate_surface(phantom: Phantom, psf: Psf, f, a: float,
         raise DomainError("blur scale a must be positive and finite")
     beta, omega = f.knots[0], f.knots[-1]
     d_eff = effective_radius(psf, 1e-6 * min(beta, 1.0 - omega))
-    pts, window = _collect(phantom, psf, a, placement, window, a * d_eff)
-    _require_tube_coverage(phantom, window, a * d_eff)
-
+    pts, window = _collect(phantom, psf, placement, window, a * d_eff)
     model = intensity_model(phantom, psf, a)
     weights = f(model(pts)) if len(pts) else np.zeros(0)
     raw = a ** (-1.0) * placement.b ** phantom.dim * float(weights.sum())
@@ -242,8 +233,7 @@ def estimate_volume_grey(phantom: Phantom, psf: Psf, a: float,
     if not 0 < a < math.inf:
         raise DomainError("blur scale a must be positive and finite")
     reach = a * effective_radius(psf, 1e-9)
-    pts, window = _collect(phantom, psf, a, placement, window, reach)
-    _require_tube_coverage(phantom, window, reach)
+    pts, window = _collect(phantom, psf, placement, window, reach)
     model = intensity_model(phantom, psf, a)
     grey = model(pts) if len(pts) else np.zeros(0)
     vol = placement.b ** phantom.dim * placement.lattice.cell_volume
@@ -257,18 +247,8 @@ def estimate_volume_grey(phantom: Phantom, psf: Psf, a: float,
 def estimate_volume_binary(phantom: Phantom, placement: LatticePlacement,
                            window: Box | None = None) -> EstimateResult:
     """Binary volume estimate b^d * cell_volume * #(X intersect points)."""
-    pts, window = _collect(phantom, None, None, placement, window, 0.0)
-    _require_tube_coverage(phantom, window, 0.0)
-    if isinstance(phantom, HalfSpace):
-        inside = (np.atleast_2d(pts) @ np.asarray(phantom.normal)
-                  <= phantom.offset) if len(pts) else np.zeros(0, bool)
-    elif isinstance(phantom, TransformedBall):
-        inside = (np.linalg.norm(pts - np.asarray(phantom.center), axis=1)
-                  <= phantom.effective_radius) if len(pts) else np.zeros(0, bool)
-    else:
-        inside = (np.linalg.norm(pts, axis=1) <= phantom.radius
-                  ) if len(pts) else np.zeros(0, bool)
-    count = int(np.count_nonzero(inside))
+    pts, window = _collect(phantom, None, placement, window, 0.0)
+    count = int(np.count_nonzero(phantom.contains(pts)))
     vol = placement.b ** phantom.dim * placement.lattice.cell_volume
     return EstimateResult(
         value=vol * count, raw_sum=float(count), normalization=1.0,

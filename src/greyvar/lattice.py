@@ -160,11 +160,9 @@ def integer_cover(placement: LatticePlacement, window: Box,
     else:
         u = np.linalg.solve(A, placement.shift)
         shift_reach = float(np.max(np.abs(u)))
-    lo = np.floor(k_corners.min(axis=0) - shift_reach - 1e-9).astype(int)
-    hi = np.ceil(k_corners.max(axis=0) + 1e-9).astype(int) + 1
-    grids = np.meshgrid(*[np.arange(lo[i], hi[i]) for i in range(d)],
-                        indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1)
+    lo = np.floor(k_corners.min(axis=0) - shift_reach - 1e-9)
+    hi = np.ceil(k_corners.max(axis=0) + 1e-9) + 1
+    return _integer_box(lo, hi, f"covering {window}")
 
 
 def enumerate_points(placement: LatticePlacement, window: Box) -> np.ndarray:
@@ -177,26 +175,34 @@ def enumerate_points(placement: LatticePlacement, window: Box) -> np.ndarray:
     return pts[window.contains(pts)]
 
 
+def _integer_box(lo, hi, purpose: str) -> np.ndarray:
+    """Integer points k with lo <= k < hi, one per row.  About 32 d bytes
+    per box point are alive at once (the coordinate grids, their stack,
+    and the selection and points the callers make of them); a box over
+    SIEVE_BUDGET_BYTES by that rule raises TruncationError before it is
+    allocated."""
+    sides = [float(h) - float(l) for l, h in zip(lo, hi)]
+    need = 32.0 * len(sides) * math.prod(sides)
+    if need > SIEVE_BUDGET_BYTES:
+        raise TruncationError(
+            f"the {' x '.join(f'{n:g}' for n in sides)} integer box "
+            f"{purpose} needs about {need / 2 ** 30:.3g} GiB, over the "
+            f"{SIEVE_BUDGET_BYTES / 2 ** 30:g} GiB budget")
+    grids = np.meshgrid(*map(np.arange, np.asarray(lo, dtype=np.int64),
+                             np.asarray(hi, dtype=np.int64)), indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=1)
+
+
 def _points_within(lattice: Lattice, r_max: float) -> np.ndarray:
     """Nonzero lattice points A k (k integer) with norm <= r_max.
 
-    The integer box |k_i| <= |A^{-1}| r_max + 1 covers the ball.  It is
-    checked against SIEVE_BUDGET_BYTES before it is allocated (about
-    32 d bytes per box point alive at once: the coordinate grids, their
-    stack, the nonzero selection and the points) and refused with
-    TruncationError beyond.
+    The integer box |k_i| <= |A^{-1}| r_max + 1 covers the ball; it is
+    checked against the budget before it is allocated.
     """
     gen, d = lattice.basis, lattice.dim
     reach = int(np.ceil(np.linalg.norm(np.linalg.inv(gen), 2) * r_max)) + 1
-    need = 32 * d * (2 * reach + 1) ** d
-    if need > SIEVE_BUDGET_BYTES:
-        raise TruncationError(
-            f"enumerating lattice points to radius {r_max:g} in d={d} "
-            f"needs about {need / 2 ** 30:.3g} GiB, over the "
-            f"{SIEVE_BUDGET_BYTES / 2 ** 30:g} GiB budget")
-    rng = np.arange(-reach, reach + 1)
-    grids = np.meshgrid(*([rng] * d), indexing="ij")
-    k = np.stack([g.ravel() for g in grids], axis=1)
+    k = _integer_box([-reach] * d, [reach + 1] * d,
+                     f"covering lattice points to radius {r_max:g}")
     k = k[np.any(k != 0, axis=1)]
     pts = k @ gen.T
     norms = np.linalg.norm(pts, axis=1)
@@ -206,10 +212,10 @@ def _points_within(lattice: Lattice, r_max: float) -> np.ndarray:
 
 _SHELL_TABLES: dict[int, np.ndarray] = {}
 
-# Largest sum-of-squares sieve, or point enumeration, a process may
-# allocate.  A table holds 4-byte counts: one array in d=2, which fits
-# to |z| of about 23000, and three in d=3 (the d=2 table, its double and
-# the result).
+# Largest sum-of-squares sieve or integer box a process may allocate.
+# A table holds 4-byte counts: one array in d=2, which fits to |z| of
+# about 23000, and three in d=3 (the d=2 table, its double and the
+# result).
 SIEVE_BUDGET_BYTES = 2 << 30
 # The d=3 fold adds the d=2 table once per x <= sqrt(n_max), so its time
 # grows like n_max^1.5 (about 2 s at this limit, |z| = 2048); larger

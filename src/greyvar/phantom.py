@@ -1,5 +1,14 @@
 """Test phantoms (balls, half-spaces) and their blurred grey images.
 
+A phantom is a Ball(dim, radius, center), the compact body with
+nonvanishing curvature that the variance theory is about, or a
+HalfSpace(dim, normal, offset), its local model at a boundary point.
+Each answers contains(points) and carries its own geometry; a ball's
+grey values depend only on the distance from its centre.  The exact and
+Monte Carlo variance engines read only the radius: under a stationary
+random lattice the estimator's law does not depend on where the ball
+sits.
+
 The grey image of a set X under a PSF rho at scale a is the convolution
 theta_a = 1_X * rho_a with rho_a(x) = a^{-d} rho(x/a).  For a ball the
 convolution reduces to a 1-D radial integral: the sphere of radius s
@@ -40,17 +49,33 @@ class Phantom:
         if self.dim not in (2, 3):
             raise DomainError("only dimensions 2 and 3 are supported")
 
+    # Ball shadows these with its fields; any other phantom is refused
+    # where a ball model asks for them
+    @property
+    def radius(self) -> float:
+        raise DomainError(f"unsupported phantom {self!r}: not a ball")
+
+    @property
+    def center(self) -> tuple:
+        raise DomainError(f"unsupported phantom {self!r}: not a ball")
+
 
 @dataclass(frozen=True)
 class Ball(Phantom):
-    """Centered ball of radius R."""
+    """Closed ball of radius R about a finite centre (the origin by
+    default)."""
 
     radius: float = 1.0
+    center: tuple = ()
 
     def __post_init__(self):
         super().__post_init__()
         if not 0.0 < self.radius < math.inf:
             raise DomainError("ball radius must be positive and finite")
+        c = tuple(float(v) for v in self.center) or (0.0,) * self.dim
+        if len(c) != self.dim or not all(map(math.isfinite, c)):
+            raise DomainError("center must be a finite d-vector")
+        object.__setattr__(self, "center", c)
 
     @property
     def surface_area(self) -> float:
@@ -60,35 +85,10 @@ class Ball(Phantom):
     def volume(self) -> float:
         return psf_mod.ball_volume(self.dim, self.radius)
 
-
-@dataclass(frozen=True)
-class TransformedBall(Phantom):
-    """Ball of radius `radius`, scaled by `scale`, centered at `center`."""
-
-    radius: float = 1.0
-    scale: float = 1.0
-    center: tuple = ()
-
-    def __post_init__(self):
-        super().__post_init__()
-        if not (0.0 < self.radius < math.inf and 0.0 < self.scale < math.inf):
-            raise DomainError("radius and scale must be positive and finite")
-        c = tuple(float(v) for v in self.center) or (0.0,) * self.dim
-        if len(c) != self.dim or not all(map(math.isfinite, c)):
-            raise DomainError("center must be a finite d-vector")
-        object.__setattr__(self, "center", c)
-
-    @property
-    def effective_radius(self) -> float:
-        return self.radius * self.scale
-
-    @property
-    def surface_area(self) -> float:
-        return sphere_area(self.dim) * self.effective_radius ** (self.dim - 1)
-
-    @property
-    def volume(self) -> float:
-        return psf_mod.ball_volume(self.dim, self.effective_radius)
+    def contains(self, points) -> np.ndarray:
+        """Membership of each row of `points` (vectorized)."""
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        return np.linalg.norm(pts - self.center, axis=1) <= self.radius
 
 
 @dataclass(frozen=True)
@@ -109,6 +109,11 @@ class HalfSpace(Phantom):
             raise DomainError("offset must be finite")
         n = n / np.linalg.norm(n)
         object.__setattr__(self, "normal", tuple(n))
+
+    def contains(self, points) -> np.ndarray:
+        """Membership of each row of `points` (vectorized)."""
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        return pts @ np.asarray(self.normal) <= self.offset
 
 
 def capfrac(r, s, R: float, d: int):
@@ -273,18 +278,10 @@ class IntensityModel:
             self._offset = phantom.offset
             return
 
-        if isinstance(phantom, TransformedBall):
-            R = phantom.effective_radius
-            self._center = np.asarray(phantom.center)
-        elif isinstance(phantom, Ball):
-            R = phantom.radius
-            self._center = np.zeros(phantom.dim)
-        else:
-            raise DomainError(f"unsupported phantom {phantom!r}")
-
         self._kind = "ball"
-        self.R = R
-        self._theta = _radial_model(psf, a, R)
+        self.R = phantom.radius
+        self._center = np.asarray(phantom.center)
+        self._theta = _radial_model(psf, a, self.R)
 
     @property
     def table_range(self) -> tuple[float, float]:
@@ -314,13 +311,6 @@ class IntensityModel:
         radii = np.linalg.norm(pts - self._center, axis=1)
         return self.radial(radii)
 
-    def contains(self, points):
-        """Binary membership of the unblurred phantom (vectorized)."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if self._kind == "halfspace":
-            return pts @ self._normal <= self._offset
-        return np.linalg.norm(pts - self._center, axis=1) <= self.R
-
 
 @lru_cache(maxsize=64)
 def intensity_model(phantom: Phantom, psf: Psf, a: float) -> IntensityModel:
@@ -342,15 +332,8 @@ def intensity(phantom: Phantom, psf: Psf, a: float, x) -> float:
         prof = halfspace_profile(psf)
         return float(prof.theta((float(x @ np.asarray(phantom.normal))
                                  - phantom.offset) / a))
-    if isinstance(phantom, TransformedBall):
-        R = phantom.effective_radius
-        r = float(np.linalg.norm(x - np.asarray(phantom.center)))
-    elif isinstance(phantom, Ball):
-        R = phantom.radius
-        r = float(np.linalg.norm(x))
-    else:
-        raise DomainError(f"unsupported phantom {phantom!r}")
-    return float(_ball_intensity_radii(psf, a, R, [r])[0])
+    r = float(np.linalg.norm(x - np.asarray(phantom.center)))
+    return float(_ball_intensity_radii(psf, a, phantom.radius, [r])[0])
 
 
 @dataclass(frozen=True)
@@ -374,12 +357,6 @@ def transition_offsets(phantom: Phantom, psf: Psf, a: float,
     if isinstance(phantom, HalfSpace):
         return TransitionOffsets(t_minus=a * prof.phi(omega),
                                  t_plus=a * prof.phi(beta))
-    if isinstance(phantom, TransformedBall):
-        R = phantom.effective_radius
-    elif isinstance(phantom, Ball):
-        R = phantom.radius
-    else:
-        raise DomainError(f"unsupported phantom {phantom!r}")
-
+    R = phantom.radius
     return TransitionOffsets(t_minus=_level_radius(psf, a, R, omega) - R,
                              t_plus=_level_radius(psf, a, R, beta) - R)

@@ -61,7 +61,7 @@ from ._quad import fixed_quad, panel_nodes
 from .errors import DomainError, TruncationError
 from .estimator import Indicator, alpha_f, weight_tv
 from .lattice import Lattice
-from .phantom import Ball, TransformedBall, ball_band_radii, intensity_model
+from .phantom import Ball, ball_band_radii, intensity_model
 from .psf import (HalfspaceProfile, Psf, ball_volume, halfspace_profile,
                   sphere_area)
 # profile_fourier_1d is unused here: perfbench/spans.py wraps it by name
@@ -190,11 +190,9 @@ class VarianceReport:
 
 
 def _ball_radius(phantom) -> float:
-    if isinstance(phantom, Ball):
-        return phantom.radius
-    if isinstance(phantom, TransformedBall):
-        return phantom.effective_radius
-    raise DomainError("exact dual sums are implemented for balls only")
+    if not isinstance(phantom, Ball):
+        raise DomainError("variance engines take ball phantoms only")
+    return phantom.radius
 
 
 def weighted_layer(radius: float, psf: Psf, a: float, f):

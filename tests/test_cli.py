@@ -133,6 +133,24 @@ def test_estimate_deterministic_and_seeded(tmp_path):
     assert len(set(values)) > 1
 
 
+def test_estimate_reads_one_scale_pair(tmp_path, capsys):
+    assert main(["estimate", "--set", "scales.a=0.1", "--set", "scales.b=a^2",
+                 "--set", "estimate.replicates=2",
+                 "--out", str(tmp_path)]) == 0
+    header, rows = _read_csv(tmp_path / "estimate.csv")
+    assert [(float(r[5]), float(r[6])) for r in rows] == [(0.1, 0.1 * 0.1)] * 2
+    # a grid of several values is refused by name
+    for grid, key in ((["scales.a=0.1,0.05"], "scales.a"),
+                      (["scales.a=0.1", "scales.b=0.1,0.05"], "scales.b")):
+        argv = ["estimate", "--out", str(tmp_path / "bad")]
+        for item in grid:
+            argv += ["--set", item]
+        assert main(argv) == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "config"
+        assert record["key"] == key
+
+
 def test_env_seed_takes_precedence(tmp_path, monkeypatch):
     monkeypatch.setenv("GREYVAR_SEED", "123")
     out = tmp_path / "env"
@@ -217,6 +235,20 @@ def test_sieve_over_budget_is_exit_3(tmp_path, capsys, monkeypatch):
     assert rc == 3
     record = json.loads(capsys.readouterr().err.strip())
     assert record["kind"] == "TruncationError"
+    assert "budget" in record["message"]
+
+
+@pytest.mark.parametrize("command", ["estimate", "mc-variance"])
+def test_integer_cover_over_budget_is_exit_3(tmp_path, capsys, monkeypatch,
+                                              command):
+    # a small budget stands in for a fine lattice, so nothing large is
+    # ever allocated
+    monkeypatch.setattr(lattice, "SIEVE_BUDGET_BYTES", 1 << 12)
+    rc = main([command, "--set", "scales.a=0.1", "--out", str(tmp_path)])
+    assert rc == 3
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["kind"] == "TruncationError"
+    assert "integer box" in record["message"]
     assert "budget" in record["message"]
 
 

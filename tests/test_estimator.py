@@ -239,6 +239,26 @@ def test_volume_binary_is_point_count():
     assert res.raw_sum == res.n_support
 
 
+def test_volume_binary_moved_ball_and_half_space():
+    # a ball moved by a lattice vector holds as many points
+    shift = np.array([0.21, 0.47])
+    place = LatticePlacement(unit_lattice(2), 0.1, shift=shift)
+    centred = estimate_volume_binary(Ball(2, 1.0), place)
+    moved = estimate_volume_binary(Ball(2, 1.0, center=(0.3, -0.2)), place)
+    assert moved.raw_sum == centred.raw_sum
+    assert moved.window.lo == pytest.approx(
+        (centred.window.lo[0] + 0.3, centred.window.lo[1] - 0.2))
+    # a window that just covers the ball reads the same count
+    window = centered_box((1.0, 1.0))
+    assert estimate_volume_binary(Ball(2, 1.0), place,
+                                  window).raw_sum == centred.raw_sum
+    # an unbounded phantom needs a window, in which it counts its points
+    with pytest.raises(CoverageError):
+        estimate_volume_binary(HalfSpace(2), place)
+    half = estimate_volume_binary(HalfSpace(2), _placement(0.1), window)
+    assert half.raw_sum == 11 * 20  # x = -1.0, -0.9, ..., 0.0 on 20 rows
+
+
 def test_volume_grey_ball():
     # grey counting is unbiased for Lebesgue volume at every scale; the
     # per-placement spread at b = 0.04 is already tiny

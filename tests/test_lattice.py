@@ -19,8 +19,8 @@ from greyvar import lattice as lattice_module
 from greyvar.errors import DomainError, TruncationError
 from greyvar.lattice import (Box, Lattice, LatticePlacement, centered_box,
                              dual_shells, enumerate_points,
-                             epstein_zeta, hexagonal_lattice, point_shells,
-                             random_placement, random_rotation,
+                             epstein_zeta, hexagonal_lattice, integer_cover,
+                             point_shells, random_placement, random_rotation,
                              scaled_lattice, unit_lattice,
                              _sum_of_squares_counts)
 
@@ -158,6 +158,29 @@ def test_point_enumeration_over_budget_allocates_nothing():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_integer_cover_over_budget_allocates_nothing(monkeypatch):
+    """The integer box covering a window is checked against the budget
+    before it is built: around the unit ball at b = 0.002 in d=3 it has
+    about 1e9 points.  The rule is 32 d bytes per box point."""
+    place = LatticePlacement(unit_lattice(3), 0.002)
+    tracemalloc.start()
+    try:
+        with pytest.raises(TruncationError, match="budget") as err:
+            integer_cover(place, centered_box((1.1,) * 3), any_shift=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert "integer box" in str(err.value)
+    # a 7 x 7 box (|k_i| <= 2 padded by one cell) needs 32 * 2 * 49 bytes
+    small = LatticePlacement(unit_lattice(2), 1.0)
+    monkeypatch.setattr(lattice_module, "SIEVE_BUDGET_BYTES", 32 * 2 * 49)
+    assert len(integer_cover(small, centered_box((2.0, 2.0)))) == 49
+    monkeypatch.setattr(lattice_module, "SIEVE_BUDGET_BYTES", 32 * 2 * 49 - 1)
+    with pytest.raises(TruncationError, match="7 x 7 integer box"):
+        enumerate_points(small, centered_box((2.0, 2.0)))
 
 
 def _hurwitz_zeta(s, q, n=40, terms=8):

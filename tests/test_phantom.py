@@ -17,9 +17,9 @@ import pytest
 from scipy.stats import ncx2
 
 from greyvar.errors import DomainError
-from greyvar.phantom import (Ball, HalfSpace, IntensityModel,
-                             TransformedBall, ball_band_radii, capfrac,
-                             intensity, intensity_model, transition_offsets)
+from greyvar.phantom import (Ball, HalfSpace, IntensityModel, Phantom,
+                             ball_band_radii, capfrac, intensity,
+                             intensity_model, transition_offsets)
 from greyvar.psf import (compact_bump, eval_rho, gaussian,
                          halfspace_profile)
 
@@ -85,7 +85,7 @@ def test_halfspace_intensity_is_the_profile():
 def test_transformed_ball_equivariance():
     psf = gaussian(2)
     plain = Ball(2, 0.8)
-    moved = TransformedBall(2, radius=0.4, scale=2.0, center=(1.5, -0.3))
+    moved = Ball(2, 0.4 * 2.0, center=(1.5, -0.3))
     for r in (0.75, 0.8, 0.85):
         x = np.array([r, 0.0])
         assert intensity(moved, psf, 0.06, x + np.array([1.5, -0.3])) == \
@@ -151,12 +151,8 @@ def halfspace_gap(phantom, psf, a, x):
     x = np.asarray(x, dtype=float)
     if isinstance(phantom, HalfSpace):
         return 0.0
-    if isinstance(phantom, TransformedBall):
-        R, c = phantom.effective_radius, np.asarray(phantom.center)
-    else:
-        R, c = phantom.radius, np.zeros(phantom.dim)
-    r = float(np.linalg.norm(x - c))
-    flat = halfspace_profile(psf).theta((r - R) / a)
+    r = float(np.linalg.norm(x - np.asarray(phantom.center)))
+    flat = halfspace_profile(psf).theta((r - phantom.radius) / a)
     return abs(intensity(phantom, psf, a, x) - flat)
 
 
@@ -210,11 +206,9 @@ def test_validation_errors():
         with pytest.raises(DomainError):
             Ball(2, bad)
         with pytest.raises(DomainError):
-            TransformedBall(2, radius=bad)
-        with pytest.raises(DomainError):
-            TransformedBall(2, scale=bad)
-        with pytest.raises(DomainError):
-            TransformedBall(2, center=(0.0, bad))
+            Ball(2, center=(0.0, bad))
+    with pytest.raises(DomainError):
+        Ball(2, center=(0.0, 0.0, 0.0))
     with pytest.raises(DomainError):
         HalfSpace(2, normal=(0.0, 0.0))
     for bad in (math.inf, math.nan):
@@ -233,3 +227,18 @@ def test_validation_errors():
         transition_offsets(Ball(2, 1.0), gaussian(2), 0.05, 0.7, 0.3)
     with pytest.raises(DomainError):
         IntensityModel(HalfSpace(2), gaussian(2), 0.05).table_range
+
+
+def test_phantoms_answer_membership_and_others_are_refused():
+    pts = np.array([[1.0, -0.5], [1.0, -0.49], [0.0, 0.3]])
+    moved = Ball(2, 0.5, center=(1.0, -1.0))
+    np.testing.assert_array_equal(moved.contains(pts), [True, False, False])
+    hs = HalfSpace(2, normal=(0.0, 2.0), offset=0.25)
+    np.testing.assert_array_equal(hs.contains(pts), [True, True, False])
+    # a phantom that is neither a ball nor a half-space has no grey values
+    bare, psf = Phantom(2), gaussian(2)
+    for call in (lambda: IntensityModel(bare, psf, 0.05),
+                 lambda: intensity(bare, psf, 0.05, np.zeros(2)),
+                 lambda: transition_offsets(bare, psf, 0.05, 0.3, 0.7)):
+        with pytest.raises(DomainError, match="unsupported phantom"):
+            call()
