@@ -33,9 +33,8 @@ from .lattice import (Box, Lattice, LatticePlacement, centered_box,
                       unit_lattice)
 from .phantom import (Ball, HalfSpace, IntensityModel, intensity,
                       intensity_model, transition_offsets)
-from .psf import (HalfspaceProfile, Psf, ball_indicator, check_conditions,
-                  compact_bump, effective_radius, eval_rho, gaussian,
-                  halfspace_profile)
+from .psf import (HalfspaceProfile, Psf, ball_indicator, compact_bump,
+                  effective_radius, eval_rho, gaussian, halfspace_profile)
 from .spectral import (AnnulusFourier, RadialFourier, ball_indicator_fourier,
                        ball_main_term, bessel_j, flat_band_square, nu_phase,
                        profile_fourier_1d, psf_fourier, sharp_band_square)
@@ -58,7 +57,7 @@ __all__ = [
     "RadiusDensity", "ShellSumInfo", "SmoothPlateau", "TruncationError",
     "VarianceReport", "alpha_f", "ball_indicator",
     "ball_indicator_fourier", "ball_main_term", "bessel_j", "centered_box",
-    "check_conditions", "compact_bump", "default_weight", "dual_shells",
+    "compact_bump", "default_weight", "dual_shells",
     "effective_radius", "enumerate_points", "envelope_check",
     "estimate_surface", "estimate_volume_binary", "estimate_volume_grey",
     "eval_rho", "flat_band_square", "gaussian", "halfspace_profile",

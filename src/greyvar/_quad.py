@@ -1,10 +1,13 @@
-"""Deterministic 1-D quadrature helpers (composite / adaptive Gauss-Legendre).
+"""Composite Gauss-Legendre nodes for the integrals without a closed form.
 
-All profile and transform integrals in the package go through these
-routines: fixed-order Gauss-Legendre panels for smooth or oscillatory
-integrands (panel width tied to the oscillation period) and a recursive
-bisection scheme for integrands with localized structure.  Everything is
-deterministic, so repeated runs are bit-identical.
+Every such integral in the package is one fixed rule: Gauss-Legendre
+panels of one order over sorted breakpoints (the kinks of the
+integrand), each gap cut into the same number of equal panels.
+`panel_nodes` takes that number from the caller (alpha_f and the lattice
+sum LS compare against the rule with half the panels);
+`oscillatory_nodes` ties it to the oscillation period of a Fourier
+kernel.  The rules are deterministic, so repeated runs are
+bit-identical.
 """
 
 from __future__ import annotations
@@ -14,8 +17,6 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import TruncationError
-
-DEFAULT_ABS_TOL = 1e-10
 
 
 @lru_cache(maxsize=8)
@@ -42,11 +43,6 @@ def panel_nodes(edges, n_panels: int, order: int = 15):
     return (lo + half + half * x).reshape(shape), (half * w).reshape(shape)
 
 
-def fixed_quad(f, a: float, b: float, n_panels: int = 1, order: int = 15) -> float:
-    nodes, weights = panel_nodes((a, b), n_panels, order)
-    return float(np.dot(np.asarray(f(nodes), dtype=float), weights))
-
-
 def oscillatory_nodes(edges, freq: float, order: int = 15,
                       min_panels: int = 2, max_nodes: int = 20_000_000):
     """Composite GL nodes over the sorted breakpoints `edges`, every gap
@@ -69,50 +65,3 @@ def oscillatory_nodes(edges, freq: float, order: int = 15,
         raise TruncationError(
             f"oscillatory rule would need {n_nodes} nodes (freq={freq:g})")
     return panel_nodes(edges, n, order)
-
-
-def adaptive_quad(f, a: float, b: float, abs_tol: float = DEFAULT_ABS_TOL,
-                  breakpoints=(), max_depth: int = 48, order: int = 15) -> float:
-    """Adaptive composite Gauss-Legendre with recursive bisection.
-
-    The integrand f must accept an ndarray of nodes.  Known kinks can be
-    passed via `breakpoints`; each sub-interval is then refined until the
-    two-half estimate agrees with the single-panel estimate to its share
-    of abs_tol.
-    """
-    pts = [a]
-    for p in sorted(breakpoints):
-        if a < p < b:
-            pts.append(float(p))
-    pts.append(b)
-
-    total = 0.0
-    for lo, hi in zip(pts[:-1], pts[1:]):
-        if hi > lo:
-            tol = abs_tol * (hi - lo) / (b - a)
-            total += _adapt(f, lo, hi, tol, max_depth, order)
-    return total
-
-
-def _panel_estimate(f, a, b, order):
-    x, w = _gl_rule(order)
-    half = 0.5 * (b - a)
-    nodes = a + half + half * x
-    return half * float(np.dot(np.asarray(f(nodes), dtype=float), w))
-
-
-def _adapt(f, a, b, tol, depth, order):
-    whole = _panel_estimate(f, a, b, order)
-    return _adapt_rec(f, a, b, whole, tol, depth, order)
-
-
-def _adapt_rec(f, a, b, whole, tol, depth, order):
-    mid = 0.5 * (a + b)
-    left = _panel_estimate(f, a, mid, order)
-    right = _panel_estimate(f, mid, b, order)
-    if depth <= 0:
-        return left + right
-    if abs(left + right - whole) <= max(tol, 1e-16 * abs(whole)):
-        return left + right
-    return (_adapt_rec(f, a, mid, left, 0.5 * tol, depth - 1, order)
-            + _adapt_rec(f, mid, b, right, 0.5 * tol, depth - 1, order))

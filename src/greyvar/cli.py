@@ -113,15 +113,6 @@ class ConfigView:
             raise ConfigError(key, f"must be >= {minimum}, got {value}")
         return value
 
-    def boolval(self, key: str, default: bool) -> bool:
-        raw = self.get(key, "true" if default else "false")
-        lowered = str(raw).strip().lower()
-        if lowered in ("true", "yes", "1", "on"):
-            return True
-        if lowered in ("false", "no", "0", "off"):
-            return False
-        raise ConfigError(key, f"cannot parse {raw!r} as a boolean")
-
     def grid(self, key: str, default: str | None = None, *,
              positive: bool = True) -> list[float]:
         """A 'lin:start:stop:count' or 'geom:start:stop:count' grid, or a
@@ -440,10 +431,8 @@ def _cmd_theory_variance(view: ConfigView, seed: int, workers: int):
 
 
 def _cmd_scaling_study(view: ConfigView, seed: int, workers: int):
-    return _variance_rows(view, seed, workers,
-                          with_mc=view.boolval("scaling.mc", True),
-                          with_theory=view.boolval("scaling.theory", True),
-                          default_reps=2000)
+    return _variance_rows(view, seed, workers, with_mc=True,
+                          with_theory=True, default_reps=2000)
 
 
 _COMMANDS = {
@@ -485,8 +474,7 @@ _KNOWN_KEYS = {
     | _WEIGHT_KEYS | _LATTICE_KEYS | _SCALE_KEYS,
 }
 _KNOWN_KEYS["scaling-study"] = (_KNOWN_KEYS["mc-variance"]
-                                | _KNOWN_KEYS["theory-variance"]
-                                | {"scaling.mc", "scaling.theory"})
+                                | _KNOWN_KEYS["theory-variance"])
 
 
 def _check_known_keys(command: str, raw: dict[str, str]) -> None:

@@ -153,42 +153,6 @@ def _integration_radius(psf: Psf) -> float:
     return psf.support_radius if psf.compact else 20.0
 
 
-@dataclass(frozen=True)
-class ConditionReport:
-    """Which regularity regime a PSF falls under.
-
-    c2_compact      : C^2 with compact support
-    decay_ok        : radial, nonincreasing, with all polynomial moments
-    profile_strict  : marginal strictly positive inside its support,
-                      i.e. the edge profile has (theta_H)' < 0 there
-    surface_ok      : PSF usable for surface estimators
-    """
-
-    c2_compact: bool
-    decay_ok: bool
-    profile_strict: bool
-    surface_ok: bool
-    notes: str = ""
-
-
-def check_conditions(psf: Psf) -> ConditionReport:
-    if psf.kind == "gaussian":
-        return ConditionReport(
-            c2_compact=False, decay_ok=True, profile_strict=True,
-            surface_ok=True,
-            notes="smooth, rapidly decaying; effective support radius "
-                  f"{psf.support_radius:g}")
-    if psf.kind == "bump":
-        return ConditionReport(
-            c2_compact=True, decay_ok=True, profile_strict=True,
-            surface_ok=True, notes="C^2 polynomial bump, support radius "
-                                   f"{psf.support_radius:g}")
-    return ConditionReport(
-        c2_compact=False, decay_ok=True, profile_strict=True,
-        surface_ok=False,
-        notes="discontinuous kernel; volume-estimator baselines only")
-
-
 class HalfspaceProfile:
     """Closed-form edge profile theta_H with derivative and inverse.
 

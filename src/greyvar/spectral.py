@@ -14,8 +14,9 @@ the two band regimes (many oscillations across the grey band versus a
 band much thinner than the oscillation period) have elementary closed
 models used for cross-checks and scaling predictions.
 
-Only dimensions 2 and 3 are supported, so the Bessel orders that can
-occur are 0, 1/2, 1 and 3/2.
+Only dimensions 2 and 3 are supported, so the Hankel kernels have the
+orders 0, 1/2, 1 and 3/2 (bessel_j); the closed-form transforms of the
+compact kernels and the ball take scipy's jv at d/2 + k.
 """
 
 from __future__ import annotations
@@ -27,9 +28,10 @@ from typing import Callable
 import numpy as np
 from scipy import special
 
-from ._quad import fixed_quad, oscillatory_nodes
+from ._quad import oscillatory_nodes, panel_nodes
 from .errors import DomainError
-from .psf import HalfspaceProfile, Psf, ball_volume, eval_rho, sphere_area
+from .psf import (HalfspaceProfile, Psf, _compact_power, ball_volume,
+                  sphere_area)
 
 _Q_CHUNK = 128
 
@@ -85,9 +87,9 @@ class RadialFourier:
 
     def volume_integral(self) -> float:
         """F at q = 0: the full d-dimensional integral of the function."""
-        val = fixed_quad(lambda r: self.fn(r) * r ** (self.dim - 1),
-                         self.r_lo, self.r_hi,
-                         n_panels=max(self.min_panels, 16), order=self.order)
+        r, w = panel_nodes((self.r_lo, self.r_hi),
+                           max(self.min_panels, 16), self.order)
+        val = float(np.dot(self.fn(r) * r ** (self.dim - 1), w))
         return sphere_area(self.dim) * val
 
     def at(self, q, *, refine: int = 1):
@@ -157,38 +159,56 @@ class AnnulusFourier:
         return out
 
 
+# below x = 2 the compact transform takes its power series; for nu >= 1
+# the first term left out is under 1e-18
+_SERIES_X, _SERIES_TERMS = 2.0, 17
+
+
+def _compact_fourier(nu: float, radius: float, q):
+    """Gamma(nu+1) x^{-nu} J_nu(2 x), x = pi R q, at frequencies q >= 0:
+    the transform of (1 - |y|^2/R^2)_+^k on R^d divided by its integral,
+    for nu = d/2 + k (Bochner-Riesz; Stein & Weiss, Introduction to
+    Fourier Analysis on Euclidean Spaces, 1971, Thm IV.4.15).
+
+    Below x = 2 it sums the series sum_m (-x^2)^m / (m! (nu+1)_m), which
+    is exactly 1 at q = 0 and keeps the digits that x^{-nu} J_nu(2 x)
+    loses at small x; from there on scipy's jv."""
+    x = math.pi * radius * np.atleast_1d(np.asarray(q, dtype=float))
+    if np.any(x < 0):
+        raise DomainError("frequencies must be nonnegative")
+    out = np.empty_like(x)
+    small = x < _SERIES_X
+    step = -x[small] ** 2
+    term = np.ones_like(step)
+    total = term.copy()
+    for m in range(1, _SERIES_TERMS):
+        term *= step / (m * (nu + m))
+        total += term
+    out[small] = total
+    xb = x[~small]
+    out[~small] = math.gamma(nu + 1.0) * xb ** -nu * special.jv(nu, 2.0 * xb)
+    return float(out[0]) if np.ndim(q) == 0 else out
+
+
 def ball_indicator_fourier(radius: float, dim: int, q):
     """Closed-form transform of the ball indicator:
-    F(1_B(R))(q) = R^{d/2} q^{-d/2} J_{d/2}(2 pi R q)."""
+    F(1_B(R))(q) = R^{d/2} q^{-d/2} J_{d/2}(2 pi R q), its volume at 0."""
     if radius <= 0:
         raise DomainError("radius must be positive")
-    q = np.asarray(q, dtype=float)
-    scalar = q.ndim == 0
-    q = np.atleast_1d(q)
-    out = np.empty_like(q)
-    tiny = q < 1e-9 / radius
-    out[tiny] = ball_volume(dim, radius)
-    big = ~tiny
-    if np.any(big):
-        qb = q[big]
-        out[big] = (radius ** (dim / 2.0) * qb ** (-dim / 2.0)
-                    * bessel_j(dim / 2.0, 2.0 * math.pi * radius * qb))
-    return float(out[0]) if scalar else out
+    return ball_volume(dim, radius) * _compact_fourier(dim / 2.0, radius, q)
 
 
 def psf_fourier(psf: Psf, q):
     """Transform of the unscaled kernel rho; the physical kernel rho_a
-    satisfies F(rho_a)(q) = F(rho)(a q)."""
+    satisfies F(rho_a)(q) = F(rho)(a q).  Closed forms: the Gaussian is
+    its own transform, and a compact kernel ~ (1 - |x|^2/D^2)^k has the
+    Bochner-Riesz transform of order d/2 + k (see _compact_fourier)."""
+    if psf.compact:
+        return _compact_fourier(psf.dim / 2.0 + _compact_power(psf),
+                                psf.support_radius, q)
     q = np.asarray(q, dtype=float)
-    if psf.kind == "gaussian":
-        out = np.exp(-2.0 * math.pi ** 2 * q * q)
-        return float(out) if out.ndim == 0 else out
-    if psf.kind == "ball_indicator":
-        return (ball_indicator_fourier(psf.support_radius, psf.dim, q)
-                / ball_volume(psf.dim, psf.support_radius))
-    rf = RadialFourier(lambda r: eval_rho(psf, r), 0.0, psf.support_radius,
-                       psf.dim, min_panels=12)
-    return rf.at(q)
+    out = np.exp(-2.0 * math.pi ** 2 * q * q)
+    return float(out) if out.ndim == 0 else out
 
 
 def knot_images(f, profile: HalfspaceProfile):

@@ -57,7 +57,7 @@ import numpy as np
 from scipy import special
 
 from . import lattice as lat
-from ._quad import fixed_quad, panel_nodes
+from ._quad import panel_nodes
 from .errors import DomainError, TruncationError
 from .estimator import Indicator, alpha_f, weight_tv
 from .lattice import Lattice
@@ -521,9 +521,15 @@ class RadiusDensity:
         return self.s0 + (self.s1 - self.s0) * special.betaincinv(5.0, 5.0, u)
 
     def mean_power(self, k: int) -> float:
-        """E[s^k]; a Beta(5,5) moment pushed to [s0, s1]."""
-        return fixed_quad(lambda s: s ** k * self.pdf(s),
-                          self.s0, self.s1, n_panels=32)
+        """E[s^k] for s = s0 + w X, X ~ Beta(5,5), w = s1 - s0: the
+        binomial sum of C(k,j) s0^{k-j} w^j E[X^j], with
+        E[X^j] = prod_{i<j} (5+i)/(10+i)."""
+        w = self.s1 - self.s0
+        total, moment = 0.0, 1.0
+        for j in range(k + 1):
+            total += math.comb(k, j) * self.s0 ** (k - j) * w ** j * moment
+            moment *= (5.0 + j) / (10.0 + j)
+        return total
 
 
 def variance_asymptotic_random_radius(psf: Psf, f, lattice: Lattice,
@@ -619,8 +625,18 @@ def _annulus_points(lattice: Lattice, b: float, r_lo: float, r_hi: float):
     ks = lat.integer_cover(lat.LatticePlacement(lattice, b), window,
                            any_shift=True)
     basis = np.asarray(lattice.basis)
-    pts = b * (ks @ basis.T)
-    rc = np.linalg.norm(pts + 0.5 * b * basis.sum(axis=1), axis=1)
+    # the integer box freed once cast, and arithmetic in place: no more
+    # than two (N, d) arrays are alive at once, within the 32 d bytes per
+    # box point that integer_cover budgets for
+    pts = ks.astype(float)
+    del ks
+    pts = pts @ basis.T
+    pts *= b
+    sq = pts + 0.5 * b * basis.sum(axis=1)
+    sq *= sq
+    rc = sq.sum(axis=1)
+    del sq
+    np.sqrt(rc, out=rc)
     keep = (rc >= r_lo - reach - 1e-12) & (rc <= r_hi + reach + 1e-12)
     return pts[keep]
 
@@ -762,17 +778,6 @@ def envelope_check(report: VarianceReport, asym: AsymptoticReport, *,
     return -slack * asym.main <= report.value <= upper
 
 
-class _AbsWeight:
-    """|f| with the attributes alpha_f needs forwarded."""
-
-    def __init__(self, f):
-        self._f = f
-        self.knots = f.knots
-
-    def __call__(self, values):
-        return np.abs(self._f(values))
-
-
 @dataclass
 class BoundReport:
     """Exact variance against its structural envelope.
@@ -807,9 +812,8 @@ def variance_bound_check(phantom, psf: Psf, f, a: float, lattice: Lattice,
     alpha = alpha_f(f, profile)
     f_lo, f_hi = (abs(v) for v in f.boundary_values)
     if regime == "general":
-        alpha_abs = alpha_f(_AbsWeight(f), profile)
-        weight_factor = (alpha_abs / alpha ** 2) * (
-            f_lo + f_hi + weight_tv(f, profile))
+        # weights are nonnegative, so alpha_{|f|} = alpha_f
+        weight_factor = (f_lo + f_hi + weight_tv(f)) / alpha
         structural = (b ** dim / a) * radius ** (dim - 1) * weight_factor
     elif regime == "fast_b":
         if f_lo == 0.0 and f_hi == 0.0:

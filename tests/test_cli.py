@@ -264,17 +264,17 @@ def test_fourier_gap_column(tmp_path):
     assert all(g >= 0.0 and math.isfinite(g) for g in rel_gap)
 
 
-def test_scaling_study_theory_only(tmp_path):
-    assert main(["scaling-study", "--set", "scales.a=0.1,0.05",
-                 "--set", "scaling.mc=false", "--out", str(tmp_path)]) == 0
-    header, rows = _read_csv(tmp_path / "scaling-study.csv")
-    assert len(rows) == 2
-    for row in rows:
-        assert row[2] == "" and row[3] == ""
-        assert float(row[4]) > 0.0
-    man = _read_manifest(tmp_path)
-    assert man["config"]["scaling.mc"] == "false"
-    assert man["rows"] == 2
+@pytest.mark.parametrize("key", ["scaling.mc", "scaling.theory"])
+def test_scaling_study_switch_keys_are_unknown(tmp_path, capsys, key):
+    """scaling-study always runs both halves; theory-variance and
+    mc-variance run one each."""
+    rc = main(["scaling-study", "--set", "scales.a=0.1",
+               "--set", f"{key}=false", "--out", str(tmp_path)])
+    assert rc == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "config"
+    assert record["key"] == key
+    assert not (tmp_path / "scaling-study.csv").exists()
 
 
 def test_missing_config_file_is_exit_2(tmp_path, capsys):

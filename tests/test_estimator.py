@@ -10,9 +10,12 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.optimize import brentq
 from scipy.stats import norm
 
-from greyvar.errors import CoverageError, DomainError
+from greyvar import estimator
+from greyvar._quad import panel_nodes
+from greyvar.errors import CoverageError, DomainError, TruncationError
 from greyvar.estimator import (EstimateResult, Indicator, SmoothPlateau,
                                alpha_f, default_weight, estimate_surface,
                                estimate_volume_binary, estimate_volume_grey,
@@ -51,8 +54,6 @@ def test_indicator_weight_shape():
     np.testing.assert_array_equal(f(y), [0, 0, 1, 1, 1, 0, 0])
     assert f.knots == (0.3, 0.7)
     assert f.boundary_values == (1.0, 1.0)
-    assert not f.smooth
-    np.testing.assert_array_equal(f.derivative(y), np.zeros(7))
 
 
 def test_plateau_weight_shape():
@@ -65,13 +66,7 @@ def test_plateau_weight_shape():
     # symmetric knots give a symmetric weight
     y = np.linspace(0.0, 1.0, 401)
     np.testing.assert_allclose(f(y), f(1.0 - y), atol=1e-14)
-    assert f.smooth
     assert f.boundary_values == (0.0, 0.0)
-    # derivative matches a central difference on the ramps
-    for y0 in (0.33, 0.37, 0.63, 0.67):
-        h = 1e-6
-        fd = (f(y0 + h) - f(y0 - h)) / (2 * h)
-        assert f.derivative(y0) == pytest.approx(fd, rel=1e-6)
 
 
 def test_weight_validation():
@@ -115,13 +110,48 @@ def test_alpha_plateau_gaussian_quadrature_oracle():
     assert want == pytest.approx(0.7714236491324105, rel=1e-12)
 
 
-def test_weight_tv_values():
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("support", [0.5, 2.0])
+def test_alpha_plateau_bump_quadrature_oracle(dim, support):
+    """alpha_f of the plateau under the bump, against scipy's adaptive
+    quadrature of a profile built from the bump's marginal
+    (1 - s^2/D^2)^p, p = 3 + (d-1)/2, and inverted by brentq."""
+    f = SmoothPlateau(0.3, 0.4, 0.6, 0.7)
+    p = 3.0 + 0.5 * (dim - 1)
+    marginal = lambda s: (1.0 - (s / support) ** 2) ** p
+    mass, _ = quad(marginal, -support, support, epsabs=0, epsrel=1e-13)
+    theta = lambda t: quad(marginal, t, support, epsabs=0,
+                           epsrel=1e-13)[0] / mass
+    cuts = [brentq(lambda t: theta(t) - y, -support, support, xtol=1e-15)
+            for y in f.knots]
+    want, err = quad(lambda t: float(f(theta(t))), cuts[-1], cuts[0],
+                     points=cuts[1:-1], epsabs=1e-13)
+    assert err < 1e-12
+    got = alpha_f(f, halfspace_profile(compact_bump(dim, support)))
+    assert got == pytest.approx(want, rel=1e-13)
+
+
+def test_alpha_refuses_a_rule_that_moves_when_halved(monkeypatch):
+    """alpha_f compares its 8-panel rule with the 4-panel one and raises
+    TruncationError, not a number, when they disagree."""
     profile = halfspace_profile(gaussian(2))
+    f = SmoothPlateau()
+    alpha_f(f, profile)  # the true rule passes its own check
+
+    def skewed(edges, n_panels, order=15):
+        nodes, weights = panel_nodes(edges, n_panels, order)
+        return nodes, weights * (1.0 + 1e-9 * (n_panels == 4))
+
+    monkeypatch.setattr(estimator, "panel_nodes", skewed)
+    with pytest.raises(TruncationError, match="halved"):
+        alpha_f(f, profile)
+
+
+def test_weight_tv_values():
     # the plateau ramps monotonically 0 -> 1 -> 0: total variation 2
-    assert weight_tv(SmoothPlateau(), profile) == pytest.approx(2.0,
-                                                                rel=1e-8)
+    assert weight_tv(SmoothPlateau()) == 2.0
     # the indicator has no continuous variation at all
-    assert weight_tv(Indicator(), profile) == pytest.approx(0.0, abs=1e-12)
+    assert weight_tv(Indicator()) == 0.0
 
 
 def _placement(b, seed=None):

@@ -14,9 +14,8 @@ from scipy.integrate import quad
 
 from greyvar.errors import DomainError
 from greyvar.psf import (GAUSSIAN_T, Psf, ball_indicator, ball_volume,
-                         check_conditions, compact_bump, effective_radius,
-                         eval_rho, gaussian, halfspace_profile, radial_mass,
-                         sphere_area)
+                         compact_bump, effective_radius, eval_rho, gaussian,
+                         halfspace_profile, radial_mass, sphere_area)
 
 ALL_KINDS = [gaussian, compact_bump, ball_indicator]
 
@@ -193,15 +192,6 @@ def test_phi_rejects_levels_outside_unit_interval():
     for y in (0.0, 1.0, -0.2, 1.3):
         with pytest.raises(DomainError):
             prof.phi(y)
-
-
-def test_condition_report_flags():
-    assert check_conditions(gaussian(2)).surface_ok
-    assert not check_conditions(gaussian(2)).c2_compact
-    bump = check_conditions(compact_bump(3))
-    assert bump.c2_compact and bump.surface_ok
-    disc = check_conditions(ball_indicator(2))
-    assert disc.decay_ok and not disc.surface_ok
 
 
 def test_profile_total_mass():

@@ -17,7 +17,7 @@ from greyvar.errors import DomainError, TruncationError
 from greyvar.estimator import Indicator, SmoothPlateau, alpha_f
 from greyvar.phantom import Ball, intensity_model, transition_offsets
 from greyvar.psf import (ball_indicator, ball_volume, compact_bump,
-                         gaussian, halfspace_profile)
+                         eval_rho, gaussian, halfspace_profile)
 from greyvar.spectral import (AnnulusFourier, RadialFourier, ball_main_term,
                               ball_indicator_fourier, band_cycles, bessel_j,
                               flat_band_square, nu_phase, profile_fourier_1d,
@@ -144,7 +144,26 @@ def test_radial_fourier_validation():
 def test_psf_fourier_normalized_at_zero():
     for make in (gaussian, compact_bump, ball_indicator):
         psf = make(2)
-        assert psf_fourier(psf, 0.0) == pytest.approx(1.0, abs=1e-9)
+        assert psf_fourier(psf, 0.0) == 1.0
+
+
+@pytest.mark.parametrize("make, atol", [(compact_bump, 2e-15),
+                                        (ball_indicator, 1e-15)])
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("support", [0.5, 1.0])
+def test_compact_psf_fourier_matches_hankel_quadrature(make, atol, dim,
+                                                      support):
+    """The Bochner-Riesz closed form of a compact kernel's transform
+    against Hankel quadrature of its density, from q = 0 (the kernel's
+    mass, 1) across the series switchover to q = 300."""
+    psf = make(dim, support)
+    rf = RadialFourier(lambda r: eval_rho(psf, r), 0.0, support, dim,
+                       min_panels=12)
+    q = np.concatenate([np.geomspace(1e-6, 1.0, 25),
+                        np.linspace(0.0, 300.0, 301)])
+    np.testing.assert_allclose(psf_fourier(psf, q), rf.at(q), rtol=0,
+                               atol=atol)
+    assert isinstance(psf_fourier(psf, 1.7), float)
 
 
 def test_profile_fourier_indicator_closed_form():

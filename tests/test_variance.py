@@ -473,8 +473,8 @@ def test_radius_density_properties():
     assert total == pytest.approx(1.0, abs=1e-10)
     assert dens.pdf(0.99) == 0.0 and dens.pdf(2.01) == 0.0
     # symmetric density: first moment is the midpoint
-    assert dens.mean_power(0) == pytest.approx(1.0, rel=1e-12)
-    assert dens.mean_power(1) == pytest.approx(1.5, rel=1e-12)
+    assert dens.mean_power(0) == 1.0
+    assert dens.mean_power(1) == 1.5
     rng = np.random.default_rng(3)
     draws = dens.sample(rng, 20000)
     assert np.all((draws > 1.0) & (draws < 2.0))
@@ -483,6 +483,18 @@ def test_radius_density_properties():
     assert np.mean(draws ** 2) == pytest.approx(m2, abs=0.02)
     with pytest.raises(DomainError):
         RadiusDensity(2.0, 1.0)
+
+
+@pytest.mark.parametrize("s0, s1", [(1.0, 2.0), (0.5, 3.0), (0.2, 0.25)])
+def test_radius_density_moments_vs_quadrature(s0, s1):
+    """The binomial closed form of E[s^k] against scipy quadrature of
+    s^k times the density 630 x^4 (1-x)^4 / w, x = (s - s0)/w."""
+    dens, w = RadiusDensity(s0, s1), s1 - s0
+    pdf = lambda s: 630.0 * ((s - s0) / w) ** 4 * ((s1 - s) / w) ** 4 / w
+    for k in range(4):
+        want, _ = quad(lambda s: s ** k * pdf(s), s0, s1, epsabs=0,
+                       epsrel=1e-13)
+        assert dens.mean_power(k) == pytest.approx(want, rel=1e-15)
 
 
 def test_random_radius_asymptotics():
@@ -620,6 +632,30 @@ def test_annulus_points_drop_only_zero_weight_points(latt, ab):
         assert not np.any(f(model.radial(r)))
 
 
+@pytest.mark.parametrize("dim, b", [(2, 0.0022), (3, 0.023)])
+def test_annulus_points_peak_within_box_budget(monkeypatch, dim, b):
+    """Selecting the Monte Carlo points from a box of about 1e6 integer
+    points stays within the 32 d bytes per box point that the box's
+    budget check charges."""
+    boxes = []
+
+    def counted(*args, **kwargs):
+        ks = cover(*args, **kwargs)
+        boxes.append(len(ks))
+        return ks
+
+    cover = lattice.integer_cover
+    monkeypatch.setattr(lattice, "integer_cover", counted)
+    tracemalloc.start()
+    try:
+        _annulus_points(unit_lattice(dim), b, 0.9, 1.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 8e5 < boxes[0] < 1.25e6
+    assert peak <= 32 * dim * boxes[0]
+
+
 @pytest.mark.parametrize("psf, a", [(compact_bump(2, 1.0), 0.05),
                                     (gaussian(3), 0.05), (GAUSS2, 0.85)])
 def test_smooth_mc_weight_reads_the_model_only_in_the_band(psf, a):
@@ -722,6 +758,27 @@ def test_bound_check_general_band():
         ms.append(rep.implied_constant)
     assert np.allclose(ms, [0.4097, 0.3548, 0.3180], rtol=1e-3)
     assert max(ms) / min(ms) < 1.5
+
+
+class _BareWeight:
+    """A weight with only what the weight contract asks for: sorted
+    knots, one-sided band-edge values and a vectorized call."""
+
+    knots = (0.3, 0.4, 0.6, 0.7)
+    boundary_values = (0.0, 0.0)
+
+    def __call__(self, y):
+        return SmoothPlateau(*self.knots)(y)
+
+
+def test_bound_check_takes_a_bare_weight():
+    want = variance_bound_check(Ball(2, 1.0), GAUSS2, SmoothPlateau(), 0.1,
+                                Z2, 0.1)
+    got = variance_bound_check(Ball(2, 1.0), GAUSS2, _BareWeight(), 0.1,
+                               Z2, 0.1)
+    assert got.structural == want.structural
+    assert got.implied_constant == pytest.approx(want.implied_constant,
+                                                 rel=1e-12)
 
 
 def test_bound_check_fast_b_bounded():
