@@ -19,9 +19,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
 from .errors import DomainError, TruncationError
+from .psf import _erfc
 
 
 @dataclass(frozen=True)
@@ -325,9 +325,11 @@ def dual_shells(lattice: Lattice, xi_max: float, xi_min: float = 0.0):
     return point_shells(lattice.dual, xi_max, xi_min)
 
 
-def epstein_zeta(lattice: Lattice, s: float) -> float:
+def epstein_zeta(lattice: Lattice, s: int) -> float:
     """Epstein zeta Z(s) = sum over nonzero z of |A z|^{-s}, continued
-    analytically to every s other than the pole s = d.
+    analytically, at an integer s > 0 other than the pole s = d and the
+    even distances s - d = 2, 4, ... above it (s in {1, 3} is what the
+    lattice sums use).
 
     Ewald's split of the Mellin integral for Gamma(s/2) pi^{-s/2} |z|^{-s}
     at t = eta, with eta = det(A)^{-2/d} balancing the two sides:
@@ -339,11 +341,15 @@ def epstein_zeta(lattice: Lattice, s: float) -> float:
           + 2 eta^{(s-d)/2} / (det(A) (s - d)) - 2 eta^{s/2} / s,
 
     sums over nonzero primal z and dual xi, each cut where the
-    incomplete gamma argument reaches 50 (terms below e^{-50}).
+    incomplete gamma argument reaches 50 (terms below e^{-50}).  Both
+    gamma orders are multiples of 1/2, whose incomplete gammas are
+    elementary (_upper_gamma).
     """
     d = lattice.dim
-    if s == d or s <= 0:
-        raise DomainError(f"Epstein zeta needs 0 < s != {d}")
+    if (not float(s).is_integer() or s <= 0 or s == d
+            or (s > d and (s - d) % 2 == 0)):
+        raise DomainError(f"Epstein zeta needs an integer s > 0 with s - d "
+                          f"not in {{0, 2, 4, ...}}; got {s!r} for d = {d}")
     vol = lattice.cell_volume
     eta = vol ** (-2.0 / d)
     cut = 50.0
@@ -356,16 +362,28 @@ def epstein_zeta(lattice: Lattice, s: float) -> float:
              + math.pi ** ((s - d) / 2.0) * recip / vol
              + 2.0 * eta ** ((s - d) / 2.0) / (vol * (s - d))
              - 2.0 * eta ** (s / 2.0) / s)
-    return float(total / (math.pi ** (-s / 2.0) * special.gamma(s / 2.0)))
+    return float(total / (math.pi ** (-s / 2.0) * math.gamma(s / 2.0)))
 
 
 def _upper_gamma(a: float, x):
-    """Upper incomplete gamma Gamma(a, x) for x > 0 and any real a that
-    is not a nonpositive integer, by Gamma(a, x) = (Gamma(a + 1, x) -
-    x^a e^{-x}) / a below a = 0."""
-    if a > 0:
-        return special.gammaincc(a, x) * special.gamma(a)
-    return (_upper_gamma(a + 1.0, x) - x ** a * np.exp(-x)) / a
+    """Upper incomplete gamma Gamma(a, x) for x > 0 and a multiple a of
+    1/2 that is not a nonpositive integer, elementwise over x.
+
+    From Gamma(1/2, x) = sqrt(pi) erfc(sqrt x) or Gamma(1, x) = e^{-x}
+    it steps up by Gamma(a + 1, x) = a Gamma(a, x) + x^a e^{-x}, whose
+    terms are all positive, and below a = 0 down by Gamma(a, x) =
+    (Gamma(a + 1, x) - x^a e^{-x}) / a."""
+    x = np.asarray(x, dtype=float)
+    if a <= 0:
+        return (_upper_gamma(a + 1.0, x) - x ** a * np.exp(-x)) / a
+    if a == int(a):
+        base, out = 1.0, np.exp(-x)
+    else:
+        base, out = 0.5, math.sqrt(math.pi) * _erfc(np.sqrt(x))
+    while base < a:
+        out = base * out + x ** base * np.exp(-x)
+        base += 1.0
+    return out
 
 
 def random_rotation(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -133,6 +133,10 @@ def capfrac(r, s, R: float, d: int):
 # quadrature layout for the radial cap integral (see _ball_intensity_radii)
 _N_CORE = 24        # panels on [0, w1] (cap fraction constant there)
 _N_EDGE = 16        # zeta-panels per transition half
+# transition radii per block: its (32, 240) temporaries stay under glibc's
+# 128 KiB mmap threshold, so a model build (81 radii) reuses heap pages
+# instead of mapping and faulting fresh ones for every temporary
+_ROW_BLOCK = 32
 
 
 def _ball_intensity_radii(psf: Psf, a: float, R: float, radii) -> np.ndarray:
@@ -166,16 +170,17 @@ def _ball_intensity_radii(psf: Psf, a: float, R: float, radii) -> np.ndarray:
         f = eval_rho(psf, nodes) * nodes ** (d - 1)
         vals[inside] += sphere_area(d) * hi * (f @ w)
 
-    # transition segment [w1, min(w2, W)], graded toward the cap edges
+    # transition segment [w1, min(w2, W)], graded toward the cap edges,
+    # _ROW_BLOCK radii at a time (each row's sum is the same either way)
     lo = w1
     hi = np.minimum(w2, W)
-    open_seg = hi > lo
-    if np.any(open_seg):
-        li, hi_,  = lo[open_seg], hi[open_seg]
-        ri = rr[open_seg]
+    rows = np.flatnonzero(hi > lo)
+    z, zw = panel_nodes((0.0, 1.0), _N_EDGE, order=15)
+    for start in range(0, rows.size, _ROW_BLOCK):
+        sel = rows[start:start + _ROW_BLOCK]
+        li, hi_, ri = lo[sel], hi[sel], rr[sel]
         mid = 0.5 * (li + hi_)
         contrib = np.zeros_like(li)
-        z, zw = panel_nodes((0.0, 1.0), _N_EDGE, order=15)
         for seg_lo, seg_hi, anchor_lo in ((li, mid, True), (mid, hi_, False)):
             span = seg_hi - seg_lo
             # w = anchor +/- (sqrt(span) * z)^2 grades nodes toward the
@@ -189,7 +194,7 @@ def _ball_intensity_radii(psf: Psf, a: float, R: float, radii) -> np.ndarray:
             f = (eval_rho(psf, nodes) * nodes ** (d - 1)
                  * capfrac(ri[:, None], a * nodes, R, d))
             contrib += (f * jac).sum(axis=1)
-        vals[open_seg] += sphere_area(d) * contrib
+        vals[sel] += sphere_area(d) * contrib
 
     out[rest] = vals
     return np.clip(out, 0.0, 1.0)

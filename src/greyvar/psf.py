@@ -19,14 +19,17 @@ Three kernels are provided:
 * ``ball_indicator`` - uniform density on a ball (discontinuous; only
                        suitable for volume-estimator baselines).
 
-All three have theta_H, m, phi and the radial mass in closed form
-(scipy.special): the Gaussian marginal is the standard normal, so
-theta_H is its survival function ndtr(-t) and the ball mass is
-gammainc(d/2, r^2/2).  The compact kernels are rho ~ (1 - |x|^2/D^2)^k
-(k = 3 for the bump, k = 0 for the ball indicator); their marginal is
-~ (1 - s^2/D^2)^p with p = k + (d-1)/2, which makes theta_H a regularized
-incomplete beta function of (1 - t/D)/2 and the ball mass
-betainc(d/2, k+1, (r/D)^2).
+All three have theta_H, m, phi and the radial mass in closed form.  The
+Gaussian marginal is the standard normal, so theta_H(t) = erfc(t/sqrt 2)/2
+and phi is minus the normal quantile, both from the standard library;
+its ball mass, the regularized gamma P(d/2, r^2/2), is 1 - e^{-x} in
+d=2 and erf(sqrt x) - 2 sqrt(x/pi) e^{-x} in d=3, x = r^2/2.  The compact
+kernels are rho ~ (1 - |x|^2/D^2)^k (k = 3 for the bump, k = 0 for the
+ball indicator); their marginal is ~ (1 - s^2/D^2)^p with
+p = k + (d-1)/2, which makes theta_H a regularized incomplete beta
+function of (1 - t/D)/2 and the ball mass betainc(d/2, k+1, (r/D)^2).
+Only these take scipy.special, imported where they use it, so a
+Gaussian run never loads it.
 """
 
 from __future__ import annotations
@@ -34,17 +37,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import (betainc, betaincinv, gammainc, gammainccinv, ndtr,
-                           ndtri)
 
-from .errors import DomainError
+from .errors import DomainError, TruncationError
 
 _KINDS = ("gaussian", "bump", "ball_indicator")
 
 #: working support half-width of the Gaussian (tail beyond is < 1e-15)
 GAUSSIAN_T = 8.0
+
+_STANDARD_NORMAL = NormalDist()
 
 
 def sphere_area(d: int) -> float:
@@ -127,15 +131,32 @@ def _compact_power(psf: Psf) -> int:
     return 3 if psf.kind == "bump" else 0
 
 
+def _erfc(x):
+    """math.erfc elementwise over an array."""
+    x = np.asarray(x, dtype=float)
+    flat = x.ravel()
+    return np.fromiter(map(math.erfc, flat), float, flat.size).reshape(x.shape)
+
+
 def radial_mass(psf: Psf, r: float) -> float:
     """Mass of rho inside the centered ball of radius r."""
     if r <= 0:
         return 0.0
     d = psf.dim
     if psf.compact:
+        from scipy import special
         x = min(r / psf.support_radius, 1.0) ** 2
-        return float(betainc(d / 2.0, _compact_power(psf) + 1.0, x))
-    return float(gammainc(d / 2.0, 0.5 * r * r))
+        return float(special.betainc(d / 2.0, _compact_power(psf) + 1.0, x))
+    # the regularized gamma P(d/2, x), x = r^2/2
+    x = 0.5 * r * r
+    if d == 2:
+        return -math.expm1(-x)
+    return math.erf(math.sqrt(x)) - 2.0 * math.sqrt(x / math.pi) * math.exp(-x)
+
+
+# Newton steps allowed for the d=3 Gaussian effective radius (at most 10
+# are taken for eps from 1e-300 to 0.999)
+_NEWTON_STEPS = 20
 
 
 def effective_radius(psf: Psf, eps: float) -> float:
@@ -144,8 +165,24 @@ def effective_radius(psf: Psf, eps: float) -> float:
         raise DomainError("eps must be positive")
     if psf.compact:
         return psf.support_radius
-    # gaussian tail: P(|Z| > r) = Q(d/2, r^2/2)
-    return math.sqrt(2.0 * gammainccinv(psf.dim / 2.0, min(eps, 1.0)))
+    if eps >= 1.0:
+        return 0.0
+    # the d=2 tail e^{-r^2/2} inverts directly; in d=3 the tail is
+    # log-concave in r and heavier, so Newton on its log from the d=2
+    # radius steps past the root once and then falls to it monotonically
+    r = math.sqrt(-2.0 * math.log(eps))
+    if psf.dim == 2:
+        return r
+    for _ in range(_NEWTON_STEPS):
+        # tail Q(3/2, r^2/2) = erfc(r/sqrt 2) + sqrt(2/pi) r e^{-r^2/2}
+        bell = math.sqrt(2.0 / math.pi) * math.exp(-0.5 * r * r)
+        tail = math.erfc(r / math.sqrt(2.0)) + bell * r
+        step = (math.log(tail) - math.log(eps)) * tail / -(bell * r * r)
+        r -= step
+        if abs(step) < 1e-13 * r:
+            return r
+    raise TruncationError(f"effective radius at eps {eps:g}: "
+                          "Newton did not converge")
 
 
 def _integration_radius(psf: Psf) -> float:
@@ -156,9 +193,11 @@ def _integration_radius(psf: Psf) -> float:
 class HalfspaceProfile:
     """Closed-form edge profile theta_H with derivative and inverse.
 
-    Gaussian: theta = ndtr(-t), dtheta = -(standard normal density) and
-    phi = -ndtri(y).  Compact kernels: with p = k + (d-1)/2, (1 - s/D)/2
-    is Beta(p+1, p+1) distributed under the marginal, so
+    Gaussian: theta = erfc(t / sqrt 2) / 2 (math.erfc, elementwise),
+    dtheta = -(standard normal density) and phi = minus the standard
+    normal quantile of y (statistics.NormalDist).  Compact kernels: with
+    p = k + (d-1)/2, (1 - s/D)/2 is Beta(p+1, p+1) distributed under the
+    marginal, so
     theta = betainc(p+1, p+1, (1 - t/D)/2), dtheta is minus the marginal
     density and phi = D (1 - 2 betaincinv(p+1, p+1, y)).  theta is
     exactly 1 for t <= -T and 0 for t >= T, where T is the support radius
@@ -181,11 +220,13 @@ class HalfspaceProfile:
         """Edge profile value(s); clamps to {1, 0} at and beyond -T, T."""
         t = np.asarray(t, dtype=float)
         if self.psf.compact:
+            from scipy import special
             x = np.clip(0.5 * (1.0 - t / self.T), 0.0, 1.0)
-            out = betainc(self._p + 1.0, self._p + 1.0, x)
+            out = special.betainc(self._p + 1.0, self._p + 1.0, x)
         else:
             out = np.where(t <= -self.T, 1.0,
-                           np.where(t >= self.T, 0.0, ndtr(-t)))
+                           np.where(t >= self.T, 0.0,
+                                    0.5 * _erfc(t / math.sqrt(2.0))))
         return float(out) if out.ndim == 0 else out
 
     def dtheta(self, t):
@@ -205,9 +246,10 @@ class HalfspaceProfile:
         if not (0.0 < y < 1.0):
             raise DomainError(f"phi is defined on (0,1); got {y!r}")
         if self.psf.compact:
-            x = betaincinv(self._p + 1.0, self._p + 1.0, y)
+            from scipy import special
+            x = special.betaincinv(self._p + 1.0, self._p + 1.0, y)
             return float(self.T * (1.0 - 2.0 * x))
-        return float(-ndtri(y))
+        return -_STANDARD_NORMAL.inv_cdf(y)
 
 
 @lru_cache(maxsize=16)

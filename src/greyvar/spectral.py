@@ -16,7 +16,9 @@ models used for cross-checks and scaling predictions.
 
 Only dimensions 2 and 3 are supported, so the Hankel kernels have the
 orders 0, 1/2, 1 and 3/2 (bessel_j); the closed-form transforms of the
-compact kernels and the ball take scipy's jv at d/2 + k.
+compact kernels and the ball take scipy's jv at d/2 + k.  Both import
+scipy.special where they call it, so the Gaussian edge profile and the
+indicator weight's closed forms run without it.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import special
 
 from ._quad import oscillatory_nodes, panel_nodes
 from .errors import DomainError
@@ -43,6 +44,7 @@ def bessel_j(order: float, x):
     spherical-Bessel reduction J_{n+1/2}(x) = sqrt(2x/pi) j_n(x), which
     is stable down to x = 0.
     """
+    from scipy import special
     x = np.asarray(x, dtype=float)
     if order == 0.0:
         return special.j0(x)
@@ -173,6 +175,7 @@ def _compact_fourier(nu: float, radius: float, q):
     Below x = 2 it sums the series sum_m (-x^2)^m / (m! (nu+1)_m), which
     is exactly 1 at q = 0 and keeps the digits that x^{-nu} J_nu(2 x)
     loses at small x; from there on scipy's jv."""
+    from scipy import special
     x = math.pi * radius * np.atleast_1d(np.asarray(q, dtype=float))
     if np.any(x < 0):
         raise DomainError("frequencies must be nonnegative")

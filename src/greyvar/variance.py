@@ -54,7 +54,9 @@ from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy import special
+# numpy loads numpy.random on first use; load it with this module, not
+# inside the first Monte Carlo call
+import numpy.random
 
 from . import lattice as lat
 from ._quad import panel_nodes
@@ -375,7 +377,9 @@ def _layer_autocorrelation(f, profile: HalfspaceProfile):
     in s split at the knot images and their shifts by -t."""
     knots = knot_images(f, profile)
     w = knots[-1] - knots[0]
-    breaks = np.unique(np.abs(knots[:, None] - knots[None, :]))
+    # sorted distinct distances; np.unique would import numpy.ma
+    dist = np.sort(np.abs(knots[:, None] - knots[None, :]), axis=None)
+    breaks = dist[np.concatenate(([True], dist[1:] != dist[:-1]))]
     if isinstance(f, Indicator):
         return (lambda t, n: np.maximum(w - np.abs(t), 0.0)), breaks
 
@@ -426,7 +430,7 @@ def _lattice_sum(f, profile, lattice):
     w, d, diam = float(breaks[-1]), lattice.dim, lattice.cell_diameter
     reach = w if d == 3 else _LS_REACH * max(w, diam)
     norms, counts = lat.point_shells(lattice, reach)
-    powers = (1.0,) if d == 3 else (1.0, 3.0)
+    powers = (1,) if d == 3 else (1, 3)
     zeta = [lat.epstein_zeta(lattice, p) for p in powers]
     close = norms < 2.0 * w
 
@@ -517,6 +521,7 @@ class RadiusDensity:
         return np.where(inside, 630.0 * x ** 4 * (1.0 - x) ** 4 / w, 0.0)
 
     def sample(self, rng: np.random.Generator, n: int):
+        from scipy import special
         u = rng.random(n)
         return self.s0 + (self.s1 - self.s0) * special.betaincinv(5.0, 5.0, u)
 

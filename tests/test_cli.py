@@ -438,3 +438,29 @@ def test_import_loads_no_fft_interpolate_or_optimize():
                           text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_gaussian_indicator_runs_load_no_scipy_special(tmp_path):
+    """The Gaussian profile, its ball masses and the Epstein zeta
+    constants have standard-library closed forms, so importing the CLI
+    and running a d=3 Gaussian/indicator theory-variance and mc-variance
+    leave scipy.special unloaded."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(greyvar.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    env.pop("GREYVAR_SEED", None)
+    body = ["--set", "phantom.dim=3", "--set", "psf.kind=gaussian",
+            "--set", "weight.kind=indicator", "--set", "scales.a=0.1"]
+    runs = [["theory-variance"] + body + ["--out", "theory"],
+            ["mc-variance"] + body + ["--set", "mc.replicates=200",
+                                      "--out", "mc"]]
+    code = ("import sys, greyvar.cli as cli; "
+            "loaded = lambda: 'scipy.special' in sys.modules; "
+            "print(loaded()); "
+            f"print([cli.main(argv) for argv in {runs!r}]); "
+            "print(loaded())")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, cwd=str(tmp_path), env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "[0,", "0]", "False"]

@@ -13,7 +13,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.special import bernoulli, zeta
+from scipy.special import bernoulli, gamma, gammaincc, zeta
 
 from greyvar import lattice as lattice_module
 from greyvar.errors import DomainError, TruncationError
@@ -22,7 +22,7 @@ from greyvar.lattice import (Box, Lattice, LatticePlacement, centered_box,
                              epstein_zeta, hexagonal_lattice, integer_cover,
                              point_shells, random_placement, random_rotation,
                              scaled_lattice, unit_lattice,
-                             _sum_of_squares_counts)
+                             _sum_of_squares_counts, _upper_gamma)
 
 from _dual_oracle import dual_points
 
@@ -228,6 +228,28 @@ def test_epstein_zeta_d3_and_scaling():
         -2.8372974794806 / 2.0, rel=1e-12)
     assert epstein_zeta(scaled_lattice(2, 0.5), 3.0) == pytest.approx(
         8.0 * epstein_zeta(unit_lattice(2), 3.0), rel=1e-12)
+
+
+@pytest.mark.parametrize("s", [1.5, math.inf, 0.0, -1.0, 2.0, 4.0])
+def test_epstein_zeta_refuses_unsupported_s(s):
+    # non-integer s, s <= 0, the pole s = d and s - d even and positive
+    with pytest.raises(DomainError):
+        epstein_zeta(unit_lattice(2), s)
+
+
+@pytest.mark.parametrize("a", [-0.5, 0.5, 1.0, 1.5])
+def test_upper_gamma_matches_scipy(a):
+    """The elementary forms against scipy's regularized gamma.  Below
+    a = 0 both sides take the downward step, which cancels about 1/(2x)
+    of each term, so the rounding of both grows to about 1e-12."""
+    x = np.linspace(math.pi, 50.0, 2001)
+    if a > 0:
+        want, rtol = gammaincc(a, x) * gamma(a), 1.5e-14
+    else:
+        want = (gammaincc(a + 1.0, x) * gamma(a + 1.0)
+                - x ** a * np.exp(-x)) / a
+        rtol = 2e-12
+    np.testing.assert_allclose(_upper_gamma(a, x), want, rtol=rtol, atol=0.0)
 
 
 def test_sieve_d3_known_values():

@@ -1,15 +1,17 @@
 """PSF kernels and half-space edge profiles against closed forms.
 
 The closed-form profiles are checked against erfc and the circular
-segment area, and every kind against a direct quadrature of rho over
-the half-space; the kernels themselves are checked for normalization,
-support, and smoothness class.
+segment area, the Gaussian's standard-library forms against
+scipy.special (which shares no code with them), and every kind against
+a direct quadrature of rho over the half-space; the kernels themselves
+are checked for normalization, support, and smoothness class.
 """
 
 import math
 
 import numpy as np
 import pytest
+from scipy import special
 from scipy.integrate import quad
 
 from greyvar.errors import DomainError
@@ -122,6 +124,33 @@ def test_gaussian_profile_matches_erfc(dim):
         assert prof.theta(t) == pytest.approx(_gauss_theta(t), abs=1e-11)
         assert prof.dtheta(t) == pytest.approx(
             -math.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi), abs=1e-10)
+
+
+def test_gaussian_profile_and_inverse_match_scipy():
+    prof = halfspace_profile(gaussian(3))
+    # open interval: theta is clamped to 1 and 0 at -T and T
+    t = np.linspace(-GAUSSIAN_T, GAUSSIAN_T, 20001)[1:-1]
+    np.testing.assert_allclose(prof.theta(t), special.ndtr(-t),
+                               rtol=1.3e-14, atol=0.0)
+    y = np.concatenate([np.logspace(-15.0, math.log10(0.49), 3000),
+                        1.0 - np.logspace(-12.0, math.log10(0.49), 3000)])
+    np.testing.assert_allclose([prof.phi(v) for v in y], -special.ndtri(y),
+                               rtol=1.1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_gaussian_mass_and_radius_match_scipy(dim):
+    psf = gaussian(dim)
+    r = np.linspace(0.0, 40.0, 4001)
+    mass = [radial_mass(psf, v) for v in r]
+    np.testing.assert_allclose(mass, special.gammainc(dim / 2.0, 0.5 * r * r),
+                               rtol=0.0, atol=2.2e-15)
+    eps = np.logspace(-300.0, math.log10(0.5), 600)
+    np.testing.assert_allclose(
+        [effective_radius(psf, e) for e in eps],
+        np.sqrt(2.0 * special.gammainccinv(dim / 2.0, eps)),
+        rtol=4e-15, atol=0.0)
+    assert effective_radius(psf, 1.0) == 0.0
 
 
 def test_disc_profile_closed_form():

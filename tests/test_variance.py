@@ -350,12 +350,16 @@ def test_unconverged_dual_sum_is_refused(monkeypatch):
 def test_primal_sum_over_sieve_budget_allocates_nothing(monkeypatch):
     """A finite primal sum too wide for the shell sieve is refused
     before any table exists, with the radius it asked for; no xi_cap
-    applies to it, so none is suggested."""
+    applies to it, so none is suggested.  The band radii of the ball
+    (its cached Chebyshev model) are built first, so the traced window
+    holds only the refusal and the test passes in any order."""
     monkeypatch.setattr(lattice, "_SHELL_TABLES", {})
+    f = Indicator()
+    ball_band_radii(1.0, gaussian(3), 0.05, f.knots[0], f.knots[-1])
     tracemalloc.start()
     try:
         with pytest.raises(TruncationError, match="radius") as err:
-            variance_exact_ball(Ball(3, 1.0), gaussian(3), Indicator(),
+            variance_exact_ball(Ball(3, 1.0), gaussian(3), f,
                                 0.05, unit_lattice(3), 2e-4)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
