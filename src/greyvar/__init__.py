@@ -24,9 +24,8 @@ The package splits into a small stack of layers:
 from .errors import (ConfigError, CoverageError, DomainError, GreyvarError,
                      NormalizationError, TruncationError)
 from .estimator import (EstimateResult, Indicator, SmoothPlateau, alpha_f,
-                        default_weight, estimate_surface,
-                        estimate_volume_binary, estimate_volume_grey,
-                        weight_tv)
+                        estimate_surface, estimate_volume_binary,
+                        estimate_volume_grey, weight_tv)
 from .lattice import (Box, Lattice, LatticePlacement, centered_box,
                       dual_shells, enumerate_points, hexagonal_lattice,
                       random_placement, random_rotation, scaled_lattice,
@@ -36,7 +35,7 @@ from .phantom import (Ball, HalfSpace, IntensityModel, intensity,
 from .psf import (HalfspaceProfile, Psf, ball_indicator, compact_bump,
                   effective_radius, eval_rho, gaussian, halfspace_profile)
 from .spectral import (AnnulusFourier, RadialFourier, ball_indicator_fourier,
-                       ball_main_term, bessel_j, flat_band_square, nu_phase,
+                       ball_main_term, bessel_j, nu_phase,
                        profile_fourier_1d, psf_fourier, sharp_band_square)
 from .variance import (AsymptoticReport, BoundReport, MCResult, RadiusDensity,
                        ShellSumInfo, VarianceReport, envelope_check,
@@ -57,10 +56,10 @@ __all__ = [
     "RadiusDensity", "ShellSumInfo", "SmoothPlateau", "TruncationError",
     "VarianceReport", "alpha_f", "ball_indicator",
     "ball_indicator_fourier", "ball_main_term", "bessel_j", "centered_box",
-    "compact_bump", "default_weight", "dual_shells",
+    "compact_bump", "dual_shells",
     "effective_radius", "enumerate_points", "envelope_check",
     "estimate_surface", "estimate_volume_binary", "estimate_volume_grey",
-    "eval_rho", "flat_band_square", "gaussian", "halfspace_profile",
+    "eval_rho", "gaussian", "halfspace_profile",
     "hexagonal_lattice", "intensity", "intensity_model", "mc_random_radius",
     "mc_surface", "mc_volume_binary", "nu_phase", "profile_fourier_1d",
     "profile_lattice_sum", "psf_fourier", "random_placement",

@@ -19,13 +19,18 @@ import numpy as np
 from .errors import TruncationError
 
 
+# the Gauss order every rule takes unless it names another, and the node
+# budget of the oscillatory rule
+_ORDER, _MAX_NODES = 15, 20_000_000
+
+
 @lru_cache(maxsize=8)
 def _gl_rule(order: int):
     x, w = np.polynomial.legendre.leggauss(order)
     return x, w
 
 
-def panel_nodes(edges, n_panels: int, order: int = 15):
+def panel_nodes(edges, n_panels: int, order: int = _ORDER):
     """Nodes/weights of composite Gauss-Legendre rules over each row of
     sorted breakpoints `edges` (shape (..., E)), every gap cut into
     n_panels equal panels; a gap of zero width gets zero weights.
@@ -43,15 +48,14 @@ def panel_nodes(edges, n_panels: int, order: int = 15):
     return (lo + half + half * x).reshape(shape), (half * w).reshape(shape)
 
 
-def oscillatory_nodes(edges, freq: float, order: int = 15,
-                      min_panels: int = 2, max_nodes: int = 20_000_000):
+def oscillatory_nodes(edges, freq: float, min_panels: int):
     """Composite GL nodes over the sorted breakpoints `edges`, every gap
     cut into the same number of panels, at least min_panels and enough
     that no panel is wider than a quarter period of cos(2*pi*freq*t).
 
     `freq` is in cycles per unit of t; freq <= 0 falls back to min_panels.
     Raises TruncationError, before allocating, if the rule would need more
-    than max_nodes nodes.
+    than 20 million nodes.
     """
     edges = np.asarray(edges, dtype=float)
     width = edges[-1] - edges[0]
@@ -60,8 +64,8 @@ def oscillatory_nodes(edges, freq: float, order: int = 15,
     n = min_panels
     if freq > 0:
         n = max(min_panels, int(np.ceil(width * 4.0 * freq)))
-    n_nodes = n * order * (len(edges) - 1)
-    if n_nodes > max_nodes:
+    n_nodes = n * _ORDER * (len(edges) - 1)
+    if n_nodes > _MAX_NODES:
         raise TruncationError(
             f"oscillatory rule would need {n_nodes} nodes (freq={freq:g})")
-    return panel_nodes(edges, n, order)
+    return panel_nodes(edges, n)

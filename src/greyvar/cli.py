@@ -39,13 +39,12 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .errors import ConfigError, GreyvarError
+from .errors import ConfigError, DomainError, GreyvarError
 from .estimator import (Indicator, SmoothPlateau, estimate_surface)
 from .lattice import (Lattice, dual_shells, hexagonal_lattice,
                       random_placement, unit_lattice)
 from .phantom import Ball
-from .psf import ball_indicator, compact_bump, gaussian, halfspace_profile, \
-    sphere_area
+from .psf import ball_indicator, compact_bump, gaussian, halfspace_profile
 from .spectral import ball_main_term
 from .variance import (mc_surface, variance_asymptotic_isotropic,
                        variance_exact_ball, weighted_layer)
@@ -200,27 +199,24 @@ def _build_psf(view: ConfigView, dim: int):
 
 
 def _build_weight(view: ConfigView):
+    """The weight the config names; the weight classes own its rules, and
+    a knot they refuse is reported under weight.beta."""
     kind = view.get("weight.kind", "indicator")
     if kind == "indicator":
-        beta = view.floatval("weight.beta", 0.3)
-        omega = view.floatval("weight.omega", 0.7)
-        if not 0.0 < beta < omega < 1.0:
-            raise ConfigError("weight.beta",
-                              "need 0 < weight.beta < weight.omega < 1")
-        return Indicator(beta, omega)
-    if kind == "plateau":
-        knots = (view.floatval("weight.beta", 0.3),
-                 view.floatval("weight.beta_inner", 0.4),
-                 view.floatval("weight.omega_inner", 0.6),
-                 view.floatval("weight.omega", 0.7))
-        if not all(k1 < k2 for k1, k2 in zip(knots, knots[1:])) \
-                or not 0.0 < knots[0] or not knots[-1] < 1.0:
-            raise ConfigError("weight.beta",
-                              "plateau knots must increase strictly "
-                              "inside (0, 1)")
-        return SmoothPlateau(*knots)
-    raise ConfigError("weight.kind",
-                      f"expected indicator | plateau, got {kind!r}")
+        make, names = Indicator, ("beta", "omega")
+    elif kind == "plateau":
+        make, names = SmoothPlateau, ("beta", "beta_inner", "omega_inner",
+                                      "omega")
+    else:
+        raise ConfigError("weight.kind",
+                          f"expected indicator | plateau, got {kind!r}")
+    # the class attributes hold the dataclass defaults
+    knots = [view.floatval(f"weight.{name}", getattr(make, name))
+             for name in names]
+    try:
+        return make(*knots)
+    except DomainError as exc:
+        raise ConfigError("weight.beta", str(exc))
 
 
 def _build_lattice(view: ConfigView, dim: int) -> Lattice:
@@ -269,7 +265,7 @@ def _scale_pairs(view: ConfigView) -> list[tuple[float, float]]:
     mode = str(raw_b).strip().lower()
     if mode == "a":
         return [(a, a) for a in a_grid]
-    if mode in ("a^2", "a2"):
+    if mode == "a^2":
         return [(a, a * a) for a in a_grid]
     b_grid = view.grid("scales.b")
     if len(b_grid) == 1:
@@ -387,8 +383,8 @@ def _theory_cells(phantom, psf, f, lattice, a, b):
     rounding bound, any other weight's dual sum its last dual radius
     and tail bound.
     """
-    surface = sphere_area(phantom.dim) * phantom.radius ** (phantom.dim - 1)
-    asym = variance_asymptotic_isotropic(surface, psf, f, lattice, a)
+    asym = variance_asymptotic_isotropic(phantom.surface_area, psf, f,
+                                         lattice, a)
     exact = variance_exact_ball(phantom, psf, f, a, lattice, b)
     return (exact.value, asym.main, asym.main, exact.shells.xi_max,
             exact.shells.tail_bound / (a * exact.alpha) ** 2)

@@ -100,10 +100,6 @@ class SmoothPlateau:
         return (0.0, 0.0)
 
 
-def default_weight() -> Indicator:
-    return Indicator(0.3, 0.7)
-
-
 # alpha_f's rule: panels per gap between knot images, and the largest
 # gap it allows to the rule with half the panels (absolute, on an O(1)
 # value)

@@ -164,7 +164,7 @@ def _ball_intensity_radii(psf: Psf, a: float, R: float, radii) -> np.ndarray:
     inside = rr < R
     core_hi = np.minimum(w1, W)
     if np.any(inside):
-        v, w = panel_nodes((0.0, 1.0), _N_CORE, order=15)
+        v, w = panel_nodes((0.0, 1.0), _N_CORE)
         hi = core_hi[inside]
         nodes = hi[:, None] * v[None, :]
         f = eval_rho(psf, nodes) * nodes ** (d - 1)
@@ -175,7 +175,7 @@ def _ball_intensity_radii(psf: Psf, a: float, R: float, radii) -> np.ndarray:
     lo = w1
     hi = np.minimum(w2, W)
     rows = np.flatnonzero(hi > lo)
-    z, zw = panel_nodes((0.0, 1.0), _N_EDGE, order=15)
+    z, zw = panel_nodes((0.0, 1.0), _N_EDGE)
     for start in range(0, rows.size, _ROW_BLOCK):
         sel = rows[start:start + _ROW_BLOCK]
         li, hi_, ri = lo[sel], hi[sel], rr[sel]

@@ -68,9 +68,9 @@ class Psf:
     ----------
     kind : {"gaussian", "bump", "ball_indicator"}
     dim : ambient dimension d (2 or 3)
-    support_radius : effective support radius D.  Exact for the compact
-        kinds; for the Gaussian it is a working cutoff (mass outside the
-        default 8.0 is ~6e-15).
+    support_radius : support radius D of the compact kinds.  A Gaussian
+        takes none and reads GAUSSIAN_T = 8.0, its working cutoff (mass
+        outside is ~6e-15); any other value raises DomainError.
     """
 
     kind: str
@@ -82,7 +82,9 @@ class Psf:
             raise DomainError(f"unknown psf kind '{self.kind}'")
         if self.dim not in (2, 3):
             raise DomainError("only dimensions 2 and 3 are supported")
-        if self.kind == "gaussian" and self.support_radius == 0.0:
+        if self.kind == "gaussian":
+            if self.support_radius not in (0.0, GAUSSIAN_T):
+                raise DomainError("a gaussian PSF takes no support radius")
             object.__setattr__(self, "support_radius", GAUSSIAN_T)
         if not 0.0 < self.support_radius < math.inf:
             raise DomainError("support_radius must be positive and finite")

@@ -10,9 +10,8 @@ The estimator's variance is driven by such transforms of the weighted
 grey layer g(r) = f(theta_a(B(R))(r)), a thin shell around r = R.  Large
 arguments turn the Bessel kernel into a cosine with phase shift
 nu = -(d-1) pi/4, giving an oscillatory main term with explicit envelope;
-the two band regimes (many oscillations across the grey band versus a
-band much thinner than the oscillation period) have elementary closed
-models used for cross-checks and scaling predictions.
+when many oscillations cross the grey band its square has an elementary
+closed model, the sharp-band model.
 
 Only dimensions 2 and 3 are supported, so the Hankel kernels have the
 orders 0, 1/2, 1 and 3/2 (bessel_j); the closed-form transforms of the
@@ -37,8 +36,8 @@ from .psf import (HalfspaceProfile, Psf, _compact_power, ball_volume,
 _Q_CHUNK = 128
 
 
-def bessel_j(order: float, x):
-    """Bessel J of the first kind for the orders this package needs.
+def bessel_j(nu: float, x):
+    """Bessel J_nu of the first kind for the orders nu this package needs.
 
     Integer orders go through scipy's j0/j1; half-integer orders use the
     spherical-Bessel reduction J_{n+1/2}(x) = sqrt(2x/pi) j_n(x), which
@@ -46,15 +45,15 @@ def bessel_j(order: float, x):
     """
     from scipy import special
     x = np.asarray(x, dtype=float)
-    if order == 0.0:
+    if nu == 0.0:
         return special.j0(x)
-    if order == 1.0:
+    if nu == 1.0:
         return special.j1(x)
-    if order in (0.5, 1.5):
-        n = int(order - 0.5)
+    if nu in (0.5, 1.5):
+        n = int(nu - 0.5)
         ax = np.abs(x)
         return np.sqrt(2.0 * ax / np.pi) * special.spherical_jn(n, ax)
-    raise DomainError(f"unsupported Bessel order {order}")
+    raise DomainError(f"unsupported Bessel order {nu}")
 
 
 def nu_phase(dim: int) -> float:
@@ -69,17 +68,16 @@ class RadialFourier:
     """Hankel-quadrature transform of a radial function with compact
     support [r_lo, r_hi].
 
-    `min_panels` fixes the base resolution for the non-oscillatory
-    factor; the node count then grows with the largest requested
-    frequency so that every panel spans at most a quarter oscillation.
+    One Gauss-Legendre rule of order 15 over [r_lo, r_hi], unsplit: at
+    least 8 panels for the non-oscillatory factor, more as the largest
+    requested frequency grows, so that every panel spans at most a
+    quarter oscillation (16 panels at q = 0).
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
     r_lo: float
     r_hi: float
     dim: int
-    min_panels: int = 8
-    order: int = 15
 
     def __post_init__(self):
         if self.dim not in (2, 3):
@@ -89,17 +87,12 @@ class RadialFourier:
 
     def volume_integral(self) -> float:
         """F at q = 0: the full d-dimensional integral of the function."""
-        r, w = panel_nodes((self.r_lo, self.r_hi),
-                           max(self.min_panels, 16), self.order)
+        r, w = panel_nodes((self.r_lo, self.r_hi), 16)
         val = float(np.dot(self.fn(r) * r ** (self.dim - 1), w))
         return sphere_area(self.dim) * val
 
-    def at(self, q, *, refine: int = 1):
-        """Transform values at nonnegative frequencies q (vectorized).
-
-        `refine` multiplies the panel count; doubling it is the standard
-        self-consistency check for quadrature error.
-        """
+    def at(self, q):
+        """Transform values at nonnegative frequencies q (vectorized)."""
         q = np.asarray(q, dtype=float)
         scalar = q.ndim == 0
         q = np.atleast_1d(q)
@@ -111,14 +104,12 @@ class RadialFourier:
             out[zero] = self.volume_integral()
         live = ~zero
         if np.any(live):
-            out[live] = self._at_positive(q[live], refine)
+            out[live] = self._at_positive(q[live])
         return float(out[0]) if scalar else out
 
-    def _at_positive(self, q, refine):
-        qmax = float(q.max())
-        nodes, w = oscillatory_nodes(
-            (self.r_lo, self.r_hi), freq=qmax,
-            order=self.order, min_panels=self.min_panels * refine)
+    def _at_positive(self, q):
+        nodes, w = oscillatory_nodes((self.r_lo, self.r_hi),
+                                     freq=float(q.max()), min_panels=8)
         gv = self.fn(nodes) * nodes ** (self.dim / 2.0) * w
         nu = self.dim / 2.0 - 1.0
         pref = 2.0 * math.pi * q ** (-(self.dim - 2) / 2.0)
@@ -152,8 +143,7 @@ class AnnulusFourier:
         inner = ball_volume(self.dim, self.r_lo) if self.r_lo > 0 else 0.0
         return ball_volume(self.dim, self.r_hi) - inner
 
-    def at(self, q, *, refine: int = 1):
-        del refine  # closed form: nothing to refine
+    def at(self, q):
         q = np.asarray(q, dtype=float)
         out = ball_indicator_fourier(self.r_hi, self.dim, q)
         if self.r_lo > 0.0:
@@ -221,8 +211,7 @@ def knot_images(f, profile: HalfspaceProfile):
     return np.sort([profile.phi(y) for y in f.knots])
 
 
-def profile_fourier_1d(f, profile: HalfspaceProfile, q, *,
-                       refine: int = 1):
+def profile_fourier_1d(f, profile: HalfspaceProfile, q):
     """One-dimensional transform of the weighted edge profile,
     F1(q) = int f(theta_H(t)) exp(-2 pi i q t) dt, supported on
     [phi(omega), phi(beta)].  Returns complex values."""
@@ -231,7 +220,7 @@ def profile_fourier_1d(f, profile: HalfspaceProfile, q, *,
     q = np.atleast_1d(q)
     nodes, w = oscillatory_nodes(knot_images(f, profile),
                                  freq=float(np.abs(q).max()),
-                                 min_panels=8 * refine)
+                                 min_panels=8)
     fv = f(profile.theta(nodes)) * w
     out = np.empty(q.shape, dtype=complex)
     for i in range(0, len(q), _Q_CHUNK):
@@ -241,16 +230,8 @@ def profile_fourier_1d(f, profile: HalfspaceProfile, q, *,
     return complex(out[0]) if scalar else out
 
 
-def band_cycles(f, profile: HalfspaceProfile, a: float, q: float) -> float:
-    """Number of kernel oscillations across the grey band: a q times the
-    band width in profile coordinates.  Large values mean the sharp-band
-    model applies, small values the flat-band model."""
-    width = profile.phi(f.knots[0]) - profile.phi(f.knots[-1])
-    return a * q * width
-
-
 def ball_main_term(radius: float, profile: HalfspaceProfile, f, a: float,
-                   q, dim: int, *, refine: int = 1):
+                   q, dim: int):
     """Leading oscillatory amplitude of F(f(theta_a(B(R))))(q):
 
         2 q^{-(d-1)/2} a int f(theta_H(t)) cos(2 pi q (R + a t) + nu)
@@ -266,7 +247,7 @@ def ball_main_term(radius: float, profile: HalfspaceProfile, f, a: float,
         raise DomainError("main term needs positive frequencies")
     nodes, w = oscillatory_nodes(knot_images(f, profile),
                                  freq=a * float(q.max()),
-                                 min_panels=4 * refine)
+                                 min_panels=4)
     base = f(profile.theta(nodes)) * w
     rad = radius + a * nodes
     nu = nu_phase(dim)
@@ -281,8 +262,9 @@ def ball_main_term(radius: float, profile: HalfspaceProfile, f, a: float,
 
 def sharp_band_square(radius: float, profile: HalfspaceProfile, f,
                       a: float, q, dim: int):
-    """Squared-amplitude model for band_cycles >> 1 (oscillation much
-    faster than the band): only the weight's edge jumps survive,
+    """Squared-amplitude model for many kernel oscillations across the
+    grey band, a q (phi(beta) - phi(omega)) >> 1: only the weight's edge
+    jumps survive,
 
         pi^{-2} q^{-d-1} R^{d-1} (f(beta) sin X_b - f(omega) sin X_w)^2,
 
@@ -297,15 +279,3 @@ def sharp_band_square(radius: float, profile: HalfspaceProfile, f,
     amp = fb * np.sin(xb) - fw * np.sin(xw)
     return (radius ** (dim - 1) * q ** (-dim - 1.0) * amp ** 2
             / math.pi ** 2)
-
-
-def flat_band_square(radius: float, alpha: float, a: float, q, dim: int,
-                     *, envelope: bool = False):
-    """Squared-amplitude model for band_cycles << 1 (band thin against
-    the oscillation): 4 a^2 q^{-d+1} R^{d-1} alpha^2 cos^2(2 pi q R + nu).
-    With envelope=True the cos^2 factor is replaced by its peak value 1."""
-    q = np.asarray(q, dtype=float)
-    osc = 1.0 if envelope else np.cos(
-        2.0 * math.pi * q * radius + nu_phase(dim)) ** 2
-    return (4.0 * a * a * q ** (-(dim - 1.0)) * radius ** (dim - 1)
-            * alpha * alpha * osc)

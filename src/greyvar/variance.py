@@ -775,12 +775,10 @@ def mc_random_radius(psf: Psf, f, a: float, lattice: Lattice, b: float,
 # ---------------------------------------------------------------------------
 # cross-checks
 
-def envelope_check(report: VarianceReport, asym: AsymptoticReport, *,
-                   slack: float = 0.05) -> bool:
-    """Exact variance must lie inside the oscillation band
-    [0, 2 * main] up to the stated relative slack."""
-    upper = asym.envelope * (1.0 + slack)
-    return -slack * asym.main <= report.value <= upper
+def envelope_check(report: VarianceReport, asym: AsymptoticReport) -> bool:
+    """Exact variance must lie inside the oscillation band [0, 2 * main]
+    up to a relative slack of 5%: [-0.05 main, 1.05 envelope]."""
+    return -0.05 * asym.main <= report.value <= 1.05 * asym.envelope
 
 
 @dataclass

@@ -24,7 +24,7 @@ import scipy
 import greyvar
 from greyvar import lattice, variance
 from greyvar.cli import main
-from greyvar.estimator import Indicator
+from greyvar.estimator import Indicator, SmoothPlateau
 from greyvar.lattice import unit_lattice
 from greyvar.phantom import Ball
 from greyvar.psf import gaussian
@@ -333,6 +333,40 @@ def test_non_finite_values_are_exit_2(tmp_path, capsys, argv, key):
     assert record["error"] == "config"
     assert record["key"] == key
     assert "finite" in record["message"]
+
+
+@pytest.mark.parametrize("overrides", [
+    ["weight.beta=0.9"],
+    ["weight.beta=0.0"],
+    ["weight.kind=plateau", "weight.beta_inner=0.2"],
+    ["weight.kind=plateau", "weight.beta_inner=0.65"],
+    ["weight.kind=plateau", "weight.omega=1.0"],
+])
+def test_weight_refusals_are_keyed_weight_beta(tmp_path, capsys,
+                                               overrides):
+    argv = ["theory-variance", "--set", "scales.a=0.1",
+            "--out", str(tmp_path)]
+    for item in overrides:
+        argv += ["--set", item]
+    assert main(argv) == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "config"
+    assert record["key"] == "weight.beta"
+
+
+def test_plateau_with_equal_inner_knots_matches_library(tmp_path):
+    """SmoothPlateau takes beta_inner == omega_inner (a peak, no flat
+    top), and so does the CLI."""
+    assert main(["theory-variance", "--set", "weight.kind=plateau",
+                 "--set", "weight.beta_inner=0.5",
+                 "--set", "weight.omega_inner=0.5",
+                 "--set", "scales.a=0.05", "--out", str(tmp_path)]) == 0
+    header, rows = _read_csv(tmp_path / "theory-variance.csv")
+    lib = variance_exact_ball(Ball(2, 1.0), gaussian(2),
+                              SmoothPlateau(0.3, 0.5, 0.5, 0.7), 0.05,
+                              unit_lattice(2), 0.05)
+    assert float(rows[0][header.index("var_exact")]) == lib.value
+    assert lib.value == pytest.approx(0.1016, rel=1e-3)
 
 
 def test_gaussian_psf_support_is_exit_2(tmp_path, capsys):

@@ -17,7 +17,7 @@ from greyvar import estimator
 from greyvar._quad import panel_nodes
 from greyvar.errors import CoverageError, DomainError, TruncationError
 from greyvar.estimator import (EstimateResult, Indicator, SmoothPlateau,
-                               alpha_f, default_weight, estimate_surface,
+                               alpha_f, estimate_surface,
                                estimate_volume_binary, estimate_volume_grey,
                                smoothstep7, weight_tv)
 from greyvar.lattice import (Box, LatticePlacement, centered_box,
@@ -76,7 +76,6 @@ def test_weight_validation():
         Indicator(0.0, 0.5)
     with pytest.raises(DomainError):
         SmoothPlateau(0.3, 0.2, 0.6, 0.7)
-    assert default_weight() == Indicator(0.3, 0.7)
 
 
 def test_alpha_indicator_gaussian_closed_form():

@@ -228,6 +228,14 @@ def test_profile_total_mass():
     assert prof.T == GAUSSIAN_T
 
 
+def test_gaussian_takes_no_support_radius():
+    """A Gaussian's profile always cuts off at GAUSSIAN_T, so another
+    support radius would be ignored; it is refused instead."""
+    with pytest.raises(DomainError):
+        Psf("gaussian", 2, 3.0)
+    assert Psf("gaussian", 2, GAUSSIAN_T) == gaussian(2)
+
+
 def test_psf_validation():
     with pytest.raises(DomainError):
         gaussian(4)

@@ -2,26 +2,33 @@
 
 Bessel evaluations are checked against the defining power series (an
 implementation-independent oracle), the Hankel quadrature against the
-Gaussian self-transform and the ball closed form, and the two band
-models against exact layer transforms in their regimes of validity.
+Gaussian self-transform, the ball closed form and scipy's adaptive
+quadrature, the profile rules against QUADPACK's oscillatory-weight
+rule, and the two band models against exact layer transforms in their
+regimes of validity.
 """
 
+import inspect
 import math
 
 import numpy as np
 import pytest
+from scipy import integrate, special
 from scipy.optimize import brentq
 
+from _band_models import band_cycles, flat_band_square
 from greyvar._quad import oscillatory_nodes
 from greyvar.errors import DomainError, TruncationError
 from greyvar.estimator import Indicator, SmoothPlateau, alpha_f
-from greyvar.phantom import Ball, intensity_model, transition_offsets
+from greyvar.phantom import (Ball, ball_band_radii, intensity_model,
+                             transition_offsets)
 from greyvar.psf import (ball_indicator, ball_volume, compact_bump,
                          eval_rho, gaussian, halfspace_profile)
 from greyvar.spectral import (AnnulusFourier, RadialFourier, ball_main_term,
-                              ball_indicator_fourier, band_cycles, bessel_j,
-                              flat_band_square, nu_phase, profile_fourier_1d,
-                              psf_fourier, sharp_band_square)
+                              ball_indicator_fourier, bessel_j, nu_phase,
+                              profile_fourier_1d, psf_fourier,
+                              sharp_band_square)
+import greyvar
 from greyvar import variance
 from greyvar.variance import weighted_layer
 
@@ -77,10 +84,10 @@ def test_gaussian_self_transform(dim):
     psf = gaussian(dim)
     rf = RadialFourier(
         lambda r: (2.0 * math.pi) ** (-dim / 2.0) * np.exp(-r * r / 2.0),
-        0.0, 14.0, dim, min_panels=24)
+        0.0, 14.0, dim)
     q = np.array([0.0, 0.05, 0.1, 0.2, 0.35, 0.5])
     want = np.exp(-2.0 * math.pi ** 2 * q * q)
-    np.testing.assert_allclose(rf.at(q, refine=2), want, rtol=1e-8)
+    np.testing.assert_allclose(rf.at(q), want, rtol=1e-8)
     # the dedicated kernel-transform path uses the closed form
     np.testing.assert_allclose(psf_fourier(psf, q), want, rtol=1e-14)
 
@@ -88,11 +95,10 @@ def test_gaussian_self_transform(dim):
 @pytest.mark.parametrize("dim", [2, 3])
 def test_ball_closed_form_vs_quadrature(dim):
     R = 1.3
-    rf = RadialFourier(lambda r: np.ones_like(r), 0.0, R, dim,
-                       min_panels=24)
+    rf = RadialFourier(lambda r: np.ones_like(r), 0.0, R, dim)
     q = np.array([0.0, 0.3, 1.0, 2.4, 5.7])
     np.testing.assert_allclose(ball_indicator_fourier(R, dim, q),
-                               rf.at(q, refine=2), rtol=0, atol=1e-10)
+                               rf.at(q), rtol=0, atol=1e-10)
 
 
 def test_ball_transform_small_q_continuity():
@@ -109,22 +115,23 @@ def test_ball_transform_small_q_continuity():
 
 def test_annulus_matches_quadrature():
     ann = AnnulusFourier(0.8, 1.2, 2)
-    rf = RadialFourier(lambda r: np.ones_like(r), 0.8, 1.2, 2,
-                       min_panels=24)
+    rf = RadialFourier(lambda r: np.ones_like(r), 0.8, 1.2, 2)
     q = np.array([0.2, 1.0, 3.3, 8.0])
-    np.testing.assert_allclose(ann.at(q), rf.at(q, refine=2),
-                               rtol=0, atol=1e-10)
+    np.testing.assert_allclose(ann.at(q), rf.at(q), rtol=0, atol=1e-10)
     assert ann.volume_integral() == pytest.approx(
         math.pi * (1.2 ** 2 - 0.8 ** 2), rel=1e-14)
 
 
-def test_radial_fourier_refinement_stable():
-    # doubling the panel count must not move converged values
-    rf = RadialFourier(lambda r: np.exp(-3.0 * r) * r, 0.1, 2.0, 2,
-                       min_panels=16)
+def test_radial_fourier_matches_adaptive_quadrature():
+    """The Hankel rule against scipy's adaptive quad of the d=2 Hankel
+    integrand 2 pi g(r) J_0(2 pi q r) r (measured gap 3e-17)."""
+    g = lambda r: np.exp(-3.0 * r) * r
+    rf = RadialFourier(g, 0.1, 2.0, 2)
     q = np.array([0.5, 2.0, 7.0])
-    np.testing.assert_allclose(rf.at(q, refine=1), rf.at(q, refine=4),
-                               rtol=0, atol=1e-11)
+    want = [2.0 * math.pi * integrate.quad(
+        lambda r: g(r) * special.j0(2.0 * math.pi * qv * r) * r, 0.1, 2.0,
+        epsabs=1e-15, epsrel=1e-13, limit=200)[0] for qv in q]
+    np.testing.assert_allclose(rf.at(q), want, rtol=0, atol=1e-11)
 
 
 def test_radial_fourier_validation():
@@ -157,8 +164,7 @@ def test_compact_psf_fourier_matches_hankel_quadrature(make, atol, dim,
     against Hankel quadrature of its density, from q = 0 (the kernel's
     mass, 1) across the series switchover to q = 300."""
     psf = make(dim, support)
-    rf = RadialFourier(lambda r: eval_rho(psf, r), 0.0, support, dim,
-                       min_panels=12)
+    rf = RadialFourier(lambda r: eval_rho(psf, r), 0.0, support, dim)
     q = np.concatenate([np.geomspace(1e-6, 1.0, 25),
                         np.linspace(0.0, 300.0, 301)])
     np.testing.assert_allclose(psf_fourier(psf, q), rf.at(q), rtol=0,
@@ -263,37 +269,70 @@ def test_flat_band_model_small_cycles():
     assert np.all(env >= osc - 1e-15)
 
 
+def _oscillatory_quad(fn, edges, omega, kind):
+    """int fn(t) cos(omega t) (kind 'cos') or sin(omega t) dt over
+    [edges[0], edges[-1]] by QUADPACK's oscillatory-weight rule, one call
+    per gap between consecutive edges."""
+    return sum(integrate.quad(fn, lo, hi, weight=kind, wvar=omega,
+                              epsabs=1e-14, epsrel=1e-13, limit=200)[0]
+               for lo, hi in zip(edges[:-1], edges[1:]))
+
+
 @pytest.mark.parametrize("dim", [2, 3])
 @pytest.mark.parametrize("kernel", [gaussian, compact_bump])
 def test_profile_rules_split_at_knot_images(kernel, dim):
     """A smooth weight's profile layer is only C^3 at its knot images;
-    rules split there are exact to rounding at the base panel count, so
-    refine=1 matches refine=16 (unsplit, they were 4e-9 to 2e-8 apart
-    at q <= 40)."""
+    the rules split there match QUADPACK's oscillatory-weight rule over
+    each gap between knot images to 1e-12 of the peak (measured up to
+    1.4e-15; unsplit, the rules were 4e-9 to 2e-8 off at q <= 40)."""
     f, R, a = SmoothPlateau(), 1.0, 0.05
     profile = halfspace_profile(kernel(dim))
     qs = np.geomspace(1.0, 40.0, 30)
-    for fn in (lambda r: ball_main_term(R, profile, f, a, qs, dim, refine=r),
-               lambda r: profile_fourier_1d(f, profile, a * qs, refine=r)):
-        coarse, fine = fn(1), fn(16)
-        assert np.max(np.abs(coarse - fine)) <= 1e-12 * np.max(np.abs(fine))
+    edges = sorted(profile.phi(y) for y in f.knots)
+    layer = lambda t: float(f(profile.theta(t)))
+    rad = (dim - 1) / 2.0
+    main = lambda t: layer(t) * (R + a * t) ** rad
+    want_1d, want_main = [], []
+    for q in qs:
+        omega, phase = 2.0 * math.pi * a * q, 2.0 * math.pi * q * R
+        phase -= (dim - 1) * math.pi / 4.0
+        want_1d.append(_oscillatory_quad(layer, edges, omega, "cos")
+                       - 1j * _oscillatory_quad(layer, edges, omega, "sin"))
+        want_main.append(2.0 * a * q ** -rad * (
+            math.cos(phase) * _oscillatory_quad(main, edges, omega, "cos")
+            - math.sin(phase) * _oscillatory_quad(main, edges, omega, "sin")))
+    for got, want in ((profile_fourier_1d(f, profile, a * qs), want_1d),
+                      (ball_main_term(R, profile, f, a, qs, dim), want_main)):
+        want = np.asarray(want)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("dim", [2, 3])
 @pytest.mark.parametrize("kernel", [gaussian, compact_bump])
 def test_smooth_layer_refinement_gap(kernel, dim):
     """The Hankel rule of a smooth weight's layer, evaluated in the
-    octave blocks of the dual sum out to q = 30/a, moves by under 2e-9
-    of its peak when refined 16-fold (measured up to 8.2e-10, with the
-    bump kernel, at the lowest frequencies): its panels are not split at
-    the knot radii.  The exact variance sums its squares to a relative
-    tolerance of 1e-3."""
-    a = 0.05
-    layer = weighted_layer(1.0, kernel(dim), a, SmoothPlateau())
+    octave blocks of the dual sum out to q = 30/a, is within 2e-9 of its
+    peak of scipy's adaptive quad_vec split at the knot radii (measured
+    up to 8.2e-10, with the bump kernel, at the lowest frequencies): its
+    panels are not split at the knot radii, and refining them is what
+    would close the gap.  The exact variance sums its squares to a
+    relative tolerance of 1e-3."""
+    a, f, psf = 0.05, SmoothPlateau(), kernel(dim)
+    layer = weighted_layer(1.0, psf, a, f)
     qs = np.linspace(0.5, 30.0 / a, 2000)
-    coarse, fine = (variance._octave_eval(
-        lambda q: layer.at(q, refine=r), qs) for r in (1, 16))
-    assert np.max(np.abs(coarse - fine)) <= 2e-9 * np.max(np.abs(fine))
+    got = variance._octave_eval(layer.at, qs)
+    edges = [layer.r_lo, *ball_band_radii(1.0, psf, a, f.knots[1],
+                                          f.knots[2]), layer.r_hi]
+    if dim == 2:  # 2 pi J_0(2 pi q r) r
+        kernel_at = lambda r: (2.0 * math.pi * r
+                               * special.j0(2.0 * math.pi * qs * r))
+    else:  # 2 pi q^{-1/2} J_{1/2}(2 pi q r) r^{3/2} = 2 sin(2 pi q r) r / q
+        kernel_at = lambda r: 2.0 * r * np.sin(2.0 * math.pi * qs * r) / qs
+    want = sum(integrate.quad_vec(
+        lambda r: layer.fn(r) * kernel_at(r), lo, hi, epsabs=1e-16,
+        epsrel=1e-14, norm="max", limit=2000)[0]
+        for lo, hi in zip(edges[:-1], edges[1:]))
+    assert np.max(np.abs(got - want)) <= 2e-9 * np.max(np.abs(want))
 
 
 def test_main_term_rejects_nonpositive_q():
@@ -302,7 +341,25 @@ def test_main_term_rejects_nonpositive_q():
         ball_main_term(1.0, profile, Indicator(), 0.05, 0.0, 2)
 
 
+def test_public_api_has_no_accuracy_knobs():
+    """The transforms, the oscillatory rule under them and the envelope
+    check each run at one fixed accuracy, so no public function, class
+    or method takes a knob to change it, and the rule takes only the
+    panel floor its two callers set differently."""
+    knobs = {"refine", "min_panels", "order", "max_nodes", "slack"}
+    found = []
+    for obj in (getattr(greyvar, name) for name in greyvar.__all__):
+        fns = ([m for m in vars(obj).values() if inspect.isfunction(m)]
+               if inspect.isclass(obj) else [obj])
+        for fn in fns:
+            taken = knobs & set(inspect.signature(fn).parameters)
+            found += [f"{fn.__qualname__}({name})" for name in taken]
+    assert found == []
+    assert list(inspect.signature(oscillatory_nodes).parameters) == [
+        "edges", "freq", "min_panels"]
+
+
 def test_oscillatory_rule_over_budget_is_truncation_error():
     # the node budget is checked before any node is allocated
     with pytest.raises(TruncationError):
-        oscillatory_nodes((0.0, 1.0), freq=1e9)
+        oscillatory_nodes((0.0, 1.0), freq=1e9, min_panels=8)
