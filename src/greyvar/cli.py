@@ -14,7 +14,8 @@ and ``manifest.json`` into the output directory.  The manifest echoes
 every config value the run actually resolved, defaults included, so the
 CSV is reproducible from the manifest alone, and records the sha256 of
 each output file under ``output_sha256`` and the python, numpy and scipy
-versions under ``library_versions``.  With a fixed config and
+versions under ``library_versions`` (scipy is null when it is not
+installed; the package itself does not use it).  With a fixed config and
 seed the CSV bytes do not depend on ``--workers``.
 
 Exit codes: 0 success, 2 usage or config error, 3 numerical failure.
@@ -36,7 +37,11 @@ import sys
 import time
 
 import numpy as np
-import scipy
+
+try:
+    import scipy
+except ImportError:
+    scipy = None
 
 from . import __version__
 from .errors import ConfigError, DomainError, GreyvarError
@@ -566,7 +571,7 @@ def main(argv=None) -> int:
             "version": __version__,
             "library_versions": {"python": platform.python_version(),
                                  "numpy": np.__version__,
-                                 "scipy": scipy.__version__},
+                                 "scipy": scipy.__version__ if scipy else None},
             "seed": seed,
             "seed_source": seed_source,
             "workers": args.workers,

@@ -27,9 +27,8 @@ d=2 and erf(sqrt x) - 2 sqrt(x/pi) e^{-x} in d=3, x = r^2/2.  The compact
 kernels are rho ~ (1 - |x|^2/D^2)^k (k = 3 for the bump, k = 0 for the
 ball indicator); their marginal is ~ (1 - s^2/D^2)^p with
 p = k + (d-1)/2, which makes theta_H a regularized incomplete beta
-function of (1 - t/D)/2 and the ball mass betainc(d/2, k+1, (r/D)^2).
-Only these take scipy.special, imported where they use it, so a
-Gaussian run never loads it.
+function of (1 - t/D)/2 and the ball mass betainc(d/2, k+1, (r/D)^2);
+the private module _special evaluates both, and the inverse, in numpy.
 """
 
 from __future__ import annotations
@@ -41,6 +40,7 @@ from statistics import NormalDist
 
 import numpy as np
 
+from . import _special
 from .errors import DomainError, TruncationError
 
 _KINDS = ("gaussian", "bump", "ball_indicator")
@@ -146,9 +146,8 @@ def radial_mass(psf: Psf, r: float) -> float:
         return 0.0
     d = psf.dim
     if psf.compact:
-        from scipy import special
         x = min(r / psf.support_radius, 1.0) ** 2
-        return float(special.betainc(d / 2.0, _compact_power(psf) + 1.0, x))
+        return float(_special.betainc(d / 2.0, _compact_power(psf) + 1.0, x))
     # the regularized gamma P(d/2, x), x = r^2/2
     x = 0.5 * r * r
     if d == 2:
@@ -222,9 +221,8 @@ class HalfspaceProfile:
         """Edge profile value(s); clamps to {1, 0} at and beyond -T, T."""
         t = np.asarray(t, dtype=float)
         if self.psf.compact:
-            from scipy import special
             x = np.clip(0.5 * (1.0 - t / self.T), 0.0, 1.0)
-            out = special.betainc(self._p + 1.0, self._p + 1.0, x)
+            out = _special.betainc(self._p + 1.0, self._p + 1.0, x)
         else:
             out = np.where(t <= -self.T, 1.0,
                            np.where(t >= self.T, 0.0,
@@ -248,10 +246,20 @@ class HalfspaceProfile:
         if not (0.0 < y < 1.0):
             raise DomainError(f"phi is defined on (0,1); got {y!r}")
         if self.psf.compact:
-            from scipy import special
-            x = special.betaincinv(self._p + 1.0, self._p + 1.0, y)
-            return float(self.T * (1.0 - 2.0 * x))
+            # from the smaller tail, so that phi(1 - y) = -phi(y) exactly
+            # and mirror knots give mirror breakpoints
+            t = self.T * (1.0 - 2.0 * _beta_quantile(self._p + 1.0,
+                                                     min(y, 1.0 - y)))
+            return t if y <= 0.5 else -t
         return -_STANDARD_NORMAL.inv_cdf(y)
+
+
+@lru_cache(maxsize=64)
+def _beta_quantile(a: float, y: float) -> float:
+    """betaincinv(a, a, y), cached: every transform and intensity model
+    of a run asks phi for the same few weight knots, and each inverse
+    takes several Newton steps."""
+    return float(_special.betaincinv(a, a, y))
 
 
 @lru_cache(maxsize=16)

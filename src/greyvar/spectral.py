@@ -14,10 +14,9 @@ when many oscillations cross the grey band its square has an elementary
 closed model, the sharp-band model.
 
 Only dimensions 2 and 3 are supported, so the Hankel kernels have the
-orders 0, 1/2, 1 and 3/2 (bessel_j); the closed-form transforms of the
-compact kernels and the ball take scipy's jv at d/2 + k.  Both import
-scipy.special where they call it, so the Gaussian edge profile and the
-indicator weight's closed forms run without it.
+orders 0, 1/2, 1 and 3/2 (bessel_j), and the closed-form transforms of
+the compact kernels and the ball take the orders d/2 + k in {1, 3/2, 4,
+9/2}.  All of them come from the private module _special, in numpy.
 """
 
 from __future__ import annotations
@@ -28,6 +27,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import _special
 from ._quad import oscillatory_nodes, panel_nodes
 from .errors import DomainError
 from .psf import (HalfspaceProfile, Psf, _compact_power, ball_volume,
@@ -39,20 +39,21 @@ _Q_CHUNK = 128
 def bessel_j(nu: float, x):
     """Bessel J_nu of the first kind for the orders nu this package needs.
 
-    Integer orders go through scipy's j0/j1; half-integer orders use the
-    spherical-Bessel reduction J_{n+1/2}(x) = sqrt(2x/pi) j_n(x), which
-    is stable down to x = 0.
+    J0 and J1 are Cephes-style fits (_special.j0, _special.j1).  The
+    half-integer orders are (x/2)^nu / Gamma(nu+1) times the normalized
+    kernel _special.bessel_lambda: its power series below x = 5 and the
+    elementary sin/cos forms above, so both are accurate down to x = 0.
+    Half-integer orders are evaluated at |x|.
     """
-    from scipy import special
     x = np.asarray(x, dtype=float)
     if nu == 0.0:
-        return special.j0(x)
+        return _special.j0(x)
     if nu == 1.0:
-        return special.j1(x)
+        return _special.j1(x)
     if nu in (0.5, 1.5):
-        n = int(nu - 0.5)
         ax = np.abs(x)
-        return np.sqrt(2.0 * ax / np.pi) * special.spherical_jn(n, ax)
+        return ((0.5 * ax) ** nu / math.gamma(nu + 1.0)
+                * _special.bessel_lambda(nu, ax))
     raise DomainError(f"unsupported Bessel order {nu}")
 
 
@@ -151,35 +152,21 @@ class AnnulusFourier:
         return out
 
 
-# below x = 2 the compact transform takes its power series; for nu >= 1
-# the first term left out is under 1e-18
-_SERIES_X, _SERIES_TERMS = 2.0, 17
-
-
 def _compact_fourier(nu: float, radius: float, q):
     """Gamma(nu+1) x^{-nu} J_nu(2 x), x = pi R q, at frequencies q >= 0:
     the transform of (1 - |y|^2/R^2)_+^k on R^d divided by its integral,
     for nu = d/2 + k (Bochner-Riesz; Stein & Weiss, Introduction to
     Fourier Analysis on Euclidean Spaces, 1971, Thm IV.4.15).
 
-    Below x = 2 it sums the series sum_m (-x^2)^m / (m! (nu+1)_m), which
-    is exactly 1 at q = 0 and keeps the digits that x^{-nu} J_nu(2 x)
-    loses at small x; from there on scipy's jv."""
-    from scipy import special
+    That is _special.bessel_lambda at 2 x: below 2 x = 5 the series
+    sum_m (-x^2)^m / (m! (nu+1)_m), which is exactly 1 at q = 0 and keeps
+    the digits that x^{-nu} J_nu(2 x) loses at small x; from there on
+    the elementary forms (nu = 3/2, 9/2), 2 J1(2x)/(2x) (nu = 1) or the
+    recurrence from J0 and J1 (nu = 4)."""
     x = math.pi * radius * np.atleast_1d(np.asarray(q, dtype=float))
     if np.any(x < 0):
         raise DomainError("frequencies must be nonnegative")
-    out = np.empty_like(x)
-    small = x < _SERIES_X
-    step = -x[small] ** 2
-    term = np.ones_like(step)
-    total = term.copy()
-    for m in range(1, _SERIES_TERMS):
-        term *= step / (m * (nu + m))
-        total += term
-    out[small] = total
-    xb = x[~small]
-    out[~small] = math.gamma(nu + 1.0) * xb ** -nu * special.jv(nu, 2.0 * xb)
+    out = _special.bessel_lambda(nu, 2.0 * x)
     return float(out[0]) if np.ndim(q) == 0 else out
 
 

@@ -58,7 +58,7 @@ import numpy as np
 # inside the first Monte Carlo call
 import numpy.random
 
-from . import lattice as lat
+from . import _special, lattice as lat
 from ._quad import panel_nodes
 from .errors import DomainError, TruncationError
 from .estimator import Indicator, alpha_f, weight_tv
@@ -521,9 +521,8 @@ class RadiusDensity:
         return np.where(inside, 630.0 * x ** 4 * (1.0 - x) ** 4 / w, 0.0)
 
     def sample(self, rng: np.random.Generator, n: int):
-        from scipy import special
         u = rng.random(n)
-        return self.s0 + (self.s1 - self.s0) * special.betaincinv(5.0, 5.0, u)
+        return self.s0 + (self.s1 - self.s0) * _special.betaincinv(5.0, 5.0, u)
 
     def mean_power(self, k: int) -> float:
         """E[s^k] for s = s0 + w X, X ~ Beta(5,5), w = s1 - s0: the

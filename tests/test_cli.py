@@ -498,3 +498,42 @@ def test_gaussian_indicator_runs_load_no_scipy_special(tmp_path):
                           text=True, cwd=str(tmp_path), env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False", "[0,", "0]", "False"]
+
+
+def test_runs_need_no_scipy(tmp_path):
+    """With scipy blocked from import, the smooth-weight scaling study,
+    d=3 bump and d=2 disc runs, the fourier table and the library's
+    incomplete beta and Bessel callers all run: the compact kernels'
+    incomplete beta and every Bessel function are numpy code."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(greyvar.__file__)))
+    cfg = os.path.join(os.path.dirname(src), "perfbench", "workloads",
+                       "scaling-plateau-d2.cfg")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    env.pop("GREYVAR_SEED", None)
+    small = ["--set", "scales.a=0.1"]
+    mc = ["--set", "mc.replicates=200"]
+    bump3 = small + ["--set", "phantom.dim=3", "--set", "psf.kind=bump",
+                     "--set", "weight.kind=plateau"]
+    disc2 = small + ["--set", "phantom.dim=2", "--set", "psf.kind=disc"]
+    runs = [["scaling-study", cfg, *small, *mc, "--out", "study"],
+            ["theory-variance", *bump3, "--out", "t3"],
+            ["mc-variance", *bump3, *mc, "--out", "m3"],
+            ["theory-variance", *disc2, "--out", "t2"],
+            ["mc-variance", *disc2, *mc, "--out", "m2"],
+            ["fourier", *small, "--set", "psf.kind=bump",
+             "--set", "weight.kind=plateau", "--out", "f"]]
+    code = ("import sys; sys.modules['scipy'] = None; "
+            "import numpy as np, greyvar as g, greyvar.cli as cli; "
+            "g.RadiusDensity().sample(np.random.default_rng(0), 10); "
+            "g.psf_fourier(g.compact_bump(2), [0.5, 3.0]); "
+            "g.ball_indicator_fourier(1.0, 3, [0.1, 5.0]); "
+            "[g.bessel_j(nu, [0.5, 30.0]) for nu in (0.0, 0.5, 1.0, 1.5)]; "
+            f"print([cli.main(argv) for argv in {runs!r}])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, cwd=str(tmp_path), env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[0,", "0,", "0,", "0,", "0,", "0]"]
+    manifest = json.loads((tmp_path / "study" / "manifest.json").read_text())
+    assert manifest["library_versions"]["scipy"] is None

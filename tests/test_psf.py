@@ -216,6 +216,17 @@ def test_phi_round_trip(make):
         assert prof.theta(prof.phi(y)) == pytest.approx(y, abs=1e-9)
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("make", [compact_bump, ball_indicator])
+def test_compact_phi_is_odd_about_one_half(make, dim):
+    """Mirror levels get mirror images exactly, so the layer's knot
+    images stay symmetric and its breakpoints do not split."""
+    prof = halfspace_profile(make(dim))
+    for y in (0.125, 0.25, 0.3125, 0.4):
+        assert 1.0 - (1.0 - y) == y
+        assert prof.phi(1.0 - y) == -prof.phi(y)
+
+
 def test_phi_rejects_levels_outside_unit_interval():
     prof = halfspace_profile(gaussian(2))
     for y in (0.0, 1.0, -0.2, 1.3):
