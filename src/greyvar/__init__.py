@@ -33,7 +33,7 @@ from .lattice import (Box, Lattice, LatticePlacement, centered_box,
 from .phantom import (Ball, HalfSpace, IntensityModel, intensity,
                       intensity_model, transition_offsets)
 from .psf import (HalfspaceProfile, Psf, ball_indicator, compact_bump,
-                  effective_radius, eval_rho, gaussian, halfspace_profile)
+                  eval_rho, gaussian, halfspace_profile)
 from .spectral import (AnnulusFourier, RadialFourier, ball_indicator_fourier,
                        ball_main_term, bessel_j, nu_phase,
                        profile_fourier_1d, psf_fourier, sharp_band_square)
@@ -57,7 +57,7 @@ __all__ = [
     "VarianceReport", "alpha_f", "ball_indicator",
     "ball_indicator_fourier", "ball_main_term", "bessel_j", "centered_box",
     "compact_bump", "dual_shells",
-    "effective_radius", "enumerate_points", "envelope_check",
+    "enumerate_points", "envelope_check",
     "estimate_surface", "estimate_volume_binary", "estimate_volume_grey",
     "eval_rho", "gaussian", "halfspace_profile",
     "hexagonal_lattice", "intensity", "intensity_model", "mc_random_radius",

@@ -4,19 +4,18 @@ manifest out.
 Config files are plain text, one ``key = value`` per line, ``#`` starts
 a comment.  Dotted keys group settings (``psf.kind``, ``lattice.matrix``);
 values are scalars, comma lists, or grid specs ``lin:lo:hi:n`` /
-``geom:lo:hi:n``.  ``--set key=value`` overrides file entries, and the
-environment variable ``GREYVAR_SEED`` overrides the configured seed.
-Keys the subcommand does not know are rejected, not ignored, so a typo
-cannot silently fall back to a default.
+``geom:lo:hi:n``.  ``--set key=value`` overrides file entries, the seed
+included (key ``seed``, default 0).  Keys the subcommand does not know
+are rejected, not ignored, so a typo cannot silently fall back to a
+default.
 
 Every run writes ``<subcommand>.csv`` (RFC 4180, 17 significant digits)
 and ``manifest.json`` into the output directory.  The manifest echoes
 every config value the run actually resolved, defaults included, so the
 CSV is reproducible from the manifest alone, and records the sha256 of
-each output file under ``output_sha256`` and the python, numpy and scipy
-versions under ``library_versions`` (scipy is null when it is not
-installed; the package itself does not use it).  With a fixed config and
-seed the CSV bytes do not depend on ``--workers``.
+each output file under ``output_sha256`` and the python and numpy
+versions under ``library_versions``.  With a fixed config and seed the
+CSV bytes do not depend on ``--workers``.
 
 Exit codes: 0 success, 2 usage or config error, 3 numerical failure.
 Both failure paths print a single-line JSON record to stderr naming the
@@ -37,11 +36,6 @@ import sys
 import time
 
 import numpy as np
-
-try:
-    import scipy
-except ImportError:
-    scipy = None
 
 from . import __version__
 from .errors import ConfigError, DomainError, GreyvarError
@@ -157,18 +151,6 @@ class ConfigView:
         if positive and any(not v > 0.0 for v in values):
             raise ConfigError(key, "all values must be positive")
         return values
-
-
-def _resolve_seed(view: ConfigView) -> tuple[int, str]:
-    env = os.environ.get("GREYVAR_SEED")
-    if env is not None:
-        try:
-            return int(env), "env"
-        except ValueError:
-            raise ConfigError("seed",
-                              f"GREYVAR_SEED={env!r} is not an integer")
-    source = "config" if "seed" in view.raw else "default"
-    return view.intval("seed", 0), source
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +374,7 @@ def _theory_cells(phantom, psf, f, lattice, a, b):
                                          lattice, a)
     exact = variance_exact_ball(phantom, psf, f, a, lattice, b)
     return (exact.value, asym.main, asym.main, exact.shells.xi_max,
-            exact.shells.tail_bound / (a * exact.alpha) ** 2)
+            exact.shells.tail_bound)
 
 
 def _variance_rows(view: ConfigView, seed: int, workers: int, *,
@@ -552,7 +534,7 @@ def main(argv=None) -> int:
         _check_known_keys(args.command, raw)
 
         view = ConfigView(raw)
-        seed, seed_source = _resolve_seed(view)
+        seed = view.intval("seed", 0)
         out_dir = args.out if args.out is not None \
             else view.get("out.dir", ".")
         os.makedirs(out_dir, exist_ok=True)
@@ -570,10 +552,8 @@ def main(argv=None) -> int:
             "subcommand": args.command,
             "version": __version__,
             "library_versions": {"python": platform.python_version(),
-                                 "numpy": np.__version__,
-                                 "scipy": scipy.__version__ if scipy else None},
+                                 "numpy": np.__version__},
             "seed": seed,
-            "seed_source": seed_source,
             "workers": args.workers,
             "config": dict(sorted(view.resolved.items())),
             "outputs": [csv_name],

@@ -15,8 +15,12 @@ lattice points in X (binary) or sum the grey values themselves (grey).
 
 Weight functions vanish outside a grey band [beta, omega] with
 0 < beta < omega < 1; the estimators therefore only see lattice points in
-a tube around the boundary of X, and any window containing that tube
-yields the identical sum.
+a tube around the boundary of X.  For a ball its outer edge is known in
+closed form: the ball lies in its tangent half-space, so theta_B <=
+theta_H, and a point farther than a * phi(beta) outside the sphere is
+below beta.  A ball's grey value itself is exactly 0 beyond R + a T, T
+the PSF support radius.  The nonzero terms are summed by math.fsum, so
+any window containing the tube yields the identical value.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from .errors import (CoverageError, DomainError, NormalizationError,
                      TruncationError)
 from .lattice import Box, LatticePlacement, enumerate_points
 from .phantom import Ball, HalfSpace, Phantom, intensity_model
-from .psf import HalfspaceProfile, Psf, effective_radius, halfspace_profile
+from .psf import HalfspaceProfile, Psf, halfspace_profile
 from .spectral import knot_images
 
 
@@ -165,13 +169,18 @@ def _phantom_bbox(phantom: Phantom, pad: float) -> Box:
     return Box(tuple(c - r), tuple(c + r))
 
 
-def _collect(phantom, psf, placement, window, reach):
-    """Placement points in the window, and the window.  The default
-    window is the phantom's box dilated by `reach` and two cells; a given
-    one must contain the box dilated by `reach`, except for a half-space,
+def _collect(phantom, placement, window, psf=None, a=1.0, reach=0.0):
+    """Placement points in the window, and the window.  The tube around
+    the phantom reaches a * reach beyond it: the default window is the
+    phantom's box dilated by the tube and two cells, and a given one
+    must contain the box dilated by the tube, except for a half-space,
     which is read in any finite window."""
-    if psf is not None and psf.dim != phantom.dim:
-        raise DomainError("psf and phantom dimensions differ")
+    if psf is not None:
+        if not 0 < a < math.inf:
+            raise DomainError("blur scale a must be positive and finite")
+        if psf.dim != phantom.dim:
+            raise DomainError("psf and phantom dimensions differ")
+    reach *= a
     if window is None:
         cells = 2.0 * placement.b * placement.lattice.cell_diameter
         window = _phantom_bbox(phantom, reach + cells)
@@ -192,46 +201,44 @@ def estimate_surface(phantom: Phantom, psf: Psf, f, a: float,
     """Surface-area estimate on one placement.
 
     Returns both the raw statistic S0 and the normalized estimate
-    cell_volume * alpha_f^{-1} * S0.
+    cell_volume * alpha_f^{-1} * S0.  The tube reaches a * phi(beta)
+    outside a ball, or not at all when phi(beta) < 0.
     """
-    if not 0 < a < math.inf:
-        raise DomainError("blur scale a must be positive and finite")
-    beta, omega = f.knots[0], f.knots[-1]
-    d_eff = effective_radius(psf, 1e-6 * min(beta, 1.0 - omega))
-    pts, window = _collect(phantom, psf, placement, window, a * d_eff)
-    model = intensity_model(phantom, psf, a)
-    weights = f(model(pts)) if len(pts) else np.zeros(0)
-    raw = a ** (-1.0) * placement.b ** phantom.dim * float(weights.sum())
-    alpha = alpha_f(f, halfspace_profile(psf))
+    profile = halfspace_profile(psf)
+    pts, window = _collect(phantom, placement, window, psf, a,
+                           max(profile.phi(f.knots[0]), 0.0))
+    weights = f(intensity_model(phantom, psf, a)(pts))
+    weights = weights[weights != 0]
+    raw = a ** (-1.0) * placement.b ** phantom.dim * math.fsum(weights)
+    alpha = alpha_f(f, profile)
     value = placement.lattice.cell_volume / alpha * raw
     return EstimateResult(
         value=value, raw_sum=raw, normalization=alpha,
-        n_points=int(len(pts)), n_support=int(np.count_nonzero(weights)),
+        n_points=int(len(pts)), n_support=len(weights),
         a=a, b=placement.b, window=window)
 
 
 def estimate_volume_grey(phantom: Phantom, psf: Psf, a: float,
                          placement: LatticePlacement,
                          window: Box | None = None) -> EstimateResult:
-    """Grey volume estimate b^d * cell_volume * sum theta_a(X)(z)."""
-    if not 0 < a < math.inf:
-        raise DomainError("blur scale a must be positive and finite")
-    reach = a * effective_radius(psf, 1e-9)
-    pts, window = _collect(phantom, psf, placement, window, reach)
-    model = intensity_model(phantom, psf, a)
-    grey = model(pts) if len(pts) else np.zeros(0)
+    """Grey volume estimate b^d * cell_volume * sum theta_a(X)(z); the
+    tube reaches a * T, where a ball's grey value is exactly 0."""
+    pts, window = _collect(phantom, placement, window, psf, a,
+                           psf.support_radius)
+    grey = intensity_model(phantom, psf, a)(pts)
+    grey = grey[grey != 0]
+    total = math.fsum(grey)
     vol = placement.b ** phantom.dim * placement.lattice.cell_volume
     return EstimateResult(
-        value=vol * float(grey.sum()), raw_sum=float(grey.sum()),
+        value=vol * total, raw_sum=total,
         normalization=1.0, n_points=int(len(pts)),
-        n_support=int(np.count_nonzero(grey)), a=a, b=placement.b,
-        window=window)
+        n_support=len(grey), a=a, b=placement.b, window=window)
 
 
 def estimate_volume_binary(phantom: Phantom, placement: LatticePlacement,
                            window: Box | None = None) -> EstimateResult:
     """Binary volume estimate b^d * cell_volume * #(X intersect points)."""
-    pts, window = _collect(phantom, None, placement, window, 0.0)
+    pts, window = _collect(phantom, placement, window)
     count = int(np.count_nonzero(phantom.contains(pts)))
     vol = placement.b ** phantom.dim * placement.lattice.cell_volume
     return EstimateResult(

@@ -41,7 +41,7 @@ from statistics import NormalDist
 import numpy as np
 
 from . import _special
-from .errors import DomainError, TruncationError
+from .errors import DomainError
 
 _KINDS = ("gaussian", "bump", "ball_indicator")
 
@@ -155,37 +155,6 @@ def radial_mass(psf: Psf, r: float) -> float:
     return math.erf(math.sqrt(x)) - 2.0 * math.sqrt(x / math.pi) * math.exp(-x)
 
 
-# Newton steps allowed for the d=3 Gaussian effective radius (at most 10
-# are taken for eps from 1e-300 to 0.999)
-_NEWTON_STEPS = 20
-
-
-def effective_radius(psf: Psf, eps: float) -> float:
-    """Smallest radius whose complement carries mass <= eps."""
-    if eps <= 0:
-        raise DomainError("eps must be positive")
-    if psf.compact:
-        return psf.support_radius
-    if eps >= 1.0:
-        return 0.0
-    # the d=2 tail e^{-r^2/2} inverts directly; in d=3 the tail is
-    # log-concave in r and heavier, so Newton on its log from the d=2
-    # radius steps past the root once and then falls to it monotonically
-    r = math.sqrt(-2.0 * math.log(eps))
-    if psf.dim == 2:
-        return r
-    for _ in range(_NEWTON_STEPS):
-        # tail Q(3/2, r^2/2) = erfc(r/sqrt 2) + sqrt(2/pi) r e^{-r^2/2}
-        bell = math.sqrt(2.0 / math.pi) * math.exp(-0.5 * r * r)
-        tail = math.erfc(r / math.sqrt(2.0)) + bell * r
-        step = (math.log(tail) - math.log(eps)) * tail / -(bell * r * r)
-        r -= step
-        if abs(step) < 1e-13 * r:
-            return r
-    raise TruncationError(f"effective radius at eps {eps:g}: "
-                          "Newton did not converge")
-
-
 def _integration_radius(psf: Psf) -> float:
     """Radius beyond which rho is (numerically) zero."""
     return psf.support_radius if psf.compact else 20.0
@@ -207,15 +176,13 @@ class HalfspaceProfile:
 
     def __init__(self, psf: Psf):
         self.psf = psf
+        self.T = psf.support_radius
         if psf.compact:
-            self.T = psf.support_radius
             p = self._p = _compact_power(psf) + 0.5 * (psf.dim - 1)
             # marginal m(s) = c (1 - s^2/D^2)^p, where the integral of
             # (1 - s^2/D^2)^p over [-D, D] is D * B(1/2, p+1)
             self._c = math.gamma(p + 1.5) / (
                 self.T * math.gamma(0.5) * math.gamma(p + 1.0))
-        else:
-            self.T = GAUSSIAN_T
 
     def theta(self, t):
         """Edge profile value(s); clamps to {1, 0} at and beyond -T, T."""

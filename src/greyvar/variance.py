@@ -108,20 +108,20 @@ def _octave_eval(fn, q):
     return out
 
 
-def convergent_dual_sum(lattice: Lattice, summand, *, decay_power: float,
-                        tail_tol: float, xi_cap: float = 4096.0):
+def convergent_dual_sum(lattice: Lattice, summand, *, tail_tol: float,
+                        xi_cap: float = 4096.0):
     """Sum summand(|xi|) * multiplicity over nonzero dual shells.
 
     `summand` maps an ascending array of shell norms to nonnegative
-    values; `decay_power` p is the envelope exponent used for the tail
-    bound 2 C_fit * cell_volume * omega_d * Xi^{d-p} / (p - d) with
-    C_fit fitted to the last block.  Blocks end at |xi| = 6, growing
-    1.7-fold, until the sum converges or reaches xi_cap; the record says
-    which.
+    values.  The tail bound integrates the envelope C_fit |xi|^{-p},
+    with p = d + 1 the decay of a squared transform of a layer with a
+    jump (faster decay only loosens it) and C_fit fitted to the last
+    block: 2 C_fit * cell_volume * omega_d * Xi^{d-p} / (p - d).  Blocks
+    end at |xi| = 6, growing 1.7-fold, until the sum converges or
+    reaches xi_cap; the record says which.
     """
     d = lattice.dim
-    if decay_power <= d:
-        raise DomainError("tail bound needs decay_power > dim")
+    p = d + 1.0
     total = 0.0
     n_shells = 0
     xi_prev = 0.0
@@ -138,10 +138,9 @@ def convergent_dual_sum(lattice: Lattice, summand, *, decay_power: float,
             # fit C so that C |xi|^{-p} matches the newest block on
             # average (multiplicity-weighted), then integrate the
             # envelope outward with a safety factor of 2
-            c_fit = float((counts @ (vals * norms ** decay_power))
-                          / counts.sum())
+            c_fit = float((counts @ (vals * norms ** p)) / counts.sum())
             tail = (2.0 * c_fit * lattice.cell_volume * sphere_area(d)
-                    * xi ** (d - decay_power) / (decay_power - d))
+                    * xi ** (d - p) / (p - d))
             scale = abs(total) + 1e-300
             if tail <= tail_tol * scale and block <= tail_tol * scale:
                 converged = True
@@ -165,9 +164,8 @@ def _refusing_dual_sum(lattice: Lattice, summand, a: float, b: float,
     """
     if not (0 < a < math.inf and 0 < b < math.inf):
         raise DomainError("scales a and b must be positive and finite")
-    total, info = convergent_dual_sum(
-        lattice, summand, decay_power=lattice.dim + 1.0, tail_tol=tail_tol,
-        xi_cap=max(2e3 * b / a, 64.0))
+    total, info = convergent_dual_sum(lattice, summand, tail_tol=tail_tol,
+                                      xi_cap=max(2e3 * b / a, 64.0))
     if not info.converged:
         raise TruncationError(
             f"dual-shell sum did not converge by dual radius "
@@ -189,12 +187,6 @@ class VarianceReport:
     b: float
     alpha: float
     shells: ShellSumInfo
-
-
-def _ball_radius(phantom) -> float:
-    if not isinstance(phantom, Ball):
-        raise DomainError("variance engines take ball phantoms only")
-    return phantom.radius
 
 
 def weighted_layer(radius: float, psf: Psf, a: float, f):
@@ -273,14 +265,15 @@ def variance_exact_ball(phantom, psf: Psf, f, a: float, lattice: Lattice,
     An indicator weight makes the grey layer an annulus indicator, whose
     autocorrelation is closed-form: the variance is the finite primal
     sum over |b A z| < 2 r_out, converged with xi_max = inf and a
-    rounding bound (raw units) as tail_bound.  Any other weight takes
-    the dual-shell sum of squared layer transforms to a relative
-    tolerance of 1e-3, or raises TruncationError if it does not
-    converge (see _refusing_dual_sum).
+    rounding bound as tail_bound.  Any other weight takes the dual-shell
+    sum of squared layer transforms to a relative tolerance of 1e-3, or
+    raises TruncationError if it does not converge (see
+    _refusing_dual_sum).  The sum and its tail_bound are both divided by
+    (a alpha_f)^2, so the bound is in the units of the value.
     """
     if lattice.dim != psf.dim:
         raise DomainError("lattice and psf dimensions differ")
-    radius = _ball_radius(phantom)
+    radius = phantom.radius
     layer = weighted_layer(radius, psf, a, f)
     alpha = alpha_f(f, halfspace_profile(psf))
     if isinstance(layer, AnnulusFourier):
@@ -293,8 +286,10 @@ def variance_exact_ball(phantom, psf: Psf, f, a: float, lattice: Lattice,
     else:
         total, info = _refusing_dual_sum(
             lattice, lambda q: layer.at(q / b) ** 2, a, b, 1e-3)
-    value = total / (a * alpha) ** 2
-    return VarianceReport(value=value, a=a, b=b, alpha=alpha, shells=info)
+    scale = (a * alpha) ** 2
+    return VarianceReport(value=total / scale, a=a, b=b, alpha=alpha,
+                          shells=replace(info,
+                                         tail_bound=info.tail_bound / scale))
 
 
 def volume_variance_exact(radius: float, lattice: Lattice, b: float, *,
@@ -698,7 +693,7 @@ def mc_surface(phantom, psf: Psf, f, a: float, lattice: Lattice, b: float,
     """
     if n_batches < 2 or n_reps < 2 * n_batches:
         raise DomainError("need at least 2 batches and 2 reps per batch")
-    radius = _ball_radius(phantom)
+    radius = phantom.radius
     alpha = alpha_f(f, halfspace_profile(psf))
     sampler = _surface_sampler(radius, psf, f, a, lattice, b, alpha)
     return _run_batches(sampler.run_batch, n_reps, seed, n_batches, workers)
@@ -710,7 +705,7 @@ def mc_volume_binary(phantom, lattice: Lattice, b: float, n_reps: int,
     """Monte Carlo distribution of the binary volume estimator for a
     ball: points whose membership cannot depend on the shift are counted
     once, only the boundary shell is re-tested per shift."""
-    radius = _ball_radius(phantom)
+    radius = phantom.radius
     d = lattice.dim
     pad = b * lattice.cell_diameter
     window = lat.centered_box(((radius + 2 * pad),) * d)
@@ -809,7 +804,7 @@ def variance_bound_check(phantom, psf: Psf, f, a: float, lattice: Lattice,
     vanish at the band edges.
     """
     dim = psf.dim
-    radius = _ball_radius(phantom)
+    radius = phantom.radius
     profile = halfspace_profile(psf)
     alpha = alpha_f(f, profile)
     f_lo, f_hi = (abs(v) for v in f.boundary_values)

@@ -54,7 +54,6 @@ def annulus_variance_raw(r_in, r_out, lattice, b, *, xi_cap,
     with its truncation record."""
     layer = AnnulusFourier(r_in, r_out, lattice.dim)
     return convergent_dual_sum(lattice, lambda q: layer.at(q / b) ** 2,
-                               decay_power=lattice.dim + 1.0,
                                tail_tol=tail_tol, xi_cap=xi_cap)
 
 
@@ -63,7 +62,7 @@ def ball_variance_raw(radius, lattice, b, *, xi_cap, tail_tol=1e-4):
     d = lattice.dim
     return convergent_dual_sum(
         lattice, lambda q: ball_indicator_fourier(radius, d, q / b) ** 2,
-        decay_power=d + 1.0, tail_tol=tail_tol, xi_cap=xi_cap)
+        tail_tol=tail_tol, xi_cap=xi_cap)
 
 
 def indicator_lattice_sum(w, lattice, *, xi_cap=1024.0, tail_tol=1e-12):
@@ -76,8 +75,8 @@ def indicator_lattice_sum(w, lattice, *, xi_cap=1024.0, tail_tol=1e-12):
         return (np.sin(math.pi * q * w) / (math.pi * q)) ** 2 \
             * q ** (-(d - 1.0))
 
-    total, info = convergent_dual_sum(lattice, summand, decay_power=d + 1.0,
-                                      tail_tol=tail_tol, xi_cap=xi_cap)
+    total, info = convergent_dual_sum(lattice, summand, tail_tol=tail_tol,
+                                      xi_cap=xi_cap)
     total += (lattice.cell_volume * sphere_area(d)
               / (2.0 * math.pi ** 2 * info.xi_max))
     return total, info
@@ -97,8 +96,8 @@ def profile_lattice_sum(f, profile, lattice, *, tail_tol=1e-3,
         return np.abs(profile_fourier_1d(f, profile, q)) ** 2 \
             * q ** (-(d - 1.0))
 
-    total, info = convergent_dual_sum(lattice, summand, decay_power=d + 1.0,
-                                      tail_tol=tail_tol, xi_cap=xi_cap)
+    total, info = convergent_dual_sum(lattice, summand, tail_tol=tail_tol,
+                                      xi_cap=xi_cap)
     if not info.converged:
         _require_tail_under_1pct(info, total, xi_cap)
     return total, info

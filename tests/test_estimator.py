@@ -23,7 +23,8 @@ from greyvar.estimator import (EstimateResult, Indicator, SmoothPlateau,
 from greyvar.lattice import (Box, LatticePlacement, centered_box,
                              random_placement, unit_lattice)
 from greyvar.phantom import Ball, HalfSpace
-from greyvar.psf import compact_bump, gaussian, halfspace_profile
+from greyvar.psf import (ball_indicator, compact_bump, gaussian,
+                         halfspace_profile)
 
 
 def test_smoothstep7_is_c3():
@@ -153,8 +154,8 @@ def test_weight_tv_values():
     assert weight_tv(Indicator()) == 0.0
 
 
-def _placement(b, seed=None):
-    lat = unit_lattice(2)
+def _placement(b, seed=None, dim=2):
+    lat = unit_lattice(dim)
     if seed is None:
         return LatticePlacement(lattice=lat, b=b)
     return random_placement(lat, b, np.random.default_rng(seed))
@@ -196,6 +197,50 @@ def test_surface_window_invariance():
     r3 = estimate_surface(phantom, psf, f, 0.05, placement)  # auto window
     assert r1.value == r2.value == r3.value
     assert r1.n_support == r2.n_support == r3.n_support
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("kernel", [gaussian, compact_bump])
+@pytest.mark.parametrize("f", [Indicator(0.1, 0.7),
+                               SmoothPlateau(0.1, 0.2, 0.6, 0.7)])
+def test_surface_window_at_the_band_reach(dim, kernel, f):
+    """A ball lies in its tangent half-space, so theta_B <= theta_H and
+    no point farther than a phi(beta) outside it is weighted: a window
+    exactly R + a phi(beta) wide reads the auto window's sum, and one a
+    cell narrower, still wider than the ball, is refused."""
+    psf, a = kernel(dim), 0.2
+    placement = _placement(0.05, seed=4, dim=dim)
+    phantom = Ball(dim, 1.0)
+    reach = 1.0 + a * halfspace_profile(psf).phi(f.knots[0])
+    assert reach - placement.b > 1.0
+    auto = estimate_surface(phantom, psf, f, a, placement)
+    tight = estimate_surface(phantom, psf, f, a, placement,
+                             window=centered_box((reach,) * dim))
+    assert tight.n_points < auto.n_points
+    assert tight.value == auto.value and tight.n_support == auto.n_support
+    short = centered_box((reach - placement.b,) * dim)
+    with pytest.raises(CoverageError):
+        estimate_surface(phantom, psf, f, a, placement, window=short)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("kernel", [gaussian, compact_bump, ball_indicator])
+def test_volume_grey_window_is_the_whole_model(dim, kernel):
+    """A ball's grey value is exactly 0 beyond R + a T, so a window
+    exactly that wide, the auto window and one 0.5 wider read the same
+    value bit for bit, and a window one cell narrower is refused."""
+    psf, a = kernel(dim), 0.05
+    placement = _placement(0.05, seed=4, dim=dim)
+    ball = Ball(dim, 1.0)
+    reach = 1.0 + a * psf.support_radius
+    runs = [estimate_volume_grey(ball, psf, a, placement, window=w)
+            for w in (None, centered_box((reach,) * dim),
+                      centered_box((reach + 0.5,) * dim))]
+    assert runs[1].n_points < runs[0].n_points < runs[2].n_points
+    assert len({(r.value, r.n_support) for r in runs}) == 1
+    with pytest.raises(CoverageError):
+        estimate_volume_grey(ball, psf, a, placement,
+                             window=centered_box((reach - 0.05,) * dim))
 
 
 def test_surface_mean_near_perimeter():

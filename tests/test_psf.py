@@ -16,8 +16,8 @@ from scipy.integrate import quad
 
 from greyvar.errors import DomainError
 from greyvar.psf import (GAUSSIAN_T, Psf, ball_indicator, ball_volume,
-                         compact_bump, effective_radius, eval_rho, gaussian,
-                         halfspace_profile, radial_mass, sphere_area)
+                         compact_bump, eval_rho, gaussian, halfspace_profile,
+                         radial_mass, sphere_area)
 
 ALL_KINDS = [gaussian, compact_bump, ball_indicator]
 
@@ -97,26 +97,6 @@ def test_marginal_normalizes(make):
     assert total == pytest.approx(1.0, abs=1e-9)
 
 
-def test_gaussian_effective_radius_closed_form():
-    # in d=2 the tail mass is exp(-r^2/2) exactly
-    for eps in (1e-3, 1e-6, 1e-9):
-        expected = math.sqrt(-2.0 * math.log(eps))
-        assert effective_radius(gaussian(2), eps) == pytest.approx(
-            expected, abs=1e-9)
-    # in d=3 it is erfc(r/sqrt 2) + sqrt(2/pi) r exp(-r^2/2)
-    for eps in (1e-3, 1e-6, 1e-9, 1e-12):
-        r = effective_radius(gaussian(3), eps)
-        tail = (math.erfc(r / math.sqrt(2.0))
-                + math.sqrt(2.0 / math.pi) * r * math.exp(-0.5 * r * r))
-        assert tail == pytest.approx(eps, rel=1e-12)
-
-
-def test_effective_radius_compact_support():
-    assert effective_radius(compact_bump(2, 0.7), 1e-12) == 0.7
-    with pytest.raises(DomainError):
-        effective_radius(gaussian(2), 0.0)
-
-
 @pytest.mark.parametrize("dim", [2, 3])
 def test_gaussian_profile_matches_erfc(dim):
     prof = halfspace_profile(gaussian(dim))
@@ -145,12 +125,6 @@ def test_gaussian_mass_and_radius_match_scipy(dim):
     mass = [radial_mass(psf, v) for v in r]
     np.testing.assert_allclose(mass, special.gammainc(dim / 2.0, 0.5 * r * r),
                                rtol=0.0, atol=2.2e-15)
-    eps = np.logspace(-300.0, math.log10(0.5), 600)
-    np.testing.assert_allclose(
-        [effective_radius(psf, e) for e in eps],
-        np.sqrt(2.0 * special.gammainccinv(dim / 2.0, eps)),
-        rtol=4e-15, atol=0.0)
-    assert effective_radius(psf, 1.0) == 0.0
 
 
 def test_disc_profile_closed_form():

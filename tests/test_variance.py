@@ -23,7 +23,7 @@ from greyvar import lattice, phantom, variance
 from greyvar.errors import DomainError, TruncationError
 from greyvar.estimator import Indicator, SmoothPlateau
 from greyvar.lattice import hexagonal_lattice, unit_lattice
-from greyvar.phantom import Ball, ball_band_radii
+from greyvar.phantom import Ball, HalfSpace, ball_band_radii
 from greyvar.psf import (ball_volume, compact_bump, gaussian,
                          halfspace_profile, sphere_area)
 from greyvar.spectral import AnnulusFourier
@@ -64,7 +64,7 @@ def test_dual_sum_matches_theta_identity():
     s1 = 1.0 + 2.0 * sum(math.exp(-k * k) for k in range(1, 12))
     want = s1 * s1 - 1.0
     got, info = convergent_dual_sum(Z2, lambda q: np.exp(-q * q),
-                                    decay_power=5.0, tail_tol=1e-12)
+                                    tail_tol=1e-12)
     assert info.converged
     assert got == pytest.approx(want, rel=1e-13)
 
@@ -74,14 +74,8 @@ def test_dual_sum_hexagonal_vs_enumeration():
     pts = dual_oracle.dual_points(hexl, 9.0)
     want = float(np.exp(-np.sum(pts ** 2, axis=1)).sum())
     got, _ = convergent_dual_sum(hexl, lambda q: np.exp(-q * q),
-                                 decay_power=5.0, tail_tol=1e-12)
+                                 tail_tol=1e-12)
     assert got == pytest.approx(want, rel=1e-13)
-
-
-def test_dual_sum_rejects_weak_decay():
-    with pytest.raises(DomainError):
-        convergent_dual_sum(Z2, lambda q: q ** -1.0, decay_power=2.0,
-                            tail_tol=1e-3)
 
 
 # ---------------------------------------------------------------------------
@@ -170,11 +164,12 @@ def test_indicator_primal_sum_vs_dual(latt, xi_cap):
     psf = gaussian(d)
     rep = variance_exact_ball(Ball(d, 1.0), psf, Indicator(), a, latt, a)
     assert rep.shells.converged and rep.shells.xi_max == math.inf
-    primal = rep.value * (a * rep.alpha) ** 2
+    scale = (a * rep.alpha) ** 2
     r_in, r_out = ball_band_radii(1.0, psf, a, 0.3, 0.7)
     dual, info = dual_oracle.annulus_variance_raw(r_in, r_out, latt, a,
                                                   xi_cap=xi_cap)
-    rounding = rep.shells.tail_bound
+    rounding = rep.shells.tail_bound * scale
+    primal = rep.value * scale
     assert -rounding <= primal - dual <= info.tail_bound + rounding
 
 
@@ -291,8 +286,9 @@ def test_primal_rounding_bound_covers_extended_precision(dim):
     mass = (np.longdouble(ball_volume(dim, 1.0))
             * (np.longdouble(r_out) ** dim - np.longdouble(r_in) ** dim))
     want = np.longdouble(b) ** dim * total - mass * mass
-    got = rep.value * (a * rep.alpha) ** 2
-    assert abs(np.longdouble(got) - want) <= rep.shells.tail_bound
+    scale = (a * rep.alpha) ** 2
+    got = rep.value * scale
+    assert abs(np.longdouble(got) - want) <= rep.shells.tail_bound * scale
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -374,7 +370,7 @@ def test_capped_sum_under_one_percent_is_refused(monkeypatch):
     args = (Ball(2, 1.0), GAUSS2, SmoothPlateau(), 0.05, Z2, 0.05)
     rep = variance_exact_ball(*args)
     assert rep.shells.converged
-    assert rep.shells.tail_bound < 1e-3 * rep.value * (0.05 * rep.alpha) ** 2
+    assert rep.shells.tail_bound < 1e-3 * rep.value
     _force_dual_sum(monkeypatch, tail_tol=1e-10, xi_cap=40.0)
     with pytest.raises(TruncationError, match="dual radius 40"):
         variance_exact_ball(*args)
@@ -534,6 +530,23 @@ def test_mc_surface_workers_bit_identical():
     assert one.mean == three.mean
     assert one.variance == three.variance
     np.testing.assert_array_equal(one.batch_means, three.batch_means)
+
+
+def test_engines_refuse_a_half_space():
+    """The variance engines read a ball's radius; a half-space has none
+    and is refused by Phantom.radius."""
+    half = HalfSpace(2)
+    calls = [
+        lambda: variance_exact_ball(half, GAUSS2, Indicator(), 0.1, Z2, 0.1),
+        lambda: mc_surface(half, GAUSS2, Indicator(), 0.1, Z2, 0.1, 100,
+                           seed=0, n_batches=10),
+        lambda: mc_volume_binary(half, Z2, 0.1, 100, seed=0, n_batches=10),
+        lambda: variance_bound_check(half, GAUSS2, Indicator(), 0.1, Z2,
+                                     0.1),
+    ]
+    for call in calls:
+        with pytest.raises(DomainError, match="not a ball"):
+            call()
 
 
 def test_mc_validation():
