@@ -43,7 +43,8 @@ kernel scores squared radii |p + o|^2, one matrix product per chunk of
 shifts o: the indicator weight and the binary volume compare them with
 squared band radii (f(theta(r)) = 1[r_in <= r <= r_out] exactly, as
 the annulus autocorrelation of the exact engine uses), and any other
-weight takes f(theta(r)) of the intensity model inside the band, 0 outside.
+weight reads a cubic table of f(theta(sqrt s)) over the squared radius
+s, certified against the intensity model (_BandTable).
 """
 
 from __future__ import annotations
@@ -362,6 +363,8 @@ _LS_REACH = 64.0
 # Gauss-Legendre panels per smooth piece, and their order, of every rule
 # behind LS; the certificate compares against half as many panels
 _LS_PANELS, _LS_ORDER = 2, 10
+# bytes of one (shells, nodes) temporary of the d=2 far-shell remainder
+_LS_BLOCK_BYTES = 64 << 10
 
 
 def _layer_autocorrelation(f, profile: HalfspaceProfile):
@@ -443,10 +446,16 @@ def _lattice_sum(f, profile, lattice):
         u *= np.cos(phi) if d == 3 else 2.0 / math.pi
         g_c[close] = (np.sum(u * autocorr(r * np.sin(phi), n_panels), axis=1)
                       - power[close])
-        x = t / norms[~close, None]
-        s = np.sqrt(1.0 - x * x)
-        k = x ** 4 * (2.0 + s) / (2.0 * s * (1.0 + s) ** 2)
-        g_c[~close] = (2.0 / math.pi) * (k @ phi_t) / norms[~close]
+        # R(r) of the far shells, in row blocks whose temporaries stay
+        # under glibc's mmap threshold and so reuse heap pages
+        rows = max(1, _LS_BLOCK_BYTES // (8 * len(t)))
+        outer = np.flatnonzero(~close)
+        for i in range(0, len(outer), rows):
+            sel = outer[i:i + rows]
+            x = t / norms[sel, None]
+            s = np.sqrt(1.0 - x * x)
+            k = x ** 4 * (2.0 + s) / (2.0 * s * (1.0 + s) ** 2)
+            g_c[sel] = (2.0 / math.pi) * (k @ phi_t) / norms[sel]
         background, half_width = 2.0 * math.pi * m2, 0.0
         if d == 2:
             lo, hi, c = reach + diam, reach - diam, 1.5 * m4
@@ -550,10 +559,19 @@ def variance_asymptotic_random_radius(psf: Psf, f, lattice: Lattice,
 class MCResult:
     """Batched Monte Carlo summary.  The variance estimate is the mean
     of per-batch sample variances; standard errors come from the spread
-    across batches."""
+    across batches.
+
+    n_points is the number of lattice points the kernel scores per shift
+    (the largest over the radii of mc_random_radius).  A smooth weight
+    reads a table within _BAND_TOL of f(theta(r)) of the intensity model
+    at each point, so each batch mean is within scale * n_points *
+    _BAND_TOL of the one that reads the model itself, scale =
+    cell_volume b^d / (a alpha_f) the factor on the summed weights.
+    """
 
     n: int
     n_batches: int
+    n_points: int
     mean: float
     mean_se: float
     variance: float
@@ -562,12 +580,12 @@ class MCResult:
     batch_variances: np.ndarray
 
 
-def _reduce_batches(means, variances, n):
+def _reduce_batches(means, variances, n, n_points):
     means = np.asarray(means)
     variances = np.asarray(variances)
     k = len(means)
     return MCResult(
-        n=n, n_batches=k,
+        n=n, n_batches=k, n_points=n_points,
         mean=float(means.mean()),
         mean_se=float(means.std(ddof=1) / math.sqrt(k)),
         variance=float(variances.mean()),
@@ -583,8 +601,11 @@ class _RadialSampler:
     Each chunk of shifts o gets its squared radii |p + o|^2 = |p|^2 +
     2 p.o + |o|^2 from one BLAS product of the lifted points [p, |p|^2,
     1] (built once) with the columns [2 o, 1, |o|^2]; `evaluate` maps
-    those squared radii to weights.  The expansion can round a little
-    below 0 near the origin, so a weight that needs radii clamps first.
+    those squared radii to weights and may overwrite them.  An indicator
+    compares them with the squared band radii; a smooth weight reads its
+    _BandTable, one cell index and one cubic per point.  The expansion
+    can round a little below 0 near the origin, which both read as
+    s = 0.
     """
 
     base_points: np.ndarray  # (N, d) scaled lattice points b A k
@@ -640,30 +661,116 @@ def _annulus_points(lattice: Lattice, b: float, r_lo: float, r_hi: float):
     return pts[keep]
 
 
+# the smooth-weight table (_BandTable): its stated absolute error per
+# point, and the cell counts its doubling starts from and may not pass
+_BAND_TOL = 2e-12
+_BAND_CELLS, _BAND_CELLS_MAX = 256, 1 << 15
+# the inverse Vandermonde matrix of the Chebyshev-Lobatto nodes 0, 1/4,
+# 3/4, 1 of a unit cell: values there -> coefficients of 1, u, u^2, u^3
+_BAND_FIT = np.array([[3.0, 0.0, 0.0, 0.0], [-19.0, 24.0, -8.0, 3.0],
+                      [32.0, -56.0, 40.0, -16.0],
+                      [-16.0, 32.0, -32.0, 16.0]]) / 3.0
+
+
+class _BandTable:
+    """g(s) = f(theta(sqrt s)) of a smooth weight on the squared radii s
+    of a ball's band [lo, hi] = [r_in^2, r_out^2], read as a callable on
+    an array of squared radii, which it overwrites.
+
+    M uniform cells of width h each hold the cubic through g at the
+    cell's Chebyshev-Lobatto nodes (neighbours share their end values),
+    with one constant cell below the band and one above.  A read is
+    t = (s - lo) / h + 1 clipped to [0, M + 1], the cell floor(t), and
+    Horner in t - floor(t): no sqrt, no mask and no model read.  The
+    cells outside the band hold 0, so every s outside [lo, hi] reads
+    exactly 0, except that a band reaching the centre (r_in = 0) holds
+    g(0) below it, for squared radii rounded below 0.
+
+    M doubles from _BAND_CELLS until the table is within _BAND_TOL of
+    f(model.radial(sqrt s)) at every cell midpoint, where the
+    interpolation error's node polynomial peaks, or raises
+    TruncationError past _BAND_CELLS_MAX cells.  The nodes and midpoints
+    of M cells are the grid of M quarter cells, which the next doubling
+    keeps, so a table costs 4M + 1 model reads in all.
+    """
+
+    def __init__(self, model, f, r_in, r_out):
+        self.lo = lo = r_in * r_in
+        width = r_out * r_out - lo
+        g = lambda j, n: f(model.radial(np.sqrt(lo + width * (j / n))))
+        cells = _BAND_CELLS
+        quarters = g(np.arange(4 * cells + 1), 4 * cells)
+        while True:
+            self.inv_h = cells / width
+            self.coefs = np.zeros((4, cells + 2))
+            self.coefs[:, 1:-1] = _BAND_FIT @ np.stack(
+                [quarters[0:-1:4], quarters[1::4], quarters[3::4],
+                 quarters[4::4]])
+            if r_in == 0.0:
+                self.coefs[0, 0] = quarters[0]
+            mid = lo + width * ((np.arange(cells) + 0.5) / cells)
+            error = float(np.max(np.abs(self(mid) - quarters[2::4])))
+            if error <= _BAND_TOL:
+                return
+            if 2 * cells > _BAND_CELLS_MAX:
+                raise TruncationError(
+                    f"smooth-weight table misses its bound {_BAND_TOL:g} "
+                    f"by {error:.3e} at {cells} cells, the most allowed")
+            cells *= 2
+            finer = np.empty(4 * cells + 1)
+            finer[0::2] = quarters
+            finer[1::2] = g(np.arange(1, 4 * cells, 2), 4 * cells)
+            quarters = finer
+
+    def __call__(self, rsq):
+        t = rsq
+        t -= self.lo
+        t *= self.inv_h
+        t += 1.0
+        np.clip(t, 0.0, self.coefs.shape[1] - 1, out=t)
+        cell = t.astype(np.intp)
+        t -= cell
+        c0, c1, c2, c3 = self.coefs
+        w = c3.take(cell)
+        for c in (c2, c1, c0):
+            w *= t
+            w += c.take(cell)
+        return w
+
+
+def _band_table(model, f, r_in, r_out) -> _BandTable:
+    """_BandTable of a ball's intensity model, cached as _radial_model
+    caches the intensity; a weight that cannot be hashed is tabulated
+    afresh each call."""
+    try:
+        hash(f)
+    except TypeError:
+        return _BandTable(model, f, r_in, r_out)
+    return _cached_band_table(model, f, r_in, r_out)
+
+
+_cached_band_table = lru_cache(maxsize=16)(_BandTable)
+
+
 def _surface_sampler(radius, psf, f, a, lattice, b, alpha) -> _RadialSampler:
     r_in, r_out = ball_band_radii(radius, psf, a, f.knots[0], f.knots[-1])
     pts = _annulus_points(lattice, b, r_in, r_out)
     scale = (lattice.cell_volume / alpha) * b ** psf.dim / a
-    # f(theta(r)) vanishes outside [r_in, r_out]; a band reaching the
-    # centre (r_in = 0) must also take squared radii rounded below 0
-    lo = r_in * r_in if r_in > 0.0 else -math.inf
-    hi = r_out * r_out
     if isinstance(f, Indicator):
+        # f(theta(r)) vanishes outside [r_in, r_out]; a band reaching the
+        # centre (r_in = 0) must also take squared radii rounded below 0
+        lo = r_in * r_in if r_in > 0.0 else -math.inf
+        hi = r_out * r_out
         evaluate = lambda rsq: (rsq >= lo) & (rsq <= hi)
     else:
         model = intensity_model(Ball(psf.dim, radius), psf, a)
-
-        def evaluate(rsq):
-            band = (rsq >= lo) & (rsq <= hi)
-            w = np.zeros(rsq.shape)
-            w[band] = f(model.radial(np.sqrt(np.maximum(rsq[band], 0.0))))
-            return w
+        evaluate = _band_table(model, f, r_in, r_out)
     return _RadialSampler(base_points=pts,
                           basis_b=b * np.asarray(lattice.basis),
                           evaluate=evaluate, scale=scale)
 
 
-def _run_batches(run_batch, n_items, seed, n_batches, workers):
+def _run_batches(run_batch, n_items, seed, n_batches, workers, n_points):
     """Split n_items over n_batches seeds spawned from seed, run
     run_batch(seed, size) -> (mean, variance) for each, on a thread pool
     when workers > 1, and reduce in batch order."""
@@ -677,7 +784,7 @@ def _run_batches(run_batch, n_items, seed, n_batches, workers):
         out = [run_batch(s, n) for s, n in zip(seeds, sizes)]
     means = [m for m, _ in out]
     variances = [v for _, v in out]
-    return _reduce_batches(means, variances, int(sizes.sum()))
+    return _reduce_batches(means, variances, int(sizes.sum()), n_points)
 
 
 def mc_surface(phantom, psf: Psf, f, a: float, lattice: Lattice, b: float,
@@ -696,7 +803,8 @@ def mc_surface(phantom, psf: Psf, f, a: float, lattice: Lattice, b: float,
     radius = phantom.radius
     alpha = alpha_f(f, halfspace_profile(psf))
     sampler = _surface_sampler(radius, psf, f, a, lattice, b, alpha)
-    return _run_batches(sampler.run_batch, n_reps, seed, n_batches, workers)
+    return _run_batches(sampler.run_batch, n_reps, seed, n_batches, workers,
+                        len(sampler.base_points))
 
 
 def mc_volume_binary(phantom, lattice: Lattice, b: float, n_reps: int,
@@ -722,14 +830,11 @@ def mc_volume_binary(phantom, lattice: Lattice, b: float, n_reps: int,
                              basis_b=b * np.asarray(lattice.basis),
                              evaluate=lambda rsq: rsq <= radius * radius,
                              scale=vol_cell)
-    res = _run_batches(sampler.run_batch, n_reps, seed, n_batches, workers)
+    res = _run_batches(sampler.run_batch, n_reps, seed, n_batches, workers,
+                       len(sampler.base_points))
     core_vol = vol_cell * n_core
-    return MCResult(
-        n=res.n, n_batches=res.n_batches,
-        mean=res.mean + core_vol, mean_se=res.mean_se,
-        variance=res.variance, variance_se=res.variance_se,
-        batch_means=res.batch_means + core_vol,
-        batch_variances=res.batch_variances)
+    return replace(res, mean=res.mean + core_vol,
+                   batch_means=res.batch_means + core_vol)
 
 
 def mc_random_radius(psf: Psf, f, a: float, lattice: Lattice, b: float,
@@ -748,6 +853,7 @@ def mc_random_radius(psf: Psf, f, a: float, lattice: Lattice, b: float,
     if n_batches < 2 or n_radii < n_batches:
         raise DomainError("need at least one radius per batch")
     alpha = alpha_f(f, halfspace_profile(psf))
+    n_points = []
 
     def run_batch(bseed, n_r):
         rng = np.random.default_rng(bseed)
@@ -760,10 +866,11 @@ def mc_random_radius(psf: Psf, f, a: float, lattice: Lattice, b: float,
             m, v = sampler.run_batch(rng.integers(0, 2 ** 63), n_shifts)
             cond_means[i] = m
             cond_vars[i] = v
+            n_points.append(len(sampler.base_points))
         return float(cond_means.mean()), float(cond_vars.mean())
 
-    res = _run_batches(run_batch, n_radii, seed, n_batches, workers)
-    return replace(res, n=res.n * n_shifts)
+    res = _run_batches(run_batch, n_radii, seed, n_batches, workers, 0)
+    return replace(res, n=res.n * n_shifts, n_points=max(n_points))
 
 
 # ---------------------------------------------------------------------------

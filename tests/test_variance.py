@@ -521,12 +521,13 @@ def test_mc_surface_matches_exact():
     assert mc.n == 4000 and mc.n_batches == 20
 
 
-def test_mc_surface_workers_bit_identical():
+@pytest.mark.parametrize("f", [Indicator(), SmoothPlateau()],
+                         ids=["indicator", "plateau"])
+def test_mc_surface_workers_bit_identical(f):
     kw = dict(n_reps=1000, seed=7)
-    one = mc_surface(Ball(2, 1.0), GAUSS2, Indicator(), 0.1, Z2, 0.1,
-                     workers=1, **kw)
-    three = mc_surface(Ball(2, 1.0), GAUSS2, Indicator(), 0.1, Z2, 0.1,
-                       workers=3, **kw)
+    one = mc_surface(Ball(2, 1.0), GAUSS2, f, 0.1, Z2, 0.1, workers=1, **kw)
+    three = mc_surface(Ball(2, 1.0), GAUSS2, f, 0.1, Z2, 0.1, workers=3,
+                       **kw)
     assert one.mean == three.mean
     assert one.variance == three.variance
     np.testing.assert_array_equal(one.batch_means, three.batch_means)
@@ -601,8 +602,8 @@ def test_mc_surface_indicator_equals_oracle(dim, ab, seed):
 
 
 def test_mc_surface_smooth_weight_matches_oracle():
-    """A smooth weight still goes through the intensity model; only the
-    rounding of the squared radii and the band mask differ."""
+    """A smooth weight reads a table of f(theta(sqrt s)) within
+    variance._BAND_TOL of the intensity model, summed over the points."""
     got = mc_surface(Ball(2, 1.0), GAUSS2, SmoothPlateau(), 0.05, Z2, 0.05,
                      600, 5, n_batches=2)
     means, variances = mc_oracle.mc_surface(1.0, GAUSS2, SmoothPlateau(),
@@ -676,13 +677,16 @@ def test_annulus_points_peak_within_box_budget(monkeypatch, dim, b):
 @pytest.mark.parametrize("psf, a", [(compact_bump(2, 1.0), 0.05),
                                     (gaussian(3), 0.05), (GAUSS2, 0.85)])
 def test_smooth_mc_weight_reads_the_model_only_in_the_band(psf, a):
-    """The smooth-weight kernel scores only squared radii inside the
-    band, and gives f(theta(r)) of the intensity model on every radius;
-    a = 0.85 puts the band's inner end at the centre (r_in = 0)."""
+    """The smooth-weight kernel gives f(theta(r)) of the intensity model
+    within the table's stated bound on every radius, and exactly 0 on
+    squared radii outside [r_in^2, r_out^2]; a = 0.85 puts the band's
+    inner end at the centre (r_in = 0), where squared radii rounded
+    below 0 read the value at 0."""
     f = SmoothPlateau()
     latt = unit_lattice(psf.dim)
     sampler = variance._surface_sampler(1.0, psf, f, a, latt, 0.05, 1.0)
     model = phantom.intensity_model(Ball(psf.dim, 1.0), psf, a)
+    r_in, r_out = ball_band_radii(1.0, psf, a, f.beta, f.omega)
     offs = (np.random.default_rng(3).random((16, psf.dim))
             @ sampler.basis_b.T)
     pts = sampler.base_points
@@ -690,8 +694,50 @@ def test_smooth_mc_weight_reads_the_model_only_in_the_band(psf, a):
                     pts[:, None, :] + offs[None])
     rsq = np.append(rsq.ravel(), [-1e-17, 0.0])
     expected = f(model.radial(np.sqrt(np.maximum(rsq, 0.0))))
-    assert np.any(expected > 0.0) and np.any(expected == 0.0)
-    np.testing.assert_array_equal(sampler.evaluate(rsq), expected)
+    outside = rsq > r_out ** 2
+    if r_in > 0.0:
+        outside |= rsq < r_in ** 2
+    got = sampler.evaluate(rsq.copy())
+    assert np.any(expected > 0.0) and np.any(outside)
+    np.testing.assert_allclose(got, expected, rtol=0,
+                               atol=variance._BAND_TOL)
+    assert np.all(got[outside] == 0.0)
+    if r_in == 0.0:
+        assert got[-2] == expected[-1]
+
+
+def test_band_table_over_its_cell_cap_is_refused(monkeypatch):
+    """A table that needs more cells than the cap allows to meet its
+    bound is refused, not returned with a larger error."""
+    monkeypatch.setattr(variance, "_BAND_CELLS_MAX", variance._BAND_CELLS)
+    variance._cached_band_table.cache_clear()
+    with pytest.raises(TruncationError, match="smooth-weight table"):
+        mc_surface(Ball(2, 1.0), GAUSS2, SmoothPlateau(), 0.05, Z2, 0.05,
+                   40, seed=0)
+
+
+def test_mc_results_report_points_scored():
+    """n_points counts the points scored per shift, and a smooth weight's
+    batch means stay within scale * n_points * _BAND_TOL of the oracle
+    that reads the intensity model at every point."""
+    f = SmoothPlateau()
+    got = mc_surface(Ball(2, 1.0), GAUSS2, f, 0.05, Z2, 0.05, 600, 5,
+                     n_batches=2)
+    r_in, r_out = ball_band_radii(1.0, GAUSS2, 0.05, f.beta, f.omega)
+    assert got.n_points == len(_annulus_points(Z2, 0.05, r_in, r_out))
+    means, _ = mc_oracle.mc_surface(1.0, GAUSS2, f, 0.05, Z2, 0.05, 600, 5,
+                                    n_batches=2)
+    alpha = variance.alpha_f(f, halfspace_profile(GAUSS2))
+    scale = 0.05 ** 2 / (0.05 * alpha)
+    assert np.all(np.abs(got.batch_means - means)
+                  <= scale * got.n_points * variance._BAND_TOL)
+    # the binary volume scores only points within a cell diameter of the
+    # sphere; the rest are counted once
+    vol = mc_volume_binary(Ball(2, 1.0), Z2, 0.04, 40, seed=0)
+    axis = 0.04 * np.arange(-30, 31)
+    r = np.hypot(axis[:, None], axis[None, :])
+    assert vol.n_points == np.count_nonzero(
+        np.abs(r - 1.0) <= 0.04 * math.sqrt(2.0))
 
 
 @pytest.mark.parametrize("f, builds", [(Indicator(), 0),
