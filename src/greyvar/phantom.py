@@ -206,8 +206,7 @@ _CHEB_DEGREE = 80
 _NEWTON_STEPS = 8
 
 
-@lru_cache(maxsize=64)
-def _radial_model(psf: Psf, a: float, R: float) -> Chebyshev:
+def _fit_radial_model(psf: Psf, a: float, R: float) -> Chebyshev:
     """Chebyshev interpolant of the cap quadrature of B(R) on R -/+ a T,
     T the edge profile's half-width; theta is 1 or 0 outside it."""
     T = halfspace_profile(psf).T
@@ -216,11 +215,14 @@ def _radial_model(psf: Psf, a: float, R: float) -> Chebyshev:
         domain=[max(R - a * T, 0.0), R + a * T])
 
 
-def _level_radius(psf: Psf, a: float, R: float, level: float) -> float:
+_radial_model = lru_cache(maxsize=64)(_fit_radial_model)
+
+
+def _level_radius(theta: Chebyshev, psf: Psf, a: float, R: float,
+                  level: float) -> float:
     """Radius where the grey value of the centered ball B(R) falls
     through `level`: Newton steps on the exact cap quadrature with the
-    model's slope, from the crossing of the model's samples."""
-    theta = _radial_model(psf, a, R)
+    slope of the ball's model theta, from the crossing of its samples."""
     r, v = theta.linspace(_CHEB_DEGREE + 1)
     j = int(np.argmax(v < level))
     if not (j > 0 and v[j] < level):
@@ -236,6 +238,17 @@ def _level_radius(psf: Psf, a: float, R: float, level: float) -> float:
     raise TruncationError(f"level {level:g} radius: Newton did not converge")
 
 
+def _band_radii(theta: Chebyshev, psf: Psf, a: float, radius: float,
+                beta: float, omega: float) -> tuple[float, float]:
+    r_lo = theta.domain[0]
+    theta0 = theta(r_lo)
+    if theta0 <= beta:
+        raise DomainError("blur swamps the ball: grey band never reached")
+    r_in = (r_lo if theta0 <= omega
+            else _level_radius(theta, psf, a, radius, omega))
+    return r_in, _level_radius(theta, psf, a, radius, beta)
+
+
 def ball_band_radii(radius: float, psf: Psf, a: float, beta: float,
                     omega: float) -> tuple[float, float]:
     """Radii (r_in, r_out) of the centered ball B(radius) between which
@@ -244,13 +257,8 @@ def ball_band_radii(radius: float, psf: Psf, a: float, beta: float,
     already at most omega."""
     if not 0 < a < math.inf:
         raise DomainError("blur scale a must be positive and finite")
-    theta = _radial_model(psf, a, radius)
-    r_lo = theta.domain[0]
-    theta0 = theta(r_lo)
-    if theta0 <= beta:
-        raise DomainError("blur swamps the ball: grey band never reached")
-    r_in = r_lo if theta0 <= omega else _level_radius(psf, a, radius, omega)
-    return r_in, _level_radius(psf, a, radius, beta)
+    return _band_radii(_radial_model(psf, a, radius), psf, a, radius, beta,
+                       omega)
 
 
 class IntensityModel:
@@ -265,6 +273,9 @@ class IntensityModel:
     square-root edge converges slowly.  Half-spaces evaluate through the
     edge profile directly.
     """
+
+    # a ball's transition-zone model, from the process cache
+    _fit = staticmethod(_radial_model)
 
     def __init__(self, phantom: Phantom, psf: Psf, a: float):
         if not 0 < a < math.inf:
@@ -286,7 +297,7 @@ class IntensityModel:
         self._kind = "ball"
         self.R = phantom.radius
         self._center = np.asarray(phantom.center)
-        self._theta = _radial_model(psf, a, self.R)
+        self._theta = self._fit(psf, a, self.R)
 
     @property
     def table_range(self) -> tuple[float, float]:
@@ -320,6 +331,20 @@ class IntensityModel:
 @lru_cache(maxsize=64)
 def intensity_model(phantom: Phantom, psf: Psf, a: float) -> IntensityModel:
     return IntensityModel(phantom, psf, a)
+
+
+class _OneOffModel(IntensityModel):
+    _fit = staticmethod(_fit_radial_model)
+
+
+def one_off_ball(radius: float, psf: Psf, a: float, beta: float,
+                 omega: float) -> tuple[IntensityModel, tuple[float, float]]:
+    """The intensity model of the centered ball B(radius) and its band
+    radii, as intensity_model and ball_band_radii give them, but fitted
+    afresh and kept out of the process caches: for a radius used once (a
+    random radius), whose entries would only evict reusable ones."""
+    model = _OneOffModel(Ball(psf.dim, radius), psf, a)
+    return model, _band_radii(model._theta, psf, a, radius, beta, omega)
 
 
 def intensity(phantom: Phantom, psf: Psf, a: float, x) -> float:
@@ -363,5 +388,7 @@ def transition_offsets(phantom: Phantom, psf: Psf, a: float,
         return TransitionOffsets(t_minus=a * prof.phi(omega),
                                  t_plus=a * prof.phi(beta))
     R = phantom.radius
-    return TransitionOffsets(t_minus=_level_radius(psf, a, R, omega) - R,
-                             t_plus=_level_radius(psf, a, R, beta) - R)
+    theta = _radial_model(psf, a, R)
+    return TransitionOffsets(
+        t_minus=_level_radius(theta, psf, a, R, omega) - R,
+        t_plus=_level_radius(theta, psf, a, R, beta) - R)

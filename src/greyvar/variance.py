@@ -38,19 +38,22 @@ tail bound.
 
 Monte Carlo uses the shift-only fast path for balls, a fixed number of
 batches with seeds spawned from one root seed, and a reduction ordered
-by batch index, so results are bit-identical for any worker count.  Its
-kernel scores squared radii |p + o|^2, one matrix product per chunk of
-shifts o: the indicator weight and the binary volume compare them with
-squared band radii (f(theta(r)) = 1[r_in <= r <= r_out] exactly, as
-the annulus autocorrelation of the exact engine uses), and any other
-weight reads a cubic table of f(theta(sqrt s)) over the squared radius
-s, certified against the intensity model (_BandTable).
+by batch index, so results are bit-identical for any worker count.  The
+indicator weight scores a shift by the number of shifted lattice points
+in the annulus r_in <= r <= r_out (f(theta(r)) = 1[r_in <= r <= r_out]
+exactly, as the annulus autocorrelation of the exact engine uses),
+counted in closed form one lattice line at a time (_LineSampler).  The
+binary volume and any other weight score squared radii |p + o|^2, one
+matrix product per chunk of shifts o: the volume compares them with the
+squared radius, and a smooth weight reads a cubic table of
+f(theta(sqrt s)) over the squared radius s, certified against the
+intensity model (_BandTable).
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
@@ -64,7 +67,8 @@ from ._quad import panel_nodes
 from .errors import DomainError, TruncationError
 from .estimator import Indicator, alpha_f, weight_tv
 from .lattice import Lattice
-from .phantom import Ball, ball_band_radii, intensity_model
+from .phantom import (Ball, ball_band_radii, intensity_model,
+                      one_off_ball)
 from .psf import (HalfspaceProfile, Psf, ball_volume, halfspace_profile,
                   sphere_area)
 # profile_fourier_1d is unused here: perfbench/spans.py wraps it by name
@@ -72,7 +76,8 @@ from .spectral import (AnnulusFourier, RadialFourier, ball_indicator_fourier,
                        knot_images, profile_fourier_1d, psf_fourier)
 
 # bytes of one (N, K) float64 array of squared radii in the Monte Carlo
-# kernel; the chunk width K follows from it (at least one column)
+# kernel, or of the line kernel's four (lines, K) arrays; the chunk width
+# K follows from it (at least one column)
 _MC_CHUNK_BYTES = 8 << 20
 
 # rounding allowance of a finite primal sum, in units of eps times the
@@ -561,12 +566,14 @@ class MCResult:
     of per-batch sample variances; standard errors come from the spread
     across batches.
 
-    n_points is the number of lattice points the kernel scores per shift
-    (the largest over the radii of mc_random_radius).  A smooth weight
-    reads a table within _BAND_TOL of f(theta(r)) of the intensity model
-    at each point, so each batch mean is within scale * n_points *
-    _BAND_TOL of the one that reads the model itself, scale =
-    cell_volume b^d / (a alpha_f) the factor on the summed weights.
+    n_points is the number of lattice points the kernel scores per shift,
+    or of lattice lines for an indicator weight (the largest over the
+    radii of mc_random_radius).  An indicator's counts are exact
+    integers.  A smooth weight reads a table within _BAND_TOL of
+    f(theta(r)) of the intensity model at each point, so each batch mean
+    is within scale * n_points * _BAND_TOL of the one that reads the
+    model itself, scale = cell_volume b^d / (a alpha_f) the factor on
+    the summed weights.
     """
 
     n: int
@@ -601,11 +608,11 @@ class _RadialSampler:
     Each chunk of shifts o gets its squared radii |p + o|^2 = |p|^2 +
     2 p.o + |o|^2 from one BLAS product of the lifted points [p, |p|^2,
     1] (built once) with the columns [2 o, 1, |o|^2]; `evaluate` maps
-    those squared radii to weights and may overwrite them.  An indicator
-    compares them with the squared band radii; a smooth weight reads its
-    _BandTable, one cell index and one cubic per point.  The expansion
-    can round a little below 0 near the origin, which both read as
-    s = 0.
+    those squared radii to weights and may overwrite them.  The binary
+    volume compares them with the squared radius; a smooth weight reads
+    its _BandTable, one cell index and one cubic per point.  The
+    expansion can round a little below 0 near the origin, which both
+    read as s = 0.
     """
 
     base_points: np.ndarray  # (N, d) scaled lattice points b A k
@@ -619,21 +626,170 @@ class _RadialSampler:
         self.lifted = np.column_stack(
             [pts, np.einsum("ij,ij->i", pts, pts), np.ones(len(pts))])
 
+    @property
+    def n_points(self) -> int:
+        return len(self.base_points)
+
+    def score(self, u: np.ndarray) -> np.ndarray:
+        """The estimator for each shift u (rows, in [0, 1)^d)."""
+        offs = u @ self.basis_b.T
+        cols = np.vstack([2.0 * offs.T, np.ones(len(u)),
+                          np.einsum("ij,ij->i", offs, offs)])
+        return self.scale * self.evaluate(self.lifted @ cols).sum(axis=0)
+
     def run_batch(self, seed, n_reps) -> tuple[float, float]:
-        rng = np.random.default_rng(seed)
-        d = len(self.basis_b)
-        # successive draws concatenate, so the shifts do not depend on
-        # the chunk width
         width = max(1, _MC_CHUNK_BYTES // (8 * max(len(self.lifted), 1)))
-        vals = np.empty(n_reps)
-        for i0 in range(0, n_reps, width):
-            k = min(width, n_reps - i0)
-            offs = rng.random((k, d)) @ self.basis_b.T
-            cols = np.vstack([2.0 * offs.T, np.ones(k),
-                              np.einsum("ij,ij->i", offs, offs)])
-            w = self.evaluate(self.lifted @ cols)
-            vals[i0:i0 + k] = self.scale * w.sum(axis=0)
-        return float(vals.mean()), float(vals.var(ddof=1))
+        return _shift_batch(seed, n_reps, len(self.basis_b), width,
+                            self.score)
+
+
+def _shift_batch(seed, n_reps, d, width, score) -> tuple[float, float]:
+    """Mean and sample variance of score(u) over n_reps uniform cell
+    shifts u drawn from seed, width at a time: successive draws
+    concatenate, so the shifts do not depend on the chunk width."""
+    rng = np.random.default_rng(seed)
+    vals = np.empty(n_reps)
+    for i0 in range(0, n_reps, width):
+        vals[i0:i0 + width] = score(rng.random((min(width, n_reps - i0), d)))
+    return float(vals.mean()), float(vals.var(ddof=1))
+
+
+# one float64 buffer per thread for the line kernel's arrays, grown as
+# needed and reused by every batch and sampler of that thread
+_line_buffers = threading.local()
+
+
+def _line_workspace(n: int) -> np.ndarray:
+    buf = getattr(_line_buffers, "buf", None)
+    if buf is None or len(buf) < n:
+        buf = _line_buffers.buf = np.empty(n)
+    return buf[:n]
+
+
+class _LineSampler:
+    """Indicator-weight sampler for a centered ball: the number of
+    shifted lattice points b A (k + u) in the annulus r_in <= r <= r_out,
+    counted one lattice line at a time.
+
+    Split k = (k', m) along the last basis vector, with G = A^T A, g =
+    G[d, :d-1] and the Schur complement S = G' - g g^T / G_dd.  Then
+    |b A (k + u)|^2 = b^2 G_dd [(m + y)^2 + C] with y = u_d + g.(k' +
+    u') / G_dd and C = (k' + u')^T S (k' + u') / G_dd, so with tau =
+    sqrt(r^2 / (b^2 G_dd) - C) the line k' holds
+
+        floor(tau - y) + floor(tau + y) + 1   points with |.| <= r,
+        ceil(tau - y) + ceil(tau + y) - 1     points with |.| < r,
+
+    and none where the radicand is negative.  The annulus count is the
+    first at r_out less the second at r_in (none when r_in = 0).  Each
+    chunk of shifts takes y and the radicands at r_out from one batched
+    product of the lifted lines [k', k'^T S k' / G_dd, 1] with per-shift
+    columns, and those at r_in by subtracting a constant.  The arrays
+    live in one workspace per thread.  A negative radicand's
+    square root is NaN, which the clamps np.fmax(., -1) and np.fmax(., 1)
+    turn into a count of 0.  Every count is a sum of integers, exact in
+    floating point, so batches do not depend on the chunk width.
+    """
+
+    def __init__(self, lattice: Lattice, b: float, r_in: float,
+                 r_out: float, scale: float):
+        gram = lattice.basis.T @ lattice.basis
+        gdd, g = gram[-1, -1], gram[-1, :-1]
+        schur = gram[:-1, :-1] - np.outer(g, g) / gdd
+        lines = _annulus_lines(schur, r_out / b)
+        # g and S divided by G_dd, squared radii by b^2 G_dd
+        self.g, self.schur = g / gdd, schur / gdd
+        self.rho_sq = (r_out / b) ** 2 / gdd
+        self.gap = ((r_out / b) ** 2 - (r_in / b) ** 2) / gdd
+        self.inner = r_in > 0.0
+        self.scale = scale
+        self.lifted = np.column_stack(
+            [lines, np.einsum("ij,jk,ik->i", lines, self.schur, lines),
+             np.ones(len(lines))])
+        self.ones = np.ones(len(lines))
+
+    @property
+    def n_points(self) -> int:
+        return len(self.lifted)
+
+    def score(self, u: np.ndarray) -> np.ndarray:
+        return self.scale * self.counts(u)
+
+    def counts(self, u: np.ndarray) -> np.ndarray:
+        """Points in the annulus for each shift u (rows, in [0, 1)^d)."""
+        n_lines, k = len(self.lifted), len(u)
+        up, ud = u[:, :-1], u[:, -1]
+        su = up @ self.schur
+        # columns of the radicands at r_out and of y, against the lifted
+        # lines [k', k'^T S k' / G_dd, 1]
+        cols = np.zeros((2, len(self.g) + 2, k))
+        cols[0, :-2] = -2.0 * su.T
+        cols[0, -2] = -1.0
+        cols[0, -1] = self.rho_sq - np.einsum("ij,ij->i", su, up)
+        cols[1, :-2] = self.g[:, None]
+        cols[1, -1] = ud + up @ self.g
+        work = _line_workspace(4 * n_lines * k).reshape(4, n_lines, k)
+        np.matmul(self.lifted, cols, out=work[:2])
+        rad, y, tau, lo = work
+        with np.errstate(invalid="ignore"):
+            np.sqrt(rad, out=tau)
+        np.subtract(tau, y, out=lo)
+        tau += y
+        np.floor(work[2:], out=work[2:])
+        lo += tau
+        np.fmax(lo, -1.0, out=lo)
+        # sums of small integers, exact in any order
+        total = self.ones @ lo
+        total += n_lines
+        if self.inner:
+            rad -= self.gap
+            with np.errstate(invalid="ignore"):
+                np.sqrt(rad, out=tau)
+            np.subtract(tau, y, out=lo)
+            tau += y
+            np.ceil(work[2:], out=work[2:])
+            lo += tau
+            np.fmax(lo, 1.0, out=lo)
+            total -= self.ones @ lo
+            total += n_lines
+        return total
+
+    def run_batch(self, seed, n_reps) -> tuple[float, float]:
+        # the four (lines, width) arrays of a chunk share _MC_CHUNK_BYTES
+        width = max(1, _MC_CHUNK_BYTES // (32 * max(len(self.lifted), 1)))
+        return _shift_batch(seed, n_reps, self.lifted.shape[1] - 1, width,
+                            self.score)
+
+
+def _annulus_lines(schur: np.ndarray, reach: float) -> np.ndarray:
+    """Integer k' (one row each) of the lattice lines k' + u' whose
+    distance from the origin, |k' + u'|_S in units of b, can be at most
+    reach for some u' in [0, 1)^(d-1).
+
+    The bounding box |k'_i + u'_i| <= reach sqrt((S^-1)_ii) of that
+    ellipsoid is checked against the budget before it is allocated;
+    every k' + u' lies within half a cell diameter (in the S norm) of
+    k' + 1/2, which the lines kept must reach.
+    """
+    n = len(schur)
+    ext = reach * np.sqrt(np.diag(np.linalg.inv(schur)))
+    box = lat._integer_box(
+        np.floor(-ext - 1.0 - 1e-9), np.floor(ext + 1e-9) + 1.0,
+        f"of lattice lines within {reach:g} cells of a ball's centre")
+    signs = np.array(np.meshgrid(*([[-0.5, 0.5]] * n))).reshape(n, -1).T
+    half_diam = math.sqrt(float(np.max(
+        np.einsum("ij,jk,ik->i", signs, schur, signs))))
+    # the box and the distances freed as soon as they are used: no more
+    # than two (N, d - 1) arrays and a mask are alive at once, within the
+    # 32 (d - 1) bytes per box point that _integer_box budgets for
+    centre = box + 0.5
+    del box
+    dist_sq = np.einsum("ij,jk,ik->i", centre, schur, centre)
+    keep = dist_sq <= (reach + half_diam + 1e-9) ** 2
+    del dist_sq
+    lines = centre[keep]
+    lines -= 0.5
+    return lines
 
 
 def _annulus_points(lattice: Lattice, b: float, r_lo: float, r_hi: float):
@@ -752,22 +908,31 @@ def _band_table(model, f, r_in, r_out) -> _BandTable:
 _cached_band_table = lru_cache(maxsize=16)(_BandTable)
 
 
-def _surface_sampler(radius, psf, f, a, lattice, b, alpha) -> _RadialSampler:
-    r_in, r_out = ball_band_radii(radius, psf, a, f.knots[0], f.knots[-1])
-    pts = _annulus_points(lattice, b, r_in, r_out)
+def _surface_sampler(radius, psf, f, a, lattice, b, alpha, *,
+                     one_off=False):
+    """The Monte Carlo sampler of the surface estimator for a centered
+    ball: lines for an indicator weight, points and a band table for any
+    other.  one_off builds the ball's model, band radii and table outside
+    the process caches, for a radius used once."""
+    if not 0 < b < math.inf:
+        raise DomainError("lattice scale b must be positive and finite")
+    knots = f.knots[0], f.knots[-1]
+    if one_off:
+        model, (r_in, r_out) = one_off_ball(radius, psf, a, *knots)
+    else:
+        r_in, r_out = ball_band_radii(radius, psf, a, *knots)
     scale = (lattice.cell_volume / alpha) * b ** psf.dim / a
     if isinstance(f, Indicator):
-        # f(theta(r)) vanishes outside [r_in, r_out]; a band reaching the
-        # centre (r_in = 0) must also take squared radii rounded below 0
-        lo = r_in * r_in if r_in > 0.0 else -math.inf
-        hi = r_out * r_out
-        evaluate = lambda rsq: (rsq >= lo) & (rsq <= hi)
+        # f(theta(r)) = 1[r_in <= r <= r_out] exactly
+        return _LineSampler(lattice, b, r_in, r_out, scale)
+    if one_off:
+        table = _BandTable(model, f, r_in, r_out)
     else:
         model = intensity_model(Ball(psf.dim, radius), psf, a)
-        evaluate = _band_table(model, f, r_in, r_out)
-    return _RadialSampler(base_points=pts,
+        table = _band_table(model, f, r_in, r_out)
+    return _RadialSampler(base_points=_annulus_points(lattice, b, r_in, r_out),
                           basis_b=b * np.asarray(lattice.basis),
-                          evaluate=evaluate, scale=scale)
+                          evaluate=table, scale=scale)
 
 
 def _run_batches(run_batch, n_items, seed, n_batches, workers, n_points):
@@ -778,6 +943,8 @@ def _run_batches(run_batch, n_items, seed, n_batches, workers, n_points):
     sizes = np.full(n_batches, n_items // n_batches)
     sizes[:n_items % n_batches] += 1
     if workers and workers > 1:
+        # imported here: it loads logging, which a serial run never needs
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=workers) as pool:
             out = list(pool.map(run_batch, seeds, sizes))
     else:
@@ -804,7 +971,7 @@ def mc_surface(phantom, psf: Psf, f, a: float, lattice: Lattice, b: float,
     alpha = alpha_f(f, halfspace_profile(psf))
     sampler = _surface_sampler(radius, psf, f, a, lattice, b, alpha)
     return _run_batches(sampler.run_batch, n_reps, seed, n_batches, workers,
-                        len(sampler.base_points))
+                        sampler.n_points)
 
 
 def mc_volume_binary(phantom, lattice: Lattice, b: float, n_reps: int,
@@ -831,7 +998,7 @@ def mc_volume_binary(phantom, lattice: Lattice, b: float, n_reps: int,
                              evaluate=lambda rsq: rsq <= radius * radius,
                              scale=vol_cell)
     res = _run_batches(sampler.run_batch, n_reps, seed, n_batches, workers,
-                       len(sampler.base_points))
+                       sampler.n_points)
     core_vol = vol_cell * n_core
     return replace(res, mean=res.mean + core_vol,
                    batch_means=res.batch_means + core_vol)
@@ -848,7 +1015,9 @@ def mc_random_radius(psf: Psf, f, a: float, lattice: Lattice, b: float,
     its own batch of uniform shifts; those are averaged within and then
     across radius batches.  The conditional (not total) variance is the
     quantity with an a^{d-1} limit: the radius spread itself contributes
-    an O(1) variance of the conditional means that would swamp it.
+    an O(1) variance of the conditional means that would swamp it.  A
+    random radius never repeats, so each one's intensity model, band
+    radii and table are built once, outside the process caches.
     """
     if n_batches < 2 or n_radii < n_batches:
         raise DomainError("need at least one radius per batch")
@@ -862,11 +1031,11 @@ def mc_random_radius(psf: Psf, f, a: float, lattice: Lattice, b: float,
         cond_means = np.empty(n_r)
         for i, s in enumerate(radii):
             sampler = _surface_sampler(float(s), psf, f, a, lattice, b,
-                                       alpha)
+                                       alpha, one_off=True)
             m, v = sampler.run_batch(rng.integers(0, 2 ** 63), n_shifts)
             cond_means[i] = m
             cond_vars[i] = v
-            n_points.append(len(sampler.base_points))
+            n_points.append(sampler.n_points)
         return float(cond_means.mean()), float(cond_vars.mean())
 
     res = _run_batches(run_batch, n_radii, seed, n_batches, workers, 0)

@@ -4,8 +4,10 @@ f(IntensityModel.radial(r)) at every point, in chunks of 256 shifts.
 
 This is the kernel the package used before it scored squared radii with
 one matrix product, kept here as the oracle for that product, for the
-indicator shortcut (comparing squared radii with the band radii squared),
-for the band mask of smooth weights and for the trimmed point set.  It
+indicator's count per lattice line, for the band mask of smooth weights
+and for the trimmed point set.  annulus_counts counts the points of an
+annulus by brute force over an integer box, the oracle of the line
+count at hand-picked shifts.  It
 enumerates its own lattice points: every b A k within one cell diameter
 of the radii where the model intensity crosses the band edges, found by
 its own root search.  A shift moves a point by at most a cell diameter,
@@ -36,6 +38,25 @@ def lattice_points(lattice, b, r_max):
                   axis=-1).reshape(-1, lattice.dim)
     pts = b * (ks @ A.T)
     return pts[np.linalg.norm(pts, axis=1) <= r_max]
+
+
+def annulus_counts(lattice, b, r_in, r_out, shifts):
+    """For each shift u (rows), the number of points b A (k + u) with
+    r_in^2 <= |b A (k + u)|^2 <= r_out^2, every k of an integer box that
+    holds all of them: |k + u| <= r_out / (b s_min), s_min the least
+    singular value of A."""
+    A = np.asarray(lattice.basis)
+    kmax = math.ceil(r_out / (b * np.linalg.svd(A, compute_uv=False)[-1]))
+    axis = np.arange(-kmax - 1, kmax + 1)
+    ks = np.stack(np.meshgrid(*([axis] * lattice.dim), indexing="ij"),
+                  axis=-1).reshape(-1, lattice.dim)
+    out = []
+    for u in shifts:
+        p = (ks + u) @ (b * A).T
+        rsq = np.einsum("ij,ij->i", p, p)
+        out.append(np.count_nonzero((rsq >= r_in * r_in)
+                                    & (rsq <= r_out * r_out)))
+    return np.array(out)
 
 
 def batch_values(points, basis_b, weight, scale, seed, n_reps):

@@ -237,13 +237,18 @@ def test_sieve_over_budget_is_exit_3(tmp_path, capsys, monkeypatch):
 def test_integer_cover_over_budget_is_exit_3(tmp_path, capsys, monkeypatch,
                                               command):
     # a small budget stands in for a fine lattice, so nothing large is
-    # ever allocated
+    # ever allocated.  The indicator Monte Carlo enumerates lattice lines,
+    # a (d-1)-dimensional box of about 2 / a of them in d=2: a = 0.005
+    # puts its 32 bytes per line over the 4 KiB budget.
     monkeypatch.setattr(lattice, "SIEVE_BUDGET_BYTES", 1 << 12)
-    rc = main([command, "--set", "scales.a=0.1", "--out", str(tmp_path)])
+    a, box = {"estimate": ("0.1", "integer box covering"),
+              "mc-variance": ("0.005", "integer box of lattice lines"),
+              }[command]
+    rc = main([command, "--set", f"scales.a={a}", "--out", str(tmp_path)])
     assert rc == 3
     record = json.loads(capsys.readouterr().err.strip())
     assert record["kind"] == "TruncationError"
-    assert "integer box" in record["message"]
+    assert box in record["message"]
     assert "budget" in record["message"]
 
 
@@ -455,13 +460,16 @@ def test_import_loads_no_fft_interpolate_or_optimize():
     """Ball intensities and band radii come from one Chebyshev model, and
     Z^3 shells from an integer fold, so importing the package and its
     CLI leaves scipy.fft, scipy.interpolate and scipy.optimize unloaded;
-    the manifest records no scipy version, so no scipy module at all."""
+    the manifest records no scipy version, so no scipy module at all.
+    Only a Monte Carlo run with workers > 1 imports concurrent.futures
+    (and the logging it loads)."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(greyvar.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
     code = ("import sys, greyvar, greyvar.cli; print(sorted(m for m in "
-            "sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+            "sys.modules if m == 'scipy' or m.startswith('scipy.') "
+            "or m == 'concurrent.futures'))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env)
     assert proc.returncode == 0, proc.stderr

@@ -22,7 +22,7 @@ from scipy.stats import norm
 from greyvar import lattice, phantom, variance
 from greyvar.errors import DomainError, TruncationError
 from greyvar.estimator import Indicator, SmoothPlateau
-from greyvar.lattice import hexagonal_lattice, unit_lattice
+from greyvar.lattice import Lattice, hexagonal_lattice, unit_lattice
 from greyvar.phantom import Ball, HalfSpace, ball_band_radii
 from greyvar.psf import (ball_volume, compact_bump, gaussian,
                          halfspace_profile, sphere_area)
@@ -31,7 +31,7 @@ from greyvar.variance import (AsymptoticReport, RadiusDensity,
                               ShellSumInfo, VarianceReport,
                               convergent_dual_sum, envelope_check,
                               _annulus_points,
-                              mc_surface, mc_volume_binary,
+                              mc_random_radius, mc_surface, mc_volume_binary,
                               profile_lattice_sum,
                               variance_asymptotic_isotropic,
                               variance_asymptotic_random_radius,
@@ -583,7 +583,7 @@ def test_mc_volume_binary_matches_exact():
     assert mc.mean == pytest.approx(math.pi, rel=1e-3)
 
 
-# the squared-radius kernel against tests/_mc_oracle.py
+# the Monte Carlo kernels against tests/_mc_oracle.py
 
 @pytest.mark.parametrize("dim, ab, seed", [(2, 0.05, 3), (2, 0.05, 4),
                                            (3, 0.1, 3), (3, 0.1, 4)])
@@ -622,6 +622,57 @@ def test_mc_volume_binary_equals_oracle(latt, b):
                                                   n_batches=2)
     np.testing.assert_array_equal(got.batch_means, means)
     np.testing.assert_array_equal(got.batch_variances, variances)
+
+
+# skewed lattices: no basis vector is orthogonal to another
+SKEW2 = Lattice(((1.0, 0.3), (-0.2, 0.9)))
+SKEW3 = Lattice(((1.0, 0.3, -0.2), (0.1, 0.8, 0.25), (-0.15, 0.2, 1.1)))
+
+
+@pytest.mark.parametrize("latt", [Z2, unit_lattice(3), hexagonal_lattice(),
+                                  SKEW2, SKEW3],
+                         ids=["Z2", "Z3", "hexagonal", "skew2", "skew3"])
+@pytest.mark.parametrize("centre", [False, True], ids=["band", "centre"])
+def test_line_counts_equal_brute_force(latt, centre):
+    """The indicator kernel's count per lattice line is, for every shift,
+    the number of points b A (k + u) in the annulus that brute force over
+    an integer box finds.  A wide blur (a = 0.85 in d=2, 0.6 in d=3)
+    puts the band's inner end at the centre (r_in = 0); shifts with
+    coordinates exactly 0 put y on an integer for every line of Z^d, and
+    for some lines of the others."""
+    d = latt.dim
+    psf, f, b = gaussian(d), Indicator(), 0.1
+    a = (0.85 if d == 2 else 0.6) if centre else 0.1
+    r_in, r_out = ball_band_radii(1.0, psf, a, f.beta, f.omega)
+    assert (r_in == 0.0) == centre
+    sampler = variance._surface_sampler(1.0, psf, f, a, latt, b, 1.0)
+    shifts = np.random.default_rng(11).random((24, d))
+    shifts[:6, -1] = 0.0
+    shifts[6:9, :-1] = 0.0
+    shifts[9] = 0.0
+    expected = mc_oracle.annulus_counts(latt, b, r_in, r_out, shifts)
+    assert np.all(expected > 0)
+    np.testing.assert_array_equal(sampler.counts(shifts), expected)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_line_counts_on_tangent_lines(dim):
+    """At b = 1/4 the radii 3/4 and 1 pass exactly through points of
+    Z^d/4 and the lines through them are tangent to one sphere or the
+    other (radicand exactly 0): points on either sphere are counted, as
+    the closed band [r_in, r_out] has it, and a line tangent to the
+    inner sphere holds no point inside it."""
+    latt, b, r_in, r_out = unit_lattice(dim), 0.25, 0.75, 1.0
+    sampler = variance._LineSampler(latt, b, r_in, r_out, 1.0)
+    shifts = np.zeros((4, dim))
+    shifts[1, 0] = shifts[2, -1] = 0.5
+    shifts[3] = 0.5
+    expected = mc_oracle.annulus_counts(latt, b, r_in, r_out, shifts)
+    np.testing.assert_array_equal(sampler.counts(shifts), expected)
+    # the unshifted lattice has points on both spheres
+    strict = mc_oracle.annulus_counts(latt, b, r_in * (1 + 1e-9),
+                                      r_out * (1 - 1e-9), shifts[:1])
+    assert expected[0] > strict[0]
 
 
 @pytest.mark.parametrize("latt, ab", [(unit_lattice(3), 0.05),
@@ -674,6 +725,43 @@ def test_annulus_points_peak_within_box_budget(monkeypatch, dim, b):
     assert peak <= 32 * dim * boxes[0]
 
 
+@pytest.mark.parametrize("dim, reach", [(2, 5e5), (3, 500.0)])
+def test_annulus_lines_peak_within_box_budget(monkeypatch, dim, reach):
+    """Selecting the lattice lines from a box of about 1e6 integer points
+    stays within the 32 (d - 1) bytes per box point that the box's budget
+    check charges."""
+    boxes = []
+
+    def counted(*args, **kwargs):
+        ks = box(*args, **kwargs)
+        boxes.append(len(ks))
+        return ks
+
+    box = lattice._integer_box
+    monkeypatch.setattr(lattice, "_integer_box", counted)
+    tracemalloc.start()
+    try:
+        variance._annulus_lines(np.eye(dim - 1), reach)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 8e5 < boxes[0] < 1.25e6
+    assert peak <= 32 * (dim - 1) * boxes[0]
+
+
+def test_line_box_over_budget_allocates_nothing():
+    """At b = 1e-4 the d=3 line box (about 22000^2 lines) is over the
+    budget and refused before anything is allocated."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(TruncationError, match="lattice lines"):
+            variance._LineSampler(unit_lattice(3), 1e-4, 0.9, 1.1, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 @pytest.mark.parametrize("psf, a", [(compact_bump(2, 1.0), 0.05),
                                     (gaussian(3), 0.05), (GAUSS2, 0.85)])
 def test_smooth_mc_weight_reads_the_model_only_in_the_band(psf, a):
@@ -717,9 +805,17 @@ def test_band_table_over_its_cell_cap_is_refused(monkeypatch):
 
 
 def test_mc_results_report_points_scored():
-    """n_points counts the points scored per shift, and a smooth weight's
-    batch means stay within scale * n_points * _BAND_TOL of the oracle
-    that reads the intensity model at every point."""
+    """n_points counts the points scored per shift (the lines, for an
+    indicator), and a smooth weight's batch means stay within scale *
+    n_points * _BAND_TOL of the oracle that reads the intensity model at
+    every point."""
+    # the lines of Z^2 along the second axis that pass within r_out of
+    # the centre for some shift are the columns -floor(r_out/b) - 1 up
+    # to floor(r_out/b)
+    _, r_out = ball_band_radii(1.0, GAUSS2, 0.05, 0.3, 0.7)
+    lines = mc_surface(Ball(2, 1.0), GAUSS2, Indicator(), 0.05, Z2, 0.05,
+                       40, seed=0)
+    assert lines.n_points == 2 * math.floor(r_out / 0.05) + 2
     f = SmoothPlateau()
     got = mc_surface(Ball(2, 1.0), GAUSS2, f, 0.05, Z2, 0.05, 600, 5,
                      n_batches=2)
@@ -759,6 +855,30 @@ def test_row_builds_intensity_tables_only_for_smooth_weights(monkeypatch, f,
     variance_exact_ball(*args)
     mc_surface(*args, 400, seed=0)
     assert len(inits) == builds
+
+
+@pytest.mark.parametrize("f", [Indicator(), SmoothPlateau()],
+                         ids=["indicator", "plateau"])
+def test_random_radius_builds_outside_the_process_caches(monkeypatch, f):
+    """A random radius never repeats: each one's intensity model (with
+    its band radii) and table are built exactly once, and the caches of
+    Chebyshev models, intensity models and band tables read the same
+    before and after the call."""
+    caches = (phantom._radial_model, phantom.intensity_model,
+              variance._cached_band_table)
+    fits, tables = [], []
+    fit, table = phantom._fit_radial_model, variance._BandTable
+    monkeypatch.setattr(phantom._OneOffModel, "_fit", staticmethod(
+        lambda *args: fits.append(args) or fit(*args)))
+    monkeypatch.setattr(variance, "_BandTable",
+                        lambda *args: tables.append(args) or table(*args))
+    before = [c.cache_info() for c in caches]
+    mc = mc_random_radius(GAUSS2, f, 0.1, Z2, 0.1, RadiusDensity(), 40, 20,
+                          seed=0)
+    assert [c.cache_info() for c in caches] == before
+    assert len(fits) == 40
+    assert len(tables) == (0 if isinstance(f, Indicator) else 40)
+    assert math.isfinite(mc.variance) and mc.n_points > 0
 
 
 def test_band_radii_edge_rules():
