@@ -31,7 +31,7 @@ from .lattice import (Box, Lattice, LatticePlacement, centered_box,
                       random_placement, random_rotation, scaled_lattice,
                       unit_lattice)
 from .phantom import (Ball, HalfSpace, IntensityModel, intensity,
-                      intensity_model, transition_offsets)
+                      intensity_model)
 from .psf import (HalfspaceProfile, Psf, ball_indicator, compact_bump,
                   eval_rho, gaussian, halfspace_profile)
 from .spectral import (AnnulusFourier, RadialFourier, ball_indicator_fourier,
@@ -64,7 +64,7 @@ __all__ = [
     "mc_surface", "mc_volume_binary", "nu_phase", "profile_fourier_1d",
     "profile_lattice_sum", "psf_fourier", "random_placement",
     "random_rotation", "scaled_lattice", "sharp_band_square",
-    "transition_offsets", "unit_lattice", "variance_asymptotic_isotropic",
+    "unit_lattice", "variance_asymptotic_isotropic",
     "variance_asymptotic_random_radius", "variance_bound_check",
     "variance_exact_ball", "volume_variance_exact", "weight_tv",
     "weighted_layer",

@@ -240,6 +240,8 @@ def _level_radius(theta: Chebyshev, psf: Psf, a: float, R: float,
 
 def _band_radii(theta: Chebyshev, psf: Psf, a: float, radius: float,
                 beta: float, omega: float) -> tuple[float, float]:
+    if not 0.0 < beta < omega < 1.0:
+        raise DomainError("need 0 < beta < omega < 1")
     r_lo = theta.domain[0]
     theta0 = theta(r_lo)
     if theta0 <= beta:
@@ -249,12 +251,14 @@ def _band_radii(theta: Chebyshev, psf: Psf, a: float, radius: float,
     return r_in, _level_radius(theta, psf, a, radius, beta)
 
 
+@lru_cache(maxsize=64)
 def ball_band_radii(radius: float, psf: Psf, a: float, beta: float,
                     omega: float) -> tuple[float, float]:
     """Radii (r_in, r_out) of the centered ball B(radius) between which
     its grey value lies in [beta, omega].  r_in is the inner end of the
     transition zone (0 for a wide blur) when the grey value there is
-    already at most omega."""
+    already at most omega.  Cached as _radial_model is: the exact and
+    Monte Carlo routes of one row ask for the same pair."""
     if not 0 < a < math.inf:
         raise DomainError("blur scale a must be positive and finite")
     return _band_radii(_radial_model(psf, a, radius), psf, a, radius, beta,
@@ -364,31 +368,3 @@ def intensity(phantom: Phantom, psf: Psf, a: float, x) -> float:
                                  - phantom.offset) / a))
     r = float(np.linalg.norm(x - np.asarray(phantom.center)))
     return float(_ball_intensity_radii(psf, a, phantom.radius, [r])[0])
-
-
-@dataclass(frozen=True)
-class TransitionOffsets:
-    """Signed normal offsets where the grey value crosses omega / beta."""
-
-    t_minus: float
-    t_plus: float
-
-
-def transition_offsets(phantom: Phantom, psf: Psf, a: float,
-                       beta: float, omega: float) -> TransitionOffsets:
-    """Offsets t with theta_a(X) = beta (t_plus, outside) and = omega
-    (t_minus, inside) along the outward normal at a boundary point.
-
-    For half-spaces these are exactly a*phi(beta), a*phi(omega).
-    """
-    if not (0.0 < beta < omega < 1.0):
-        raise DomainError("need 0 < beta < omega < 1")
-    prof = halfspace_profile(psf)
-    if isinstance(phantom, HalfSpace):
-        return TransitionOffsets(t_minus=a * prof.phi(omega),
-                                 t_plus=a * prof.phi(beta))
-    R = phantom.radius
-    theta = _radial_model(psf, a, R)
-    return TransitionOffsets(
-        t_minus=_level_radius(theta, psf, a, R, omega) - R,
-        t_plus=_level_radius(theta, psf, a, R, beta) - R)

@@ -44,7 +44,8 @@ in the annulus r_in <= r <= r_out (f(theta(r)) = 1[r_in <= r <= r_out]
 exactly, as the annulus autocorrelation of the exact engine uses),
 counted in closed form one lattice line at a time (_LineSampler).  The
 binary volume and any other weight score squared radii |p + o|^2, one
-matrix product per chunk of shifts o: the volume compares them with the
+matrix product per chunk of shifts o, read only where they fall in the
+band of squared radii that can score: the volume compares them with the
 squared radius, and a smooth weight reads a cubic table of
 f(theta(sqrt s)) over the squared radius s, certified against the
 intensity model (_BandTable).
@@ -566,14 +567,15 @@ class MCResult:
     of per-batch sample variances; standard errors come from the spread
     across batches.
 
-    n_points is the number of lattice points the kernel scores per shift,
-    or of lattice lines for an indicator weight (the largest over the
-    radii of mc_random_radius).  An indicator's counts are exact
+    n_points is the number of lattice points the kernel can score per
+    shift, or of lattice lines for an indicator weight (the largest over
+    the radii of mc_random_radius).  An indicator's counts are exact
     integers.  A smooth weight reads a table within _BAND_TOL of
-    f(theta(r)) of the intensity model at each point, so each batch mean
-    is within scale * n_points * _BAND_TOL of the one that reads the
-    model itself, scale = cell_volume b^d / (a alpha_f) the factor on
-    the summed weights.
+    f(theta(r)) of the intensity model, at the points whose squared
+    radius lies in the table's band (every other point reads exactly 0),
+    so each batch mean is within scale * n_points * _BAND_TOL of the one
+    that reads the model itself, scale = cell_volume b^d / (a alpha_f)
+    the factor on the summed weights.
     """
 
     n: int
@@ -607,17 +609,18 @@ class _RadialSampler:
 
     Each chunk of shifts o gets its squared radii |p + o|^2 = |p|^2 +
     2 p.o + |o|^2 from one BLAS product of the lifted points [p, |p|^2,
-    1] (built once) with the columns [2 o, 1, |o|^2]; `evaluate` maps
-    those squared radii to weights and may overwrite them.  The binary
-    volume compares them with the squared radius; a smooth weight reads
-    its _BandTable, one cell index and one cubic per point.  The
+    1] (built once) with the columns [2 o, 1, |o|^2], written into the
+    thread's workspace.  `evaluate` reads exactly 0 at every squared
+    radius outside `band`, so only the entries inside it are read: the
+    binary volume's (-inf, R^2], a smooth weight's _BandTable.band.  The
     expansion can round a little below 0 near the origin, which both
     read as s = 0.
     """
 
     base_points: np.ndarray  # (N, d) scaled lattice points b A k
     basis_b: np.ndarray      # b A, mapping a unit-cell shift to an offset
-    evaluate: callable       # squared radii (N, K) -> weights (N, K)
+    evaluate: callable       # squared radii (n,) -> weights (n,)
+    band: tuple[float, float]  # squared radii outside it evaluate to 0
     scale: float             # multiplies the summed weights
     lifted: np.ndarray = field(init=False, repr=False)  # (N, d + 2)
 
@@ -635,7 +638,21 @@ class _RadialSampler:
         offs = u @ self.basis_b.T
         cols = np.vstack([2.0 * offs.T, np.ones(len(u)),
                           np.einsum("ij,ij->i", offs, offs)])
-        return self.scale * self.evaluate(self.lifted @ cols).sum(axis=0)
+        rsq = _workspace(len(self.lifted) * len(u)).reshape(-1, len(u))
+        np.matmul(self.lifted, cols, out=rsq)
+        return self.scale * self.column_sums(rsq)
+
+    def column_sums(self, rsq: np.ndarray) -> np.ndarray:
+        """evaluate(rsq).sum(axis=0) of an (N, K) array of squared radii,
+        reading only the entries inside the band.  The entries left out
+        read exactly 0, and bincount adds each column's entries in row
+        order, as that sum does for K >= 2, so the two agree bit for bit
+        (numpy sums a single column pairwise, which agrees to rounding)."""
+        lo, hi = self.band
+        idx = np.flatnonzero((rsq >= lo) & (rsq <= hi))
+        k = rsq.shape[1]
+        weights = self.evaluate(rsq.ravel().take(idx))
+        return np.bincount(idx % k, weights, minlength=k)
 
     def run_batch(self, seed, n_reps) -> tuple[float, float]:
         width = max(1, _MC_CHUNK_BYTES // (8 * max(len(self.lifted), 1)))
@@ -654,15 +671,15 @@ def _shift_batch(seed, n_reps, d, width, score) -> tuple[float, float]:
     return float(vals.mean()), float(vals.var(ddof=1))
 
 
-# one float64 buffer per thread for the line kernel's arrays, grown as
-# needed and reused by every batch and sampler of that thread
-_line_buffers = threading.local()
+# one float64 buffer per thread for the Monte Carlo kernels' arrays,
+# grown as needed and reused by every batch and sampler of that thread
+_buffers = threading.local()
 
 
-def _line_workspace(n: int) -> np.ndarray:
-    buf = getattr(_line_buffers, "buf", None)
+def _workspace(n: int) -> np.ndarray:
+    buf = getattr(_buffers, "buf", None)
     if buf is None or len(buf) < n:
-        buf = _line_buffers.buf = np.empty(n)
+        buf = _buffers.buf = np.empty(n)
     return buf[:n]
 
 
@@ -728,7 +745,7 @@ class _LineSampler:
         cols[0, -1] = self.rho_sq - np.einsum("ij,ij->i", su, up)
         cols[1, :-2] = self.g[:, None]
         cols[1, -1] = ud + up @ self.g
-        work = _line_workspace(4 * n_lines * k).reshape(4, n_lines, k)
+        work = _workspace(4 * n_lines * k).reshape(4, n_lines, k)
         np.matmul(self.lifted, cols, out=work[:2])
         rad, y, tau, lo = work
         with np.errstate(invalid="ignore"):
@@ -840,7 +857,11 @@ class _BandTable:
     Horner in t - floor(t): no sqrt, no mask and no model read.  The
     cells outside the band hold 0, so every s outside [lo, hi] reads
     exactly 0, except that a band reaching the centre (r_in = 0) holds
-    g(0) below it, for squared radii rounded below 0.
+    g(0) below it, for squared radii rounded below 0.  `band` is the
+    interval outside which a read is exactly 0: [lo, hi] widened by
+    1e-12 hi at each end, past the few ulps by which the rounding of t
+    can carry an s outside [lo, hi] into a band cell, and open below
+    when r_in = 0.
 
     M doubles from _BAND_CELLS until the table is within _BAND_TOL of
     f(model.radial(sqrt s)) at every cell midpoint, where the
@@ -852,7 +873,10 @@ class _BandTable:
 
     def __init__(self, model, f, r_in, r_out):
         self.lo = lo = r_in * r_in
-        width = r_out * r_out - lo
+        hi = r_out * r_out
+        width = hi - lo
+        self.band = (-math.inf if r_in == 0.0 else lo - 1e-12 * hi,
+                     hi + 1e-12 * hi)
         g = lambda j, n: f(model.radial(np.sqrt(lo + width * (j / n))))
         cells = _BAND_CELLS
         quarters = g(np.arange(4 * cells + 1), 4 * cells)
@@ -932,7 +956,7 @@ def _surface_sampler(radius, psf, f, a, lattice, b, alpha, *,
         table = _band_table(model, f, r_in, r_out)
     return _RadialSampler(base_points=_annulus_points(lattice, b, r_in, r_out),
                           basis_b=b * np.asarray(lattice.basis),
-                          evaluate=table, scale=scale)
+                          evaluate=table, band=table.band, scale=scale)
 
 
 def _run_batches(run_batch, n_items, seed, n_batches, workers, n_points):
@@ -996,6 +1020,7 @@ def mc_volume_binary(phantom, lattice: Lattice, b: float, n_reps: int,
     sampler = _RadialSampler(base_points=pts[undecided],
                              basis_b=b * np.asarray(lattice.basis),
                              evaluate=lambda rsq: rsq <= radius * radius,
+                             band=(-math.inf, radius * radius),
                              scale=vol_cell)
     res = _run_batches(sampler.run_batch, n_reps, seed, n_batches, workers,
                        sampler.n_points)

@@ -19,7 +19,7 @@ from scipy.stats import ncx2
 from greyvar.errors import DomainError
 from greyvar.phantom import (Ball, HalfSpace, IntensityModel, Phantom,
                              ball_band_radii, capfrac, intensity,
-                             intensity_model, transition_offsets)
+                             intensity_model)
 from greyvar.psf import (compact_bump, eval_rho, gaussian,
                          halfspace_profile)
 
@@ -167,36 +167,30 @@ def test_halfspace_gap_small_and_positive():
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_transition_offsets_match_chi2_roots(dim):
-    # the reported offset t satisfies theta_ball(R + t) = level, so the
-    # chi-square closed form pins it independently
+    # the band radii are where theta_ball falls through omega and beta,
+    # so the chi-square closed form pins their offsets r - R independently
     from scipy.optimize import brentq
     psf = gaussian(dim)
     a, R, beta, omega = 0.05, 1.0, 0.3, 0.7
-    offs = transition_offsets(Ball(dim, R), psf, a, beta, omega)
-    crossings = {}
-    for level, t_off in ((omega, offs.t_minus), (beta, offs.t_plus)):
+    r_in, r_out = ball_band_radii(R, psf, a, beta, omega)
+    for level, r in ((omega, r_in), (beta, r_out)):
         r_cross = brentq(
             lambda r: _gauss_ball_theta(r, R, a, dim) - level,
             R - 6 * a, R + 6 * a, xtol=1e-14)
-        assert t_off == pytest.approx(r_cross - R, abs=1e-8)
-        crossings[level] = r_cross
-    # the band radii the variance engine uses are the same crossings
-    r_in, r_out = ball_band_radii(R, psf, a, beta, omega)
-    assert r_in == pytest.approx(crossings[omega], abs=1e-12)
-    assert r_out == pytest.approx(crossings[beta], abs=1e-12)
+        assert r - R == pytest.approx(r_cross - R, abs=1e-12)
     # curvature pulls both crossings inward relative to the flat edge
     prof = halfspace_profile(psf)
-    assert offs.t_minus < a * prof.phi(omega)
-    assert offs.t_plus < a * prof.phi(beta)
+    assert r_in - R < a * prof.phi(omega)
+    assert r_out - R < a * prof.phi(beta)
 
 
 def test_transition_offsets_shrink_with_a():
-    # they are the curvature corrections, O(a) in the blur scale
+    # the offsets r - R of the band radii are the curvature corrections,
+    # O(a) in the blur scale
     psf = gaussian(2)
-    wide = transition_offsets(Ball(2, 1.0), psf, 0.1, 0.3, 0.7)
-    narrow = transition_offsets(Ball(2, 1.0), psf, 0.0125, 0.3, 0.7)
-    assert abs(narrow.t_minus) < abs(wide.t_minus)
-    assert abs(narrow.t_plus) < abs(wide.t_plus)
+    wide = np.subtract(ball_band_radii(1.0, psf, 0.1, 0.3, 0.7), 1.0)
+    narrow = np.subtract(ball_band_radii(1.0, psf, 0.0125, 0.3, 0.7), 1.0)
+    assert np.all(np.abs(narrow) < np.abs(wide))
 
 
 def test_validation_errors():
@@ -223,8 +217,9 @@ def test_validation_errors():
             IntensityModel(Ball(2, 1.0), gaussian(2), bad)
         with pytest.raises(DomainError):
             ball_band_radii(1.0, gaussian(2), bad, 0.3, 0.7)
-    with pytest.raises(DomainError):
-        transition_offsets(Ball(2, 1.0), gaussian(2), 0.05, 0.7, 0.3)
+    for beta, omega in ((0.7, 0.3), (0.0, 0.7), (0.3, 1.0)):
+        with pytest.raises(DomainError, match="0 < beta < omega < 1"):
+            ball_band_radii(1.0, gaussian(2), 0.05, beta, omega)
     with pytest.raises(DomainError):
         IntensityModel(HalfSpace(2), gaussian(2), 0.05).table_range
 
@@ -238,7 +233,6 @@ def test_phantoms_answer_membership_and_others_are_refused():
     # a phantom that is neither a ball nor a half-space has no grey values
     bare, psf = Phantom(2), gaussian(2)
     for call in (lambda: IntensityModel(bare, psf, 0.05),
-                 lambda: intensity(bare, psf, 0.05, np.zeros(2)),
-                 lambda: transition_offsets(bare, psf, 0.05, 0.3, 0.7)):
+                 lambda: intensity(bare, psf, 0.05, np.zeros(2))):
         with pytest.raises(DomainError, match="unsupported phantom"):
             call()

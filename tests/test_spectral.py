@@ -20,8 +20,7 @@ from _band_models import band_cycles, flat_band_square
 from greyvar._quad import oscillatory_nodes
 from greyvar.errors import DomainError, TruncationError
 from greyvar.estimator import Indicator, SmoothPlateau, alpha_f
-from greyvar.phantom import (Ball, ball_band_radii, intensity_model,
-                             transition_offsets)
+from greyvar.phantom import ball_band_radii
 from greyvar.psf import (ball_indicator, ball_volume, compact_bump,
                          eval_rho, gaussian, halfspace_profile)
 from greyvar.spectral import (AnnulusFourier, RadialFourier, ball_main_term,
@@ -227,8 +226,7 @@ def test_sharp_band_model_band_averaged():
     psf = gaussian(2)
     f = Indicator(0.3, 0.7)
     R, a = 1.0, 0.05
-    off = transition_offsets(Ball(2, R), psf, a, 0.3, 0.7)
-    ann = AnnulusFourier(R + off.t_minus, R + off.t_plus, 2)
+    ann = AnnulusFourier(*ball_band_radii(R, psf, a, 0.3, 0.7), 2)
     profile = halfspace_profile(psf)
     qs = np.linspace(100.0, 140.0, 4001)
     assert band_cycles(f, profile, a, float(qs[0])) > 5.0

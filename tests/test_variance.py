@@ -588,9 +588,10 @@ def test_mc_volume_binary_matches_exact():
 @pytest.mark.parametrize("dim, ab, seed", [(2, 0.05, 3), (2, 0.05, 4),
                                            (3, 0.1, 3), (3, 0.1, 4)])
 def test_mc_surface_indicator_equals_oracle(dim, ab, seed):
-    """Comparing squared radii with the band radii squared scores every
-    point as the model intensity does; 300 shifts per batch span two of
-    the oracle's chunks."""
+    """Counting each lattice line's points in the annulus [r_in, r_out]
+    in closed form scores every shift as the oracle's point-by-point
+    model intensity does; 300 shifts per batch span two of the oracle's
+    chunks."""
     psf, latt = gaussian(dim), unit_lattice(dim)
     got = mc_surface(Ball(dim, 1.0), psf, Indicator(), ab, latt, ab, 600,
                      seed, n_batches=2)
@@ -599,6 +600,70 @@ def test_mc_surface_indicator_equals_oracle(dim, ab, seed):
                                             n_batches=2)
     np.testing.assert_array_equal(got.batch_means, means)
     np.testing.assert_array_equal(got.batch_variances, variances)
+
+
+class _Flat:
+    """A weight of 1 on the whole band, so a squared radius that rounding
+    carries into a band cell reads 1, not about 0 as at the knots of a
+    SmoothPlateau."""
+
+    def __call__(self, y):
+        return np.ones_like(y)
+
+
+@pytest.mark.parametrize("f", [SmoothPlateau(), _Flat()],
+                         ids=["plateau", "flat"])
+@pytest.mark.parametrize("a", [0.05, 0.85])
+def test_in_band_sums_equal_dense_read(a, f):
+    """A smooth-weight sampler reads its table only at squared radii in
+    the table's band, and its per-shift sums equal the column sums of
+    reading every entry bit for bit.  The squared radii include both ends
+    of [r_in^2, r_out^2] and their neighbours, the band's own ends, 0 and
+    -1e-17, which rounding puts near the centre; at a = 0.85 the band
+    reaches the centre (r_in = 0)."""
+    r_in, r_out = ball_band_radii(1.0, GAUSS2, a, 0.3, 0.7)
+    assert (r_in == 0.0) == (a == 0.85)
+    table = variance._BandTable(
+        phantom.intensity_model(Ball(2, 1.0), GAUSS2, a), f, r_in, r_out)
+    sampler = variance._RadialSampler(
+        base_points=np.zeros((0, 2)), basis_b=np.eye(2), evaluate=table,
+        band=table.band, scale=1.0)
+    lo, hi = table.band
+    assert lo == (-math.inf if r_in == 0.0 else r_in * r_in - 1e-12 * hi)
+    edges = [r_in * r_in, r_out * r_out, lo, hi, 0.0, -1e-17]
+    edges += [np.nextafter(e, d) for e in edges for d in (-np.inf, np.inf)
+              if math.isfinite(e)]
+    rng = np.random.default_rng(3)
+    spread = rng.uniform(-0.01, 1.5 * r_out * r_out, 4000)
+    rsq = rng.permutation(np.concatenate([np.repeat(edges, 40), spread]))
+    # every entry outside the band reads exactly 0 in the dense read
+    outside = rsq[(rsq < lo) | (rsq > hi)]
+    assert len(outside) > 1000
+    assert not np.any(table(outside.copy()))
+    for k in (2, 8, 40):
+        grid = rsq[:len(rsq) // k * k].reshape(-1, k)
+        dense = table(grid.copy()).sum(axis=0)
+        assert np.count_nonzero(dense) == k
+        assert np.array_equal(sampler.column_sums(grid), dense)
+
+
+def test_warm_smooth_batch_allocates_nothing_beyond_two_arrays():
+    """A warm batch of the 892-point bump sampler (d = 2, a = b = 0.0125,
+    40 shifts) writes its squared radii into the thread's workspace and
+    reads only the in-band entries, so its traced peak stays under two
+    (N, 40) float64 arrays; reading every entry peaked at four."""
+    psf, f, a = compact_bump(2, 1.0), SmoothPlateau(), 0.0125
+    alpha = variance.alpha_f(f, halfspace_profile(psf))
+    sampler = variance._surface_sampler(1.0, psf, f, a, Z2, a, alpha)
+    assert sampler.n_points == 892
+    sampler.run_batch(0, 40)
+    tracemalloc.start()
+    try:
+        sampler.run_batch(1, 40)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * sampler.n_points * 40 * 8
 
 
 def test_mc_surface_smooth_weight_matches_oracle():
@@ -863,9 +928,9 @@ def test_random_radius_builds_outside_the_process_caches(monkeypatch, f):
     """A random radius never repeats: each one's intensity model (with
     its band radii) and table are built exactly once, and the caches of
     Chebyshev models, intensity models and band tables read the same
-    before and after the call."""
+    before and after the call, as do the cached band radii."""
     caches = (phantom._radial_model, phantom.intensity_model,
-              variance._cached_band_table)
+              phantom.ball_band_radii, variance._cached_band_table)
     fits, tables = [], []
     fit, table = phantom._fit_radial_model, variance._BandTable
     monkeypatch.setattr(phantom._OneOffModel, "_fit", staticmethod(
