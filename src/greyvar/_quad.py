@@ -2,11 +2,11 @@
 
 Every such integral in the package is one fixed rule: Gauss-Legendre
 panels of one order over sorted breakpoints (the kinks of the
-integrand), each gap cut into the same number of equal panels.
-`panel_nodes` takes that number from the caller (alpha_f and the lattice
+integrand), each gap cut into equal panels.  `panel_nodes` takes their
+number from the caller, the same for every gap (alpha_f and the lattice
 sum LS compare against the rule with half the panels);
-`oscillatory_nodes` ties it to the oscillation period of a Fourier
-kernel.  The rules are deterministic, so repeated runs are
+`oscillatory_nodes` ties each gap's number to the oscillation period of
+a Fourier kernel.  The rules are deterministic, so repeated runs are
 bit-identical.
 """
 
@@ -49,23 +49,26 @@ def panel_nodes(edges, n_panels: int, order: int = _ORDER):
 
 
 def oscillatory_nodes(edges, freq: float, min_panels: int):
-    """Composite GL nodes over the sorted breakpoints `edges`, every gap
-    cut into the same number of panels, at least min_panels and enough
-    that no panel is wider than a quarter period of cos(2*pi*freq*t).
+    """Composite GL nodes over the sorted breakpoints `edges`, each gap
+    cut into its own number of panels, max(min_panels, ceil(gap *
+    freq)), so that no panel is wider than one period of
+    cos(2*pi*freq*t).
 
     `freq` is in cycles per unit of t; freq <= 0 falls back to min_panels.
     Raises TruncationError, before allocating, if the rule would need more
     than 20 million nodes.
     """
     edges = np.asarray(edges, dtype=float)
-    width = edges[-1] - edges[0]
-    if width <= 0:
+    if edges[-1] - edges[0] <= 0:
         return np.empty(0), np.empty(0)
-    n = min_panels
+    counts = np.full(len(edges) - 1, float(min_panels))
     if freq > 0:
-        n = max(min_panels, int(np.ceil(width * 4.0 * freq)))
-    n_nodes = n * _ORDER * (len(edges) - 1)
+        counts = np.maximum(counts, np.ceil(np.diff(edges) * freq))
+    n_nodes = counts.sum() * _ORDER
     if n_nodes > _MAX_NODES:
         raise TruncationError(
-            f"oscillatory rule would need {n_nodes} nodes (freq={freq:g})")
-    return panel_nodes(edges, n)
+            f"oscillatory rule would need {n_nodes:.0f} nodes "
+            f"(freq={freq:g})")
+    nodes, weights = zip(*(panel_nodes((lo, hi), int(n)) for lo, hi, n
+                           in zip(edges[:-1], edges[1:], counts)))
+    return np.concatenate(nodes), np.concatenate(weights)

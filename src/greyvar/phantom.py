@@ -23,7 +23,11 @@ so   theta_a(B(R))(x) = int_0^inf rho(w) * surf(S^{d-1}) w^{d-1}
 In d=2 the cap fraction has square-root behaviour where the cap appears
 or disappears; the quadrature substitutes w = w_edge + zeta^2 there, which
 removes the singularity and grades nodes toward the edge.  The evaluation
-is vectorized over points, so a Chebyshev radial intensity model is cheap.
+is vectorized over points.  The radii where the grey value crosses given
+levels (the band radii, the weight's knot radii) are solved on this
+quadrature directly, a few radii per call; only IntensityModel, which
+reads grey values everywhere in the transition zone, fits a Chebyshev
+model of it.
 """
 
 from __future__ import annotations
@@ -200,10 +204,8 @@ def _ball_intensity_radii(psf: Psf, a: float, R: float, radii) -> np.ndarray:
     return np.clip(out, 0.0, 1.0)
 
 
-# degree of a ball's Chebyshev intensity model (see _radial_model) and
-# the Newton steps a level radius may take before it is refused
+# degree of a ball's Chebyshev intensity model (see IntensityModel)
 _CHEB_DEGREE = 80
-_NEWTON_STEPS = 8
 
 
 def _fit_radial_model(psf: Psf, a: float, R: float) -> Chebyshev:
@@ -214,72 +216,100 @@ def _fit_radial_model(psf: Psf, a: float, R: float) -> Chebyshev:
         lambda r: _ball_intensity_radii(psf, a, R, r), _CHEB_DEGREE,
         domain=[max(R - a * T, 0.0), R + a * T])
 
-
-_radial_model = lru_cache(maxsize=64)(_fit_radial_model)
-
-
-def _level_radius(theta: Chebyshev, psf: Psf, a: float, R: float,
-                  level: float) -> float:
-    """Radius where the grey value of the centered ball B(R) falls
-    through `level`: Newton steps on the exact cap quadrature with the
-    slope of the ball's model theta, from the crossing of its samples."""
-    r, v = theta.linspace(_CHEB_DEGREE + 1)
-    j = int(np.argmax(v < level))
-    if not (j > 0 and v[j] < level):
-        raise DomainError(
-            f"level {level:g} not bracketed in the transition zone")
-    x = r[j - 1] + (r[j] - r[j - 1]) * (v[j - 1] - level) / (v[j - 1] - v[j])
-    slope = theta.deriv()
-    for _ in range(_NEWTON_STEPS):
-        step = (_ball_intensity_radii(psf, a, R, [x])[0] - level) / slope(x)
-        x -= step
-        if abs(step) < 1e-13:
-            return float(x)
-    raise TruncationError(f"level {level:g} radius: Newton did not converge")
+# the level solver's forward-difference step, in units of a, and the
+# steps (Newton or bisection) a level radius may take before it is
+# refused
+_SLOPE_STEP = 1e-8
+_SOLVER_STEPS = 40
 
 
-def _band_radii(theta: Chebyshev, psf: Psf, a: float, radius: float,
-                beta: float, omega: float) -> tuple[float, float]:
-    if not 0.0 < beta < omega < 1.0:
+def _level_radii(psf: Psf, a: float, R: float, levels):
+    """Radii where the grey value of the centered ball B(R) falls through
+    each of `levels`, and theta at r_lo = max(R - a T, 0), the inner end
+    of the transition zone [r_lo, R + a T]; a level at or above theta(r_lo)
+    gets r_lo.
+
+    Each level starts at its half-space radius R + a phi(level) and takes
+    Newton steps on the cap quadrature with a forward-difference slope,
+    all levels in one vectorized quadrature call per step (the first also
+    reads theta(r_lo)).  A step that leaves the level's bracket, which
+    every evaluation narrows, is replaced by bisection.  A level stops
+    when its step falls below 1e-13; one still moving after _SOLVER_STEPS
+    raises TruncationError.
+    """
+    profile = halfspace_profile(psf)
+    levels = np.asarray(levels, dtype=float)
+    n = levels.size
+    r_lo, r_hi = max(R - a * profile.T, 0.0), R + a * profile.T
+    h = _SLOPE_STEP * a
+    x = np.clip([R + a * profile.phi(y) for y in levels], r_lo, r_hi)
+    lo, hi = np.full(n, r_lo), np.full(n, r_hi)
+    v = _ball_intensity_radii(psf, a, R, np.concatenate((x, x + h, [r_lo])))
+    theta_lo = v[-1]
+    x[levels >= theta_lo] = r_lo
+    live = np.flatnonzero(levels < theta_lo)
+    theta, ahead = v[:n][live], v[n:2 * n][live]
+    for _ in range(_SOLVER_STEPS):
+        xl, gap = x[live], theta - levels[live]
+        # theta falls with r: the crossing lies beyond a radius above it
+        lo[live] = np.where(gap > 0.0, xl, lo[live])
+        hi[live] = np.where(gap < 0.0, xl, hi[live])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            new = xl - gap * h / (ahead - theta)
+        stray = ~((new > lo[live]) & (new < hi[live]) | (new == xl))
+        new[stray] = 0.5 * (lo[live] + hi[live])[stray]
+        x[live] = new
+        live = live[np.abs(new - xl) >= 1e-13]
+        if live.size == 0:
+            return float(theta_lo), x
+        v = _ball_intensity_radii(psf, a, R,
+                                  np.concatenate((x[live], x[live] + h)))
+        theta, ahead = v[:live.size], v[live.size:]
+    raise TruncationError(
+        f"level {levels[live[0]]:g} radius: Newton did not converge")
+
+
+def ball_knot_radii(radius: float, psf: Psf, a: float,
+                    knots) -> tuple[float, ...]:
+    """Radii where the grey value of the centered ball B(radius) falls
+    through each of the ascending weight knots, innermost (the largest
+    knot's) first, solved afresh on the cap quadrature (_level_radii).  A
+    knot at or above the grey value at the inner end of the transition
+    zone gets that end (0 for a wide blur); a blur that keeps it at or
+    below the smallest knot is refused."""
+    if not 0 < a < math.inf:
+        raise DomainError("blur scale a must be positive and finite")
+    if not 0.0 < knots[0] < knots[-1] < 1.0:
         raise DomainError("need 0 < beta < omega < 1")
-    r_lo = theta.domain[0]
-    theta0 = theta(r_lo)
-    if theta0 <= beta:
+    theta_lo, radii = _level_radii(psf, a, radius, knots[::-1])
+    if theta_lo <= knots[0]:
         raise DomainError("blur swamps the ball: grey band never reached")
-    r_in = (r_lo if theta0 <= omega
-            else _level_radius(theta, psf, a, radius, omega))
-    return r_in, _level_radius(theta, psf, a, radius, beta)
+    return tuple(map(float, radii))
 
 
 @lru_cache(maxsize=64)
 def ball_band_radii(radius: float, psf: Psf, a: float, beta: float,
                     omega: float) -> tuple[float, float]:
     """Radii (r_in, r_out) of the centered ball B(radius) between which
-    its grey value lies in [beta, omega].  r_in is the inner end of the
-    transition zone (0 for a wide blur) when the grey value there is
-    already at most omega.  Cached as _radial_model is: the exact and
-    Monte Carlo routes of one row ask for the same pair."""
-    if not 0 < a < math.inf:
-        raise DomainError("blur scale a must be positive and finite")
-    return _band_radii(_radial_model(psf, a, radius), psf, a, radius, beta,
-                       omega)
+    its grey value lies in [beta, omega] (ball_knot_radii of the two
+    levels).  r_in is the inner end of the transition zone (0 for a wide
+    blur) when the grey value there is already at most omega.  Cached:
+    the exact and Monte Carlo routes of one row ask for the same pair."""
+    return ball_knot_radii(radius, psf, a, (beta, omega))
 
 
 class IntensityModel:
     """Fast vectorized grey-value evaluator for a (phantom, psf, a) triple.
 
-    Balls read the cached degree-80 Chebyshev model of the transition
-    zone (_radial_model), which ball_band_radii shares, and are 1 or 0
-    outside it (within 6e-16 for the Gaussian).  Its largest error
-    against the quadrature, on 20001 radii at a = 0.1 and 0.0125, is
-    1.6e-13 for the Gaussian (also against its chi-square closed form),
-    the bump and the d=3 disc, and 4.7e-7 for the d=2 disc, whose
-    square-root edge converges slowly.  Half-spaces evaluate through the
-    edge profile directly.
+    Balls fit a degree-80 Chebyshev model of the transition zone
+    (_fit_radial_model), the only fit of the cap quadrature, and are 1
+    or 0 outside it (within 6e-16 for the Gaussian); intensity_model
+    caches the models.  Its largest error against the quadrature, on
+    20001 radii at a = 0.1 and 0.0125, is 1.6e-13 for the Gaussian (also
+    against its chi-square closed form), the bump and the d=3 disc, and
+    4.7e-7 for the d=2 disc, whose square-root edge converges slowly.
+    Half-spaces evaluate through the edge profile directly.
     """
-
-    # a ball's transition-zone model, from the process cache
-    _fit = staticmethod(_radial_model)
 
     def __init__(self, phantom: Phantom, psf: Psf, a: float):
         if not 0 < a < math.inf:
@@ -301,7 +331,7 @@ class IntensityModel:
         self._kind = "ball"
         self.R = phantom.radius
         self._center = np.asarray(phantom.center)
-        self._theta = self._fit(psf, a, self.R)
+        self._theta = _fit_radial_model(psf, a, self.R)
 
     @property
     def table_range(self) -> tuple[float, float]:
@@ -337,18 +367,14 @@ def intensity_model(phantom: Phantom, psf: Psf, a: float) -> IntensityModel:
     return IntensityModel(phantom, psf, a)
 
 
-class _OneOffModel(IntensityModel):
-    _fit = staticmethod(_fit_radial_model)
-
-
 def one_off_ball(radius: float, psf: Psf, a: float, beta: float,
                  omega: float) -> tuple[IntensityModel, tuple[float, float]]:
     """The intensity model of the centered ball B(radius) and its band
-    radii, as intensity_model and ball_band_radii give them, but fitted
+    radii, as intensity_model and ball_band_radii give them, but built
     afresh and kept out of the process caches: for a radius used once (a
     random radius), whose entries would only evict reusable ones."""
-    model = _OneOffModel(Ball(psf.dim, radius), psf, a)
-    return model, _band_radii(model._theta, psf, a, radius, beta, omega)
+    return (IntensityModel(Ball(psf.dim, radius), psf, a),
+            ball_knot_radii(radius, psf, a, (beta, omega)))
 
 
 def intensity(phantom: Phantom, psf: Psf, a: float, x) -> float:

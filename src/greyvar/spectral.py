@@ -67,28 +67,36 @@ def nu_phase(dim: int) -> float:
 @dataclass(frozen=True)
 class RadialFourier:
     """Hankel-quadrature transform of a radial function with compact
-    support [r_lo, r_hi].
+    support [r_lo, r_hi], smooth between the radii `splits` inside it.
 
-    One Gauss-Legendre rule of order 15 over [r_lo, r_hi], unsplit: at
-    least 8 panels for the non-oscillatory factor, more as the largest
-    requested frequency grows, so that every panel spans at most a
-    quarter oscillation (16 panels at q = 0).
+    One Gauss-Legendre rule of order 15 over each gap between r_lo, the
+    splits and r_hi: at least 8 panels for the non-oscillatory factor,
+    more as the largest requested frequency grows, so that every panel
+    spans at most one oscillation (16 panels per gap at q = 0).
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
     r_lo: float
     r_hi: float
     dim: int
+    splits: tuple = ()
 
     def __post_init__(self):
         if self.dim not in (2, 3):
             raise DomainError("dim must be 2 or 3")
         if not (0.0 <= self.r_lo < self.r_hi):
             raise DomainError("need 0 <= r_lo < r_hi")
+        if not np.all(np.diff(self.edges) >= 0.0):
+            raise DomainError("splits must be sorted within [r_lo, r_hi]")
+
+    @property
+    def edges(self) -> tuple:
+        """r_lo, the splits and r_hi: the breakpoints of every rule."""
+        return (self.r_lo, *self.splits, self.r_hi)
 
     def volume_integral(self) -> float:
         """F at q = 0: the full d-dimensional integral of the function."""
-        r, w = panel_nodes((self.r_lo, self.r_hi), 16)
+        r, w = panel_nodes(self.edges, 16)
         val = float(np.dot(self.fn(r) * r ** (self.dim - 1), w))
         return sphere_area(self.dim) * val
 
@@ -109,8 +117,8 @@ class RadialFourier:
         return float(out[0]) if scalar else out
 
     def _at_positive(self, q):
-        nodes, w = oscillatory_nodes((self.r_lo, self.r_hi),
-                                     freq=float(q.max()), min_panels=8)
+        nodes, w = oscillatory_nodes(self.edges, freq=float(q.max()),
+                                     min_panels=8)
         gv = self.fn(nodes) * nodes ** (self.dim / 2.0) * w
         nu = self.dim / 2.0 - 1.0
         pref = 2.0 * math.pi * q ** (-(self.dim - 2) / 2.0)

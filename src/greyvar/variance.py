@@ -68,8 +68,8 @@ from ._quad import panel_nodes
 from .errors import DomainError, TruncationError
 from .estimator import Indicator, alpha_f, weight_tv
 from .lattice import Lattice
-from .phantom import (Ball, ball_band_radii, intensity_model,
-                      one_off_ball)
+from .phantom import (Ball, ball_band_radii, ball_knot_radii,
+                      intensity_model, one_off_ball)
 from .psf import (HalfspaceProfile, Psf, ball_volume, halfspace_profile,
                   sphere_area)
 # profile_fourier_1d is unused here: perfbench/spans.py wraps it by name
@@ -196,6 +196,11 @@ class VarianceReport:
     shells: ShellSumInfo
 
 
+# a smooth weight's knot radii, which the exact and Monte Carlo routes of
+# a row share, as they share an indicator's ball_band_radii
+_cached_knot_radii = lru_cache(maxsize=64)(ball_knot_radii)
+
+
 def weighted_layer(radius: float, psf: Psf, a: float, f):
     """Radial transform of the weighted grey layer r -> f(theta(r)) of a
     ball, supported exactly between the radii where theta crosses the
@@ -204,13 +209,17 @@ def weighted_layer(radius: float, psf: Psf, a: float, f):
     An indicator weight makes the layer an annulus indicator, whose
     transform is the closed-form difference of two ball transforms and
     needs no grey values; any other weight goes through Hankel
-    quadrature of the (cached) intensity model.
+    quadrature of the (cached) intensity model, split at the radii
+    where theta crosses the inner knots of f, which the solve of the
+    band radii returns with them.
     """
-    r_in, r_out = ball_band_radii(radius, psf, a, f.knots[0], f.knots[-1])
     if isinstance(f, Indicator):
-        return AnnulusFourier(r_in, r_out, psf.dim)
+        return AnnulusFourier(*ball_band_radii(radius, psf, a, *f.knots),
+                              psf.dim)
+    r_in, *splits, r_out = _cached_knot_radii(radius, psf, a, f.knots)
     model = intensity_model(Ball(psf.dim, radius), psf, a)
-    return RadialFourier(lambda r: f(model.radial(r)), r_in, r_out, psf.dim)
+    return RadialFourier(lambda r: f(model.radial(r)), r_in, r_out, psf.dim,
+                         tuple(splits))
 
 
 def _lens(r1: float, r2: float, s, dim: int):
@@ -919,9 +928,9 @@ class _BandTable:
 
 
 def _band_table(model, f, r_in, r_out) -> _BandTable:
-    """_BandTable of a ball's intensity model, cached as _radial_model
-    caches the intensity; a weight that cannot be hashed is tabulated
-    afresh each call."""
+    """_BandTable of a ball's intensity model, cached as intensity_model
+    caches the model; a weight that cannot be hashed is tabulated afresh
+    each call."""
     try:
         hash(f)
     except TypeError:
@@ -941,17 +950,17 @@ def _surface_sampler(radius, psf, f, a, lattice, b, alpha, *,
     if not 0 < b < math.inf:
         raise DomainError("lattice scale b must be positive and finite")
     knots = f.knots[0], f.knots[-1]
-    if one_off:
-        model, (r_in, r_out) = one_off_ball(radius, psf, a, *knots)
-    else:
-        r_in, r_out = ball_band_radii(radius, psf, a, *knots)
     scale = (lattice.cell_volume / alpha) * b ** psf.dim / a
     if isinstance(f, Indicator):
         # f(theta(r)) = 1[r_in <= r <= r_out] exactly
+        r_in, r_out = (ball_knot_radii(radius, psf, a, knots) if one_off
+                       else ball_band_radii(radius, psf, a, *knots))
         return _LineSampler(lattice, b, r_in, r_out, scale)
     if one_off:
+        model, (r_in, r_out) = one_off_ball(radius, psf, a, *knots)
         table = _BandTable(model, f, r_in, r_out)
     else:
+        r_in, *_, r_out = _cached_knot_radii(radius, psf, a, f.knots)
         model = intensity_model(Ball(psf.dim, radius), psf, a)
         table = _band_table(model, f, r_in, r_out)
     return _RadialSampler(base_points=_annulus_points(lattice, b, r_in, r_out),
@@ -1041,8 +1050,9 @@ def mc_random_radius(psf: Psf, f, a: float, lattice: Lattice, b: float,
     across radius batches.  The conditional (not total) variance is the
     quantity with an a^{d-1} limit: the radius spread itself contributes
     an O(1) variance of the conditional means that would swamp it.  A
-    random radius never repeats, so each one's intensity model, band
-    radii and table are built once, outside the process caches.
+    random radius never repeats, so each one's band radii, and for a
+    smooth weight its intensity model and table, are built once, outside
+    the process caches.
     """
     if n_batches < 2 or n_radii < n_batches:
         raise DomainError("need at least one radius per batch")

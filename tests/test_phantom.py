@@ -16,11 +16,12 @@ import numpy as np
 import pytest
 from scipy.stats import ncx2
 
+from greyvar import phantom
 from greyvar.errors import DomainError
 from greyvar.phantom import (Ball, HalfSpace, IntensityModel, Phantom,
-                             ball_band_radii, capfrac, intensity,
-                             intensity_model)
-from greyvar.psf import (compact_bump, eval_rho, gaussian,
+                             ball_band_radii, ball_knot_radii, capfrac,
+                             intensity, intensity_model)
+from greyvar.psf import (ball_indicator, compact_bump, eval_rho, gaussian,
                          halfspace_profile)
 
 
@@ -182,6 +183,69 @@ def test_transition_offsets_match_chi2_roots(dim):
     prof = halfspace_profile(psf)
     assert r_in - R < a * prof.phi(omega)
     assert r_out - R < a * prof.phi(beta)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("make, wide", [(compact_bump, 2.0),
+                                        (ball_indicator, 1.2)],
+                         ids=["bump", "disc"])
+def test_band_radii_match_brentq_on_the_quadrature(make, wide, dim):
+    """The band radii of the compact kernels are the roots of the grey
+    value, found here by brentq on the point evaluation `intensity`: to
+    1e-13 at a narrow and a moderate blur, and at a blur wide enough that
+    the band reaches the centre (r_in = 0, where theta is at most omega
+    already).  The disc's grey value has square-root edges."""
+    from scipy.optimize import brentq
+    R, beta, omega, psf = 1.0, 0.3, 0.7, make(dim)
+    T = halfspace_profile(psf).T
+    theta = lambda r: intensity(Ball(dim, R), psf, a,
+                                np.eye(dim)[0] * r)
+    for a in (0.1, 0.0125, wide):
+        r_lo, r_hi = max(R - a * T, 0.0), R + a * T
+        radii = ball_band_radii(R, psf, a, beta, omega)
+        for level, r in zip((omega, beta), radii):
+            if theta(r_lo) <= level:
+                assert r == r_lo == 0.0 and a == wide
+                continue
+            root = brentq(lambda x: theta(x) - level, r_lo, r_hi,
+                          xtol=1e-15)
+            assert r == pytest.approx(root, abs=1e-13)
+    assert ball_band_radii(R, psf, wide, beta, omega)[0] == 0.0
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("make", [gaussian, compact_bump, ball_indicator])
+def test_band_radii_take_few_quadrature_calls(monkeypatch, make, dim):
+    """A pair of band radii costs a handful of small vectorized cap
+    quadratures: the first holds both levels, their forward-difference
+    points and theta at the inner end of the transition zone, each later
+    one the levels still moving (no call holds the 81 radii of a
+    Chebyshev fit)."""
+    sizes, quad = [], phantom._ball_intensity_radii
+
+    def counted(psf, a, R, radii):
+        sizes.append(np.size(radii))
+        return quad(psf, a, R, radii)
+
+    monkeypatch.setattr(phantom, "_ball_intensity_radii", counted)
+    for a, most in ((0.1, 5), (0.05, 4), (0.035, 4), (0.0125, 4)):
+        sizes.clear()
+        ball_knot_radii(1.0, make(dim), a, (0.3, 0.7))
+        assert sizes[0] == 5 and max(sizes[1:]) <= 4
+        assert len(sizes) <= most
+
+
+def test_knot_radii_are_each_levels_own_solve():
+    """Every level takes its own Newton steps, so the radii of the outer
+    knots solved with the inner ones are the band radii bit for bit, and
+    the inner ones are those of their own pair."""
+    psf, a = compact_bump(2), 0.05
+    knots = (0.3, 0.4, 0.6, 0.7)
+    radii = ball_knot_radii(1.0, psf, a, knots)
+    assert radii == (ball_band_radii(1.0, psf, a, 0.3, 0.7)[0],
+                     *ball_band_radii(1.0, psf, a, 0.4, 0.6),
+                     ball_band_radii(1.0, psf, a, 0.3, 0.7)[1])
+    assert np.all(np.diff(radii) > 0.0)
 
 
 def test_transition_offsets_shrink_with_a():

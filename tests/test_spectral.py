@@ -138,6 +138,9 @@ def test_radial_fourier_validation():
         RadialFourier(lambda r: r, 1.0, 0.5, 2)
     with pytest.raises(DomainError):
         RadialFourier(lambda r: r, 0.0, 1.0, 4)
+    for splits in ((0.7, 0.3), (1.5,)):
+        with pytest.raises(DomainError, match="splits"):
+            RadialFourier(lambda r: r, 0.0, 1.0, 2, splits)
     rf = RadialFourier(lambda r: np.ones_like(r), 0.0, 1.0, 2)
     with pytest.raises(DomainError):
         rf.at(-1.0)
@@ -308,13 +311,12 @@ def test_profile_rules_split_at_knot_images(kernel, dim):
 @pytest.mark.parametrize("dim", [2, 3])
 @pytest.mark.parametrize("kernel", [gaussian, compact_bump])
 def test_smooth_layer_refinement_gap(kernel, dim):
-    """The Hankel rule of a smooth weight's layer, evaluated in the
-    octave blocks of the dual sum out to q = 30/a, is within 2e-9 of its
-    peak of scipy's adaptive quad_vec split at the knot radii (measured
-    up to 8.2e-10, with the bump kernel, at the lowest frequencies): its
-    panels are not split at the knot radii, and refining them is what
-    would close the gap.  The exact variance sums its squares to a
-    relative tolerance of 1e-3."""
+    """The Hankel rule of a smooth weight's layer, split at the knot
+    radii and evaluated in the octave blocks of the dual sum out to
+    q = 30/a, is within 1e-13 of its peak of scipy's adaptive quad_vec
+    split there too (measured up to 7.1e-15; 8.2e-10 before the rule was
+    split).  The inner knot radii here come from their own band-radii
+    solve."""
     a, f, psf = 0.05, SmoothPlateau(), kernel(dim)
     layer = weighted_layer(1.0, psf, a, f)
     qs = np.linspace(0.5, 30.0 / a, 2000)
@@ -330,7 +332,7 @@ def test_smooth_layer_refinement_gap(kernel, dim):
         lambda r: layer.fn(r) * kernel_at(r), lo, hi, epsabs=1e-16,
         epsrel=1e-14, norm="max", limit=2000)[0]
         for lo, hi in zip(edges[:-1], edges[1:]))
-    assert np.max(np.abs(got - want)) <= 2e-9 * np.max(np.abs(want))
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_main_term_rejects_nonpositive_q():
@@ -355,6 +357,25 @@ def test_public_api_has_no_accuracy_knobs():
     assert found == []
     assert list(inspect.signature(oscillatory_nodes).parameters) == [
         "edges", "freq", "min_panels"]
+
+
+def test_oscillatory_rule_gives_each_gap_one_panel_per_period():
+    """Each gap gets max(min_panels, ceil(gap * freq)) panels of 15
+    nodes, so no panel spans more than one period, and each gap's rule
+    integrates cos(2 pi freq t) to rounding."""
+    edges, freq = (0.0, 0.25, 2.5, 2.55), 40.0
+    nodes, w = oscillatory_nodes(edges, freq, min_panels=8)
+    panels = (10, 90, 8)
+    assert nodes.size == w.size == 15 * sum(panels)
+    start = 0
+    for lo, hi, n in zip(edges[:-1], edges[1:], panels):
+        gap = slice(start, start + 15 * n)
+        start += 15 * n
+        assert lo < nodes[gap].min() and nodes[gap].max() < hi
+        got = w[gap] @ np.cos(2 * math.pi * freq * nodes[gap])
+        want = (math.sin(2 * math.pi * freq * hi)
+                - math.sin(2 * math.pi * freq * lo)) / (2 * math.pi * freq)
+        assert got == pytest.approx(want, abs=1e-13)
 
 
 def test_oscillatory_rule_over_budget_is_truncation_error():

@@ -15,11 +15,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import quad, quad_vec
+from scipy.optimize import brentq
 from scipy.special import j0
-from scipy.stats import norm
+from scipy.stats import ncx2, norm
 
-from greyvar import lattice, phantom, variance
+from greyvar import cli, lattice, phantom, variance
 from greyvar.errors import DomainError, TruncationError
 from greyvar.estimator import Indicator, SmoothPlateau
 from greyvar.lattice import Lattice, hexagonal_lattice, unit_lattice
@@ -48,8 +49,7 @@ import _mc_oracle as mc_oracle
 import _dual_oracle as dual_oracle
 # independent grey-layer pieces built on scipy only; shared with the
 # acceptance suite
-from _spatial_oracle import (GreyLayer as _GreyLayer,
-                             alpha_quad as _alpha_quad,
+from _spatial_oracle import (alpha_quad as _alpha_quad,
                              crossing as _crossing,
                              spatial_variance as _spatial_variance,
                              theta_ball as _theta_ball)
@@ -109,19 +109,35 @@ def test_weighted_layer_indicator_is_annulus():
 
 
 def test_weighted_layer_plateau_vs_quad():
-    # Hankel quadrature against scipy.quad on the ncx2-based layer
-    R, a = 1.0, 0.05
-    f = SmoothPlateau()
-    pkg = weighted_layer(R, GAUSS2, a, f)
-    oracle = _GreyLayer(f, R, a)
-    for q in (7.0, 30.0, 212.0):
-        val, err = quad(lambda r: float(oracle(r)) * j0(2 * math.pi * q * r)
-                        * r, oracle.r_in, oracle.r_out,
-                        points=oracle.kinks[1:-1], limit=800,
-                        epsabs=1e-14, epsrel=1e-12)
-        want = 2 * math.pi * val
-        assert err < 1e-12
-        assert pkg.at(q) == pytest.approx(want, abs=2e-10)
+    """Hankel quadrature of the plateau layer against scipy's adaptive
+    quad_vec split at the knot radii, to 1e-12 relative (and 1e-12 of
+    the largest value where the transform is small).  The Gaussian's
+    grey value is the noncentral chi-square cdf with d degrees of
+    freedom, the bump's the point evaluation `intensity`; the knot radii
+    are their brentq roots."""
+    R, a, f = 1.0, 0.05, SmoothPlateau()
+    qs = np.array([7.0, 30.0, 212.0])
+    for dim, psf in ((2, GAUSS2), (3, gaussian(3)), (2, compact_bump(2)),
+                     (3, compact_bump(3))):
+        if psf.compact:
+            theta = lambda r: phantom.intensity(Ball(dim, R), psf, a,
+                                                np.eye(dim)[0] * r)
+        else:
+            theta = lambda r: ncx2.cdf((R / a) ** 2, df=dim,
+                                       nc=(r / a) ** 2)
+        cuts = sorted(brentq(lambda r: theta(r) - y, R - 8 * a, R + 8 * a,
+                             xtol=1e-15) for y in f.knots)
+        if dim == 2:  # 2 pi J_0(2 pi q r) r
+            kernel = lambda r: 2 * math.pi * r * j0(2 * math.pi * qs * r)
+        else:  # 2 pi q^{-1/2} J_{1/2}(2 pi q r) r^{3/2}
+            kernel = lambda r: 2 * r * np.sin(2 * math.pi * qs * r) / qs
+        want = sum(quad_vec(lambda r: float(f(theta(r))) * kernel(r), lo,
+                            hi, epsabs=1e-16, epsrel=1e-14, norm="max",
+                            limit=2000)[0]
+                   for lo, hi in zip(cuts[:-1], cuts[1:]))
+        got = weighted_layer(R, psf, a, f).at(qs)
+        np.testing.assert_allclose(got, want, rtol=1e-12,
+                                   atol=1e-12 * np.max(np.abs(want)))
 
 
 def test_variance_scale_identity():
@@ -922,27 +938,45 @@ def test_row_builds_intensity_tables_only_for_smooth_weights(monkeypatch, f,
     assert len(inits) == builds
 
 
+def test_indicator_rows_fit_no_intensity_model(monkeypatch, tmp_path):
+    """An indicator row reads no grey value: its exact variance, its
+    Monte Carlo and a theory-variance run solve the band radii on the
+    cap quadrature and fit no Chebyshev model, cached or one-off."""
+    fits = []
+    monkeypatch.setattr(phantom, "_fit_radial_model",
+                        lambda *args: fits.append(args))
+    args = (Ball(3, 1.0), gaussian(3), Indicator(), 0.05,
+            unit_lattice(3), 0.05)
+    variance_exact_ball(*args)
+    mc_surface(*args, 400, seed=0)
+    assert cli.main(["theory-variance", "--set", "phantom.dim=3",
+                     "--set", "scales.a=0.05,0.035",
+                     "--out", str(tmp_path)]) == 0
+    assert fits == []
+
+
 @pytest.mark.parametrize("f", [Indicator(), SmoothPlateau()],
                          ids=["indicator", "plateau"])
 def test_random_radius_builds_outside_the_process_caches(monkeypatch, f):
-    """A random radius never repeats: each one's intensity model (with
-    its band radii) and table are built exactly once, and the caches of
-    Chebyshev models, intensity models and band tables read the same
-    before and after the call, as do the cached band radii."""
-    caches = (phantom._radial_model, phantom.intensity_model,
-              phantom.ball_band_radii, variance._cached_band_table)
+    """A random radius never repeats: each one's band radii, and for a
+    smooth weight its intensity model and table, are built exactly once
+    (an indicator fits no model), and the caches of intensity models and
+    band tables read the same before and after the call, as do the
+    cached band radii."""
+    caches = (phantom.intensity_model, phantom.ball_band_radii,
+              variance._cached_knot_radii, variance._cached_band_table)
     fits, tables = [], []
     fit, table = phantom._fit_radial_model, variance._BandTable
-    monkeypatch.setattr(phantom._OneOffModel, "_fit", staticmethod(
-        lambda *args: fits.append(args) or fit(*args)))
+    monkeypatch.setattr(phantom, "_fit_radial_model",
+                        lambda *args: fits.append(args) or fit(*args))
     monkeypatch.setattr(variance, "_BandTable",
                         lambda *args: tables.append(args) or table(*args))
     before = [c.cache_info() for c in caches]
     mc = mc_random_radius(GAUSS2, f, 0.1, Z2, 0.1, RadiusDensity(), 40, 20,
                           seed=0)
     assert [c.cache_info() for c in caches] == before
-    assert len(fits) == 40
-    assert len(tables) == (0 if isinstance(f, Indicator) else 40)
+    assert len(fits) == len(tables) == (0 if isinstance(f, Indicator)
+                                        else 40)
     assert math.isfinite(mc.variance) and mc.n_points > 0
 
 
