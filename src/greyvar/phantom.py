@@ -287,15 +287,18 @@ def ball_knot_radii(radius: float, psf: Psf, a: float,
     return tuple(map(float, radii))
 
 
-@lru_cache(maxsize=64)
+# ball_knot_radii through a process cache: the exact and Monte Carlo
+# routes of one row ask for the same radii
+cached_knot_radii = lru_cache(maxsize=64)(ball_knot_radii)
+
+
 def ball_band_radii(radius: float, psf: Psf, a: float, beta: float,
                     omega: float) -> tuple[float, float]:
     """Radii (r_in, r_out) of the centered ball B(radius) between which
-    its grey value lies in [beta, omega] (ball_knot_radii of the two
-    levels).  r_in is the inner end of the transition zone (0 for a wide
-    blur) when the grey value there is already at most omega.  Cached:
-    the exact and Monte Carlo routes of one row ask for the same pair."""
-    return ball_knot_radii(radius, psf, a, (beta, omega))
+    its grey value lies in [beta, omega]: cached_knot_radii of the two
+    levels.  r_in is the inner end of the transition zone (0 for a wide
+    blur) when the grey value there is already at most omega."""
+    return cached_knot_radii(radius, psf, a, (beta, omega))
 
 
 class IntensityModel:
@@ -365,16 +368,6 @@ class IntensityModel:
 @lru_cache(maxsize=64)
 def intensity_model(phantom: Phantom, psf: Psf, a: float) -> IntensityModel:
     return IntensityModel(phantom, psf, a)
-
-
-def one_off_ball(radius: float, psf: Psf, a: float, beta: float,
-                 omega: float) -> tuple[IntensityModel, tuple[float, float]]:
-    """The intensity model of the centered ball B(radius) and its band
-    radii, as intensity_model and ball_band_radii give them, but built
-    afresh and kept out of the process caches: for a radius used once (a
-    random radius), whose entries would only evict reusable ones."""
-    return (IntensityModel(Ball(psf.dim, radius), psf, a),
-            ball_knot_radii(radius, psf, a, (beta, omega)))
 
 
 def intensity(phantom: Phantom, psf: Psf, a: float, x) -> float:

@@ -68,8 +68,8 @@ from ._quad import panel_nodes
 from .errors import DomainError, TruncationError
 from .estimator import Indicator, alpha_f, weight_tv
 from .lattice import Lattice
-from .phantom import (Ball, ball_band_radii, ball_knot_radii,
-                      intensity_model, one_off_ball)
+from .phantom import (Ball, IntensityModel, ball_knot_radii,
+                      cached_knot_radii, intensity_model)
 from .psf import (HalfspaceProfile, Psf, ball_volume, halfspace_profile,
                   sphere_area)
 # profile_fourier_1d is unused here: perfbench/spans.py wraps it by name
@@ -196,11 +196,6 @@ class VarianceReport:
     shells: ShellSumInfo
 
 
-# a smooth weight's knot radii, which the exact and Monte Carlo routes of
-# a row share, as they share an indicator's ball_band_radii
-_cached_knot_radii = lru_cache(maxsize=64)(ball_knot_radii)
-
-
 def weighted_layer(radius: float, psf: Psf, a: float, f):
     """Radial transform of the weighted grey layer r -> f(theta(r)) of a
     ball, supported exactly between the radii where theta crosses the
@@ -213,10 +208,9 @@ def weighted_layer(radius: float, psf: Psf, a: float, f):
     where theta crosses the inner knots of f, which the solve of the
     band radii returns with them.
     """
+    r_in, *splits, r_out = cached_knot_radii(radius, psf, a, f.knots)
     if isinstance(f, Indicator):
-        return AnnulusFourier(*ball_band_radii(radius, psf, a, *f.knots),
-                              psf.dim)
-    r_in, *splits, r_out = _cached_knot_radii(radius, psf, a, f.knots)
+        return AnnulusFourier(r_in, r_out, psf.dim)
     model = intensity_model(Ball(psf.dim, radius), psf, a)
     return RadialFourier(lambda r: f(model.radial(r)), r_in, r_out, psf.dim,
                          tuple(splits))
@@ -949,18 +943,17 @@ def _surface_sampler(radius, psf, f, a, lattice, b, alpha, *,
     the process caches, for a radius used once."""
     if not 0 < b < math.inf:
         raise DomainError("lattice scale b must be positive and finite")
-    knots = f.knots[0], f.knots[-1]
+    radii = (ball_knot_radii if one_off else cached_knot_radii)(
+        radius, psf, a, f.knots)
+    r_in, r_out = radii[0], radii[-1]
     scale = (lattice.cell_volume / alpha) * b ** psf.dim / a
     if isinstance(f, Indicator):
         # f(theta(r)) = 1[r_in <= r <= r_out] exactly
-        r_in, r_out = (ball_knot_radii(radius, psf, a, knots) if one_off
-                       else ball_band_radii(radius, psf, a, *knots))
         return _LineSampler(lattice, b, r_in, r_out, scale)
     if one_off:
-        model, (r_in, r_out) = one_off_ball(radius, psf, a, *knots)
+        model = IntensityModel(Ball(psf.dim, radius), psf, a)
         table = _BandTable(model, f, r_in, r_out)
     else:
-        r_in, *_, r_out = _cached_knot_radii(radius, psf, a, f.knots)
         model = intensity_model(Ball(psf.dim, radius), psf, a)
         table = _band_table(model, f, r_in, r_out)
     return _RadialSampler(base_points=_annulus_points(lattice, b, r_in, r_out),

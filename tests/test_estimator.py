@@ -143,8 +143,6 @@ def test_alpha_refuses_a_rule_that_moves_when_halved(monkeypatch):
         return nodes, weights * (1.0 + 1e-9 * (n_panels == 4))
 
     monkeypatch.setattr(estimator, "panel_nodes", skewed)
-    # alpha_f caches the value of the true rule; integrate afresh
-    estimator._cached_alpha_f.cache_clear()
     with pytest.raises(TruncationError, match="halved"):
         alpha_f(f, profile)
 

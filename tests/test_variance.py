@@ -963,8 +963,8 @@ def test_random_radius_builds_outside_the_process_caches(monkeypatch, f):
     (an indicator fits no model), and the caches of intensity models and
     band tables read the same before and after the call, as do the
     cached band radii."""
-    caches = (phantom.intensity_model, phantom.ball_band_radii,
-              variance._cached_knot_radii, variance._cached_band_table)
+    caches = (phantom.intensity_model, phantom.cached_knot_radii,
+              variance._cached_band_table)
     fits, tables = [], []
     fit, table = phantom._fit_radial_model, variance._BandTable
     monkeypatch.setattr(phantom, "_fit_radial_model",
