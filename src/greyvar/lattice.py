@@ -141,13 +141,13 @@ def centered_box(half_widths) -> Box:
     return Box(tuple(-h for h in hw), hw)
 
 
-def integer_cover(placement: LatticePlacement, window: Box,
-                  any_shift: bool = False) -> np.ndarray:
-    """Integer coordinates k whose points can fall in the window.
+def integer_cover(placement: LatticePlacement, window: Box) -> np.ndarray:
+    """Integer coordinates k whose points under this placement can fall
+    in the window (the box that enumerate_points filters).
 
     The window corners are pulled back through the placement map; the
-    resulting integer box is padded by one cell (plus the whole shift
-    range when any_shift is set, for reuse across placements).
+    resulting integer box is padded by one cell and by the placement's
+    shift.
     """
     A = placement.lattice.basis
     d = placement.lattice.dim
@@ -155,11 +155,8 @@ def integer_cover(placement: LatticePlacement, window: Box,
         *[(window.lo[i], window.hi[i]) for i in range(d)])).reshape(d, -1).T
     y = corners @ placement.rotation / placement.b  # Q^T x / b
     k_corners = y @ np.linalg.inv(A).T
-    if any_shift:
-        shift_reach = 1.0
-    else:
-        u = np.linalg.solve(A, placement.shift)
-        shift_reach = float(np.max(np.abs(u)))
+    u = np.linalg.solve(A, placement.shift)
+    shift_reach = float(np.max(np.abs(u)))
     lo = np.floor(k_corners.min(axis=0) - shift_reach - 1e-9)
     hi = np.ceil(k_corners.max(axis=0) + 1e-9) + 1
     return _integer_box(lo, hi, f"covering {window}")

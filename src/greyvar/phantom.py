@@ -137,6 +137,9 @@ def capfrac(r, s, R: float, d: int):
 # quadrature layout for the radial cap integral (see _ball_intensity_radii)
 _N_CORE = 24        # panels on [0, w1] (cap fraction constant there)
 _N_EDGE = 16        # zeta-panels per transition half
+# their rules on [0, 1], built once: nodes and weights of each
+_CORE_RULE = panel_nodes((0.0, 1.0), _N_CORE)
+_EDGE_RULE = panel_nodes((0.0, 1.0), _N_EDGE)
 # transition radii per block: its (32, 240) temporaries stay under glibc's
 # 128 KiB mmap threshold, so a model build (81 radii) reuses heap pages
 # instead of mapping and faulting fresh ones for every temporary
@@ -168,7 +171,7 @@ def _ball_intensity_radii(psf: Psf, a: float, R: float, radii) -> np.ndarray:
     inside = rr < R
     core_hi = np.minimum(w1, W)
     if np.any(inside):
-        v, w = panel_nodes((0.0, 1.0), _N_CORE)
+        v, w = _CORE_RULE
         hi = core_hi[inside]
         nodes = hi[:, None] * v[None, :]
         f = eval_rho(psf, nodes) * nodes ** (d - 1)
@@ -179,7 +182,7 @@ def _ball_intensity_radii(psf: Psf, a: float, R: float, radii) -> np.ndarray:
     lo = w1
     hi = np.minimum(w2, W)
     rows = np.flatnonzero(hi > lo)
-    z, zw = panel_nodes((0.0, 1.0), _N_EDGE)
+    z, zw = _EDGE_RULE
     for start in range(0, rows.size, _ROW_BLOCK):
         sel = rows[start:start + _ROW_BLOCK]
         li, hi_, ri = lo[sel], hi[sel], rr[sel]

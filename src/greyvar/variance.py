@@ -43,12 +43,13 @@ indicator weight scores a shift by the number of shifted lattice points
 in the annulus r_in <= r <= r_out (f(theta(r)) = 1[r_in <= r <= r_out]
 exactly, as the annulus autocorrelation of the exact engine uses),
 counted in closed form one lattice line at a time (_LineSampler).  The
-binary volume and any other weight score squared radii |p + o|^2, one
-matrix product per chunk of shifts o, read only where they fall in the
-band of squared radii that can score: the volume compares them with the
-squared radius, and a smooth weight reads a cubic table of
-f(theta(sqrt s)) over the squared radius s, certified against the
-intensity model (_BandTable).
+binary volume is the same count with r_in = 0, the lattice points in the
+ball.  A smooth weight scores squared radii |p + o|^2, one matrix
+product per chunk of shifts o, read only where they fall in the band of
+squared radii that can score, from a cubic table of f(theta(sqrt s))
+over the squared radius s, certified against the intensity model
+(_BandTable).  Both kernels take their lattice lines or points from one
+enumerator of the cells near a ball's band (_cells_near).
 """
 
 from __future__ import annotations
@@ -571,14 +572,14 @@ class MCResult:
     across batches.
 
     n_points is the number of lattice points the kernel can score per
-    shift, or of lattice lines for an indicator weight (the largest over
-    the radii of mc_random_radius).  An indicator's counts are exact
-    integers.  A smooth weight reads a table within _BAND_TOL of
-    f(theta(r)) of the intensity model, at the points whose squared
-    radius lies in the table's band (every other point reads exactly 0),
-    so each batch mean is within scale * n_points * _BAND_TOL of the one
-    that reads the model itself, scale = cell_volume b^d / (a alpha_f)
-    the factor on the summed weights.
+    shift, or of lattice lines for an indicator weight and the binary
+    volume (the largest over the radii of mc_random_radius).  Those
+    counts are exact integers.  A smooth weight reads a table within
+    _BAND_TOL of f(theta(r)) of the intensity model, at the points whose
+    squared radius lies in the table's band (every other point reads
+    exactly 0), so each batch mean is within scale * n_points * _BAND_TOL
+    of the one that reads the model itself, scale = cell_volume b^d /
+    (a alpha_f) the factor on the summed weights.
     """
 
     n: int
@@ -607,23 +608,21 @@ def _reduce_batches(means, variances, n, n_points):
 
 @dataclass
 class _RadialSampler:
-    """Shift-only sampler for a centered ball: precomputed lattice points
-    restricted to those that can meet the evaluation band.
+    """Smooth-weight sampler for a centered ball: precomputed lattice
+    points restricted to those that can meet the weight's band.
 
     Each chunk of shifts o gets its squared radii |p + o|^2 = |p|^2 +
     2 p.o + |o|^2 from one BLAS product of the lifted points [p, |p|^2,
     1] (built once) with the columns [2 o, 1, |o|^2], written into the
-    thread's workspace.  `evaluate` reads exactly 0 at every squared
-    radius outside `band`, so only the entries inside it are read: the
-    binary volume's (-inf, R^2], a smooth weight's _BandTable.band.  The
-    expansion can round a little below 0 near the origin, which both
-    read as s = 0.
+    thread's workspace.  The table reads exactly 0 at every squared
+    radius outside table.band, so only the entries inside it are read.
+    The expansion can round a little below 0 near the origin, which the
+    table reads as s = 0.
     """
 
     base_points: np.ndarray  # (N, d) scaled lattice points b A k
     basis_b: np.ndarray      # b A, mapping a unit-cell shift to an offset
-    evaluate: callable       # squared radii (n,) -> weights (n,)
-    band: tuple[float, float]  # squared radii outside it evaluate to 0
+    table: _BandTable        # squared radii (n,) -> weights (n,)
     scale: float             # multiplies the summed weights
     lifted: np.ndarray = field(init=False, repr=False)  # (N, d + 2)
 
@@ -646,15 +645,15 @@ class _RadialSampler:
         return self.scale * self.column_sums(rsq)
 
     def column_sums(self, rsq: np.ndarray) -> np.ndarray:
-        """evaluate(rsq).sum(axis=0) of an (N, K) array of squared radii,
+        """table(rsq).sum(axis=0) of an (N, K) array of squared radii,
         reading only the entries inside the band.  The entries left out
         read exactly 0, and bincount adds each column's entries in row
         order, as that sum does for K >= 2, so the two agree bit for bit
         (numpy sums a single column pairwise, which agrees to rounding)."""
-        lo, hi = self.band
+        lo, hi = self.table.band
         idx = np.flatnonzero((rsq >= lo) & (rsq <= hi))
         k = rsq.shape[1]
-        weights = self.evaluate(rsq.ravel().take(idx))
+        weights = self.table(rsq.ravel().take(idx))
         return np.bincount(idx % k, weights, minlength=k)
 
     def run_batch(self, seed, n_reps) -> tuple[float, float]:
@@ -687,9 +686,10 @@ def _workspace(n: int) -> np.ndarray:
 
 
 class _LineSampler:
-    """Indicator-weight sampler for a centered ball: the number of
-    shifted lattice points b A (k + u) in the annulus r_in <= r <= r_out,
-    counted one lattice line at a time.
+    """Indicator-weight and binary-volume sampler for a centered ball:
+    the number of shifted lattice points b A (k + u) in the annulus
+    r_in <= r <= r_out (the ball r <= r_out when r_in = 0), counted one
+    lattice line at a time.
 
     Split k = (k', m) along the last basis vector, with G = A^T A, g =
     G[d, :d-1] and the Schur complement S = G' - g g^T / G_dd.  Then
@@ -716,7 +716,9 @@ class _LineSampler:
         gram = lattice.basis.T @ lattice.basis
         gdd, g = gram[-1, -1], gram[-1, :-1]
         schur = gram[:-1, :-1] - np.outer(g, g) / gdd
-        lines = _annulus_lines(schur, r_out / b)
+        lines = _cells_near(schur, 0.0, r_out / b,
+                            f"of lattice lines within {r_out / b:g} cells "
+                            f"of a ball's centre")
         # g and S divided by G_dd, squared radii by b^2 G_dd
         self.g, self.schur = g / gdd, schur / gdd
         self.rho_sq = (r_out / b) ** 2 / gdd
@@ -781,60 +783,50 @@ class _LineSampler:
                             self.score)
 
 
-def _annulus_lines(schur: np.ndarray, reach: float) -> np.ndarray:
-    """Integer k' (one row each) of the lattice lines k' + u' whose
-    distance from the origin, |k' + u'|_S in units of b, can be at most
-    reach for some u' in [0, 1)^(d-1).
+def _cells_near(gram: np.ndarray, r_lo: float, r_hi: float,
+                purpose: str) -> np.ndarray:
+    """Integer cells k (one row each, as floats) some point k + u of
+    which, u in [0, 1)^n, can lie at a distance |k + u|_G =
+    sqrt((k + u)^T G (k + u)) in [r_lo, r_hi] from the origin.
 
-    The bounding box |k'_i + u'_i| <= reach sqrt((S^-1)_ii) of that
+    The bounding box |k_i + u_i| <= r_hi sqrt((G^-1)_ii) of the r_hi
     ellipsoid is checked against the budget before it is allocated;
-    every k' + u' lies within half a cell diameter (in the S norm) of
-    k' + 1/2, which the lines kept must reach.
+    every k + u lies within half a cell diameter (in the G norm) of the
+    centre k + 1/2, so the cells kept are those whose centre lies within
+    that distance of [r_lo, r_hi].
     """
-    n = len(schur)
-    ext = reach * np.sqrt(np.diag(np.linalg.inv(schur)))
-    box = lat._integer_box(
-        np.floor(-ext - 1.0 - 1e-9), np.floor(ext + 1e-9) + 1.0,
-        f"of lattice lines within {reach:g} cells of a ball's centre")
+    n = len(gram)
+    ext = r_hi * np.sqrt(np.diag(np.linalg.inv(gram)))
+    box = lat._integer_box(np.floor(-ext - 1.0 - 1e-9),
+                           np.floor(ext + 1e-9) + 1.0, purpose)
     signs = np.array(np.meshgrid(*([[-0.5, 0.5]] * n))).reshape(n, -1).T
     half_diam = math.sqrt(float(np.max(
-        np.einsum("ij,jk,ik->i", signs, schur, signs))))
+        np.einsum("ij,jk,ik->i", signs, gram, signs))))
+    lo = max(r_lo - half_diam - 1e-9, 0.0)
+    hi = r_hi + half_diam + 1e-9
     # the box and the distances freed as soon as they are used: no more
-    # than two (N, d - 1) arrays and a mask are alive at once, within the
-    # 32 (d - 1) bytes per box point that _integer_box budgets for
+    # than two (N, n) arrays and a mask are alive at once, within the
+    # 32 n bytes per box point that _integer_box budgets for
     centre = box + 0.5
     del box
-    dist_sq = np.einsum("ij,jk,ik->i", centre, schur, centre)
-    keep = dist_sq <= (reach + half_diam + 1e-9) ** 2
+    dist_sq = np.einsum("ij,jk,ik->i", centre, gram, centre)
+    keep = (dist_sq >= lo * lo) & (dist_sq <= hi * hi)
     del dist_sq
-    lines = centre[keep]
-    lines -= 0.5
-    return lines
+    cells = centre[keep]
+    cells -= 0.5
+    return cells
 
 
 def _annulus_points(lattice: Lattice, b: float, r_lo: float, r_hi: float):
     """All b A k whose shifted copies b A (k + u), u in [0, 1)^d, can fall
-    in [r_lo, r_hi]: every copy lies within half a cell diameter of the
-    cell centre b A (k + 1/2)."""
-    reach = 0.5 * b * lattice.cell_diameter
-    window = lat.centered_box(((r_hi + 2.0 * reach),) * lattice.dim)
-    ks = lat.integer_cover(lat.LatticePlacement(lattice, b), window,
-                           any_shift=True)
-    basis = np.asarray(lattice.basis)
-    # the integer box freed once cast, and arithmetic in place: no more
-    # than two (N, d) arrays are alive at once, within the 32 d bytes per
-    # box point that integer_cover budgets for
-    pts = ks.astype(float)
-    del ks
-    pts = pts @ basis.T
+    in [r_lo, r_hi] (_cells_near in the Gram norm of A)."""
+    basis = lattice.basis
+    cells = _cells_near(basis.T @ basis, r_lo / b, r_hi / b,
+                        f"of lattice points within {r_hi / b:g} cells of "
+                        f"a ball's centre")
+    pts = cells @ basis.T
     pts *= b
-    sq = pts + 0.5 * b * basis.sum(axis=1)
-    sq *= sq
-    rc = sq.sum(axis=1)
-    del sq
-    np.sqrt(rc, out=rc)
-    keep = (rc >= r_lo - reach - 1e-12) & (rc <= r_hi + reach + 1e-12)
-    return pts[keep]
+    return pts
 
 
 # the smooth-weight table (_BandTable): its stated absolute error per
@@ -921,26 +913,12 @@ class _BandTable:
         return w
 
 
-def _band_table(model, f, r_in, r_out) -> _BandTable:
-    """_BandTable of a ball's intensity model, cached as intensity_model
-    caches the model; a weight that cannot be hashed is tabulated afresh
-    each call."""
-    try:
-        hash(f)
-    except TypeError:
-        return _BandTable(model, f, r_in, r_out)
-    return _cached_band_table(model, f, r_in, r_out)
-
-
-_cached_band_table = lru_cache(maxsize=16)(_BandTable)
-
-
 def _surface_sampler(radius, psf, f, a, lattice, b, alpha, *,
                      one_off=False):
     """The Monte Carlo sampler of the surface estimator for a centered
-    ball: lines for an indicator weight, points and a band table for any
-    other.  one_off builds the ball's model, band radii and table outside
-    the process caches, for a radius used once."""
+    ball: lines for an indicator weight, points and a band table (built
+    afresh each call) for any other.  one_off takes the ball's band radii
+    and model from outside the process caches, for a radius used once."""
     if not 0 < b < math.inf:
         raise DomainError("lattice scale b must be positive and finite")
     radii = (ball_knot_radii if one_off else cached_knot_radii)(
@@ -950,15 +928,12 @@ def _surface_sampler(radius, psf, f, a, lattice, b, alpha, *,
     if isinstance(f, Indicator):
         # f(theta(r)) = 1[r_in <= r <= r_out] exactly
         return _LineSampler(lattice, b, r_in, r_out, scale)
-    if one_off:
-        model = IntensityModel(Ball(psf.dim, radius), psf, a)
-        table = _BandTable(model, f, r_in, r_out)
-    else:
-        model = intensity_model(Ball(psf.dim, radius), psf, a)
-        table = _band_table(model, f, r_in, r_out)
+    model = (IntensityModel if one_off else intensity_model)(
+        Ball(psf.dim, radius), psf, a)
     return _RadialSampler(base_points=_annulus_points(lattice, b, r_in, r_out),
                           basis_b=b * np.asarray(lattice.basis),
-                          evaluate=table, band=table.band, scale=scale)
+                          table=_BandTable(model, f, r_in, r_out),
+                          scale=scale)
 
 
 def _run_batches(run_batch, n_items, seed, n_batches, workers, n_points):
@@ -1004,31 +979,17 @@ def mc_volume_binary(phantom, lattice: Lattice, b: float, n_reps: int,
                      seed, *, n_batches: int = 20,
                      workers: int = 1) -> MCResult:
     """Monte Carlo distribution of the binary volume estimator for a
-    ball: points whose membership cannot depend on the shift are counted
-    once, only the boundary shell is re-tested per shift."""
-    radius = phantom.radius
-    d = lattice.dim
-    pad = b * lattice.cell_diameter
-    window = lat.centered_box(((radius + 2 * pad),) * d)
-    ks = lat.integer_cover(lat.LatticePlacement(lattice, b), window,
-                           any_shift=True)
-    pts = b * (ks @ np.asarray(lattice.basis).T)
-    r_all = np.linalg.norm(pts, axis=1)
-    always_in = r_all < radius - pad - 1e-12
-    undecided = ~always_in & (r_all <= radius + pad + 1e-12)
-    n_core = int(np.count_nonzero(always_in))
-    vol_cell = b ** d * lattice.cell_volume
-
-    sampler = _RadialSampler(base_points=pts[undecided],
-                             basis_b=b * np.asarray(lattice.basis),
-                             evaluate=lambda rsq: rsq <= radius * radius,
-                             band=(-math.inf, radius * radius),
-                             scale=vol_cell)
-    res = _run_batches(sampler.run_batch, n_reps, seed, n_batches, workers,
-                       sampler.n_points)
-    core_vol = vol_cell * n_core
-    return replace(res, mean=res.mean + core_vol,
-                   batch_means=res.batch_means + core_vol)
+    ball: b^d det(A) times the number of shifted lattice points in the
+    ball, counted one lattice line at a time (_LineSampler with r_in =
+    0), so n_points is the number of lines."""
+    if n_batches < 2 or n_reps < 2 * n_batches:
+        raise DomainError("need at least 2 batches and 2 reps per batch")
+    if not 0 < b < math.inf:
+        raise DomainError("lattice scale b must be positive and finite")
+    sampler = _LineSampler(lattice, b, 0.0, phantom.radius,
+                           b ** lattice.dim * lattice.cell_volume)
+    return _run_batches(sampler.run_batch, n_reps, seed, n_batches, workers,
+                        sampler.n_points)
 
 
 def mc_random_radius(psf: Psf, f, a: float, lattice: Lattice, b: float,
@@ -1049,6 +1010,8 @@ def mc_random_radius(psf: Psf, f, a: float, lattice: Lattice, b: float,
     """
     if n_batches < 2 or n_radii < n_batches:
         raise DomainError("need at least one radius per batch")
+    if n_shifts < 2:
+        raise DomainError("need at least 2 shifts per radius")
     alpha = alpha_f(f, halfspace_profile(psf))
     n_points = []
 

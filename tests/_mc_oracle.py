@@ -4,17 +4,19 @@ f(IntensityModel.radial(r)) at every point, in chunks of 256 shifts.
 
 This is the kernel the package used before it scored squared radii with
 one matrix product, kept here as the oracle for that product, for the
-indicator's count per lattice line, for the band mask of smooth weights
-and for the trimmed point set.  annulus_counts counts the points of an
-annulus by brute force over an integer box, the oracle of the line
-count at hand-picked shifts.  It
-enumerates its own lattice points: every b A k within one cell diameter
-of the radii where the model intensity crosses the band edges, found by
-its own root search.  A shift moves a point by at most a cell diameter,
-and beyond those radii the grey value lies outside the band, where every
-weight vanishes.  Seeds and batch sizes follow the package's scheme (one
-root SeedSequence spawned per batch, sizes differing by at most one), so
-each oracle batch sees exactly the shifts the package draws.
+count per lattice line of the indicator weight and the binary volume,
+for the band mask of smooth weights and for the trimmed point set.
+annulus_counts counts the points of an annulus by brute force over an
+integer box, the oracle of the line count at hand-picked shifts.  The
+surface estimator enumerates its own lattice points: every b A k within
+one cell diameter of the radii where the model intensity crosses the
+band edges, found by its own root search.  A shift moves a point by at
+most a cell diameter, and beyond those radii the grey value lies outside
+the band, where every weight vanishes.  The binary volume scores every
+point within a cell diameter of the ball.  Seeds and batch sizes follow
+the package's scheme (one root SeedSequence spawned per batch, sizes
+differing by at most one), so each oracle batch sees exactly the shifts
+the package draws.
 """
 
 import math
@@ -111,17 +113,10 @@ def mc_surface(radius, psf, f, a, lattice, b, n_reps, seed, n_batches=20):
 
 def mc_volume_binary(radius, lattice, b, n_reps, seed, n_batches=20):
     """Batch means and batch variances of the binary volume estimator:
-    points that stay inside for every shift are counted once and added
-    after the batch reduction, as the package does."""
-    d = lattice.dim
-    pad = b * lattice.cell_diameter
-    pts = lattice_points(lattice, b, radius + 2 * pad)
-    r = np.linalg.norm(pts, axis=1)
-    always_in = r < radius - pad - 1e-12
-    undecided = ~always_in & (r <= radius + pad + 1e-12)
-    vol_cell = b ** d * lattice.cell_volume
-    means, variances = _batches(
-        pts[undecided], b * np.asarray(lattice.basis),
-        lambda r: (r <= radius).astype(float), vol_cell, n_reps, seed,
-        n_batches)
-    return means + vol_cell * int(np.count_nonzero(always_in)), variances
+    every point within a cell diameter of the ball, scored under every
+    shift."""
+    pts = lattice_points(lattice, b, radius + b * lattice.cell_diameter)
+    return _batches(pts, b * np.asarray(lattice.basis),
+                    lambda r: (r <= radius).astype(float),
+                    b ** lattice.dim * lattice.cell_volume, n_reps, seed,
+                    n_batches)

@@ -168,7 +168,7 @@ def test_integer_cover_over_budget_allocates_nothing(monkeypatch):
     tracemalloc.start()
     try:
         with pytest.raises(TruncationError, match="budget") as err:
-            integer_cover(place, centered_box((1.1,) * 3), any_shift=True)
+            integer_cover(place, centered_box((1.1,) * 3))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

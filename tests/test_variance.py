@@ -573,6 +573,14 @@ def test_mc_validation():
     with pytest.raises(DomainError):
         mc_surface(Ball(2, 1.0), GAUSS2, Indicator(), 0.1, Z2, 0.1, 100,
                    seed=0, n_batches=1)
+    # shapes whose batch or per-radius variances would be NaN
+    for n_reps, n_batches in ((100, 1), (30, 20)):
+        with pytest.raises(DomainError):
+            mc_volume_binary(Ball(2, 1.0), Z2, 0.1, n_reps, seed=0,
+                             n_batches=n_batches)
+    with pytest.raises(DomainError):
+        mc_random_radius(GAUSS2, Indicator(), 0.1, Z2, 0.1, RadiusDensity(),
+                         40, 1, seed=0)
     # nonpositive and non-finite scales are refused, not turned into NaN,
     # zero or negative-scale results
     for bad in (-0.1, math.inf, math.nan):
@@ -642,8 +650,8 @@ def test_in_band_sums_equal_dense_read(a, f):
     table = variance._BandTable(
         phantom.intensity_model(Ball(2, 1.0), GAUSS2, a), f, r_in, r_out)
     sampler = variance._RadialSampler(
-        base_points=np.zeros((0, 2)), basis_b=np.eye(2), evaluate=table,
-        band=table.band, scale=1.0)
+        base_points=np.zeros((0, 2)), basis_b=np.eye(2), table=table,
+        scale=1.0)
     lo, hi = table.band
     assert lo == (-math.inf if r_in == 0.0 else r_in * r_in - 1e-12 * hi)
     edges = [r_in * r_in, r_out * r_out, lo, hi, 0.0, -1e-17]
@@ -695,19 +703,24 @@ def test_mc_surface_smooth_weight_matches_oracle():
                                atol=0)
 
 
-@pytest.mark.parametrize("latt, b", [(Z2, 0.04), (unit_lattice(3), 0.08)])
+# skewed lattices: no basis vector is orthogonal to another
+SKEW2 = Lattice(((1.0, 0.3), (-0.2, 0.9)))
+SKEW3 = Lattice(((1.0, 0.3, -0.2), (0.1, 0.8, 0.25), (-0.15, 0.2, 1.1)))
+
+
+@pytest.mark.parametrize("latt, b", [(Z2, 0.04), (unit_lattice(3), 0.08),
+                                     (hexagonal_lattice(), 0.04),
+                                     (SKEW2, 0.04), (SKEW3, 0.08)])
 def test_mc_volume_binary_equals_oracle(latt, b):
+    """Counting the points of the ball one lattice line at a time scores
+    every shift as the oracle's point-by-point test of every point within
+    a cell diameter of the ball does."""
     got = mc_volume_binary(Ball(latt.dim, 1.0), latt, b, 600, seed=2,
                            n_batches=2)
     means, variances = mc_oracle.mc_volume_binary(1.0, latt, b, 600, 2,
                                                   n_batches=2)
     np.testing.assert_array_equal(got.batch_means, means)
     np.testing.assert_array_equal(got.batch_variances, variances)
-
-
-# skewed lattices: no basis vector is orthogonal to another
-SKEW2 = Lattice(((1.0, 0.3), (-0.2, 0.9)))
-SKEW3 = Lattice(((1.0, 0.3, -0.2), (0.1, 0.8, 0.25), (-0.15, 0.2, 1.1)))
 
 
 @pytest.mark.parametrize("latt", [Z2, unit_lattice(3), hexagonal_lattice(),
@@ -757,7 +770,8 @@ def test_line_counts_on_tangent_lines(dim):
 
 
 @pytest.mark.parametrize("latt, ab", [(unit_lattice(3), 0.05),
-                                      (hexagonal_lattice(), 0.05)])
+                                      (hexagonal_lattice(), 0.05),
+                                      (SKEW3, 0.05)])
 def test_annulus_points_drop_only_zero_weight_points(latt, ab):
     """Points kept by their cell centre are a subset of the oracle's
     points, and no dropped point gets a nonzero weight under any of 1000
@@ -790,12 +804,12 @@ def test_annulus_points_peak_within_box_budget(monkeypatch, dim, b):
     boxes = []
 
     def counted(*args, **kwargs):
-        ks = cover(*args, **kwargs)
+        ks = box(*args, **kwargs)
         boxes.append(len(ks))
         return ks
 
-    cover = lattice.integer_cover
-    monkeypatch.setattr(lattice, "integer_cover", counted)
+    box = lattice._integer_box
+    monkeypatch.setattr(lattice, "_integer_box", counted)
     tracemalloc.start()
     try:
         _annulus_points(unit_lattice(dim), b, 0.9, 1.1)
@@ -822,7 +836,7 @@ def test_annulus_lines_peak_within_box_budget(monkeypatch, dim, reach):
     monkeypatch.setattr(lattice, "_integer_box", counted)
     tracemalloc.start()
     try:
-        variance._annulus_lines(np.eye(dim - 1), reach)
+        variance._cells_near(np.eye(dim - 1), 0.0, reach, "of lines")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -866,7 +880,7 @@ def test_smooth_mc_weight_reads_the_model_only_in_the_band(psf, a):
     outside = rsq > r_out ** 2
     if r_in > 0.0:
         outside |= rsq < r_in ** 2
-    got = sampler.evaluate(rsq.copy())
+    got = sampler.table(rsq.copy())
     assert np.any(expected > 0.0) and np.any(outside)
     np.testing.assert_allclose(got, expected, rtol=0,
                                atol=variance._BAND_TOL)
@@ -879,7 +893,6 @@ def test_band_table_over_its_cell_cap_is_refused(monkeypatch):
     """A table that needs more cells than the cap allows to meet its
     bound is refused, not returned with a larger error."""
     monkeypatch.setattr(variance, "_BAND_CELLS_MAX", variance._BAND_CELLS)
-    variance._cached_band_table.cache_clear()
     with pytest.raises(TruncationError, match="smooth-weight table"):
         mc_surface(Ball(2, 1.0), GAUSS2, SmoothPlateau(), 0.05, Z2, 0.05,
                    40, seed=0)
@@ -908,13 +921,10 @@ def test_mc_results_report_points_scored():
     scale = 0.05 ** 2 / (0.05 * alpha)
     assert np.all(np.abs(got.batch_means - means)
                   <= scale * got.n_points * variance._BAND_TOL)
-    # the binary volume scores only points within a cell diameter of the
-    # sphere; the rest are counted once
+    # the binary volume counts the lines that pass within the radius of
+    # the centre for some shift
     vol = mc_volume_binary(Ball(2, 1.0), Z2, 0.04, 40, seed=0)
-    axis = 0.04 * np.arange(-30, 31)
-    r = np.hypot(axis[:, None], axis[None, :])
-    assert vol.n_points == np.count_nonzero(
-        np.abs(r - 1.0) <= 0.04 * math.sqrt(2.0))
+    assert vol.n_points == 2 * math.floor(1.0 / 0.04) + 2
 
 
 @pytest.mark.parametrize("f, builds", [(Indicator(), 0),
@@ -960,11 +970,10 @@ def test_indicator_rows_fit_no_intensity_model(monkeypatch, tmp_path):
 def test_random_radius_builds_outside_the_process_caches(monkeypatch, f):
     """A random radius never repeats: each one's band radii, and for a
     smooth weight its intensity model and table, are built exactly once
-    (an indicator fits no model), and the caches of intensity models and
-    band tables read the same before and after the call, as do the
-    cached band radii."""
-    caches = (phantom.intensity_model, phantom.cached_knot_radii,
-              variance._cached_band_table)
+    (an indicator fits no model), and the cache of intensity models reads
+    the same before and after the call, as does the cache of band
+    radii."""
+    caches = (phantom.intensity_model, phantom.cached_knot_radii)
     fits, tables = [], []
     fit, table = phantom._fit_radial_model, variance._BandTable
     monkeypatch.setattr(phantom, "_fit_radial_model",
