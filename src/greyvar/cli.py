@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import argparse
 import csv
-import difflib
+import functools
 import hashlib
 import json
 import math
@@ -403,106 +403,93 @@ def _variance_rows(view: ConfigView, seed: int, workers: int, *,
     return _VAR_HEADER, rows
 
 
-def _cmd_mc_variance(view: ConfigView, seed: int, workers: int):
-    return _variance_rows(view, seed, workers, with_mc=True,
-                          with_theory=False, default_reps=10000)
-
-
-def _cmd_theory_variance(view: ConfigView, seed: int, workers: int):
-    return _variance_rows(view, seed, workers, with_mc=False,
-                          with_theory=True)
-
-
-def _cmd_scaling_study(view: ConfigView, seed: int, workers: int):
-    return _variance_rows(view, seed, workers, with_mc=True,
-                          with_theory=True, default_reps=2000)
-
-
-_COMMANDS = {
-    "profile": _cmd_profile,
-    "shells": _cmd_shells,
-    "estimate": _cmd_estimate,
-    "fourier": _cmd_fourier,
-    "mc-variance": _cmd_mc_variance,
-    "theory-variance": _cmd_theory_variance,
-    "scaling-study": _cmd_scaling_study,
-}
-
 # Every key a subcommand may read.  Anything else in the config is
 # rejected up front: a typo like mc.reps would otherwise be ignored
 # silently and the run would use the default while the user believes
 # their value applied.  main() asserts after each run that the resolved
-# keys stayed inside this table, so the table cannot drift from the code.
+# keys stayed inside its command's set, so the table cannot drift from
+# the code.
 
 _COMMON_KEYS = {"seed", "out.dir"}
-_PHANTOM_KEYS = {"phantom.kind", "phantom.dim", "phantom.radius"}
 _PSF_KEYS = {"psf.kind", "psf.support"}
-_WEIGHT_KEYS = {"weight.kind", "weight.beta", "weight.omega",
-                "weight.beta_inner", "weight.omega_inner"}
 _LATTICE_KEYS = {"lattice.kind", "lattice.matrix"}
-_SCALE_KEYS = {"scales.a", "scales.b"}
+# the weighted layer: phantom, PSF and weight
+_LAYER_KEYS = (_COMMON_KEYS | _PSF_KEYS
+               | {"phantom.kind", "phantom.dim", "phantom.radius",
+                  "weight.kind", "weight.beta", "weight.omega",
+                  "weight.beta_inner", "weight.omega_inner"})
+# the layer sampled on a lattice of spacing b at scale a
+_PLACED_KEYS = _LAYER_KEYS | _LATTICE_KEYS | {"scales.a", "scales.b"}
+_MC_KEYS = _PLACED_KEYS | {"mc.replicates", "mc.batches"}
 
-_KNOWN_KEYS = {
-    "profile": _COMMON_KEYS | {"phantom.dim"} | _PSF_KEYS
-    | {"profile.range"},
-    "shells": _COMMON_KEYS | {"phantom.dim"} | _LATTICE_KEYS
-    | {"shells.xi_max"},
-    "estimate": _COMMON_KEYS | _PHANTOM_KEYS | _PSF_KEYS | _WEIGHT_KEYS
-    | _LATTICE_KEYS | _SCALE_KEYS | {"estimate.replicates"},
-    "fourier": _COMMON_KEYS | _PHANTOM_KEYS | _PSF_KEYS | _WEIGHT_KEYS
-    | {"scales.a", "fourier.q"},
-    "mc-variance": _COMMON_KEYS | _PHANTOM_KEYS | _PSF_KEYS | _WEIGHT_KEYS
-    | _LATTICE_KEYS | _SCALE_KEYS | {"mc.replicates", "mc.batches"},
-    "theory-variance": _COMMON_KEYS | _PHANTOM_KEYS | _PSF_KEYS
-    | _WEIGHT_KEYS | _LATTICE_KEYS | _SCALE_KEYS,
+# name: (function, help line, known config keys)
+_COMMANDS = {
+    "profile": (_cmd_profile,
+                "tabulate the half-space grey profile of a PSF",
+                _COMMON_KEYS | _PSF_KEYS | {"phantom.dim", "profile.range"}),
+    "shells": (_cmd_shells,
+               "list dual-lattice shells (norm, multiplicity)",
+               _COMMON_KEYS | _LATTICE_KEYS
+               | {"phantom.dim", "shells.xi_max"}),
+    "estimate": (_cmd_estimate,
+                 "run the surface estimator on random placements",
+                 _PLACED_KEYS | {"estimate.replicates"}),
+    "fourier": (_cmd_fourier,
+                "tabulate the blurred-ball layer transform and its "
+                "leading-term model",
+                _LAYER_KEYS | {"scales.a", "fourier.q"}),
+    "mc-variance": (functools.partial(_variance_rows, with_mc=True,
+                                      with_theory=False, default_reps=10000),
+                    "Monte Carlo variance over random placements",
+                    _MC_KEYS),
+    "theory-variance": (functools.partial(_variance_rows, with_mc=False,
+                                          with_theory=True),
+                        "exact variance plus asymptotic model",
+                        _PLACED_KEYS),
+    "scaling-study": (functools.partial(_variance_rows, with_mc=True,
+                                        with_theory=True, default_reps=2000),
+                      "empirical and exact variance over an (a, b) grid",
+                      _MC_KEYS),
 }
-_KNOWN_KEYS["scaling-study"] = (_KNOWN_KEYS["mc-variance"]
-                                | _KNOWN_KEYS["theory-variance"])
 
 
-def _check_known_keys(command: str, raw: dict[str, str]) -> None:
-    known = _KNOWN_KEYS[command]
+def _check_known_keys(command: str, known: set[str],
+                      raw: dict[str, str]) -> None:
     for key in sorted(raw):
         if key in known:
             continue
+        # imported here: only a rejected key needs a suggestion
+        import difflib
         close = difflib.get_close_matches(key, sorted(known), n=1)
         hint = f"; did you mean {close[0]!r}?" if close else ""
         raise ConfigError(key, f"unknown config key for {command}{hint}")
 
 
-_HELP = {
-    "profile": "tabulate the half-space grey profile of a PSF",
-    "shells": "list dual-lattice shells (norm, multiplicity)",
-    "estimate": "run the surface estimator on random placements",
-    "fourier": "tabulate the blurred-ball layer transform and its "
-               "leading-term model",
-    "mc-variance": "Monte Carlo variance over random placements",
-    "theory-variance": "exact variance plus asymptotic model",
-    "scaling-study": "empirical and exact variance over an (a, b) grid",
-}
-
-
 def _build_parser() -> argparse.ArgumentParser:
+    width = max(map(len, _COMMANDS))
+    listing = "".join(f"\n  {name:<{width}}  {line}"
+                      for name, (_, line, _) in _COMMANDS.items())
     parser = argparse.ArgumentParser(
         prog="greyvar",
         description="Grey-value estimator experiments: config in, "
-                    "CSV + manifest out.")
+                    "CSV + manifest out.",
+        epilog="commands:" + listing,
+        formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version",
                         version=f"greyvar {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in _COMMANDS.items():
-        p = sub.add_parser(name, help=_HELP[name])
-        p.add_argument("config", nargs="?", default=None,
-                       help="flat key=value config file")
-        p.add_argument("--set", action="append", default=[],
-                       metavar="KEY=VALUE",
-                       help="override a config entry (repeatable)")
-        p.add_argument("--out", default=None, metavar="DIR",
-                       help="output directory (default: config out.dir "
-                            "or '.')")
-        p.add_argument("--workers", type=int, default=1, metavar="N",
-                       help="worker threads for Monte Carlo batches; "
-                            "output is identical for any value")
+    parser.add_argument("command", choices=_COMMANDS, metavar="COMMAND",
+                        help="the experiment to run, listed below")
+    parser.add_argument("config", nargs="?", default=None,
+                        help="flat key=value config file")
+    parser.add_argument("--set", action="append", default=[],
+                        metavar="KEY=VALUE",
+                        help="override a config entry (repeatable)")
+    parser.add_argument("--out", default=None, metavar="DIR",
+                        help="output directory (default: config out.dir "
+                             "or '.')")
+    parser.add_argument("--workers", type=int, default=1, metavar="N",
+                        help="worker threads for Monte Carlo batches; "
+                             "output is identical for any value")
     return parser
 
 
@@ -511,7 +498,9 @@ def _emit_error(record: dict) -> None:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    # intermixed, so the config file may follow --set options
+    args = _build_parser().parse_intermixed_args(argv)
+    run, _, known = _COMMANDS[args.command]
     start = time.perf_counter()
     try:
         raw: dict[str, str] = {}
@@ -531,17 +520,23 @@ def main(argv=None) -> int:
             raw[key.strip()] = value.strip()
         if args.workers < 1:
             raise ConfigError("--workers", "must be >= 1")
-        _check_known_keys(args.command, raw)
+        _check_known_keys(args.command, known, raw)
 
         view = ConfigView(raw)
         seed = view.intval("seed", 0)
         out_dir = args.out if args.out is not None \
             else view.get("out.dir", ".")
-        os.makedirs(out_dir, exist_ok=True)
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError("out.dir" if args.out is None else "--out",
+                              f"cannot make directory {out_dir!r}: "
+                              f"{exc.strerror}")
 
-        header, rows = _COMMANDS[args.command](view, seed, args.workers)
-        stray = set(view.resolved) - _KNOWN_KEYS[args.command]
-        assert not stray, f"_KNOWN_KEYS out of date: {sorted(stray)}"
+        header, rows = run(view, seed, args.workers)
+        stray = set(view.resolved) - known
+        assert not stray, (f"known keys of {args.command} out of date: "
+                           f"{sorted(stray)}")
         csv_name = f"{args.command}.csv"
         csv_path = os.path.join(out_dir, csv_name)
         _write_csv(csv_path, header, rows)

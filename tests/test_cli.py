@@ -22,7 +22,7 @@ import pytest
 
 import greyvar
 from greyvar import lattice, variance
-from greyvar.cli import main
+from greyvar.cli import _COMMANDS, main
 from greyvar.estimator import Indicator, SmoothPlateau
 from greyvar.lattice import unit_lattice
 from greyvar.phantom import Ball
@@ -286,6 +286,23 @@ def test_missing_config_file_is_exit_2(tmp_path, capsys):
     assert record["key"] == "config"
 
 
+@pytest.mark.parametrize("key,under", [("--out", False), ("--out", True),
+                                       ("out.dir", False)])
+def test_output_path_under_a_file_is_exit_2(tmp_path, capsys, key, under):
+    """An output directory that names an existing file, or a path under
+    one, is a config error naming the key that gave it."""
+    blocker = tmp_path / "taken"
+    blocker.write_text("not a directory\n")
+    where = str(blocker / "sub" if under else blocker)
+    argv = (["profile", "--out", where] if key == "--out"
+            else ["profile", "--set", f"out.dir={where}"])
+    assert main(argv) == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "config"
+    assert record["key"] == key
+    assert where in record["message"]
+
+
 def test_bad_lattice_matrix_is_exit_2(tmp_path, capsys):
     rc = main(["shells", "--set", "lattice.matrix=1,0,2,0",
                "--out", str(tmp_path)])
@@ -444,6 +461,60 @@ def test_truncation_knobs_are_unknown_keys(tmp_path, capsys, key):
     assert json.loads(capsys.readouterr().err.strip())["key"] == key
 
 
+def test_help_lists_every_command_with_its_line(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    lines = capsys.readouterr().out.splitlines()
+    for name, (_, help_line, _) in _COMMANDS.items():
+        assert any(line.split() == [name, *help_line.split()]
+                   for line in lines), name
+
+
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+def test_command_help_exits_0(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert "usage: greyvar" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [[], ["nope"], ["--out", "x"],
+                                  ["--workers", "2", "mc_variance"]])
+def test_unknown_or_missing_command_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "COMMAND" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+def test_argument_order_does_not_change_the_run(command, tmp_path):
+    """The config file may follow --set options, and options may come
+    before the command: each order reads the same config and writes the
+    same CSV."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("phantom.dim = 3\nseed = 4\n")
+    known = _COMMANDS[command][2]
+    sets = [arg for key, value in [("scales.a", "0.25"),
+                                   ("mc.replicates", "200")]
+            if key in known for arg in ("--set", f"{key}={value}")]
+    orders = {"usual": [command, str(cfg), *sets, "--workers", "2"],
+              "workers-first": ["--workers", "2", command, str(cfg), *sets],
+              "config-last": [command, *sets, "--workers", "2", str(cfg)]}
+    csvs, configs = set(), []
+    for name, argv in orders.items():
+        out = tmp_path / name
+        assert main(argv + ["--out", str(out)]) == 0, name
+        csvs.add((out / f"{command}.csv").read_bytes())
+        manifest = _read_manifest(out)
+        assert manifest["workers"] == 2
+        configs.append(manifest["config"])
+    assert len(csvs) == 1
+    assert configs[0]["phantom.dim"] == "3"
+    assert configs[0] == configs[1] == configs[2]
+
+
 def test_module_entry_point(tmp_path):
     src = os.path.dirname(os.path.dirname(os.path.abspath(greyvar.__file__)))
     env = dict(os.environ)
@@ -462,14 +533,14 @@ def test_import_loads_no_fft_interpolate_or_optimize():
     CLI leaves scipy.fft, scipy.interpolate and scipy.optimize unloaded;
     the manifest records no scipy version, so no scipy module at all.
     Only a Monte Carlo run with workers > 1 imports concurrent.futures
-    (and the logging it loads)."""
+    (and the logging it loads), and only a rejected config key difflib."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(greyvar.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
     code = ("import sys, greyvar, greyvar.cli; print(sorted(m for m in "
             "sys.modules if m == 'scipy' or m.startswith('scipy.') "
-            "or m == 'concurrent.futures'))")
+            "or m in ('concurrent.futures', 'difflib')))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env)
     assert proc.returncode == 0, proc.stderr
