@@ -389,6 +389,10 @@ def _variance_rows(view: ConfigView, seed: int, workers: int, *,
     if with_mc:
         n_reps = view.intval("mc.replicates", default_reps, minimum=100)
         n_batches = view.intval("mc.batches", 20, minimum=20)
+        if n_reps < 2 * n_batches:
+            raise ConfigError("mc.replicates",
+                              f"must be >= 2 * mc.batches = "
+                              f"{2 * n_batches}, got {n_reps}")
     rows = []
     for i, (a, b) in enumerate(_scale_pairs(view)):
         var_emp = se = None

@@ -38,22 +38,26 @@ tail bound.
 
 Monte Carlo uses the shift-only fast path for balls, a fixed number of
 batches with seeds spawned from one root seed, and a reduction ordered
-by batch index, so results are bit-identical for any worker count.  The
-indicator weight scores a shift by the number of shifted lattice points
-in the annulus r_in <= r <= r_out (f(theta(r)) = 1[r_in <= r <= r_out]
-exactly, as the annulus autocorrelation of the exact engine uses),
-counted in closed form one lattice line at a time (_LineSampler).  The
-binary volume is the same count with r_in = 0, the lattice points in the
-ball.  A smooth weight scores squared radii |p + o|^2, one matrix
-product per chunk of shifts o, read only where they fall in the band of
-squared radii that can score, from a cubic table of f(theta(sqrt s))
-over the squared radius s, certified against the intensity model
-(_BandTable).  Both kernels take their lattice lines or points from one
-enumerator of the cells near a ball's band (_cells_near).
+by batch index.  Consecutive batches are scored together, in chunks of
+one working-set budget that run across batch ends, by groups that the
+batch sizes and the budget fix, so results are bit-identical for any
+worker count.  The indicator weight scores a shift by the number of
+shifted lattice points in the annulus r_in <= r <= r_out (f(theta(r)) =
+1[r_in <= r <= r_out] exactly, as the annulus autocorrelation of the
+exact engine uses), counted in closed form one lattice line at a time
+(_LineSampler).  The binary volume is the same count with r_in = 0,
+the lattice points in the ball.  A smooth weight scores squared radii
+|p + o|^2, one matrix product per chunk of shifts o, read only where
+they fall in the band of squared radii that can score, from a cubic
+table of f(theta(sqrt s)) over the squared radius s, certified against
+the intensity model (_BandTable).  Both kernels take their lattice
+lines or points from one enumerator of the cells near a ball's band
+(_cells_near).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import threading
 from dataclasses import dataclass, field, replace
@@ -77,10 +81,22 @@ from .psf import (HalfspaceProfile, Psf, ball_volume, halfspace_profile,
 from .spectral import (AnnulusFourier, RadialFourier, ball_indicator_fourier,
                        knot_images, profile_fourier_1d, psf_fourier)
 
-# bytes of one (N, K) float64 array of squared radii in the Monte Carlo
-# kernel, or of the line kernel's four (lines, K) arrays; the chunk width
-# K follows from it (at least one column)
-_MC_CHUNK_BYTES = 8 << 20
+# working set of one Monte Carlo chunk: a smooth weight's (N, K) float64
+# squared radii for K shifts, or the line kernel's four (lines, K)
+# arrays; K = _MC_CHUNK_BYTES // sampler.column_bytes, at least 1, and
+# chunks run across batch ends.  On a 2-core Xeon with 2 MiB of L2, the
+# benchmark's smooth rows ran equally fast from 512 KiB to 1 MiB, up to
+# twice as fast as one chunk per 40-shift batch, and its line kernel
+# (1,396 lines) ran 10% slower at 512 KiB (11 columns) than from 768 KiB
+# to 2 MiB (17 to 46 columns).  At 1.5 and 2 MiB some smooth runs took
+# 5x longer, none with one BLAS thread; 768 KiB keeps the smooth product
+# (N, d+2) x (d+2, K) at m n k <= 2^19 for d <= 3, within which OpenBLAS
+# multiplies on one thread.
+_MC_CHUNK_BYTES = 768 << 10
+# a group of consecutive batches, the unit a worker scores, closes once
+# it holds this many chunks of shifts, so at most one chunk in that many
+# is partial
+_GROUP_CHUNKS = 8
 
 # rounding allowance of a finite primal sum, in units of eps times the
 # magnitude of every term: each term is a few dozen floating-point
@@ -649,40 +665,56 @@ class _RadialSampler:
         reading only the entries inside the band.  The entries left out
         read exactly 0, and bincount adds each column's entries in row
         order, as that sum does for K >= 2, so the two agree bit for bit
-        (numpy sums a single column pairwise, which agrees to rounding)."""
+        (numpy sums a single column pairwise, which agrees to rounding).
+
+        The band masks, then the in-band values and the table's
+        temporaries, live in the thread's second workspace, so a chunk
+        allocates only its in-band indices and its sums."""
         lo, hi = self.table.band
-        idx = np.flatnonzero((rsq >= lo) & (rsq <= hi))
-        k = rsq.shape[1]
-        weights = self.table(rsq.ravel().take(idx))
-        return np.bincount(idx % k, weights, minlength=k)
+        n, k = rsq.size, rsq.shape[1]
+        masks = _workspace(-(-n // 4), 1).view(np.bool_)[:2 * n]
+        inside, below = masks.reshape(2, *rsq.shape)
+        np.greater_equal(rsq, lo, out=inside)
+        np.less_equal(rsq, hi, out=below)
+        inside &= below
+        idx = np.flatnonzero(inside)
+        work = _workspace(4 * len(idx), 1).reshape(4, -1)
+        weights = self.table(np.take(rsq.ravel(), idx, out=work[0],
+                                     mode="clip"), work[1:])
+        # idx % k, as idx - (idx // k) k: numpy's floor division by a
+        # scalar ran four times as fast as its remainder (16 against 76 us
+        # for 20,000 indices)
+        cols = np.floor_divide(idx, k, out=work[1].view(np.intp))
+        cols *= -k
+        cols += idx
+        return np.bincount(cols, weights, minlength=k)
 
-    def run_batch(self, seed, n_reps) -> tuple[float, float]:
-        width = max(1, _MC_CHUNK_BYTES // (8 * max(len(self.lifted), 1)))
-        return _shift_batch(seed, n_reps, len(self.basis_b), width,
-                            self.score)
+    @property
+    def dim(self) -> int:
+        return len(self.basis_b)
+
+    @property
+    def column_bytes(self) -> int:
+        """Bytes of the squared radii of one shift."""
+        return 8 * len(self.lifted)
 
 
-def _shift_batch(seed, n_reps, d, width, score) -> tuple[float, float]:
-    """Mean and sample variance of score(u) over n_reps uniform cell
-    shifts u drawn from seed, width at a time: successive draws
-    concatenate, so the shifts do not depend on the chunk width."""
-    rng = np.random.default_rng(seed)
-    vals = np.empty(n_reps)
-    for i0 in range(0, n_reps, width):
-        vals[i0:i0 + width] = score(rng.random((min(width, n_reps - i0), d)))
-    return float(vals.mean()), float(vals.var(ddof=1))
-
-
-# one float64 buffer per thread for the Monte Carlo kernels' arrays,
-# grown as needed and reused by every batch and sampler of that thread
+# two float64 buffers per thread for the Monte Carlo kernels' arrays,
+# grown as needed and reused by every chunk and sampler of that thread:
+# a chunk's squared radii or line arrays (slot 0), and the smooth
+# kernel's band masks and in-band arrays (slot 1).  Allocated afresh,
+# arrays over malloc's mmap threshold (128 KiB to start with) would fault
+# in new pages on every chunk.
 _buffers = threading.local()
 
 
-def _workspace(n: int) -> np.ndarray:
-    buf = getattr(_buffers, "buf", None)
-    if buf is None or len(buf) < n:
-        buf = _buffers.buf = np.empty(n)
-    return buf[:n]
+def _workspace(n: int, slot: int = 0) -> np.ndarray:
+    bufs = getattr(_buffers, "bufs", None)
+    if bufs is None:
+        bufs = _buffers.bufs = [np.empty(0), np.empty(0)]
+    if len(bufs[slot]) < n:
+        bufs[slot] = np.empty(n)
+    return bufs[slot][:n]
 
 
 class _LineSampler:
@@ -734,6 +766,15 @@ class _LineSampler:
     def n_points(self) -> int:
         return len(self.lifted)
 
+    @property
+    def dim(self) -> int:
+        return self.lifted.shape[1] - 1
+
+    @property
+    def column_bytes(self) -> int:
+        """Bytes of the four line arrays of one shift."""
+        return 32 * len(self.lifted)
+
     def score(self, u: np.ndarray) -> np.ndarray:
         return self.scale * self.counts(u)
 
@@ -775,12 +816,6 @@ class _LineSampler:
             total -= self.ones @ lo
             total += n_lines
         return total
-
-    def run_batch(self, seed, n_reps) -> tuple[float, float]:
-        # the four (lines, width) arrays of a chunk share _MC_CHUNK_BYTES
-        width = max(1, _MC_CHUNK_BYTES // (32 * max(len(self.lifted), 1)))
-        return _shift_batch(seed, n_reps, self.lifted.shape[1] - 1, width,
-                            self.score)
 
 
 def _cells_near(gram: np.ndarray, r_lo: float, r_hi: float,
@@ -897,19 +932,25 @@ class _BandTable:
             finer[1::2] = g(np.arange(1, 4 * cells, 2), 4 * cells)
             quarters = finer
 
-    def __call__(self, rsq):
+    def __call__(self, rsq, work=None):
+        """Read the table at rsq; work, a float64 array of three of its
+        shape, holds the cells, the result and a temporary (allocated
+        when None)."""
+        if work is None:
+            work = np.empty((3, *rsq.shape))
         t = rsq
         t -= self.lo
         t *= self.inv_h
         t += 1.0
         np.clip(t, 0.0, self.coefs.shape[1] - 1, out=t)
-        cell = t.astype(np.intp)
+        cell, w, tmp = work[0].view(np.intp), work[1], work[2]
+        np.copyto(cell, t, casting="unsafe")
         t -= cell
         c0, c1, c2, c3 = self.coefs
-        w = c3.take(cell)
+        np.take(c3, cell, out=w, mode="clip")
         for c in (c2, c1, c0):
             w *= t
-            w += c.take(cell)
+            w += np.take(c, cell, out=tmp, mode="clip")
         return w
 
 
@@ -936,23 +977,88 @@ def _surface_sampler(radius, psf, f, a, lattice, b, alpha, *,
                           scale=scale)
 
 
-def _run_batches(run_batch, n_items, seed, n_batches, workers, n_points):
-    """Split n_items over n_batches seeds spawned from seed, run
-    run_batch(seed, size) -> (mean, variance) for each, on a thread pool
-    when workers > 1, and reduce in batch order."""
-    seeds = np.random.SeedSequence(seed).spawn(n_batches)
+def _chunk_width(sampler) -> int:
+    """Shifts per chunk: as many as _MC_CHUNK_BYTES holds, at least 1."""
+    return max(1, _MC_CHUNK_BYTES // max(sampler.column_bytes, 1))
+
+
+def _shift_moments(sampler, seeds, sizes):
+    """Means and sample variances of sampler.score(u) over the batches
+    of uniform cell shifts u, sizes[j] of them drawn from seeds[j].
+    The batches are scored one after the other in chunks of
+    _chunk_width(sampler) shifts that span batch ends; successive draws
+    concatenate, so the shifts do not depend on the chunk width."""
+    width = _chunk_width(sampler)
+    vals = np.empty(int(np.sum(sizes)))
+    shifts = np.empty((min(width, len(vals)), sampler.dim))
+    draws = ((np.random.default_rng(s), int(n)) for s, n in zip(seeds, sizes))
+    left = 0
+    for i0 in range(0, len(vals), width):
+        chunk = shifts[:min(width, len(vals) - i0)]
+        j = 0
+        while j < len(chunk):
+            if left == 0:
+                rng, left = next(draws)
+            m = min(left, len(chunk) - j)
+            rng.random(out=chunk[j:j + m])
+            j += m
+            left -= m
+        vals[i0:i0 + len(chunk)] = sampler.score(chunk)
+    # each run of equal batch sizes as the rows of one array: a row's sum
+    # adds pairwise as numpy sums the batch alone, so the moments agree
+    # bit for bit
+    means, variances, i0 = [], [], 0
+    for n, run in itertools.groupby(int(n) for n in sizes):
+        rows = vals[i0:i0 + n * len(list(run))].reshape(-1, n)
+        means += rows.mean(axis=1).tolist()
+        variances += rows.var(axis=1, ddof=1).tolist()
+        i0 += rows.size
+    return means, variances
+
+
+def _batch_plan(n_items, seed, n_batches):
+    """n_batches seeds spawned from seed, and n_items split over them."""
     sizes = np.full(n_batches, n_items // n_batches)
     sizes[:n_items % n_batches] += 1
+    return np.random.SeedSequence(seed).spawn(n_batches), sizes
+
+
+def _ordered_map(fn, items, workers):
+    """[fn(*item) for item in items], on a thread pool when workers > 1."""
     if workers and workers > 1:
         # imported here: it loads logging, which a serial run never needs
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            out = list(pool.map(run_batch, seeds, sizes))
-    else:
-        out = [run_batch(s, n) for s, n in zip(seeds, sizes)]
-    means = [m for m, _ in out]
-    variances = [v for _, v in out]
-    return _reduce_batches(means, variances, int(sizes.sum()), n_points)
+            return list(pool.map(lambda item: fn(*item), items))
+    return [fn(*item) for item in items]
+
+
+def _batch_groups(sizes, width):
+    """(start, stop) of each group of consecutive batches: a group closes
+    once it holds _GROUP_CHUNKS chunks of width shifts, and the last one
+    takes the batches left."""
+    bounds, held = [0], 0
+    for j, n in enumerate(sizes, 1):
+        held += n
+        if held >= _GROUP_CHUNKS * width or j == len(sizes):
+            bounds.append(j)
+            held = 0
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+def _run_shifts(sampler, n_reps, seed, n_batches, workers):
+    """Monte Carlo of sampler.score over n_reps uniform shifts in
+    n_batches batches, each group of _batch_groups scored by
+    _shift_moments, on a thread pool when workers > 1.  The groups
+    follow from the batch sizes and the chunk width alone, so the result
+    does not depend on workers."""
+    seeds, sizes = _batch_plan(n_reps, seed, n_batches)
+    out = _ordered_map(
+        lambda lo, hi: _shift_moments(sampler, seeds[lo:hi], sizes[lo:hi]),
+        _batch_groups(sizes, _chunk_width(sampler)), workers)
+    return _reduce_batches([m for means, _ in out for m in means],
+                           [v for _, variances in out for v in variances],
+                           n_reps, sampler.n_points)
 
 
 def mc_surface(phantom, psf: Psf, f, a: float, lattice: Lattice, b: float,
@@ -971,8 +1077,7 @@ def mc_surface(phantom, psf: Psf, f, a: float, lattice: Lattice, b: float,
     radius = phantom.radius
     alpha = alpha_f(f, halfspace_profile(psf))
     sampler = _surface_sampler(radius, psf, f, a, lattice, b, alpha)
-    return _run_batches(sampler.run_batch, n_reps, seed, n_batches, workers,
-                        sampler.n_points)
+    return _run_shifts(sampler, n_reps, seed, n_batches, workers)
 
 
 def mc_volume_binary(phantom, lattice: Lattice, b: float, n_reps: int,
@@ -988,8 +1093,7 @@ def mc_volume_binary(phantom, lattice: Lattice, b: float, n_reps: int,
         raise DomainError("lattice scale b must be positive and finite")
     sampler = _LineSampler(lattice, b, 0.0, phantom.radius,
                            b ** lattice.dim * lattice.cell_volume)
-    return _run_batches(sampler.run_batch, n_reps, seed, n_batches, workers,
-                        sampler.n_points)
+    return _run_shifts(sampler, n_reps, seed, n_batches, workers)
 
 
 def mc_random_radius(psf: Psf, f, a: float, lattice: Lattice, b: float,
@@ -1023,14 +1127,15 @@ def mc_random_radius(psf: Psf, f, a: float, lattice: Lattice, b: float,
         for i, s in enumerate(radii):
             sampler = _surface_sampler(float(s), psf, f, a, lattice, b,
                                        alpha, one_off=True)
-            m, v = sampler.run_batch(rng.integers(0, 2 ** 63), n_shifts)
-            cond_means[i] = m
-            cond_vars[i] = v
+            (cond_means[i],), (cond_vars[i],) = _shift_moments(
+                sampler, [rng.integers(0, 2 ** 63)], [n_shifts])
             n_points.append(sampler.n_points)
         return float(cond_means.mean()), float(cond_vars.mean())
 
-    res = _run_batches(run_batch, n_radii, seed, n_batches, workers, 0)
-    return replace(res, n=res.n * n_shifts, n_points=max(n_points))
+    seeds, sizes = _batch_plan(n_radii, seed, n_batches)
+    out = _ordered_map(run_batch, zip(seeds, sizes), workers)
+    return _reduce_batches([m for m, _ in out], [v for _, v in out],
+                           n_radii * n_shifts, max(n_points))
 
 
 # ---------------------------------------------------------------------------

@@ -331,6 +331,19 @@ def test_config_validation_exit_2(tmp_path, capsys, override, key):
     assert record["key"] == key
 
 
+@pytest.mark.parametrize("command", ["mc-variance", "scaling-study"])
+def test_too_few_replicates_per_batch_is_exit_2(tmp_path, capsys, command):
+    """Each batch needs two replicates for its sample variance; fewer is
+    a config error naming mc.replicates, not a numerical one."""
+    rc = main([command, "--set", "scales.a=0.1", "--set",
+               "mc.replicates=100", "--set", "mc.batches=60",
+               "--out", str(tmp_path)])
+    assert rc == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "config"
+    assert record["key"] == "mc.replicates"
+
+
 @pytest.mark.parametrize("argv,key", [
     (["shells", "--set", "lattice.matrix=nan,0,0,1"], "lattice.matrix"),
     (["shells", "--set", "lattice.matrix=inf,0,0,1"], "lattice.matrix"),

@@ -100,6 +100,25 @@ def test_cold_sieve_vs_enumeration(dim, n_max, monkeypatch):
     np.testing.assert_array_equal(counts, brute)
 
 
+@pytest.mark.parametrize("window", [1, 7, 64])
+def test_sieve_windows_do_not_change_counts(window, monkeypatch):
+    """The d=2 sieve counts one window of squared norms at a time; narrow
+    windows, whose ends fall between and on the norms of every row, give
+    the counts of enumeration, and so does the d=3 fold of them."""
+    monkeypatch.setattr(lattice_module, "_SIEVE_WINDOW", window)
+    for dim in (2, 3):
+        monkeypatch.setattr(lattice_module, "_SHELL_TABLES", {})
+        n_max = 1000 if dim == 2 else 200
+        counts = _sum_of_squares_counts(dim, n_max)
+        reach = int(math.isqrt(n_max)) + 1
+        rng = np.arange(-reach, reach + 1)
+        k = np.stack(np.meshgrid(*([rng] * dim), indexing="ij"),
+                     axis=-1).reshape(-1, dim)
+        n = np.sum(k * k, axis=1)
+        brute = np.bincount(n[n <= n_max], minlength=n_max + 1)
+        np.testing.assert_array_equal(counts, brute)
+
+
 def test_sieve_over_budget_allocates_nothing(monkeypatch):
     """Z^3 tables stop at |z| = 2048, where the fold's n_max^1.5 time
     reaches seconds; |xi| = 2049 and 16384 are refused before any array

@@ -11,6 +11,7 @@ and bound layers by frozen constants and structural properties.
 
 import dataclasses
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -672,22 +673,29 @@ def test_in_band_sums_equal_dense_read(a, f):
 
 
 def test_warm_smooth_batch_allocates_nothing_beyond_two_arrays():
-    """A warm batch of the 892-point bump sampler (d = 2, a = b = 0.0125,
-    40 shifts) writes its squared radii into the thread's workspace and
-    reads only the in-band entries, so its traced peak stays under two
-    (N, 40) float64 arrays; reading every entry peaked at four."""
+    """A warm group of 40-shift batches of the 892-point bump sampler
+    (d = 2, a = b = 0.0125) writes each chunk's squared radii, band masks
+    and in-band arrays into the thread's workspaces and reads only the
+    in-band entries, so its traced peak (the in-band indices) stays under
+    one (N, K) float64 array of its K-shift chunks; reading every entry
+    peaked at four."""
     psf, f, a = compact_bump(2, 1.0), SmoothPlateau(), 0.0125
     alpha = variance.alpha_f(f, halfspace_profile(psf))
     sampler = variance._surface_sampler(1.0, psf, f, a, Z2, a, alpha)
     assert sampler.n_points == 892
-    sampler.run_batch(0, 40)
+    width = variance._chunk_width(sampler)
+    seeds, sizes = variance._batch_plan(2000, 0, 50)
+    (lo, hi), *_ = variance._batch_groups(sizes, width)
+    # the group spans several batches and several chunks
+    assert hi - lo > 2 and sizes[lo:hi].sum() > 2 * width
+    variance._shift_moments(sampler, seeds[lo:hi], sizes[lo:hi])
     tracemalloc.start()
     try:
-        sampler.run_batch(1, 40)
+        variance._shift_moments(sampler, seeds[lo:hi], sizes[lo:hi])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2 * sampler.n_points * 40 * 8
+    assert peak < sampler.n_points * width * 8
 
 
 def test_mc_surface_smooth_weight_matches_oracle():
@@ -1011,16 +1019,91 @@ def test_band_radii_edge_rules():
             run()
 
 
+# chunk widths for the runner tests, against batches of 67 and 68
+# shifts: one column, chunks that split a batch, chunks that span two
+# batches, and one chunk for all of them
+_CHUNK_WIDTHS = (1, 10, 25, 150, 100_000)
+
+
+def _at_chunk_width(monkeypatch, sampler, width):
+    monkeypatch.setattr(variance, "_MC_CHUNK_BYTES",
+                        width * sampler.column_bytes)
+    assert variance._chunk_width(sampler) == width
+
+
 def test_mc_chunk_width_does_not_change_batches(monkeypatch):
-    """Successive shift draws concatenate, so a one-column chunk gives
-    the batches of the default width bit for bit."""
-    args = (Ball(2, 1.0), GAUSS2, Indicator(), 0.05, Z2, 0.05, 400, 8)
-    wide = mc_surface(*args, n_batches=4)
-    monkeypatch.setattr(variance, "_MC_CHUNK_BYTES", 1)
-    narrow = mc_surface(*args, n_batches=4)
-    np.testing.assert_array_equal(narrow.batch_means, wide.batch_means)
-    np.testing.assert_array_equal(narrow.batch_variances,
-                                  wide.batch_variances)
+    """Successive shift draws concatenate across chunks and batches, so
+    every chunk width gives the batches of the oracle, which scores each
+    batch alone, bit for bit: the indicator's and the binary volume's
+    counts are exact.  Some widths group several batches, others split
+    one."""
+    n_reps, n_batches, seed = 403, 6, 8
+    alpha = variance.alpha_f(Indicator(), halfspace_profile(GAUSS2))
+    runs = [
+        (variance._surface_sampler(1.0, GAUSS2, Indicator(), 0.05, Z2,
+                                   0.05, alpha),
+         lambda: mc_surface(Ball(2, 1.0), GAUSS2, Indicator(), 0.05, Z2,
+                            0.05, n_reps, seed, n_batches=n_batches),
+         mc_oracle.mc_surface(1.0, GAUSS2, Indicator(), 0.05, Z2, 0.05,
+                              n_reps, seed, n_batches=n_batches)),
+        (variance._LineSampler(Z2, 0.04, 0.0, 1.0, 1.0),
+         lambda: mc_volume_binary(Ball(2, 1.0), Z2, 0.04, n_reps, seed,
+                                  n_batches=n_batches),
+         mc_oracle.mc_volume_binary(1.0, Z2, 0.04, n_reps, seed,
+                                    n_batches=n_batches)),
+    ]
+    for sampler, run, (means, variances) in runs:
+        for width in _CHUNK_WIDTHS:
+            _at_chunk_width(monkeypatch, sampler, width)
+            got = run()
+            np.testing.assert_array_equal(got.batch_means, means)
+            np.testing.assert_array_equal(got.batch_variances, variances)
+
+
+def test_smooth_batches_agree_across_chunk_widths(monkeypatch):
+    """A smooth weight's squared radii come from one matrix product per
+    chunk, which rounds with the chunk's column count, so its batches
+    agree across chunk widths to rounding."""
+    alpha = variance.alpha_f(SmoothPlateau(), halfspace_profile(GAUSS2))
+    sampler = variance._surface_sampler(1.0, GAUSS2, SmoothPlateau(), 0.05,
+                                        Z2, 0.05, alpha)
+    runs = []
+    for width in _CHUNK_WIDTHS:
+        _at_chunk_width(monkeypatch, sampler, width)
+        runs.append(mc_surface(Ball(2, 1.0), GAUSS2, SmoothPlateau(), 0.05,
+                               Z2, 0.05, 403, 8, n_batches=6))
+    for got in runs[1:]:
+        np.testing.assert_allclose(got.batch_means, runs[0].batch_means,
+                                   rtol=1e-14, atol=0)
+        np.testing.assert_allclose(got.batch_variances,
+                                   runs[0].batch_variances,
+                                   rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("f", [Indicator(), SmoothPlateau()],
+                         ids=["indicator", "plateau"])
+def test_workers_bit_identical_over_groups_of_uneven_batches(f,
+                                                             monkeypatch):
+    """1001 shifts in 20 batches of 51 and 50, scored in 20-shift chunks:
+    each group holds several batches, the groups run on three threads
+    (more than the cores, switching often), each with its own
+    workspaces, and the batches equal those of one thread bit for bit."""
+    alpha = variance.alpha_f(f, halfspace_profile(GAUSS2))
+    sampler = variance._surface_sampler(1.0, GAUSS2, f, 0.1, Z2, 0.1, alpha)
+    _at_chunk_width(monkeypatch, sampler, 20)
+    _, sizes = variance._batch_plan(1001, 7, 20)
+    groups = variance._batch_groups(sizes, 20)
+    assert len(groups) >= 3 and all(hi - lo > 1 for lo, hi in groups)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        runs = [mc_surface(Ball(2, 1.0), GAUSS2, f, 0.1, Z2, 0.1, 1001, 7,
+                           workers=workers) for workers in (1, 3)]
+    finally:
+        sys.setswitchinterval(switch)
+    np.testing.assert_array_equal(runs[0].batch_means, runs[1].batch_means)
+    np.testing.assert_array_equal(runs[0].batch_variances,
+                                  runs[1].batch_variances)
 
 
 def test_volume_grey_never_exceeds_binary():
