@@ -5,9 +5,10 @@ Config files are plain text, one ``key = value`` per line, ``#`` starts
 a comment.  Dotted keys group settings (``psf.kind``, ``lattice.matrix``);
 values are scalars, comma lists, or grid specs ``lin:lo:hi:n`` /
 ``geom:lo:hi:n``.  ``--set key=value`` overrides file entries, the seed
-included (key ``seed``, default 0).  Keys the subcommand does not know
-are rejected, not ignored, so a typo cannot silently fall back to a
-default.
+included (key ``seed``, default 0).  Each subcommand reads its keys
+before it computes anything; a given key the run does not read is
+rejected, not ignored, so a typo or a setting this run has no use for
+cannot silently fall back to a default.
 
 Every run writes ``<subcommand>.csv`` (RFC 4180, 17 significant digits)
 and ``manifest.json`` into the output directory.  The manifest echoes
@@ -70,7 +71,8 @@ class ConfigView:
     """Raw key-value config plus a record of every resolved value.
 
     Commands read through the view; whatever they touch (explicit or
-    default) lands in ``resolved`` and is echoed by the manifest.
+    default) lands in ``resolved`` and is echoed by the manifest.  A
+    given key that never lands there is one the run does not use.
     """
 
     def __init__(self, raw: dict[str, str]):
@@ -157,10 +159,6 @@ class ConfigView:
 # model builders
 
 def _build_phantom(view: ConfigView) -> Ball:
-    kind = view.get("phantom.kind", "ball")
-    if kind != "ball":
-        raise ConfigError("phantom.kind",
-                          f"CLI experiments run on 'ball', got {kind!r}")
     dim = view.intval("phantom.dim", 2)
     if dim not in (2, 3):
         raise ConfigError("phantom.dim", f"must be 2 or 3, got {dim}")
@@ -171,9 +169,6 @@ def _build_phantom(view: ConfigView) -> Ball:
 def _build_psf(view: ConfigView, dim: int):
     kind = view.get("psf.kind", "gaussian")
     if kind == "gaussian":
-        if "psf.support" in view.raw:
-            raise ConfigError("psf.support",
-                              "a gaussian PSF takes no support radius")
         return gaussian(dim)
     if kind == "bump":
         return compact_bump(dim, view.floatval("psf.support", 1.0,
@@ -288,26 +283,27 @@ _VAR_HEADER = ["a", "b", "var_emp", "se", "var_exact", "var_asym",
 
 # ---------------------------------------------------------------------------
 # subcommands
+#
+# Each is a generator: it reads every config key it uses, yields the CSV
+# header, and only then computes and yields the rows, so main() can
+# refuse an unread key before any work is done.
 
 def _cmd_profile(view: ConfigView, seed: int, workers: int):
     dim = view.intval("phantom.dim", 2)
     psf = _build_psf(view, dim)
-    profile = halfspace_profile(psf)
     t = np.asarray(view.grid("profile.range", "lin:-4:4:161",
                              positive=False))
-    theta = profile.theta(t)
-    dtheta = profile.dtheta(t)
-    rows = [[tv, th, dth] for tv, th, dth in zip(t, theta, dtheta)]
-    return ["t", "theta_h", "dtheta_h"], rows
+    yield ["t", "theta_h", "dtheta_h"]
+    profile = halfspace_profile(psf)
+    yield from zip(t, profile.theta(t), profile.dtheta(t))
 
 
 def _cmd_shells(view: ConfigView, seed: int, workers: int):
     dim = view.intval("phantom.dim", 2)
     lattice = _build_lattice(view, dim)
     xi_max = view.floatval("shells.xi_max", 16.0, positive=True)
-    norms, counts = dual_shells(lattice, xi_max)
-    rows = [[norm, int(count)] for norm, count in zip(norms, counts)]
-    return ["xi_norm", "count"], rows
+    yield ["xi_norm", "count"]
+    yield from zip(*dual_shells(lattice, xi_max))
 
 
 def _single_scale(view: ConfigView, key: str) -> float:
@@ -329,16 +325,14 @@ def _cmd_estimate(view: ConfigView, seed: int, workers: int):
                                       f"(a, b) pair, got {len(pairs)}")
     (a, b), = pairs
     n_reps = view.intval("estimate.replicates", 1, minimum=1)
+    yield ["rep", "value", "raw_sum", "n_points", "n_support", "a", "b"]
     children = np.random.SeedSequence(seed).spawn(n_reps)
-    rows = []
     for rep, child in enumerate(children):
         placement = random_placement(lattice, b,
                                      np.random.default_rng(child))
         result = estimate_surface(phantom, psf, f, a, placement)
-        rows.append([rep, result.value, result.raw_sum, result.n_points,
-                     result.n_support, a, b])
-    return ["rep", "value", "raw_sum", "n_points", "n_support", "a", "b"], \
-        rows
+        yield [rep, result.value, result.raw_sum, result.n_points,
+               result.n_support, a, b]
 
 
 def _cmd_fourier(view: ConfigView, seed: int, workers: int):
@@ -347,15 +341,14 @@ def _cmd_fourier(view: ConfigView, seed: int, workers: int):
     f = _build_weight(view)
     a = _single_scale(view, "scales.a")
     q = np.asarray(view.grid("fourier.q", "geom:1:128:29"))
+    yield ["q", "layer_exact", "layer_main", "rel_gap"]
     layer = weighted_layer(phantom.radius, psf, a, f)
     exact = layer.at(q)
     main = ball_main_term(phantom.radius, halfspace_profile(psf), f, a, q,
                           phantom.dim)
-    rows = []
     for qv, ev, mv in zip(q, exact, main):
         rel = abs(ev - mv) / abs(ev) if ev != 0.0 else None
-        rows.append([qv, ev, mv, rel])
-    return ["q", "layer_exact", "layer_main", "rel_gap"], rows
+        yield [qv, ev, mv, rel]
 
 
 def _theory_cells(phantom, psf, f, lattice, a, b):
@@ -393,8 +386,9 @@ def _variance_rows(view: ConfigView, seed: int, workers: int, *,
             raise ConfigError("mc.replicates",
                               f"must be >= 2 * mc.batches = "
                               f"{2 * n_batches}, got {n_reps}")
-    rows = []
-    for i, (a, b) in enumerate(_scale_pairs(view)):
+    pairs = _scale_pairs(view)
+    yield _VAR_HEADER
+    for i, (a, b) in enumerate(pairs):
         var_emp = se = None
         if with_mc:
             mc = mc_surface(phantom, psf, f, a, lattice, b, n_reps,
@@ -403,76 +397,35 @@ def _variance_rows(view: ConfigView, seed: int, workers: int, *,
         cells = (None,) * 5
         if with_theory:
             cells = _theory_cells(phantom, psf, f, lattice, a, b)
-        rows.append([a, b, var_emp, se, *cells])
-    return _VAR_HEADER, rows
+        yield [a, b, var_emp, se, *cells]
 
 
-# Every key a subcommand may read.  Anything else in the config is
-# rejected up front: a typo like mc.reps would otherwise be ignored
-# silently and the run would use the default while the user believes
-# their value applied.  main() asserts after each run that the resolved
-# keys stayed inside its command's set, so the table cannot drift from
-# the code.
-
-_COMMON_KEYS = {"seed", "out.dir"}
-_PSF_KEYS = {"psf.kind", "psf.support"}
-_LATTICE_KEYS = {"lattice.kind", "lattice.matrix"}
-# the weighted layer: phantom, PSF and weight
-_LAYER_KEYS = (_COMMON_KEYS | _PSF_KEYS
-               | {"phantom.kind", "phantom.dim", "phantom.radius",
-                  "weight.kind", "weight.beta", "weight.omega",
-                  "weight.beta_inner", "weight.omega_inner"})
-# the layer sampled on a lattice of spacing b at scale a
-_PLACED_KEYS = _LAYER_KEYS | _LATTICE_KEYS | {"scales.a", "scales.b"}
-_MC_KEYS = _PLACED_KEYS | {"mc.replicates", "mc.batches"}
-
-# name: (function, help line, known config keys)
+# name: (function, help line)
 _COMMANDS = {
     "profile": (_cmd_profile,
-                "tabulate the half-space grey profile of a PSF",
-                _COMMON_KEYS | _PSF_KEYS | {"phantom.dim", "profile.range"}),
-    "shells": (_cmd_shells,
-               "list dual-lattice shells (norm, multiplicity)",
-               _COMMON_KEYS | _LATTICE_KEYS
-               | {"phantom.dim", "shells.xi_max"}),
+                "tabulate the half-space grey profile of a PSF"),
+    "shells": (_cmd_shells, "list dual-lattice shells (norm, multiplicity)"),
     "estimate": (_cmd_estimate,
-                 "run the surface estimator on random placements",
-                 _PLACED_KEYS | {"estimate.replicates"}),
+                 "run the surface estimator on random placements"),
     "fourier": (_cmd_fourier,
                 "tabulate the blurred-ball layer transform and its "
-                "leading-term model",
-                _LAYER_KEYS | {"scales.a", "fourier.q"}),
+                "leading-term model"),
     "mc-variance": (functools.partial(_variance_rows, with_mc=True,
                                       with_theory=False, default_reps=10000),
-                    "Monte Carlo variance over random placements",
-                    _MC_KEYS),
+                    "Monte Carlo variance over random placements"),
     "theory-variance": (functools.partial(_variance_rows, with_mc=False,
                                           with_theory=True),
-                        "exact variance plus asymptotic model",
-                        _PLACED_KEYS),
+                        "exact variance plus asymptotic model"),
     "scaling-study": (functools.partial(_variance_rows, with_mc=True,
                                         with_theory=True, default_reps=2000),
-                      "empirical and exact variance over an (a, b) grid",
-                      _MC_KEYS),
+                      "empirical and exact variance over an (a, b) grid"),
 }
-
-
-def _check_known_keys(command: str, known: set[str],
-                      raw: dict[str, str]) -> None:
-    for key in sorted(raw):
-        if key in known:
-            continue
-        # imported here: only a rejected key needs a suggestion
-        import difflib
-        close = difflib.get_close_matches(key, sorted(known), n=1)
-        hint = f"; did you mean {close[0]!r}?" if close else ""
-        raise ConfigError(key, f"unknown config key for {command}{hint}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
     width = max(map(len, _COMMANDS))
     listing = "".join(f"\n  {name:<{width}}  {line}"
-                      for name, (_, line, _) in _COMMANDS.items())
+                      for name, (_, line) in _COMMANDS.items())
     parser = argparse.ArgumentParser(
         prog="greyvar",
         description="Grey-value estimator experiments: config in, "
@@ -504,7 +457,7 @@ def _emit_error(record: dict) -> None:
 def main(argv=None) -> int:
     # intermixed, so the config file may follow --set options
     args = _build_parser().parse_intermixed_args(argv)
-    run, _, known = _COMMANDS[args.command]
+    run, _ = _COMMANDS[args.command]
     start = time.perf_counter()
     try:
         raw: dict[str, str] = {}
@@ -524,12 +477,24 @@ def main(argv=None) -> int:
             raw[key.strip()] = value.strip()
         if args.workers < 1:
             raise ConfigError("--workers", "must be >= 1")
-        _check_known_keys(args.command, known, raw)
+        if args.out is not None:
+            raw.pop("out.dir", None)  # overridden, so neither read nor refused
 
         view = ConfigView(raw)
         seed = view.intval("seed", 0)
         out_dir = args.out if args.out is not None \
             else view.get("out.dir", ".")
+        table = run(view, seed, args.workers)
+        header = next(table)
+        unread = sorted(set(raw) - set(view.resolved))
+        if unread:
+            # imported here: only a refused key needs a suggestion
+            import difflib
+            close = difflib.get_close_matches(unread[0],
+                                              sorted(view.resolved), n=1)
+            hint = f"; did you mean {close[0]!r}?" if close else ""
+            raise ConfigError(unread[0], f"not read by this {args.command} "
+                                         f"run{hint}")
         try:
             os.makedirs(out_dir, exist_ok=True)
         except OSError as exc:
@@ -537,10 +502,7 @@ def main(argv=None) -> int:
                               f"cannot make directory {out_dir!r}: "
                               f"{exc.strerror}")
 
-        header, rows = run(view, seed, args.workers)
-        stray = set(view.resolved) - known
-        assert not stray, (f"known keys of {args.command} out of date: "
-                           f"{sorted(stray)}")
+        rows = list(table)
         csv_name = f"{args.command}.csv"
         csv_path = os.path.join(out_dir, csv_name)
         _write_csv(csv_path, header, rows)

@@ -105,6 +105,15 @@ _ROUNDING_ULPS = 64
 _EPS = float(np.finfo(float).eps)
 
 
+def _check_dims(**parts) -> None:
+    """Refuse a phantom, PSF and lattice of different dimensions: the
+    sums and samplers below would mix them and still return a number."""
+    dims = {name: part.dim for name, part in parts.items()}
+    if len(set(dims.values())) > 1:
+        raise DomainError("dimensions differ: " + ", ".join(
+            f"{name} {dim}" for name, dim in dims.items()))
+
+
 # ---------------------------------------------------------------------------
 # convergent sums over dual shells
 
@@ -298,8 +307,7 @@ def variance_exact_ball(phantom, psf: Psf, f, a: float, lattice: Lattice,
     _refusing_dual_sum).  The sum and its tail_bound are both divided by
     (a alpha_f)^2, so the bound is in the units of the value.
     """
-    if lattice.dim != psf.dim:
-        raise DomainError("lattice and psf dimensions differ")
+    _check_dims(phantom=phantom, psf=psf, lattice=lattice)
     radius = phantom.radius
     layer = weighted_layer(radius, psf, a, f)
     alpha = alpha_f(f, halfspace_profile(psf))
@@ -338,6 +346,7 @@ def volume_variance_exact(radius: float, lattice: Lattice, b: float, *,
                               shells=info)
     if a is None:
         raise DomainError("grey volume variance needs the blur scale a")
+    _check_dims(psf=psf, lattice=lattice)
 
     def summand(xi):
         q = xi / b
@@ -521,6 +530,7 @@ def variance_asymptotic_isotropic(surface_area: float, psf: Psf, f,
     returned as the main term (Z = 0) plus the envelope 2 * main that
     bounds the oscillation band.
     """
+    _check_dims(psf=psf, lattice=lattice)
     profile = halfspace_profile(psf)
     ls, info = profile_lattice_sum(f, profile, lattice)
     alpha = alpha_f(f, profile)
@@ -1072,6 +1082,7 @@ def mc_surface(phantom, psf: Psf, f, a: float, lattice: Lattice, b: float,
     cell shift is rotation invariant, so the Haar factor integrates out
     exactly rather than approximately.
     """
+    _check_dims(phantom=phantom, psf=psf, lattice=lattice)
     if n_batches < 2 or n_reps < 2 * n_batches:
         raise DomainError("need at least 2 batches and 2 reps per batch")
     radius = phantom.radius
@@ -1087,6 +1098,7 @@ def mc_volume_binary(phantom, lattice: Lattice, b: float, n_reps: int,
     ball: b^d det(A) times the number of shifted lattice points in the
     ball, counted one lattice line at a time (_LineSampler with r_in =
     0), so n_points is the number of lines."""
+    _check_dims(phantom=phantom, lattice=lattice)
     if n_batches < 2 or n_reps < 2 * n_batches:
         raise DomainError("need at least 2 batches and 2 reps per batch")
     if not 0 < b < math.inf:
@@ -1112,6 +1124,7 @@ def mc_random_radius(psf: Psf, f, a: float, lattice: Lattice, b: float,
     smooth weight its intensity model and table, are built once, outside
     the process caches.
     """
+    _check_dims(psf=psf, lattice=lattice)
     if n_batches < 2 or n_radii < n_batches:
         raise DomainError("need at least one radius per batch")
     if n_shifts < 2:

@@ -436,6 +436,53 @@ def test_unknown_key_is_rejected_with_hint(tmp_path, capsys):
         == "shells.xi_max"
 
 
+@pytest.mark.parametrize("argv,key", [
+    # the indicator has no inner knots
+    (["theory-variance", "--set", "scales.a=0.1",
+      "--set", "weight.beta_inner=0.45"], "weight.beta_inner"),
+    # a matrix names the lattice, so its kind goes unread
+    (["shells", "--set", "lattice.kind=hexagonal",
+      "--set", "lattice.matrix=1,0,0,1"], "lattice.kind"),
+    # every CLI phantom is a ball; there is no kind to choose
+    (["theory-variance", "--set", "scales.a=0.1",
+      "--set", "phantom.kind=ball"], "phantom.kind"),
+    (["theory-variance", "--set", "scales.a=0.1",
+      "--set", "mc.batches=20"], "mc.batches"),
+])
+def test_unread_key_is_exit_2(tmp_path, capsys, argv, key):
+    """A key this run does not read is refused by name before any work:
+    no output directory, CSV or manifest is made."""
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "config"
+    assert record["key"] == key
+    assert not out.exists()
+
+
+def test_missing_and_unread_keys_are_exit_2(tmp_path, capsys):
+    """The reads come first, so a missing required key is named ahead of
+    a stray one; either way nothing is written."""
+    out = tmp_path / "out"
+    assert main(["theory-variance", "--set", "mc.batches=20",
+                 "--out", str(out)]) == 2
+    assert json.loads(capsys.readouterr().err.strip())["key"] == "scales.a"
+    assert not out.exists()
+
+
+def test_out_overrides_config_out_dir(tmp_path):
+    """--out wins over out.dir in the config file, which is then neither
+    read nor refused and stays out of the manifest."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"out.dir = {tmp_path / 'from-config'}\n"
+                   "shells.xi_max = 2\n")
+    out = tmp_path / "from-option"
+    assert main(["shells", str(cfg), "--out", str(out)]) == 0
+    assert (out / "shells.csv").exists()
+    assert not (tmp_path / "from-config").exists()
+    assert "out.dir" not in _read_manifest(out)["config"]
+
+
 def test_osc_bound_is_asymptotic_main_term(tmp_path):
     """osc_bound repeats var_asym, the main term; the band is
     [0, 2 osc_bound].  Indicator rows are finite primal sums."""
@@ -468,8 +515,8 @@ def test_truncation_is_exit_3(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("key", ["theory.xi_cap", "theory.tail_tol"])
 def test_truncation_knobs_are_unknown_keys(tmp_path, capsys, key):
-    rc = main(["theory-variance", "--set", f"{key}=3",
-               "--out", str(tmp_path)])
+    rc = main(["theory-variance", "--set", "scales.a=0.1",
+               "--set", f"{key}=3", "--out", str(tmp_path)])
     assert rc == 2
     assert json.loads(capsys.readouterr().err.strip())["key"] == key
 
@@ -479,7 +526,7 @@ def test_help_lists_every_command_with_its_line(capsys):
         main(["--help"])
     assert exc.value.code == 0
     lines = capsys.readouterr().out.splitlines()
-    for name, (_, help_line, _) in _COMMANDS.items():
+    for name, (_, help_line) in _COMMANDS.items():
         assert any(line.split() == [name, *help_line.split()]
                    for line in lines), name
 
@@ -508,10 +555,12 @@ def test_argument_order_does_not_change_the_run(command, tmp_path):
     same CSV."""
     cfg = tmp_path / "run.cfg"
     cfg.write_text("phantom.dim = 3\nseed = 4\n")
-    known = _COMMANDS[command][2]
+    readers = {"scales.a": ("estimate", "fourier", "mc-variance",
+                            "theory-variance", "scaling-study"),
+               "mc.replicates": ("mc-variance", "scaling-study")}
     sets = [arg for key, value in [("scales.a", "0.25"),
                                    ("mc.replicates", "200")]
-            if key in known for arg in ("--set", f"{key}={value}")]
+            if command in readers[key] for arg in ("--set", f"{key}={value}")]
     orders = {"usual": [command, str(cfg), *sets, "--workers", "2"],
               "workers-first": ["--workers", "2", command, str(cfg), *sets],
               "config-last": [command, *sets, "--workers", "2", str(cfg)]}

@@ -41,6 +41,7 @@ from greyvar.variance import (AsymptoticReport, RadiusDensity,
                               volume_variance_exact, weighted_layer)
 
 Z2 = unit_lattice(2)
+Z3 = unit_lattice(3)
 GAUSS2 = gaussian(2)
 
 
@@ -565,6 +566,37 @@ def test_engines_refuse_a_half_space():
     for call in calls:
         with pytest.raises(DomainError, match="not a ball"):
             call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: mc_surface(Ball(2, 1.0), GAUSS2, Indicator(), 0.1, Z3, 0.1, 100,
+                       seed=0, n_batches=10),
+    lambda: mc_surface(Ball(3, 1.0), GAUSS2, Indicator(), 0.1, Z2, 0.1, 100,
+                       seed=0, n_batches=10),
+    lambda: variance_exact_ball(Ball(3, 1.0), GAUSS2, Indicator(), 0.1, Z2,
+                                0.1),
+    lambda: variance_exact_ball(Ball(2, 1.0), GAUSS2, Indicator(), 0.1, Z3,
+                                0.1),
+    lambda: variance_bound_check(Ball(3, 1.0), GAUSS2, Indicator(), 0.1, Z2,
+                                 0.1),
+    lambda: mc_volume_binary(Ball(2, 1.0), Z3, 0.1, 100, seed=0,
+                             n_batches=10),
+    lambda: mc_random_radius(GAUSS2, Indicator(), 0.1, Z3, 0.1,
+                             RadiusDensity(), 20, 2, seed=0, n_batches=10),
+    lambda: variance_asymptotic_isotropic(2.0 * math.pi, GAUSS2, Indicator(),
+                                          Z3, 0.1),
+    lambda: variance_asymptotic_random_radius(GAUSS2, Indicator(), Z3, 0.1,
+                                              RadiusDensity()),
+    lambda: volume_variance_exact(1.0, Z3, 0.1, psf=GAUSS2, a=0.1),
+], ids=["mc_surface-lattice", "mc_surface-phantom", "exact-phantom",
+        "exact-lattice", "bound_check", "mc_volume_binary",
+        "mc_random_radius", "asymptotic", "asymptotic_random_radius",
+        "volume_grey"])
+def test_engines_refuse_mixed_dimensions(call):
+    """A phantom, PSF and lattice of different dimensions are refused,
+    not mixed into a number."""
+    with pytest.raises(DomainError, match="dimensions differ"):
+        call()
 
 
 def test_mc_validation():
