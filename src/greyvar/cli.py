@@ -158,10 +158,15 @@ class ConfigView:
 # ---------------------------------------------------------------------------
 # model builders
 
-def _build_phantom(view: ConfigView) -> Ball:
+def _phantom_dim(view: ConfigView) -> int:
     dim = view.intval("phantom.dim", 2)
     if dim not in (2, 3):
         raise ConfigError("phantom.dim", f"must be 2 or 3, got {dim}")
+    return dim
+
+
+def _build_phantom(view: ConfigView) -> Ball:
+    dim = _phantom_dim(view)
     radius = view.floatval("phantom.radius", 1.0, positive=True)
     return Ball(dim, radius)
 
@@ -289,8 +294,7 @@ _VAR_HEADER = ["a", "b", "var_emp", "se", "var_exact", "var_asym",
 # refuse an unread key before any work is done.
 
 def _cmd_profile(view: ConfigView, seed: int, workers: int):
-    dim = view.intval("phantom.dim", 2)
-    psf = _build_psf(view, dim)
+    psf = _build_psf(view, _phantom_dim(view))
     t = np.asarray(view.grid("profile.range", "lin:-4:4:161",
                              positive=False))
     yield ["t", "theta_h", "dtheta_h"]
@@ -299,8 +303,7 @@ def _cmd_profile(view: ConfigView, seed: int, workers: int):
 
 
 def _cmd_shells(view: ConfigView, seed: int, workers: int):
-    dim = view.intval("phantom.dim", 2)
-    lattice = _build_lattice(view, dim)
+    lattice = _build_lattice(view, _phantom_dim(view))
     xi_max = view.floatval("shells.xi_max", 16.0, positive=True)
     yield ["xi_norm", "count"]
     yield from zip(*dual_shells(lattice, xi_max))

@@ -8,9 +8,11 @@ stationary and isotropic in law.
 
 The dual lattice is A^{-T} Z^d, normalized so that <xi, z> is an integer
 for every dual/primal pair.  Lattice sums, primal or dual, run over
-shells of points grouped by norm, from one lister: point_shells.  It
-reads an exact sum-of-squares table for s Z^d and enumerates points for
-other lattices; dual shells are the shells of Lattice.dual.
+shells of points grouped by norm, from one lister: point_shells, whose
+dual shells are the shells of Lattice.dual.  It reads an exact
+sum-of-squares table for s Z^d; for other lattices it takes points from
+cells_near, the one enumerator of integer cells near a ball or its band
+under the memory budget, which the Monte Carlo samplers also use.
 """
 
 from __future__ import annotations
@@ -190,21 +192,38 @@ def _integer_box(lo, hi, purpose: str) -> np.ndarray:
     return np.stack([g.ravel() for g in grids], axis=1)
 
 
-def _points_within(lattice: Lattice, r_max: float) -> np.ndarray:
-    """Nonzero lattice points A k (k integer) with norm <= r_max.
+def cells_near(gram: np.ndarray, r_lo: float, r_hi: float,
+               purpose: str) -> np.ndarray:
+    """Integer cells k (one row each, as floats) some point k + u of
+    which, u in [0, 1)^n, can lie at a distance |k + u|_G =
+    sqrt((k + u)^T G (k + u)) in [r_lo, r_hi] from the origin.
 
-    The integer box |k_i| <= |A^{-1}| r_max + 1 covers the ball; it is
-    checked against the budget before it is allocated.
+    The bounding box |k_i + u_i| <= r_hi sqrt((G^-1)_ii) of the r_hi
+    ellipsoid is checked against the budget before it is allocated;
+    every k + u lies within half a cell diameter (in the G norm) of the
+    centre k + 1/2, so the cells kept are those whose centre lies within
+    that distance of [r_lo, r_hi].
     """
-    gen, d = lattice.basis, lattice.dim
-    reach = int(np.ceil(np.linalg.norm(np.linalg.inv(gen), 2) * r_max)) + 1
-    k = _integer_box([-reach] * d, [reach + 1] * d,
-                     f"covering lattice points to radius {r_max:g}")
-    k = k[np.any(k != 0, axis=1)]
-    pts = k @ gen.T
-    norms = np.linalg.norm(pts, axis=1)
-    keep = norms <= r_max + 1e-12
-    return pts[keep]
+    n = len(gram)
+    ext = r_hi * np.sqrt(np.diag(np.linalg.inv(gram)))
+    box = _integer_box(np.floor(-ext - 1.0 - 1e-9),
+                       np.floor(ext + 1e-9) + 1.0, purpose)
+    signs = np.array(np.meshgrid(*([[-0.5, 0.5]] * n))).reshape(n, -1).T
+    half_diam = math.sqrt(float(np.max(
+        np.einsum("ij,jk,ik->i", signs, gram, signs))))
+    lo = max(r_lo - half_diam - 1e-9, 0.0)
+    hi = r_hi + half_diam + 1e-9
+    # the box and the distances freed as soon as they are used: no more
+    # than two (N, n) arrays and a mask are alive at once, within the
+    # 32 n bytes per box point that _integer_box budgets for
+    centre = box + 0.5
+    del box
+    dist_sq = np.einsum("ij,jk,ik->i", centre, gram, centre)
+    keep = (dist_sq >= lo * lo) & (dist_sq <= hi * hi)
+    del dist_sq
+    cells = centre[keep]
+    cells -= 0.5
+    return cells
 
 
 _SHELL_TABLES: dict[int, np.ndarray] = {}
@@ -314,9 +333,10 @@ def point_shells(lattice: Lattice, r_max: float, r_min: float = 0.0):
     sorted norms with multiplicities (equal norms within 1e-9 merged).
 
     Scaled integer lattices s Z^d read the exact sum-of-squares table
-    and only the part of it above r_min; other lattices enumerate points
-    under the memory budget.  Either way the shells kept are exactly
-    those of the full list with norm > r_min.
+    and only the part of it above r_min; other lattices take the cells k
+    near the r_max ball from cells_near, in the Gram norm of A, and keep
+    the nonzero A k with |A k| <= r_max.  Either way the shells kept are
+    exactly those of the full list with norm > r_min.
     """
     if not (0 < r_max < math.inf and 0 <= r_min < math.inf):
         raise DomainError(f"shell radii must be finite with 0 <= r_min "
@@ -330,8 +350,12 @@ def point_shells(lattice: Lattice, r_max: float, r_min: float = 0.0):
         n = np.flatnonzero(counts[lo:]) + lo
         norms, counts = s * np.sqrt(n.astype(float)), counts[n].astype(int)
     else:
+        gen = lattice.basis
+        cells = cells_near(gen.T @ gen, 0.0, r_max,
+                           f"covering lattice points to radius {r_max:g}")
+        norms = np.linalg.norm(cells @ gen.T, axis=1)
         norms, counts = _group_shells(
-            np.linalg.norm(_points_within(lattice, r_max), axis=1))
+            norms[(norms > 0) & (norms <= r_max + 1e-12)])
     above = norms > r_min
     return norms[above], counts[above]
 

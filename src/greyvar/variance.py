@@ -51,8 +51,8 @@ the lattice points in the ball.  A smooth weight scores squared radii
 they fall in the band of squared radii that can score, from a cubic
 table of f(theta(sqrt s)) over the squared radius s, certified against
 the intensity model (_BandTable).  Both kernels take their lattice
-lines or points from one enumerator of the cells near a ball's band
-(_cells_near).
+lines or points from the package's one enumerator of the cells near a
+ball's band, lattice.cells_near.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ from __future__ import annotations
 import itertools
 import math
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -112,6 +112,13 @@ def _check_dims(**parts) -> None:
     if len(set(dims.values())) > 1:
         raise DomainError("dimensions differ: " + ", ".join(
             f"{name} {dim}" for name, dim in dims.items()))
+
+
+def _check_scales(**scales) -> None:
+    """Refuse a scale a or b that is not positive and finite."""
+    for k, v in scales.items():
+        if not 0 < v < math.inf:
+            raise DomainError(f"scale {k} = {v!r} is not positive and finite")
 
 
 # ---------------------------------------------------------------------------
@@ -195,8 +202,6 @@ def _refusing_dual_sum(lattice: Lattice, summand, a: float, b: float,
     stops at |xi| = max(2e3 b / a, 64); that limit only decides when to
     refuse, never which number is returned.
     """
-    if not (0 < a < math.inf and 0 < b < math.inf):
-        raise DomainError("scales a and b must be positive and finite")
     total, info = convergent_dual_sum(lattice, summand, tail_tol=tail_tol,
                                       xi_cap=max(2e3 * b / a, 64.0))
     if not info.converged:
@@ -308,6 +313,7 @@ def variance_exact_ball(phantom, psf: Psf, f, a: float, lattice: Lattice,
     (a alpha_f)^2, so the bound is in the units of the value.
     """
     _check_dims(phantom=phantom, psf=psf, lattice=lattice)
+    _check_scales(a=a, b=b)
     radius = phantom.radius
     layer = weighted_layer(radius, psf, a, f)
     alpha = alpha_f(f, halfspace_profile(psf))
@@ -339,6 +345,7 @@ def volume_variance_exact(radius: float, lattice: Lattice, b: float, *,
     TruncationError if it does not converge (see _refusing_dual_sum).
     """
     d = lattice.dim
+    _check_scales(b=b)
     if psf is None:
         total, info = _primal_variance(lattice, b, [(1.0, radius, radius)],
                                        ball_volume(d, radius))
@@ -347,6 +354,7 @@ def volume_variance_exact(radius: float, lattice: Lattice, b: float, *,
     if a is None:
         raise DomainError("grey volume variance needs the blur scale a")
     _check_dims(psf=psf, lattice=lattice)
+    _check_scales(a=a)
 
     def summand(xi):
         q = xi / b
@@ -531,6 +539,7 @@ def variance_asymptotic_isotropic(surface_area: float, psf: Psf, f,
     bounds the oscillation band.
     """
     _check_dims(psf=psf, lattice=lattice)
+    _check_scales(a=a)
     profile = halfspace_profile(psf)
     ls, info = profile_lattice_sum(f, profile, lattice)
     alpha = alpha_f(f, profile)
@@ -632,10 +641,11 @@ def _reduce_batches(means, variances, n, n_points):
         batch_means=means, batch_variances=variances)
 
 
-@dataclass
 class _RadialSampler:
-    """Smooth-weight sampler for a centered ball: precomputed lattice
-    points restricted to those that can meet the weight's band.
+    """Smooth-weight sampler for a centered ball: the lattice points b A k
+    whose shifted copies b A (k + u), u in [0, 1)^d, can fall in the
+    weight's band [r_in, r_out] (lattice.cells_near in the Gram norm of
+    A); a point left out scores 0 under every shift.
 
     Each chunk of shifts o gets its squared radii |p + o|^2 = |p|^2 +
     2 p.o + |o|^2 from one BLAS product of the lifted points [p, |p|^2,
@@ -646,15 +656,18 @@ class _RadialSampler:
     table reads as s = 0.
     """
 
-    base_points: np.ndarray  # (N, d) scaled lattice points b A k
-    basis_b: np.ndarray      # b A, mapping a unit-cell shift to an offset
-    table: _BandTable        # squared radii (n,) -> weights (n,)
-    scale: float             # multiplies the summed weights
-    lifted: np.ndarray = field(init=False, repr=False)  # (N, d + 2)
-
-    def __post_init__(self):
-        pts = self.base_points
-        self.lifted = np.column_stack(
+    def __init__(self, lattice: Lattice, b: float, r_in: float,
+                 r_out: float, table: _BandTable, scale: float):
+        basis = lattice.basis
+        cells = lat.cells_near(basis.T @ basis, r_in / b, r_out / b,
+                               f"of lattice points within {r_out / b:g} "
+                               f"cells of a ball's centre")
+        self.base_points = pts = cells @ basis.T  # (N, d): b A k
+        pts *= b
+        self.basis_b = b * basis  # b A: a unit-cell shift to an offset
+        self.table = table  # squared radii (n,) -> weights (n,)
+        self.scale = scale  # multiplies the summed weights
+        self.lifted = np.column_stack(  # (N, d + 2)
             [pts, np.einsum("ij,ij->i", pts, pts), np.ones(len(pts))])
 
     @property
@@ -758,9 +771,9 @@ class _LineSampler:
         gram = lattice.basis.T @ lattice.basis
         gdd, g = gram[-1, -1], gram[-1, :-1]
         schur = gram[:-1, :-1] - np.outer(g, g) / gdd
-        lines = _cells_near(schur, 0.0, r_out / b,
-                            f"of lattice lines within {r_out / b:g} cells "
-                            f"of a ball's centre")
+        lines = lat.cells_near(schur, 0.0, r_out / b,
+                               f"of lattice lines within {r_out / b:g} "
+                               f"cells of a ball's centre")
         # g and S divided by G_dd, squared radii by b^2 G_dd
         self.g, self.schur = g / gdd, schur / gdd
         self.rho_sq = (r_out / b) ** 2 / gdd
@@ -826,52 +839,6 @@ class _LineSampler:
             total -= self.ones @ lo
             total += n_lines
         return total
-
-
-def _cells_near(gram: np.ndarray, r_lo: float, r_hi: float,
-                purpose: str) -> np.ndarray:
-    """Integer cells k (one row each, as floats) some point k + u of
-    which, u in [0, 1)^n, can lie at a distance |k + u|_G =
-    sqrt((k + u)^T G (k + u)) in [r_lo, r_hi] from the origin.
-
-    The bounding box |k_i + u_i| <= r_hi sqrt((G^-1)_ii) of the r_hi
-    ellipsoid is checked against the budget before it is allocated;
-    every k + u lies within half a cell diameter (in the G norm) of the
-    centre k + 1/2, so the cells kept are those whose centre lies within
-    that distance of [r_lo, r_hi].
-    """
-    n = len(gram)
-    ext = r_hi * np.sqrt(np.diag(np.linalg.inv(gram)))
-    box = lat._integer_box(np.floor(-ext - 1.0 - 1e-9),
-                           np.floor(ext + 1e-9) + 1.0, purpose)
-    signs = np.array(np.meshgrid(*([[-0.5, 0.5]] * n))).reshape(n, -1).T
-    half_diam = math.sqrt(float(np.max(
-        np.einsum("ij,jk,ik->i", signs, gram, signs))))
-    lo = max(r_lo - half_diam - 1e-9, 0.0)
-    hi = r_hi + half_diam + 1e-9
-    # the box and the distances freed as soon as they are used: no more
-    # than two (N, n) arrays and a mask are alive at once, within the
-    # 32 n bytes per box point that _integer_box budgets for
-    centre = box + 0.5
-    del box
-    dist_sq = np.einsum("ij,jk,ik->i", centre, gram, centre)
-    keep = (dist_sq >= lo * lo) & (dist_sq <= hi * hi)
-    del dist_sq
-    cells = centre[keep]
-    cells -= 0.5
-    return cells
-
-
-def _annulus_points(lattice: Lattice, b: float, r_lo: float, r_hi: float):
-    """All b A k whose shifted copies b A (k + u), u in [0, 1)^d, can fall
-    in [r_lo, r_hi] (_cells_near in the Gram norm of A)."""
-    basis = lattice.basis
-    cells = _cells_near(basis.T @ basis, r_lo / b, r_hi / b,
-                        f"of lattice points within {r_hi / b:g} cells of "
-                        f"a ball's centre")
-    pts = cells @ basis.T
-    pts *= b
-    return pts
 
 
 # the smooth-weight table (_BandTable): its stated absolute error per
@@ -970,8 +937,6 @@ def _surface_sampler(radius, psf, f, a, lattice, b, alpha, *,
     ball: lines for an indicator weight, points and a band table (built
     afresh each call) for any other.  one_off takes the ball's band radii
     and model from outside the process caches, for a radius used once."""
-    if not 0 < b < math.inf:
-        raise DomainError("lattice scale b must be positive and finite")
     radii = (ball_knot_radii if one_off else cached_knot_radii)(
         radius, psf, a, f.knots)
     r_in, r_out = radii[0], radii[-1]
@@ -981,10 +946,8 @@ def _surface_sampler(radius, psf, f, a, lattice, b, alpha, *,
         return _LineSampler(lattice, b, r_in, r_out, scale)
     model = (IntensityModel if one_off else intensity_model)(
         Ball(psf.dim, radius), psf, a)
-    return _RadialSampler(base_points=_annulus_points(lattice, b, r_in, r_out),
-                          basis_b=b * np.asarray(lattice.basis),
-                          table=_BandTable(model, f, r_in, r_out),
-                          scale=scale)
+    return _RadialSampler(lattice, b, r_in, r_out,
+                          _BandTable(model, f, r_in, r_out), scale)
 
 
 def _chunk_width(sampler) -> int:
@@ -1083,6 +1046,7 @@ def mc_surface(phantom, psf: Psf, f, a: float, lattice: Lattice, b: float,
     exactly rather than approximately.
     """
     _check_dims(phantom=phantom, psf=psf, lattice=lattice)
+    _check_scales(a=a, b=b)
     if n_batches < 2 or n_reps < 2 * n_batches:
         raise DomainError("need at least 2 batches and 2 reps per batch")
     radius = phantom.radius
@@ -1101,8 +1065,7 @@ def mc_volume_binary(phantom, lattice: Lattice, b: float, n_reps: int,
     _check_dims(phantom=phantom, lattice=lattice)
     if n_batches < 2 or n_reps < 2 * n_batches:
         raise DomainError("need at least 2 batches and 2 reps per batch")
-    if not 0 < b < math.inf:
-        raise DomainError("lattice scale b must be positive and finite")
+    _check_scales(b=b)
     sampler = _LineSampler(lattice, b, 0.0, phantom.radius,
                            b ** lattice.dim * lattice.cell_volume)
     return _run_shifts(sampler, n_reps, seed, n_batches, workers)
@@ -1125,6 +1088,7 @@ def mc_random_radius(psf: Psf, f, a: float, lattice: Lattice, b: float,
     the process caches.
     """
     _check_dims(psf=psf, lattice=lattice)
+    _check_scales(a=a, b=b)
     if n_batches < 2 or n_radii < n_batches:
         raise DomainError("need at least one radius per batch")
     if n_shifts < 2:
@@ -1188,6 +1152,7 @@ def variance_bound_check(phantom, psf: Psf, f, a: float, lattice: Lattice,
     with the squared boundary values; it needs a weight that does not
     vanish at the band edges.
     """
+    _check_scales(a=a, b=b)
     dim = psf.dim
     radius = phantom.radius
     profile = halfspace_profile(psf)

@@ -331,6 +331,20 @@ def test_config_validation_exit_2(tmp_path, capsys, override, key):
     assert record["key"] == key
 
 
+@pytest.mark.parametrize("command, dim", [("profile", 4), ("shells", 1)])
+def test_unsupported_dimension_is_exit_2(tmp_path, capsys, command, dim):
+    """Commands that build no phantom still read phantom.dim through the
+    same 2-or-3 check, so an unsupported dimension is a config error
+    naming the key, not a numerical one, and writes no CSV."""
+    rc = main([command, "--set", f"phantom.dim={dim}",
+               "--out", str(tmp_path)])
+    assert rc == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "config"
+    assert record["key"] == "phantom.dim"
+    assert not (tmp_path / f"{command}.csv").exists()
+
+
 @pytest.mark.parametrize("command", ["mc-variance", "scaling-study"])
 def test_too_few_replicates_per_batch_is_exit_2(tmp_path, capsys, command):
     """Each batch needs two replicates for its sample variance; fewer is

@@ -179,6 +179,36 @@ def test_point_enumeration_over_budget_allocates_nothing():
     assert peak < 1 << 20
 
 
+def test_point_enumeration_box_is_the_ellipsoid_bounding_box(monkeypatch):
+    """A non-integer lattice enumerates points from the bounding box
+    |k_i| <= r sqrt((G^-1)_ii) of the r ellipsoid in integer coordinates,
+    padded by one cell on each side: 269,325 points for this skewed d=3
+    lattice at r = 25, against 912,673 in the cube of side 2 |A^-1|_2 r
+    that also covers the ball.  The shells' traced peak stays within the
+    32 d bytes per box point that the box's budget check charges."""
+    skew = Lattice(((1.0, 0.3, -0.2), (0.1, 0.8, 0.25), (-0.15, 0.2, 1.1)))
+    boxes = []
+
+    def counted(*args, **kwargs):
+        ks = box(*args, **kwargs)
+        boxes.append(len(ks))
+        return ks
+
+    box = lattice_module._integer_box
+    monkeypatch.setattr(lattice_module, "_integer_box", counted)
+    gram = skew.basis.T @ skew.basis
+    ext = 25.0 * np.sqrt(np.diag(np.linalg.inv(gram)))
+    tracemalloc.start()
+    try:
+        point_shells(skew, 25.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(boxes) == 1
+    assert boxes[0] <= np.prod(2.0 * np.floor(ext) + 3.0) < 3e5
+    assert peak <= 32 * 3 * boxes[0]
+
+
 def test_integer_cover_over_budget_allocates_nothing(monkeypatch):
     """The integer box covering a window is checked against the budget
     before it is built: around the unit ball at b = 0.002 in d=3 it has

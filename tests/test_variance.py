@@ -32,7 +32,6 @@ from greyvar.spectral import AnnulusFourier
 from greyvar.variance import (AsymptoticReport, RadiusDensity,
                               ShellSumInfo, VarianceReport,
                               convergent_dual_sum, envelope_check,
-                              _annulus_points,
                               mc_random_radius, mc_surface, mc_volume_binary,
                               profile_lattice_sum,
                               variance_asymptotic_isotropic,
@@ -633,6 +632,44 @@ def test_mc_validation():
             volume_variance_exact(1.0, Z2, bad)
 
 
+@pytest.mark.parametrize("bad", [0.0, -0.05, math.inf, math.nan])
+@pytest.mark.parametrize("call, scales", [
+    (lambda a, b: variance_exact_ball(Ball(2, 1.0), GAUSS2, Indicator(), a,
+                                      Z2, b), "ab"),
+    (lambda a, b: variance_exact_ball(Ball(2, 1.0), GAUSS2, SmoothPlateau(),
+                                      a, Z2, b), "ab"),
+    (lambda a, b: volume_variance_exact(1.0, Z2, b), "b"),
+    (lambda a, b: volume_variance_exact(1.0, Z2, b, psf=GAUSS2, a=a), "ab"),
+    (lambda a, b: variance_asymptotic_isotropic(2.0 * math.pi, GAUSS2,
+                                                Indicator(), Z2, a), "a"),
+    (lambda a, b: variance_asymptotic_random_radius(
+        GAUSS2, Indicator(), Z2, a, RadiusDensity()), "a"),
+    (lambda a, b: variance_bound_check(Ball(2, 1.0), GAUSS2, Indicator(), a,
+                                       Z2, b), "ab"),
+    (lambda a, b: mc_surface(Ball(2, 1.0), GAUSS2, Indicator(), a, Z2, b,
+                             100, seed=0, n_batches=10), "ab"),
+    (lambda a, b: mc_surface(Ball(2, 1.0), GAUSS2, SmoothPlateau(), a, Z2,
+                             b, 100, seed=0, n_batches=10), "ab"),
+    (lambda a, b: mc_volume_binary(Ball(2, 1.0), Z2, b, 100, seed=0,
+                                   n_batches=10), "b"),
+    (lambda a, b: mc_random_radius(GAUSS2, Indicator(), a, Z2, b,
+                                   RadiusDensity(), 20, 2, seed=0,
+                                   n_batches=10), "ab"),
+], ids=["exact-indicator", "exact-plateau", "volume_binary", "volume_grey",
+        "asymptotic", "asymptotic_random_radius", "bound_check",
+        "mc_surface-indicator", "mc_surface-plateau", "mc_volume_binary",
+        "mc_random_radius"])
+def test_engines_refuse_bad_scales(call, scales, bad):
+    """Every exact, asymptotic and Monte Carlo entry point refuses each
+    scale it reads that is not positive and finite, by one check: 0 is
+    not a ZeroDivisionError, and a negative or NaN a is not a negative
+    or NaN variance."""
+    for name in scales:
+        with pytest.raises(DomainError, match=f"scale {name} = .* is not "
+                                              f"positive and finite"):
+            call(**{"a": 0.1, "b": 0.1, name: bad})
+
+
 def test_mc_volume_binary_matches_exact():
     ex = volume_variance_exact(1.0, Z2, 0.04)
     mc = mc_volume_binary(Ball(2, 1.0), Z2, 0.04, 4000, seed=1)
@@ -682,9 +719,7 @@ def test_in_band_sums_equal_dense_read(a, f):
     assert (r_in == 0.0) == (a == 0.85)
     table = variance._BandTable(
         phantom.intensity_model(Ball(2, 1.0), GAUSS2, a), f, r_in, r_out)
-    sampler = variance._RadialSampler(
-        base_points=np.zeros((0, 2)), basis_b=np.eye(2), table=table,
-        scale=1.0)
+    sampler = variance._RadialSampler(Z2, 1.0, r_in, r_out, table, 1.0)
     lo, hi = table.band
     assert lo == (-math.inf if r_in == 0.0 else r_in * r_in - 1e-12 * hi)
     edges = [r_in * r_in, r_out * r_out, lo, hi, 0.0, -1e-17]
@@ -813,15 +848,17 @@ def test_line_counts_on_tangent_lines(dim):
                                       (hexagonal_lattice(), 0.05),
                                       (SKEW3, 0.05)])
 def test_annulus_points_drop_only_zero_weight_points(latt, ab):
-    """Points kept by their cell centre are a subset of the oracle's
-    points, and no dropped point gets a nonzero weight under any of 1000
-    random shifts."""
+    """Points a smooth-weight sampler keeps by their cell centre are a
+    subset of the oracle's points, and no dropped point gets a nonzero
+    weight under any of 1000 random shifts (the sampler's table is not
+    read here)."""
     dim = latt.dim
     psf = gaussian(dim)
     f = Indicator()
     model, every = mc_oracle.surface_points(1.0, psf, f, ab, latt, ab)
     r_in, r_out = ball_band_radii(1.0, psf, ab, f.beta, f.omega)
-    kept = _annulus_points(latt, ab, r_in, r_out)
+    kept = variance._RadialSampler(latt, ab, r_in, r_out, None,
+                                   1.0).base_points
     coords = lambda pts: [tuple(k) for k in np.rint(
         np.linalg.solve(latt.basis, pts.T / ab).T).astype(int)]
     kept_keys = set(coords(kept))
@@ -838,9 +875,9 @@ def test_annulus_points_drop_only_zero_weight_points(latt, ab):
 
 @pytest.mark.parametrize("dim, b", [(2, 0.0022), (3, 0.023)])
 def test_annulus_points_peak_within_box_budget(monkeypatch, dim, b):
-    """Selecting the Monte Carlo points from a box of about 1e6 integer
-    points stays within the 32 d bytes per box point that the box's
-    budget check charges."""
+    """Building a smooth-weight sampler's points from a box of about 1e6
+    integer points stays within the 32 d bytes per box point that the
+    box's budget check charges."""
     boxes = []
 
     def counted(*args, **kwargs):
@@ -852,7 +889,7 @@ def test_annulus_points_peak_within_box_budget(monkeypatch, dim, b):
     monkeypatch.setattr(lattice, "_integer_box", counted)
     tracemalloc.start()
     try:
-        _annulus_points(unit_lattice(dim), b, 0.9, 1.1)
+        variance._RadialSampler(unit_lattice(dim), b, 0.9, 1.1, None, 1.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -876,7 +913,7 @@ def test_annulus_lines_peak_within_box_budget(monkeypatch, dim, reach):
     monkeypatch.setattr(lattice, "_integer_box", counted)
     tracemalloc.start()
     try:
-        variance._cells_near(np.eye(dim - 1), 0.0, reach, "of lines")
+        lattice.cells_near(np.eye(dim - 1), 0.0, reach, "of lines")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -954,7 +991,8 @@ def test_mc_results_report_points_scored():
     got = mc_surface(Ball(2, 1.0), GAUSS2, f, 0.05, Z2, 0.05, 600, 5,
                      n_batches=2)
     r_in, r_out = ball_band_radii(1.0, GAUSS2, 0.05, f.beta, f.omega)
-    assert got.n_points == len(_annulus_points(Z2, 0.05, r_in, r_out))
+    assert got.n_points == len(lattice.cells_near(np.eye(2), r_in / 0.05,
+                                                  r_out / 0.05, "of points"))
     means, _ = mc_oracle.mc_surface(1.0, GAUSS2, f, 0.05, Z2, 0.05, 600, 5,
                                     n_batches=2)
     alpha = variance.alpha_f(f, halfspace_profile(GAUSS2))
