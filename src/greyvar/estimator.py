@@ -34,7 +34,7 @@ from ._quad import panel_nodes
 from .errors import (CoverageError, DomainError, NormalizationError,
                      TruncationError)
 from .lattice import Box, LatticePlacement, enumerate_points
-from .phantom import Ball, HalfSpace, Phantom, intensity_model
+from .phantom import Ball, HalfSpace, Phantom, _check_blur
 from .psf import HalfspaceProfile, Psf, halfspace_profile
 from .spectral import knot_images
 
@@ -176,10 +176,7 @@ def _collect(phantom, placement, window, psf=None, a=1.0, reach=0.0):
     must contain the box dilated by the tube, except for a half-space,
     which is read in any finite window."""
     if psf is not None:
-        if not 0 < a < math.inf:
-            raise DomainError("blur scale a must be positive and finite")
-        if psf.dim != phantom.dim:
-            raise DomainError("psf and phantom dimensions differ")
+        _check_blur(phantom, psf, a)
     reach *= a
     if window is None:
         cells = 2.0 * placement.b * placement.lattice.cell_diameter
@@ -207,7 +204,7 @@ def estimate_surface(phantom: Phantom, psf: Psf, f, a: float,
     profile = halfspace_profile(psf)
     pts, window = _collect(phantom, placement, window, psf, a,
                            max(profile.phi(f.knots[0]), 0.0))
-    weights = f(intensity_model(phantom, psf, a)(pts))
+    weights = f(phantom.grey_values(psf, a, pts))
     weights = weights[weights != 0]
     raw = a ** (-1.0) * placement.b ** phantom.dim * math.fsum(weights)
     alpha = alpha_f(f, profile)
@@ -225,7 +222,7 @@ def estimate_volume_grey(phantom: Phantom, psf: Psf, a: float,
     tube reaches a * T, where a ball's grey value is exactly 0."""
     pts, window = _collect(phantom, placement, window, psf, a,
                            psf.support_radius)
-    grey = intensity_model(phantom, psf, a)(pts)
+    grey = phantom.grey_values(psf, a, pts)
     grey = grey[grey != 0]
     total = math.fsum(grey)
     vol = placement.b ** phantom.dim * placement.lattice.cell_volume

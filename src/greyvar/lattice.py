@@ -124,6 +124,8 @@ class Box:
         hi = tuple(float(v) for v in self.hi)
         if len(lo) != len(hi) or any(h <= l for l, h in zip(lo, hi)):
             raise DomainError("box must have lo < hi componentwise")
+        if not all(map(math.isfinite, lo + hi)):
+            raise DomainError("box bounds must be finite")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
@@ -323,9 +325,8 @@ def _group_shells(norms: np.ndarray):
         return np.empty(0), np.empty(0, dtype=int)
     breaks = np.flatnonzero(np.diff(norms) > 1e-9)
     starts = np.concatenate(([0], breaks + 1))
-    ends = np.concatenate((breaks + 1, [norms.size]))
-    shell_norms = np.array([norms[s:e].mean() for s, e in zip(starts, ends)])
-    return shell_norms, (ends - starts).astype(int)
+    counts = np.diff(np.append(starts, norms.size))
+    return np.add.reduceat(norms, starts) / counts, counts
 
 
 def point_shells(lattice: Lattice, r_max: float, r_min: float = 0.0):

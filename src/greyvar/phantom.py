@@ -3,11 +3,12 @@
 A phantom is a Ball(dim, radius, center), the compact body with
 nonvanishing curvature that the variance theory is about, or a
 HalfSpace(dim, normal, offset), its local model at a boundary point.
-Each answers contains(points) and carries its own geometry; a ball's
-grey values depend only on the distance from its centre.  The exact and
-Monte Carlo variance engines read only the radius: under a stationary
-random lattice the estimator's law does not depend on where the ball
-sits.
+Each answers contains(points) and grey_values(psf, a, points) and
+carries its own geometry; a ball's grey values depend only on the
+distance from its centre, read from the cached IntensityModel of the
+centered ball of its radius.  The exact and Monte Carlo variance
+engines read only the radius: under a stationary random lattice the
+estimator's law does not depend on where the ball sits.
 
 The grey image of a set X under a PSF rho at scale a is the convolution
 theta_a = 1_X * rho_a with rho_a(x) = a^{-d} rho(x/a).  For a ball the
@@ -94,6 +95,13 @@ class Ball(Phantom):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         return np.linalg.norm(pts - self.center, axis=1) <= self.radius
 
+    def grey_values(self, psf: Psf, a: float, points) -> np.ndarray:
+        """Grey values at the rows of `points`: the cached model of the
+        centered ball of this radius, at the distances from the centre."""
+        model = intensity_model(Ball(self.dim, self.radius), psf, a)
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        return model.radial(np.linalg.norm(pts - self.center, axis=1))
+
 
 @dataclass(frozen=True)
 class HalfSpace(Phantom):
@@ -118,6 +126,22 @@ class HalfSpace(Phantom):
         """Membership of each row of `points` (vectorized)."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         return pts @ np.asarray(self.normal) <= self.offset
+
+    def grey_values(self, psf: Psf, a: float, points):
+        """Grey values at the rows of `points` (a float at one point):
+        the edge profile at the signed distance over a."""
+        _check_blur(self, psf, a)
+        t = (np.asarray(points, dtype=float) @ np.asarray(self.normal)
+             - self.offset) / a
+        return halfspace_profile(psf).theta(t)
+
+
+def _check_blur(phantom: Phantom, psf: Psf, a: float) -> None:
+    """Refuse a blur scale outside (0, inf) and a PSF of another dim."""
+    if not 0 < a < math.inf:
+        raise DomainError("blur scale a must be positive and finite")
+    if psf.dim != phantom.dim:
+        raise DomainError("psf and phantom dimensions differ")
 
 
 def capfrac(r, s, R: float, d: int):
@@ -295,61 +319,31 @@ def ball_knot_radii(radius: float, psf: Psf, a: float,
 cached_knot_radii = lru_cache(maxsize=64)(ball_knot_radii)
 
 
-def ball_band_radii(radius: float, psf: Psf, a: float, beta: float,
-                    omega: float) -> tuple[float, float]:
-    """Radii (r_in, r_out) of the centered ball B(radius) between which
-    its grey value lies in [beta, omega]: cached_knot_radii of the two
-    levels.  r_in is the inner end of the transition zone (0 for a wide
-    blur) when the grey value there is already at most omega."""
-    return cached_knot_radii(radius, psf, a, (beta, omega))
-
-
 class IntensityModel:
-    """Fast vectorized grey-value evaluator for a (phantom, psf, a) triple.
+    """Chebyshev model of a ball's grey value against the distance from
+    its centre, for one (ball, psf, a); any other phantom is refused.
 
-    Balls fit a degree-80 Chebyshev model of the transition zone
-    (_fit_radial_model), the only fit of the cap quadrature, and are 1
-    or 0 outside it (within 6e-16 for the Gaussian); intensity_model
-    caches the models.  Its largest error against the quadrature, on
-    20001 radii at a = 0.1 and 0.0125, is 1.6e-13 for the Gaussian (also
-    against its chi-square closed form), the bump and the d=3 disc, and
-    4.7e-7 for the d=2 disc, whose square-root edge converges slowly.
-    Half-spaces evaluate through the edge profile directly.
+    A degree-80 Chebyshev interpolant of the transition zone
+    (_fit_radial_model), the only fit of the cap quadrature; the grey
+    value is 1 or 0 outside it (within 6e-16 for the Gaussian).
+    intensity_model caches the models per radius and blur.  Its largest
+    error against the quadrature, on 20001 radii at a = 0.1 and 0.0125,
+    is 1.6e-13 for the Gaussian (also against its chi-square closed
+    form), the bump and the d=3 disc, and 4.7e-7 for the d=2 disc, whose
+    square-root edge converges slowly.
     """
 
     def __init__(self, phantom: Phantom, psf: Psf, a: float):
-        if not 0 < a < math.inf:
-            raise DomainError("blur scale a must be positive and finite")
-        if psf.dim != phantom.dim:
-            raise DomainError("psf and phantom dimensions differ")
-        self.phantom = phantom
-        self.psf = psf
-        self.a = a
-        self.dim = phantom.dim
-
-        if isinstance(phantom, HalfSpace):
-            self._profile = halfspace_profile(psf)
-            self._kind = "halfspace"
-            self._normal = np.asarray(phantom.normal)
-            self._offset = phantom.offset
-            return
-
-        self._kind = "ball"
-        self.R = phantom.radius
-        self._center = np.asarray(phantom.center)
-        self._theta = _fit_radial_model(psf, a, self.R)
+        _check_blur(phantom, psf, a)
+        self._theta = _fit_radial_model(psf, a, phantom.radius)
 
     @property
     def table_range(self) -> tuple[float, float]:
-        """Radius interval of the modelled transition zone (balls only)."""
-        if self._kind != "ball":
-            raise DomainError("table_range is only defined for ball phantoms")
+        """Radius interval of the modelled transition zone."""
         return tuple(map(float, self._theta.domain))
 
     def radial(self, r):
-        """Grey value at radius r from the ball center (balls only)."""
-        if self._kind != "ball":
-            raise DomainError("radial() is only defined for ball phantoms")
+        """Grey value at radius r from the ball center."""
         r = np.asarray(r, dtype=float)
         lo, hi = self._theta.domain
         out = np.where(r < lo, 1.0, 0.0)
@@ -357,15 +351,6 @@ class IntensityModel:
         if np.any(mid):
             out[mid] = np.clip(self._theta(r[mid]), 0.0, 1.0)
         return out
-
-    def __call__(self, points):
-        """Grey values at an (n, d) array of points."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if self._kind == "halfspace":
-            t = (pts @ self._normal - self._offset) / self.a
-            return self._profile.theta(t)
-        radii = np.linalg.norm(pts - self._center, axis=1)
-        return self.radial(radii)
 
 
 @lru_cache(maxsize=64)
@@ -377,16 +362,13 @@ def intensity(phantom: Phantom, psf: Psf, a: float, x) -> float:
     """Grey value theta_a(X)(x) at a single point (exact 1-D quadrature).
 
     Absolute accuracy ~1e-10; balls go through the radial cap integral,
-    half-spaces through the edge profile.
+    half-spaces through their grey_values.
     """
-    if not 0 < a < math.inf:
-        raise DomainError("blur scale a must be positive and finite")
+    _check_blur(phantom, psf, a)
     x = np.asarray(x, dtype=float)
     if x.shape != (phantom.dim,):
         raise DomainError("point has wrong dimension")
     if isinstance(phantom, HalfSpace):
-        prof = halfspace_profile(psf)
-        return float(prof.theta((float(x @ np.asarray(phantom.normal))
-                                 - phantom.offset) / a))
+        return phantom.grey_values(psf, a, x)
     r = float(np.linalg.norm(x - np.asarray(phantom.center)))
     return float(_ball_intensity_radii(psf, a, phantom.radius, [r])[0])

@@ -559,8 +559,8 @@ class RadiusDensity:
     s1: float = 2.0
 
     def __post_init__(self):
-        if not 0.0 < self.s0 < self.s1:
-            raise DomainError("need 0 < s0 < s1")
+        if not 0.0 < self.s0 < self.s1 < math.inf:
+            raise DomainError("need 0 < s0 < s1 < inf")
 
     def pdf(self, s):
         s = np.asarray(s, dtype=float)

@@ -296,6 +296,11 @@ def test_surface_validation():
     with pytest.raises(DomainError):
         estimate_surface(Ball(radius=1.0, dim=3), psf, Indicator(), 0.05,
                          _placement(0.05))
+    # a half-space reads any window, but only a finite one
+    with pytest.raises(DomainError, match="finite"):
+        estimate_surface(HalfSpace(2), psf, Indicator(), 0.1,
+                         _placement(0.05),
+                         window=Box((-math.inf, -1.0), (math.inf, 1.0)))
 
 
 def test_volume_binary_ball():

@@ -388,6 +388,16 @@ def test_box_half_open():
     np.testing.assert_array_equal(box.contains(pts), [False, True, True])
 
 
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_box_refuses_non_finite_bounds(bad):
+    with pytest.raises(DomainError, match="finite"):
+        Box((-bad, -1.0), (bad, 1.0))
+    with pytest.raises(DomainError, match="finite"):
+        Box((0.0, -1.0), (bad, 1.0))
+    with pytest.raises(DomainError, match="finite"):
+        centered_box([bad, 1.0])
+
+
 def test_random_placement_lies_in_cell():
     lat = hexagonal_lattice()
     rng = np.random.default_rng(11)

@@ -19,7 +19,7 @@ from scipy.stats import ncx2
 from greyvar import phantom
 from greyvar.errors import DomainError
 from greyvar.phantom import (Ball, HalfSpace, IntensityModel, Phantom,
-                             ball_band_radii, ball_knot_radii, capfrac,
+                             ball_knot_radii, cached_knot_radii, capfrac,
                              intensity, intensity_model)
 from greyvar.psf import (ball_indicator, compact_bump, eval_rho, gaussian,
                          halfspace_profile)
@@ -146,6 +146,42 @@ def test_intensity_model_cache_keyed_on_arguments():
     assert m1 is m2 and m1 is not m3
 
 
+def test_balls_of_one_radius_share_one_model(monkeypatch):
+    """A moved ball reads the cached model of the centered ball of its
+    radius: one fit serves both, and the grey values at equal distances
+    from the centres agree."""
+    fits, fit = [], phantom._fit_radial_model
+
+    def counted(psf, a, R):
+        fits.append((psf, a, R))
+        return fit(psf, a, R)
+
+    monkeypatch.setattr(phantom, "_fit_radial_model", counted)
+    intensity_model.cache_clear()
+    psf, a, centre = gaussian(2), 0.05, np.array([0.5, -0.25])
+    # dyadic offsets, so that centre + v - centre is v exactly
+    r = np.arange(-128, 129)[:, None] / 1024.0
+    v = np.concatenate((np.hstack((1.0 + r, 0 * r)),
+                        np.hstack((0.75 + r, 0.625 + r))))
+    plain = Ball(2, 1.0).grey_values(psf, a, v)
+    moved = Ball(2, 1.0, center=tuple(centre)).grey_values(psf, a,
+                                                           centre + v)
+    assert len(fits) == 1
+    assert 0.0 < plain.min() < 0.3 and 0.7 < plain.max() < 1.0
+    np.testing.assert_allclose(moved, plain, rtol=0, atol=1e-15)
+
+
+def test_halfspace_grey_values_are_its_intensity():
+    hs, a = HalfSpace(3, normal=(1.0, -2.0, 0.5), offset=0.3), 0.07
+    pts = np.random.default_rng(4).normal(scale=0.2, size=(50, 3))
+    for psf in (gaussian(3), compact_bump(3)):
+        got = hs.grey_values(psf, a, pts)
+        want = [intensity(hs, psf, a, x) for x in pts]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+    with pytest.raises(DomainError):
+        hs.grey_values(gaussian(2), a, pts)
+
+
 def halfspace_gap(phantom, psf, a, x):
     """|theta_a(X)(x) - theta_a(H)(x)| for the supporting half-space H at
     the boundary point nearest to x.  Zero for half-space phantoms."""
@@ -173,7 +209,7 @@ def test_transition_offsets_match_chi2_roots(dim):
     from scipy.optimize import brentq
     psf = gaussian(dim)
     a, R, beta, omega = 0.05, 1.0, 0.3, 0.7
-    r_in, r_out = ball_band_radii(R, psf, a, beta, omega)
+    r_in, r_out = cached_knot_radii(R, psf, a, (beta, omega))
     for level, r in ((omega, r_in), (beta, r_out)):
         r_cross = brentq(
             lambda r: _gauss_ball_theta(r, R, a, dim) - level,
@@ -202,7 +238,7 @@ def test_band_radii_match_brentq_on_the_quadrature(make, wide, dim):
                                 np.eye(dim)[0] * r)
     for a in (0.1, 0.0125, wide):
         r_lo, r_hi = max(R - a * T, 0.0), R + a * T
-        radii = ball_band_radii(R, psf, a, beta, omega)
+        radii = cached_knot_radii(R, psf, a, (beta, omega))
         for level, r in zip((omega, beta), radii):
             if theta(r_lo) <= level:
                 assert r == r_lo == 0.0 and a == wide
@@ -210,7 +246,7 @@ def test_band_radii_match_brentq_on_the_quadrature(make, wide, dim):
             root = brentq(lambda x: theta(x) - level, r_lo, r_hi,
                           xtol=1e-15)
             assert r == pytest.approx(root, abs=1e-13)
-    assert ball_band_radii(R, psf, wide, beta, omega)[0] == 0.0
+    assert cached_knot_radii(R, psf, wide, (beta, omega))[0] == 0.0
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -242,9 +278,9 @@ def test_knot_radii_are_each_levels_own_solve():
     psf, a = compact_bump(2), 0.05
     knots = (0.3, 0.4, 0.6, 0.7)
     radii = ball_knot_radii(1.0, psf, a, knots)
-    assert radii == (ball_band_radii(1.0, psf, a, 0.3, 0.7)[0],
-                     *ball_band_radii(1.0, psf, a, 0.4, 0.6),
-                     ball_band_radii(1.0, psf, a, 0.3, 0.7)[1])
+    assert radii == (cached_knot_radii(1.0, psf, a, (0.3, 0.7))[0],
+                     *cached_knot_radii(1.0, psf, a, (0.4, 0.6)),
+                     cached_knot_radii(1.0, psf, a, (0.3, 0.7))[1])
     assert np.all(np.diff(radii) > 0.0)
 
 
@@ -252,8 +288,9 @@ def test_transition_offsets_shrink_with_a():
     # the offsets r - R of the band radii are the curvature corrections,
     # O(a) in the blur scale
     psf = gaussian(2)
-    wide = np.subtract(ball_band_radii(1.0, psf, 0.1, 0.3, 0.7), 1.0)
-    narrow = np.subtract(ball_band_radii(1.0, psf, 0.0125, 0.3, 0.7), 1.0)
+    wide = np.subtract(cached_knot_radii(1.0, psf, 0.1, (0.3, 0.7)), 1.0)
+    narrow = np.subtract(cached_knot_radii(1.0, psf, 0.0125, (0.3, 0.7)),
+                         1.0)
     assert np.all(np.abs(narrow) < np.abs(wide))
 
 
@@ -280,12 +317,12 @@ def test_validation_errors():
         with pytest.raises(DomainError):
             IntensityModel(Ball(2, 1.0), gaussian(2), bad)
         with pytest.raises(DomainError):
-            ball_band_radii(1.0, gaussian(2), bad, 0.3, 0.7)
+            cached_knot_radii(1.0, gaussian(2), bad, (0.3, 0.7))
     for beta, omega in ((0.7, 0.3), (0.0, 0.7), (0.3, 1.0)):
         with pytest.raises(DomainError, match="0 < beta < omega < 1"):
-            ball_band_radii(1.0, gaussian(2), 0.05, beta, omega)
-    with pytest.raises(DomainError):
-        IntensityModel(HalfSpace(2), gaussian(2), 0.05).table_range
+            cached_knot_radii(1.0, gaussian(2), 0.05, (beta, omega))
+    with pytest.raises(DomainError, match="not a ball"):
+        IntensityModel(HalfSpace(2), gaussian(2), 0.05)
 
 
 def test_phantoms_answer_membership_and_others_are_refused():

@@ -20,7 +20,7 @@ from _band_models import band_cycles, flat_band_square
 from greyvar._quad import oscillatory_nodes
 from greyvar.errors import DomainError, TruncationError
 from greyvar.estimator import Indicator, SmoothPlateau, alpha_f
-from greyvar.phantom import ball_band_radii
+from greyvar.phantom import cached_knot_radii
 from greyvar.psf import (ball_indicator, ball_volume, compact_bump,
                          eval_rho, gaussian, halfspace_profile)
 from greyvar.spectral import (AnnulusFourier, RadialFourier, ball_main_term,
@@ -229,7 +229,7 @@ def test_sharp_band_model_band_averaged():
     psf = gaussian(2)
     f = Indicator(0.3, 0.7)
     R, a = 1.0, 0.05
-    ann = AnnulusFourier(*ball_band_radii(R, psf, a, 0.3, 0.7), 2)
+    ann = AnnulusFourier(*cached_knot_radii(R, psf, a, (0.3, 0.7)), 2)
     profile = halfspace_profile(psf)
     qs = np.linspace(100.0, 140.0, 4001)
     assert band_cycles(f, profile, a, float(qs[0])) > 5.0
@@ -321,8 +321,8 @@ def test_smooth_layer_refinement_gap(kernel, dim):
     layer = weighted_layer(1.0, psf, a, f)
     qs = np.linspace(0.5, 30.0 / a, 2000)
     got = variance._octave_eval(layer.at, qs)
-    edges = [layer.r_lo, *ball_band_radii(1.0, psf, a, f.knots[1],
-                                          f.knots[2]), layer.r_hi]
+    edges = [layer.r_lo, *cached_knot_radii(1.0, psf, a, f.knots[1:3]),
+             layer.r_hi]
     if dim == 2:  # 2 pi J_0(2 pi q r) r
         kernel_at = lambda r: (2.0 * math.pi * r
                                * special.j0(2.0 * math.pi * qs * r))

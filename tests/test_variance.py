@@ -25,7 +25,7 @@ from greyvar import cli, lattice, phantom, variance
 from greyvar.errors import DomainError, TruncationError
 from greyvar.estimator import Indicator, SmoothPlateau
 from greyvar.lattice import Lattice, hexagonal_lattice, unit_lattice
-from greyvar.phantom import Ball, HalfSpace, ball_band_radii
+from greyvar.phantom import Ball, HalfSpace, cached_knot_radii
 from greyvar.psf import (ball_volume, compact_bump, gaussian,
                          halfspace_profile, sphere_area)
 from greyvar.spectral import AnnulusFourier
@@ -182,7 +182,7 @@ def test_indicator_primal_sum_vs_dual(latt, xi_cap):
     rep = variance_exact_ball(Ball(d, 1.0), psf, Indicator(), a, latt, a)
     assert rep.shells.converged and rep.shells.xi_max == math.inf
     scale = (a * rep.alpha) ** 2
-    r_in, r_out = ball_band_radii(1.0, psf, a, 0.3, 0.7)
+    r_in, r_out = cached_knot_radii(1.0, psf, a, (0.3, 0.7))
     dual, info = dual_oracle.annulus_variance_raw(r_in, r_out, latt, a,
                                                   xi_cap=xi_cap)
     rounding = rep.shells.tail_bound * scale
@@ -287,7 +287,7 @@ def test_primal_rounding_bound_covers_extended_precision(dim):
     psf = gaussian(dim)
     rep = variance_exact_ball(Ball(dim, 1.0), psf, Indicator(), a,
                               unit_lattice(dim), b)
-    r_in, r_out = ball_band_radii(1.0, psf, a, 0.3, 0.7)
+    r_in, r_out = cached_knot_radii(1.0, psf, a, (0.3, 0.7))
     reach = int(2 * r_out / b) + 1
     span = np.arange(-reach, reach + 1)
     grids = np.meshgrid(*([span] * dim), indexing="ij")
@@ -368,7 +368,7 @@ def test_primal_sum_over_sieve_budget_allocates_nothing(monkeypatch):
     holds only the refusal and the test passes in any order."""
     monkeypatch.setattr(lattice, "_SHELL_TABLES", {})
     f = Indicator()
-    ball_band_radii(1.0, gaussian(3), 0.05, f.knots[0], f.knots[-1])
+    cached_knot_radii(1.0, gaussian(3), 0.05, (f.knots[0], f.knots[-1]))
     tracemalloc.start()
     try:
         with pytest.raises(TruncationError, match="radius") as err:
@@ -498,8 +498,10 @@ def test_radius_density_properties():
     assert draws.mean() == pytest.approx(1.5, abs=0.005)
     m2, _ = quad(lambda s: s * s * float(dens.pdf(s)), 1.0, 2.0)
     assert np.mean(draws ** 2) == pytest.approx(m2, abs=0.02)
-    with pytest.raises(DomainError):
-        RadiusDensity(2.0, 1.0)
+    for s0, s1 in ((2.0, 1.0), (1.0, math.inf), (1.0, math.nan),
+                   (math.nan, 2.0)):
+        with pytest.raises(DomainError):
+            RadiusDensity(s0, s1)
 
 
 @pytest.mark.parametrize("s0, s1", [(1.0, 2.0), (0.5, 3.0), (0.2, 0.25)])
@@ -715,7 +717,7 @@ def test_in_band_sums_equal_dense_read(a, f):
     of [r_in^2, r_out^2] and their neighbours, the band's own ends, 0 and
     -1e-17, which rounding puts near the centre; at a = 0.85 the band
     reaches the centre (r_in = 0)."""
-    r_in, r_out = ball_band_radii(1.0, GAUSS2, a, 0.3, 0.7)
+    r_in, r_out = cached_knot_radii(1.0, GAUSS2, a, (0.3, 0.7))
     assert (r_in == 0.0) == (a == 0.85)
     table = variance._BandTable(
         phantom.intensity_model(Ball(2, 1.0), GAUSS2, a), f, r_in, r_out)
@@ -812,7 +814,7 @@ def test_line_counts_equal_brute_force(latt, centre):
     d = latt.dim
     psf, f, b = gaussian(d), Indicator(), 0.1
     a = (0.85 if d == 2 else 0.6) if centre else 0.1
-    r_in, r_out = ball_band_radii(1.0, psf, a, f.beta, f.omega)
+    r_in, r_out = cached_knot_radii(1.0, psf, a, (f.beta, f.omega))
     assert (r_in == 0.0) == centre
     sampler = variance._surface_sampler(1.0, psf, f, a, latt, b, 1.0)
     shifts = np.random.default_rng(11).random((24, d))
@@ -856,7 +858,7 @@ def test_annulus_points_drop_only_zero_weight_points(latt, ab):
     psf = gaussian(dim)
     f = Indicator()
     model, every = mc_oracle.surface_points(1.0, psf, f, ab, latt, ab)
-    r_in, r_out = ball_band_radii(1.0, psf, ab, f.beta, f.omega)
+    r_in, r_out = cached_knot_radii(1.0, psf, ab, (f.beta, f.omega))
     kept = variance._RadialSampler(latt, ab, r_in, r_out, None,
                                    1.0).base_points
     coords = lambda pts: [tuple(k) for k in np.rint(
@@ -946,7 +948,7 @@ def test_smooth_mc_weight_reads_the_model_only_in_the_band(psf, a):
     latt = unit_lattice(psf.dim)
     sampler = variance._surface_sampler(1.0, psf, f, a, latt, 0.05, 1.0)
     model = phantom.intensity_model(Ball(psf.dim, 1.0), psf, a)
-    r_in, r_out = ball_band_radii(1.0, psf, a, f.beta, f.omega)
+    r_in, r_out = cached_knot_radii(1.0, psf, a, (f.beta, f.omega))
     offs = (np.random.default_rng(3).random((16, psf.dim))
             @ sampler.basis_b.T)
     pts = sampler.base_points
@@ -983,14 +985,14 @@ def test_mc_results_report_points_scored():
     # the lines of Z^2 along the second axis that pass within r_out of
     # the centre for some shift are the columns -floor(r_out/b) - 1 up
     # to floor(r_out/b)
-    _, r_out = ball_band_radii(1.0, GAUSS2, 0.05, 0.3, 0.7)
+    _, r_out = cached_knot_radii(1.0, GAUSS2, 0.05, (0.3, 0.7))
     lines = mc_surface(Ball(2, 1.0), GAUSS2, Indicator(), 0.05, Z2, 0.05,
                        40, seed=0)
     assert lines.n_points == 2 * math.floor(r_out / 0.05) + 2
     f = SmoothPlateau()
     got = mc_surface(Ball(2, 1.0), GAUSS2, f, 0.05, Z2, 0.05, 600, 5,
                      n_batches=2)
-    r_in, r_out = ball_band_radii(1.0, GAUSS2, 0.05, f.beta, f.omega)
+    r_in, r_out = cached_knot_radii(1.0, GAUSS2, 0.05, (f.beta, f.omega))
     assert got.n_points == len(lattice.cells_near(np.eye(2), r_in / 0.05,
                                                   r_out / 0.05, "of points"))
     means, _ = mc_oracle.mc_surface(1.0, GAUSS2, f, 0.05, Z2, 0.05, 600, 5,
@@ -1073,7 +1075,7 @@ def test_band_radii_edge_rules():
     refused."""
     a = 0.85
     assert 0.3 < _theta_ball(0.0, 1.0, a) < 0.7
-    r_in, r_out = ball_band_radii(1.0, GAUSS2, a, 0.3, 0.7)
+    r_in, r_out = cached_knot_radii(1.0, GAUSS2, a, (0.3, 0.7))
     assert r_in == 0.0
     assert _theta_ball(r_out, 1.0, a) == pytest.approx(0.3, abs=1e-12)
     assert weighted_layer(1.0, GAUSS2, a, Indicator()).r_lo == 0.0
