@@ -17,7 +17,9 @@ orders 1, 3/2, 4 and 9/2.
   sqrt(y(1 - y)) above, where that form no longer cancels.
 * ``betaincinv`` (equal parameters) takes Newton steps on the smaller
   tail from the lower bound (y / c)^{1/a} of its root, clamped to
-  [0, 1/2], and raises ``TruncationError`` after ``_NEWTON_STEPS``.
+  [0, 1/2], each entry until its own first small step, and raises
+  ``TruncationError`` after ``_NEWTON_STEPS``.  No value of either
+  function depends on the other points of its call.
 * ``j0`` and ``j1`` follow Cephes (S. L. Moshier, Methods and Programs
   for Mathematical Functions, 1989): Chebyshev series in x/8 on [0, 8],
   modulus and phase polynomials in 64/x^2 beyond.  The coefficients
@@ -101,24 +103,20 @@ def _series_scale(a: float, b: float) -> float:
 
 @lru_cache(maxsize=None)
 def _series_coeffs(a: float, b: float) -> np.ndarray:
-    """(a+b)_n / (a+1)_n for n = 0, 1, ... while the term at y = 1/2 is
-    above _SERIES_TOL."""
+    """(a+b)_n / (a+1)_n for n = 0, 1, ... while the term at y =
+    _ARCSIN_Y is above _SERIES_TOL."""
     coeffs = [1.0]
-    while coeffs[-1] * 0.5 ** (len(coeffs) - 1) > _SERIES_TOL:
+    while coeffs[-1] * _ARCSIN_Y ** (len(coeffs) - 1) > _SERIES_TOL:
         n = len(coeffs)
         coeffs.append(coeffs[-1] * (a + b + n - 1.0) / (a + n))
     return np.array(coeffs)
 
 
 def _lower_series(a: float, b: float, y: np.ndarray) -> np.ndarray:
-    """I_y(a, b) for 0 <= y <= 1/2: y^a (1-y)^b / (a B(a, b)) times
-    sum_n (a+b)_n / (a+1)_n y^n, by Horner's rule in y up to the last
-    term above _SERIES_TOL at the largest y."""
-    coeffs = _series_coeffs(a, b)
-    y_max = float(y.max()) if y.size else 0.0
-    terms = coeffs * y_max ** np.arange(len(coeffs))
-    coeffs = coeffs[:max(int(np.count_nonzero(terms > _SERIES_TOL)), 1)]
-    total = _horner(coeffs, y, np.empty_like(y))
+    """I_y(a, b) for 0 <= y < _ARCSIN_Y: y^a (1-y)^b / (a B(a, b)) times
+    sum_n (a+b)_n / (a+1)_n y^n, by Horner's rule in y over a fixed
+    number of terms, so a value does not depend on the other points."""
+    total = _horner(_series_coeffs(a, b), y, np.empty_like(y))
     total *= y ** a
     total *= (1.0 - y) ** b
     total *= _series_scale(a, b)
@@ -157,9 +155,10 @@ def _arcsin_form(a: float, y: np.ndarray) -> np.ndarray:
 def betainc(a: float, b: float, x) -> np.ndarray:
     """Regularized incomplete beta I_x(a, b) for x in [0, 1] (array):
     an integer b, or a = b half an odd integer."""
-    x = np.asarray(x, dtype=float)
+    shape = np.shape(x)
+    x = np.atleast_1d(np.asarray(x, dtype=float))
     if b == int(b):
-        return _finite_sum(a, int(b), x)
+        return _finite_sum(a, int(b), x).reshape(shape)
     if a != b:
         raise DomainError(f"betainc needs an integer b or a = b; "
                           f"got ({a}, {b})")
@@ -167,7 +166,7 @@ def betainc(a: float, b: float, x) -> np.ndarray:
     y = np.where(upper, 1.0 - x, x)
     tail = _split(y, _ARCSIN_Y, lambda v: _lower_series(a, a, v),
                   lambda v: _arcsin_form(a, v))
-    return np.where(upper, 1.0 - tail, tail)
+    return np.where(upper, 1.0 - tail, tail).reshape(shape)
 
 
 def betaincinv(a: float, b: float, y) -> np.ndarray:
@@ -176,24 +175,28 @@ def betaincinv(a: float, b: float, y) -> np.ndarray:
     if a != b or a < 1.0:
         raise DomainError(f"betaincinv needs equal parameters >= 1; "
                           f"got ({a}, {b})")
-    y = np.asarray(y, dtype=float)
+    shape = np.shape(y)
+    y = np.atleast_1d(np.asarray(y, dtype=float))
     upper = y > 0.5
     p = np.where(upper, 1.0 - y, y)
     # I_x(a, a) <= c x^a puts the start at or below the root, and I is
     # convex on [0, 1/2]: the first step lands at or above the root and
-    # the later ones fall to it, clamped to the bracket [0, 1/2]
+    # the later ones fall to it, clamped to the bracket [0, 1/2].  Each
+    # entry stops at its own first small step
     c = _series_scale(a, a)
     x = np.minimum((p / c) ** (1.0 / a), 0.5)
+    live = np.arange(x.size)
     for _ in range(_NEWTON_STEPS):
-        f = betainc(a, a, x) - p
-        slope = (x * (1.0 - x)) ** (a - 1.0)
+        xl = x[live]
+        f = betainc(a, a, xl) - p[live]
+        slope = (xl * (1.0 - xl)) ** (a - 1.0)
         slope *= a * c
         step = np.divide(f, slope, out=np.zeros_like(f), where=slope > 0.0)
-        new = np.clip(x - step, 0.0, 0.5)
-        done = np.abs(new - x) <= 1e-10 * x
-        x = new
-        if done.all():
-            return np.where(upper, 1.0 - x, x)
+        new = np.clip(xl - step, 0.0, 0.5)
+        x[live] = new
+        live = live[~(np.abs(new - xl) <= 1e-10 * xl)]
+        if not live.size:
+            return np.where(upper, 1.0 - x, x).reshape(shape)
     raise TruncationError(f"betaincinv({a}, {b}): Newton did not converge "
                           f"in {_NEWTON_STEPS} steps")
 

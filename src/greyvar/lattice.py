@@ -112,6 +112,16 @@ class LatticePlacement:
             raise DomainError("placement shapes inconsistent with lattice")
 
 
+def as_points(points, dim: int) -> np.ndarray:
+    """`points` as floats, one d-vector or one per row; DomainError for
+    any other shape, which numpy would broadcast or refuse on its own."""
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim not in (1, 2) or pts.shape[-1] != dim:
+        raise DomainError(f"points of shape {pts.shape} are not "
+                          f"{dim}-vectors")
+    return pts
+
+
 @dataclass(frozen=True)
 class Box:
     """Axis-aligned half-open box prod_i [lo_i, hi_i)."""
@@ -134,7 +144,7 @@ class Box:
         return len(self.lo)
 
     def contains(self, points) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        pts = np.atleast_2d(as_points(points, self.dim))
         lo = np.asarray(self.lo)
         hi = np.asarray(self.hi)
         return np.all((pts >= lo) & (pts < hi), axis=1)

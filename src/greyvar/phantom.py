@@ -43,6 +43,7 @@ from numpy.polynomial import Chebyshev
 from . import psf as psf_mod
 from ._quad import panel_nodes
 from .errors import DomainError, TruncationError
+from .lattice import as_points
 from .psf import Psf, eval_rho, halfspace_profile, sphere_area
 
 
@@ -92,14 +93,14 @@ class Ball(Phantom):
 
     def contains(self, points) -> np.ndarray:
         """Membership of each row of `points` (vectorized)."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        pts = np.atleast_2d(as_points(points, self.dim))
         return np.linalg.norm(pts - self.center, axis=1) <= self.radius
 
     def grey_values(self, psf: Psf, a: float, points) -> np.ndarray:
         """Grey values at the rows of `points`: the cached model of the
         centered ball of this radius, at the distances from the centre."""
+        pts = np.atleast_2d(as_points(points, self.dim))
         model = intensity_model(Ball(self.dim, self.radius), psf, a)
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
         return model.radial(np.linalg.norm(pts - self.center, axis=1))
 
 
@@ -124,14 +125,14 @@ class HalfSpace(Phantom):
 
     def contains(self, points) -> np.ndarray:
         """Membership of each row of `points` (vectorized)."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        pts = np.atleast_2d(as_points(points, self.dim))
         return pts @ np.asarray(self.normal) <= self.offset
 
     def grey_values(self, psf: Psf, a: float, points):
         """Grey values at the rows of `points` (a float at one point):
         the edge profile at the signed distance over a."""
         _check_blur(self, psf, a)
-        t = (np.asarray(points, dtype=float) @ np.asarray(self.normal)
+        t = (as_points(points, self.dim) @ np.asarray(self.normal)
              - self.offset) / a
         return halfspace_profile(psf).theta(t)
 

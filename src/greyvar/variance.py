@@ -38,21 +38,21 @@ tail bound.
 
 Monte Carlo uses the shift-only fast path for balls, a fixed number of
 batches with seeds spawned from one root seed, and a reduction ordered
-by batch index.  Consecutive batches are scored together, in chunks of
-one working-set budget that run across batch ends, by groups that the
-batch sizes and the budget fix, so results are bit-identical for any
-worker count.  The indicator weight scores a shift by the number of
-shifted lattice points in the annulus r_in <= r <= r_out (f(theta(r)) =
-1[r_in <= r <= r_out] exactly, as the annulus autocorrelation of the
-exact engine uses), counted in closed form one lattice line at a time
-(_LineSampler).  The binary volume is the same count with r_in = 0,
-the lattice points in the ball.  A smooth weight scores squared radii
-|p + o|^2, one matrix product per chunk of shifts o, read only where
-they fall in the band of squared radii that can score, from a cubic
-table of f(theta(sqrt s)) over the squared radius s, certified against
-the intensity model (_BandTable).  Both kernels take their lattice
-lines or points from the package's one enumerator of the cells near a
-ball's band, lattice.cells_near.
+by batch index.  Each batch draws its shifts in one call.  Consecutive
+batches are scored together, in chunks of one working-set budget that
+run across batch ends, by groups that the batch sizes and the budget
+fix, so results are bit-identical for any worker count.  The indicator
+weight scores a shift by the number of shifted lattice points in the
+annulus r_in <= r <= r_out (f(theta(r)) = 1[r_in <= r <= r_out] exactly,
+as the annulus autocorrelation of the exact engine uses), counted in
+closed form one lattice line at a time (_LineSampler).  The binary
+volume is the same count with r_in = 0, the lattice points in the ball.
+A smooth weight scores squared radii |p + o|^2, one matrix product per
+chunk of shifts o, read only where they fall in the band of squared
+radii that can score, from a cubic table of f(theta(sqrt s)) over the
+squared radius s, certified against the intensity model (_BandTable).
+Both kernels take their lattice lines or points from the package's one
+enumerator of the cells near a ball's band, lattice.cells_near.
 """
 
 from __future__ import annotations
@@ -73,8 +73,7 @@ from ._quad import panel_nodes
 from .errors import DomainError, TruncationError
 from .estimator import Indicator, alpha_f, weight_tv
 from .lattice import Lattice
-from .phantom import (Ball, IntensityModel, ball_knot_radii,
-                      cached_knot_radii, intensity_model)
+from .phantom import Ball, cached_knot_radii, intensity_model
 from .psf import (HalfspaceProfile, Psf, ball_volume, halfspace_profile,
                   sphere_area)
 # profile_fourier_1d is unused here: perfbench/spans.py wraps it by name
@@ -136,29 +135,19 @@ class ShellSumInfo:
     converged: bool
 
 
-def _octave_eval(fn, q):
-    """Evaluate fn on ascending q, splitting into blocks of bounded
-    dynamic range so oscillatory node counts track the local frequency."""
-    out = np.empty_like(q)
-    i = 0
-    while i < len(q):
-        j = int(np.searchsorted(q, 2.0 * q[i], side="right"))
-        out[i:j] = fn(q[i:j])
-        i = j
-    return out
-
-
 def convergent_dual_sum(lattice: Lattice, summand, *, tail_tol: float,
                         xi_cap: float = 4096.0):
     """Sum summand(|xi|) * multiplicity over nonzero dual shells.
 
     `summand` maps an ascending array of shell norms to nonnegative
-    values.  The tail bound integrates the envelope C_fit |xi|^{-p},
-    with p = d + 1 the decay of a squared transform of a layer with a
-    jump (faster decay only loosens it) and C_fit fitted to the last
-    block: 2 C_fit * cell_volume * omega_d * Xi^{d-p} / (p - d).  Blocks
-    end at |xi| = 6, growing 1.7-fold, until the sum converges or
-    reaches xi_cap; the record says which.
+    values, once per block (a rule sized by the block's largest norm is
+    at least as accurate at its smaller ones).  The tail bound
+    integrates the envelope C_fit |xi|^{-p}, with p = d + 1 the decay of
+    a squared transform of a layer with a jump (faster decay only
+    loosens it) and C_fit fitted to the last block: 2 C_fit *
+    cell_volume * omega_d * Xi^{d-p} / (p - d).  Blocks end at |xi| = 6,
+    growing 1.7-fold, until the sum converges or reaches xi_cap; the
+    record says which.
     """
     d = lattice.dim
     p = d + 1.0
@@ -171,7 +160,7 @@ def convergent_dual_sum(lattice: Lattice, summand, *, tail_tol: float,
     while True:
         norms, counts = lat.dual_shells(lattice, xi, xi_prev)
         if len(norms):
-            vals = _octave_eval(summand, norms)
+            vals = summand(norms)
             block = float(counts @ vals)
             total += block
             n_shells += len(norms)
@@ -931,21 +920,17 @@ class _BandTable:
         return w
 
 
-def _surface_sampler(radius, psf, f, a, lattice, b, alpha, *,
-                     one_off=False):
+def _surface_sampler(radius, psf, f, a, lattice, b, alpha):
     """The Monte Carlo sampler of the surface estimator for a centered
-    ball: lines for an indicator weight, points and a band table (built
-    afresh each call) for any other.  one_off takes the ball's band radii
-    and model from outside the process caches, for a radius used once."""
-    radii = (ball_knot_radii if one_off else cached_knot_radii)(
-        radius, psf, a, f.knots)
+    ball, on its cached band radii: lines for an indicator weight, points
+    and a band table (of the cached model, built afresh) for any other."""
+    radii = cached_knot_radii(radius, psf, a, f.knots)
     r_in, r_out = radii[0], radii[-1]
     scale = (lattice.cell_volume / alpha) * b ** psf.dim / a
     if isinstance(f, Indicator):
         # f(theta(r)) = 1[r_in <= r <= r_out] exactly
         return _LineSampler(lattice, b, r_in, r_out, scale)
-    model = (IntensityModel if one_off else intensity_model)(
-        Ball(psf.dim, radius), psf, a)
+    model = intensity_model(Ball(psf.dim, radius), psf, a)
     return _RadialSampler(lattice, b, r_in, r_out,
                           _BandTable(model, f, r_in, r_out), scale)
 
@@ -957,26 +942,15 @@ def _chunk_width(sampler) -> int:
 
 def _shift_moments(sampler, seeds, sizes):
     """Means and sample variances of sampler.score(u) over the batches
-    of uniform cell shifts u, sizes[j] of them drawn from seeds[j].
-    The batches are scored one after the other in chunks of
-    _chunk_width(sampler) shifts that span batch ends; successive draws
-    concatenate, so the shifts do not depend on the chunk width."""
+    of uniform cell shifts u, sizes[j] of them drawn from seeds[j] in
+    one call.  The batches are scored one after the other in chunks of
+    _chunk_width(sampler) shifts that span batch ends."""
     width = _chunk_width(sampler)
-    vals = np.empty(int(np.sum(sizes)))
-    shifts = np.empty((min(width, len(vals)), sampler.dim))
-    draws = ((np.random.default_rng(s), int(n)) for s, n in zip(seeds, sizes))
-    left = 0
+    shifts = np.concatenate([np.random.default_rng(s).random((n, sampler.dim))
+                             for s, n in zip(seeds, sizes)])
+    vals = np.empty(len(shifts))
     for i0 in range(0, len(vals), width):
-        chunk = shifts[:min(width, len(vals) - i0)]
-        j = 0
-        while j < len(chunk):
-            if left == 0:
-                rng, left = next(draws)
-            m = min(left, len(chunk) - j)
-            rng.random(out=chunk[j:j + m])
-            j += m
-            left -= m
-        vals[i0:i0 + len(chunk)] = sampler.score(chunk)
+        vals[i0:i0 + width] = sampler.score(shifts[i0:i0 + width])
     # each run of equal batch sizes as the rows of one array: a row's sum
     # adds pairwise as numpy sums the batch alone, so the moments agree
     # bit for bit
@@ -1082,10 +1056,10 @@ def mc_random_radius(psf: Psf, f, a: float, lattice: Lattice, b: float,
     its own batch of uniform shifts; those are averaged within and then
     across radius batches.  The conditional (not total) variance is the
     quantity with an a^{d-1} limit: the radius spread itself contributes
-    an O(1) variance of the conditional means that would swamp it.  A
-    random radius never repeats, so each one's band radii, and for a
-    smooth weight its intensity model and table, are built once, outside
-    the process caches.
+    an O(1) variance of the conditional means that would swamp it.  Each
+    radius reads its band radii, and for a smooth weight its intensity
+    model, through the process caches: pure functions of their keys, so
+    what the caches hold does not change the result.
     """
     _check_dims(psf=psf, lattice=lattice)
     _check_scales(a=a, b=b)
@@ -1102,8 +1076,7 @@ def mc_random_radius(psf: Psf, f, a: float, lattice: Lattice, b: float,
         cond_vars = np.empty(n_r)
         cond_means = np.empty(n_r)
         for i, s in enumerate(radii):
-            sampler = _surface_sampler(float(s), psf, f, a, lattice, b,
-                                       alpha, one_off=True)
+            sampler = _surface_sampler(float(s), psf, f, a, lattice, b, alpha)
             (cond_means[i],), (cond_vars[i],) = _shift_moments(
                 sampler, [rng.integers(0, 2 ** 63)], [n_shifts])
             n_points.append(sampler.n_points)

@@ -18,6 +18,7 @@ from scipy.stats import ncx2
 
 from greyvar import phantom
 from greyvar.errors import DomainError
+from greyvar.lattice import centered_box
 from greyvar.phantom import (Ball, HalfSpace, IntensityModel, Phantom,
                              ball_knot_radii, cached_knot_radii, capfrac,
                              intensity, intensity_model)
@@ -323,6 +324,26 @@ def test_validation_errors():
             cached_knot_radii(1.0, gaussian(2), 0.05, (beta, omega))
     with pytest.raises(DomainError, match="not a ball"):
         IntensityModel(HalfSpace(2), gaussian(2), 0.05)
+
+
+def test_points_of_another_dimension_are_refused():
+    """Points that are not d-vectors raise DomainError, (n, 1) points
+    included, which numpy would broadcast as d-vectors; a single
+    d-vector gives a half-space's grey value as a float."""
+    psf = gaussian(2)
+    calls = []
+    for body in (Ball(2, 1.0), HalfSpace(2)):
+        calls += [body.contains,
+                  lambda pts, body=body: body.grey_values(psf, 0.1, pts)]
+    calls.append(centered_box((1.0, 1.0)).contains)
+    for call in calls:
+        for bad in ([[0.5], [2.0]], [[0.5, 0.2, 0.1]], [0.5], 0.5,
+                    np.zeros((2, 2, 2))):
+            with pytest.raises(DomainError, match="not 2-vectors"):
+                call(bad)
+        assert len(call([[0.5, 0.2], [2.0, 0.0]])) == 2
+    assert isinstance(HalfSpace(2).grey_values(psf, 0.1, [0.01, 0.5]),
+                      float)
 
 
 def test_phantoms_answer_membership_and_others_are_refused():

@@ -76,6 +76,21 @@ def test_betaincinv_round_trip(a):
                                                          rel=4e-15)
 
 
+@pytest.mark.parametrize("a", EQUAL)
+def test_values_do_not_depend_on_the_other_points_of_a_call(a):
+    """betainc and betaincinv at one point give the same bits as a
+    scalar, as a one-element array and inside a call on 1,000 points on
+    both sides of the series cut: the series takes a fixed number of
+    terms, and each Newton entry stops at its own first small step."""
+    rng = np.random.default_rng(int(10 * a))
+    for fn in (_special.betainc, _special.betaincinv):
+        v = rng.random(1000)
+        full = fn(a, a, v)
+        for one in (lambda t: float(fn(a, a, t)),
+                    lambda t: fn(a, a, np.array([t]))[0]):
+            np.testing.assert_array_equal([one(t) for t in v], full)
+
+
 def test_unsupported_parameters_are_refused():
     with pytest.raises(DomainError):
         _special.betainc(2.5, 1.5, 0.3)

@@ -28,7 +28,6 @@ from greyvar.spectral import (AnnulusFourier, RadialFourier, ball_main_term,
                               profile_fourier_1d, psf_fourier,
                               sharp_band_square)
 import greyvar
-from greyvar import variance
 from greyvar.variance import weighted_layer
 
 
@@ -311,16 +310,16 @@ def test_profile_rules_split_at_knot_images(kernel, dim):
 @pytest.mark.parametrize("dim", [2, 3])
 @pytest.mark.parametrize("kernel", [gaussian, compact_bump])
 def test_smooth_layer_refinement_gap(kernel, dim):
-    """The Hankel rule of a smooth weight's layer, split at the knot
-    radii and evaluated in the octave blocks of the dual sum out to
-    q = 30/a, is within 1e-13 of its peak of scipy's adaptive quad_vec
-    split there too (measured up to 7.1e-15; 8.2e-10 before the rule was
-    split).  The inner knot radii here come from their own band-radii
-    solve."""
+    """The Hankel rule of a smooth weight's layer, split at the knot radii
+    and evaluated on 2,000 frequencies out to q = 30/a in one call (ten
+    octaves, the rule sized by the largest), is within 1e-13 of its peak
+    of scipy's adaptive quad_vec split there too (measured up to
+    7.4e-15; 8.2e-10 before the rule was split).  The inner knot radii
+    here come from their own band-radii solve."""
     a, f, psf = 0.05, SmoothPlateau(), kernel(dim)
     layer = weighted_layer(1.0, psf, a, f)
     qs = np.linspace(0.5, 30.0 / a, 2000)
-    got = variance._octave_eval(layer.at, qs)
+    got = layer.at(qs)
     edges = [layer.r_lo, *cached_knot_radii(1.0, psf, a, f.knots[1:3]),
              layer.r_hi]
     if dim == 2:  # 2 pi J_0(2 pi q r) r

@@ -1047,26 +1047,45 @@ def test_indicator_rows_fit_no_intensity_model(monkeypatch, tmp_path):
 
 @pytest.mark.parametrize("f", [Indicator(), SmoothPlateau()],
                          ids=["indicator", "plateau"])
-def test_random_radius_builds_outside_the_process_caches(monkeypatch, f):
-    """A random radius never repeats: each one's band radii, and for a
+def test_random_radius_builds_once_per_radius(monkeypatch, f):
+    """From cold caches, each random radius's band radii, and for a
     smooth weight its intensity model and table, are built exactly once
-    (an indicator fits no model), and the cache of intensity models reads
-    the same before and after the call, as does the cache of band
-    radii."""
-    caches = (phantom.intensity_model, phantom.cached_knot_radii)
+    (an indicator fits no model)."""
+    phantom.intensity_model.cache_clear()
+    phantom.cached_knot_radii.cache_clear()
     fits, tables = [], []
     fit, table = phantom._fit_radial_model, variance._BandTable
     monkeypatch.setattr(phantom, "_fit_radial_model",
                         lambda *args: fits.append(args) or fit(*args))
     monkeypatch.setattr(variance, "_BandTable",
                         lambda *args: tables.append(args) or table(*args))
-    before = [c.cache_info() for c in caches]
     mc = mc_random_radius(GAUSS2, f, 0.1, Z2, 0.1, RadiusDensity(), 40, 20,
                           seed=0)
-    assert [c.cache_info() for c in caches] == before
     assert len(fits) == len(tables) == (0 if isinstance(f, Indicator)
                                         else 40)
     assert math.isfinite(mc.variance) and mc.n_points > 0
+
+
+@pytest.mark.parametrize("f", [Indicator(), SmoothPlateau()],
+                         ids=["indicator", "plateau"])
+def test_random_radius_same_for_any_workers_and_cache_state(f):
+    """mc_random_radius reads the process caches from its worker
+    threads; the result is bit for bit the same at workers 1 and 3,
+    from cold caches and from the caches the other run filled."""
+    runs = []
+    for workers in (1, 3, 3, 1):
+        if len(runs) % 2 == 0:
+            phantom.intensity_model.cache_clear()
+            phantom.cached_knot_radii.cache_clear()
+        runs.append(mc_random_radius(GAUSS2, f, 0.1, Z2, 0.1,
+                                     RadiusDensity(), 40, 20, seed=3,
+                                     workers=workers))
+    for got in runs[1:]:
+        assert (got.mean, got.variance, got.n_points) == (
+            runs[0].mean, runs[0].variance, runs[0].n_points)
+        np.testing.assert_array_equal(got.batch_means, runs[0].batch_means)
+        np.testing.assert_array_equal(got.batch_variances,
+                                      runs[0].batch_variances)
 
 
 def test_band_radii_edge_rules():
