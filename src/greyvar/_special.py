@@ -348,13 +348,20 @@ _BLOCK = 8192
 
 
 def _clenshaw(coeffs, t):
-    """sum c_k T_k(t)."""
+    """sum c_k T_k(t) (array t), by Clenshaw's recurrence b_k = 2 t
+    b_{k+1} - b_{k+2} + c_k in three buffers that take turns, so no step
+    allocates."""
     t2 = 2.0 * t
-    b1 = np.zeros_like(t)
-    b2 = np.zeros_like(t)
+    b1, b2, b0 = np.zeros_like(t), np.zeros_like(t), np.empty_like(t)
     for c in coeffs[:0:-1]:
-        b1, b2 = t2 * b1 - b2 + c, b1
-    return t * b1 - b2 + coeffs[0]
+        np.multiply(t2, b1, out=b0)
+        b0 -= b2
+        b0 += c
+        b0, b1, b2 = b2, b0, b1
+    b1 *= t
+    b1 -= b2
+    b1 += coeffs[0]
+    return b1
 
 
 def _modulus_phase(x, modulus, phase, offset: float):

@@ -100,6 +100,13 @@ class SmoothPlateau:
         return (self.beta, self.beta_inner, self.omega_inner, self.omega)
 
     @property
+    def lipschitz(self) -> float:
+        """Steepest slope of f: smoothstep7's 35/16, at the middle of the
+        narrower ramp."""
+        return (35.0 / 16.0) / min(self.beta_inner - self.beta,
+                                   self.omega - self.omega_inner)
+
+    @property
     def boundary_values(self):
         return (0.0, 0.0)
 
@@ -145,6 +152,13 @@ def weight_tv(f) -> float:
     Boundary jumps at the band edges are reported separately through
     f.boundary_values (for the indicator this sum is exactly 0)."""
     return float(np.abs(np.diff(f(np.asarray(f.knots, dtype=float)))).sum())
+
+
+def weight_lipschitz(f) -> float:
+    """Lipschitz constant of the weight on [0, 1]: its `lipschitz`
+    attribute, or inf for a weight that states none (an indicator's
+    jumps have none to state)."""
+    return float(getattr(f, "lipschitz", math.inf))
 
 
 @dataclass

@@ -71,7 +71,7 @@ import numpy.random
 from . import _special, lattice as lat
 from ._quad import panel_nodes
 from .errors import DomainError, TruncationError
-from .estimator import Indicator, alpha_f, weight_tv
+from .estimator import Indicator, alpha_f, weight_lipschitz, weight_tv
 from .lattice import Lattice
 from .phantom import Ball, cached_knot_radii, intensity_model
 from .psf import (HalfspaceProfile, Psf, ball_volume, halfspace_profile,
@@ -287,6 +287,19 @@ def _primal_variance(lattice: Lattice, b: float, pieces, mass: float):
                              tail_bound=bound, converged=True)
 
 
+def _model_drift(layer: RadialFourier, lattice: Lattice, b: float,
+                 eta: float) -> float:
+    """How far the raw estimator b^d det(A) sum_z g(z) can move when the
+    layer is off by at most eta at every radius: eta at each lattice
+    point of its band, and there are at most vol / (b^d det A) of those,
+    vol the band's volume widened by half a cell diameter on each side
+    (each point's own cell lies in it).  The standard deviation moves by
+    at most as much, so the variance by at most drift (2 sd + drift)."""
+    d, reach = layer.dim, 0.5 * b * lattice.cell_diameter
+    return eta * (ball_volume(d, layer.r_hi + reach)
+                  - ball_volume(d, max(layer.r_lo - reach, 0.0)))
+
+
 def variance_exact_ball(phantom, psf: Psf, f, a: float, lattice: Lattice,
                         b: float) -> VarianceReport:
     """Exact variance of the normalized surface estimator for a ball
@@ -298,8 +311,10 @@ def variance_exact_ball(phantom, psf: Psf, f, a: float, lattice: Lattice,
     rounding bound as tail_bound.  Any other weight takes the dual-shell
     sum of squared layer transforms to a relative tolerance of 1e-3, or
     raises TruncationError if it does not converge (see
-    _refusing_dual_sum).  The sum and its tail_bound are both divided by
-    (a alpha_f)^2, so the bound is in the units of the value.
+    _refusing_dual_sum), and its tail_bound adds what the intensity
+    model's error moves the variance by (_model_drift).  The sum and
+    its tail_bound are both divided by (a alpha_f)^2, so the bound is in
+    the units of the value.
     """
     _check_dims(phantom=phantom, psf=psf, lattice=lattice)
     _check_scales(a=a, b=b)
@@ -316,6 +331,12 @@ def variance_exact_ball(phantom, psf: Psf, f, a: float, lattice: Lattice,
     else:
         total, info = _refusing_dual_sum(
             lattice, lambda q: layer.at(q / b) ** 2, a, b, 1e-3)
+        # the layer reads f of the intensity model, within Lip(f) eps of
+        # f(theta) at every radius
+        eps = intensity_model(Ball(psf.dim, radius), psf, a).error
+        drift = _model_drift(layer, lattice, b, weight_lipschitz(f) * eps)
+        info = replace(info, tail_bound=info.tail_bound + drift * (
+            2.0 * math.sqrt(max(total, 0.0)) + drift))
     scale = (a * alpha) ** 2
     return VarianceReport(value=total / scale, a=a, b=b, alpha=alpha,
                           shells=replace(info,
@@ -668,9 +689,15 @@ class _RadialSampler:
         offs = u @ self.basis_b.T
         cols = np.vstack([2.0 * offs.T, np.ones(len(u)),
                           np.einsum("ij,ij->i", offs, offs)])
-        rsq = _workspace(len(self.lifted) * len(u)).reshape(-1, len(u))
+        # numpy multiplies one column by a matrix-vector product, which
+        # rounds a third of these entries other than the matrix product
+        # of two or more columns does: a lone shift is scored twice
+        if len(u) == 1:
+            cols = np.repeat(cols, 2, axis=1)
+        k = cols.shape[1]
+        rsq = _workspace(len(self.lifted) * k).reshape(-1, k)
         np.matmul(self.lifted, cols, out=rsq)
-        return self.scale * self.column_sums(rsq)
+        return self.scale * self.column_sums(rsq)[:len(u)]
 
     def column_sums(self, rsq: np.ndarray) -> np.ndarray:
         """table(rsq).sum(axis=0) of an (N, K) array of squared radii,
@@ -864,10 +891,13 @@ class _BandTable:
     interpolation error's node polynomial peaks, or raises
     TruncationError past _BAND_CELLS_MAX cells.  The nodes and midpoints
     of M cells are the grid of M quarter cells, which the next doubling
-    keeps, so a table costs 4M + 1 model reads in all.
+    keeps, so a table costs 4M + 1 model reads in all.  `error` states
+    the table's distance from f(theta(sqrt s)) itself: _BAND_TOL plus
+    the model's error carried through f, Lip(f) * model.error.
     """
 
     def __init__(self, model, f, r_in, r_out):
+        self.error = _BAND_TOL + weight_lipschitz(f) * model.error
         self.lo = lo = r_in * r_in
         hi = r_out * r_out
         width = hi - lo

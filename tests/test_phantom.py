@@ -17,7 +17,7 @@ import pytest
 from scipy.stats import ncx2
 
 from greyvar import phantom
-from greyvar.errors import DomainError
+from greyvar.errors import DomainError, TruncationError
 from greyvar.lattice import centered_box
 from greyvar.phantom import (Ball, HalfSpace, IntensityModel, Phantom,
                              ball_knot_radii, cached_knot_radii, capfrac,
@@ -131,6 +131,42 @@ def test_intensity_model_radial_matches_bump_quadrature(dim):
         expected = [intensity(Ball(dim, R), psf, a, np.eye(dim)[0] * r)
                     for r in rs]
         np.testing.assert_allclose(model.radial(rs), expected, atol=1e-12)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("make", [gaussian, compact_bump, ball_indicator])
+def test_intensity_model_within_its_stated_error(make, dim):
+    """Every model's stated error bounds its gap to the cap quadrature on
+    4,001 radii across the transition zone, and the gap stays under
+    1e-13, for the d=2 disc too (4.5e-7 with a degree-80 fit in r)."""
+    psf = make(dim)
+    for a in (0.1, 0.05, 0.0125):
+        model = IntensityModel(Ball(dim, 1.0), psf, a)
+        rs = np.linspace(*model.table_range, 4001)
+        gap = np.max(np.abs(model.radial(rs) - phantom._ball_intensity_radii(
+            psf, a, 1.0, rs)))
+        assert gap <= model.error
+        assert gap <= 1e-13
+        assert model.error <= 2.0 * phantom._FIT_TOL + phantom._FIT_FLOOR
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("make", [gaussian, compact_bump, ball_indicator])
+def test_intensity_model_degree_stays_under_its_cap(make, dim):
+    """Over blur scales from 0.3 to 0.005 the chopped degree of every
+    model stays at or below the cap and below the degree 80 of a fixed
+    fit in r."""
+    for a in np.geomspace(0.3, 0.005, 9):
+        model = IntensityModel(Ball(dim, 1.0), make(dim), a)
+        assert 0 < model.degree <= min(80, phantom._FIT_NODES_MAX)
+
+
+def test_intensity_model_past_its_cap_is_refused(monkeypatch):
+    """A model that would need more nodes than the cap allows is refused,
+    not returned with a larger error: the Gaussian needs 65 nodes."""
+    monkeypatch.setattr(phantom, "_FIT_NODES_MAX", 32)
+    with pytest.raises(TruncationError, match="intensity model"):
+        IntensityModel(Ball(2, 1.0), gaussian(2), 0.05)
 
 
 def test_intensity_model_clamps_outside_table():
@@ -256,8 +292,8 @@ def test_band_radii_take_few_quadrature_calls(monkeypatch, make, dim):
     """A pair of band radii costs a handful of small vectorized cap
     quadratures: the first holds both levels, their forward-difference
     points and theta at the inner end of the transition zone, each later
-    one the levels still moving (no call holds the 81 radii of a
-    Chebyshev fit)."""
+    one the levels still moving (no call holds the 33 or more radii of
+    an intensity model's fit)."""
     sizes, quad = [], phantom._ball_intensity_radii
 
     def counted(psf, a, R, radii):

@@ -169,6 +169,18 @@ def test_compact_fourier_across_series_cutover(nu):
         assert abs(mp.mpf(float(gi)) - want) <= 6e-16, (nu, 2 * x)
 
 
+def test_clenshaw_in_place_keeps_the_bits_of_the_recurrence():
+    """The in-place Clenshaw sum gives J0 and J1 on [0, 8] the bits of
+    the plain recurrence b1, b2 = 2 t b1 - b2 + c, b1."""
+    t = np.random.default_rng(7).random(20_000)
+    for coeffs in (_special._J0_SMALL, _special._J1_SMALL):
+        b1 = b2 = np.zeros_like(t)
+        for c in coeffs[:0:-1]:
+            b1, b2 = 2.0 * t * b1 - b2 + c, b1
+        np.testing.assert_array_equal(_special._clenshaw(coeffs, t),
+                                      t * b1 - b2 + coeffs[0])
+
+
 def test_bessel_tables_are_reproducible():
     """tools/fit_special.py rebuilds every coefficient table bit for bit."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))

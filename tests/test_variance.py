@@ -23,10 +23,10 @@ from scipy.stats import ncx2, norm
 
 from greyvar import cli, lattice, phantom, variance
 from greyvar.errors import DomainError, TruncationError
-from greyvar.estimator import Indicator, SmoothPlateau
+from greyvar.estimator import Indicator, SmoothPlateau, weight_lipschitz
 from greyvar.lattice import Lattice, hexagonal_lattice, unit_lattice
 from greyvar.phantom import Ball, HalfSpace, cached_knot_radii
-from greyvar.psf import (ball_volume, compact_bump, gaussian,
+from greyvar.psf import (ball_indicator, ball_volume, compact_bump, gaussian,
                          halfspace_profile, sphere_area)
 from greyvar.spectral import AnnulusFourier
 from greyvar.variance import (AsymptoticReport, RadiusDensity,
@@ -966,6 +966,57 @@ def test_smooth_mc_weight_reads_the_model_only_in_the_band(psf, a):
     assert np.all(got[outside] == 0.0)
     if r_in == 0.0:
         assert got[-2] == expected[-1]
+
+
+@pytest.mark.parametrize("make", [compact_bump, ball_indicator])
+def test_band_table_error_covers_the_quadrature(make):
+    """A band table states its error against f(theta) itself, its own
+    _BAND_TOL plus the model's error carried through f, and keeps it
+    against the cap quadrature, for the disc in d=2 too."""
+    f, psf = SmoothPlateau(), make(2)
+    for a in (0.1, 0.0125):
+        model = phantom.intensity_model(Ball(2, 1.0), psf, a)
+        r_in, *_, r_out = cached_knot_radii(1.0, psf, a, f.knots)
+        table = variance._BandTable(model, f, r_in, r_out)
+        assert table.error == variance._BAND_TOL + f.lipschitz * model.error
+        rsq = np.random.default_rng(5).uniform(r_in ** 2, r_out ** 2, 2000)
+        want = f(phantom._ball_intensity_radii(psf, a, 1.0, np.sqrt(rsq)))
+        assert np.max(np.abs(table(rsq.copy()) - want)) <= table.error
+
+
+def test_smooth_lipschitz_bounds_its_slope():
+    """SmoothPlateau's stated Lipschitz constant is its steepest slope,
+    and a weight that states none gets an unbounded one."""
+    f = SmoothPlateau(0.3, 0.35, 0.6, 0.7)
+    y = np.linspace(0.0, 1.0, 200_001)
+    slope = np.max(np.abs(np.diff(f(y)))) / (y[1] - y[0])
+    assert slope <= f.lipschitz <= slope * (1.0 + 1e-6)
+    assert weight_lipschitz(_Flat()) == math.inf
+
+
+def test_smooth_tail_bound_carries_the_model_error(monkeypatch):
+    """A smooth weight's tail_bound adds drift (2 sd + drift) of the raw
+    variance, drift = Lip(f) eps_theta times the volume of the band
+    widened by half a cell diameter; a weight that states no Lipschitz
+    constant gets an unbounded one."""
+    psf, f, a = compact_bump(2), SmoothPlateau(), 0.05
+    got = variance_exact_ball(Ball(2, 1.0), psf, f, a, Z2, a)
+    monkeypatch.setattr(variance, "_model_drift", lambda *args: 0.0)
+    bare = variance_exact_ball(Ball(2, 1.0), psf, f, a, Z2, a)
+    monkeypatch.undo()
+    eps = phantom.intensity_model(Ball(2, 1.0), psf, a).error
+    r_in, *_, r_out = cached_knot_radii(1.0, psf, a, f.knots)
+    reach = 0.5 * a * Z2.cell_diameter
+    drift = f.lipschitz * eps * (ball_volume(2, r_out + reach)
+                                 - ball_volume(2, r_in - reach))
+    scale = (a * got.alpha) ** 2
+    added = drift * (2.0 * math.sqrt(got.value * scale) + drift) / scale
+    assert got.value == bare.value
+    assert got.shells.tail_bound - bare.shells.tail_bound == pytest.approx(
+        added, rel=1e-6)
+    assert 0.0 < added < 1e-9 * got.value
+    flat = variance_exact_ball(Ball(2, 1.0), psf, _BareWeight(), a, Z2, a)
+    assert flat.shells.tail_bound == math.inf
 
 
 def test_band_table_over_its_cell_cap_is_refused(monkeypatch):
