@@ -38,8 +38,8 @@ from .spectral import (AnnulusFourier, RadialFourier, ball_indicator_fourier,
                        ball_main_term, bessel_j, nu_phase,
                        profile_fourier_1d, psf_fourier, sharp_band_square)
 from .variance import (AsymptoticReport, BoundReport, MCResult, RadiusDensity,
-                       ShellSumInfo, VarianceReport, envelope_check,
-                       mc_random_radius, mc_surface, mc_volume_binary,
+                       ShellSumInfo, VarianceReport, mc_random_radius,
+                       mc_surface, mc_volume_binary,
                        profile_lattice_sum, variance_asymptotic_isotropic,
                        variance_asymptotic_random_radius,
                        variance_bound_check, variance_exact_ball,
@@ -57,7 +57,7 @@ __all__ = [
     "VarianceReport", "alpha_f", "ball_indicator",
     "ball_indicator_fourier", "ball_main_term", "bessel_j", "centered_box",
     "compact_bump", "dual_shells",
-    "enumerate_points", "envelope_check",
+    "enumerate_points",
     "estimate_surface", "estimate_volume_binary", "estimate_volume_grey",
     "eval_rho", "gaussian", "halfspace_profile",
     "hexagonal_lattice", "intensity", "intensity_model", "mc_random_radius",

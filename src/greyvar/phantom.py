@@ -21,15 +21,22 @@ normalized area is
 so   theta_a(B(R))(x) = int_0^inf rho(w) * surf(S^{d-1}) w^{d-1}
                           * capfrac(|x|, a*w, R) dw.
 
-In d=2 the cap fraction has square-root behaviour where the cap appears
-or disappears; the quadrature substitutes w = w_edge + zeta^2 there, which
-removes the singularity and grades nodes toward the edge.  The evaluation
-is vectorized over points.  The radii where the grey value crosses given
-levels (the band radii, the weight's knot radii) are solved on this
-quadrature directly, a few radii per call; only IntensityModel, which
-reads grey values everywhere in the transition zone, fits a Chebyshev
-model of it, in a variable where it is analytic, to the degree its
-coefficients choose, and states the error it measures.
+Four of the six (PSF, d) pairs take their grey values in closed form
+(_ball_intensity_radii): in d=3 the cap fraction is rational in w, so
+the Gaussian's integral is elementary and a polynomial PSF's is exact
+under a short Gauss-Legendre rule; in d=2 the disc's grey value is a
+lens area.  The d=2 Gaussian and bump take the quadrature of the
+integral above (_cap_quadrature), which is also the closed forms' test
+oracle.  In d=2 the cap fraction has square-root behaviour where the cap
+appears or disappears; the quadrature substitutes w = w_edge + zeta^2
+there, which removes the singularity and grades nodes toward the edge.
+Both are vectorized over points.  The radii where the grey value
+crosses given levels (the band radii, the weight's knot radii) are
+solved on these grey values directly, a few radii per call; only
+IntensityModel, which reads grey values everywhere in the transition
+zone, fits a Chebyshev model of them, in a variable where they are
+analytic, to the degree its coefficients choose, and states the error
+it measures.
 """
 
 from __future__ import annotations
@@ -159,20 +166,24 @@ def capfrac(r, s, R: float, d: int):
     return 0.5 * (1.0 - mu)
 
 
-# quadrature layout for the radial cap integral (see _ball_intensity_radii)
+# quadrature layout for the radial cap integral (see _cap_quadrature)
 _N_CORE = 24        # panels on [0, w1] (cap fraction constant there)
 _N_EDGE = 16        # zeta-panels per transition half
 # their rules on [0, 1], built once: nodes and weights of each
 _CORE_RULE = panel_nodes((0.0, 1.0), _N_CORE)
 _EDGE_RULE = panel_nodes((0.0, 1.0), _N_EDGE)
 # transition radii per block: its (32, 240) temporaries stay under glibc's
-# 128 KiB mmap threshold, so a model build (81 radii) reuses heap pages
-# instead of mapping and faulting fresh ones for every temporary
+# 128 KiB mmap threshold, so a call on many radii (an intensity fit's)
+# reuses heap pages instead of mapping and faulting fresh ones for every
+# temporary
 _ROW_BLOCK = 32
 
 
-def _ball_intensity_radii(psf: Psf, a: float, R: float, radii) -> np.ndarray:
-    """Grey values of a centered ball at the given radii (vectorized)."""
+def _cap_quadrature(psf: Psf, a: float, R: float, radii) -> np.ndarray:
+    """Grey values of a centered ball at the given radii (vectorized), by
+    quadrature of the radial cap integral: the (PSF, d) pairs without a
+    closed form read it, and the tests check the closed forms against
+    it."""
     d = psf.dim
     W = psf_mod._integration_radius(psf)
     r = np.atleast_1d(np.asarray(radii, dtype=float))
@@ -232,15 +243,152 @@ def _ball_intensity_radii(psf: Psf, a: float, R: float, radii) -> np.ndarray:
     return np.clip(out, 0.0, 1.0)
 
 
+# (x - sin x) / x^3 = sum_k (-1)^k x^{2k} / (2k + 3)!; the ninth term is
+# under 1e-17 of the first for x < 1
+_SIN_SERIES = [(-1) ** k / math.factorial(2 * k + 3) for k in range(9)]
+
+
+def _x_minus_sin(x):
+    """x - sin x (x >= 0, an array), below 1 by its Taylor series, where
+    the difference cancels."""
+    out = x - np.sin(x)
+    small = x < 1.0
+    out[small] = x[small] ** 3 * np.polynomial.polynomial.polyval(
+        x[small] ** 2, _SIN_SERIES)
+    return out
+
+
+def _lens(r1: float, r2: float, s, dim: int):
+    """Measure of the intersection of two balls of radii r1, r2 whose
+    centres are s apart (vectorized over s >= 0): the closed-form
+    circle-circle area (d=2) or sphere-sphere volume (d=3).
+
+    The circle case adds the two circles' segments beyond the common
+    chord, (r^2/2)(2 alpha - sin 2 alpha) with alpha the half-angle of
+    each, taken by atan2 from the half chord h and the centre's distance
+    to the chord, (s^2 - r_other^2 + r^2)/(2 s) with s^2 - r_other^2 as a
+    product.  Both segments are positive and _x_minus_sin does not
+    cancel, so the area keeps a few ulps of itself, near tangency and
+    for a small circle on a large one too.
+    """
+    s = np.asarray(s, dtype=float)
+    out = np.zeros_like(s)
+    out[s <= abs(r1 - r2)] = psf_mod.ball_volume(dim, min(r1, r2))
+    mid = (s > abs(r1 - r2)) & (s < r1 + r2)
+    t = s[mid]
+    if dim == 2:
+        h = np.sqrt((r1 - t + r2) * (t + r1 - r2) * (t - r1 + r2)
+                    * (r1 + r2 + t)) / (2.0 * t)
+        out[mid] = sum(0.5 * r * r * _x_minus_sin(2.0 * np.arctan2(
+            h, ((t - q) * (t + q) + r * r) / (2.0 * t)))
+            for r, q in ((r1, r2), (r2, r1)))
+    else:
+        out[mid] = (math.pi * (r1 + r2 - t) ** 2
+                    * (t * t + 2.0 * t * (r1 + r2) - 3.0 * (r1 - r2) ** 2)
+                    / (12.0 * t))
+    return out
+
+
+def _gaussian_ball_3d(psf: Psf, a: float, R: float, r):
+    """Grey values of B(R) under the d=3 Gaussian at radii r > 0, and the
+    sum of their terms' magnitudes:
+
+        Phi((R - r)/a) - Phi(-(R + r)/a)
+            - (2a / (r sqrt(2 pi))) e^{-(R^2 + r^2)/2a^2} sinh(R r/a^2),
+
+    the last term written as (a / (r sqrt(2 pi))) e^{-(R - r)^2/2a^2}
+    (1 - e^{-2 R r/a^2}) by expm1, which neither overflows at R r >> a^2
+    nor cancels at r << a."""
+    s = a * math.sqrt(2.0)
+    inner = 0.5 * psf_mod._erfc((r - R) / s)
+    outer = 0.5 * psf_mod._erfc((R + r) / s)
+    tail = (a / math.sqrt(2.0 * math.pi) * np.exp(-((R - r) / s) ** 2)
+            * -np.expm1(-2.0 * R * r / (a * a)) / r)
+    return inner - outer - tail, inner + outer + tail
+
+
+def _compact_ball_3d(psf: Psf, a: float, R: float, r):
+    """Grey values of B(R) under the d=3 bump or disc at radii r > 0, and
+    the sum of their terms' magnitudes: 4 pi int rho(w) w^2 capfrac dw
+    over the core [0, (R - r)+ / a], where capfrac = 1, and over the
+    transition [|R - r| / a, (R + r) / a], where
+
+        capfrac = 1/2 - ((r - R)(r + R) + (a w)^2) / (4 r a w),
+
+    each piece cut at the support D.  rho ~ (1 - w^2/D^2)^k makes each
+    integrand a polynomial in w of degree at most 2k + 3, which k + 2
+    Gauss-Legendre nodes integrate exactly: no antiderivative and no
+    1/r cancellation.  The magnitudes add capfrac's three terms apart."""
+    D, order = psf.support_radius, psf_mod._compact_power(psf) + 2
+
+    def piece(lo, hi):
+        """Nodes on [lo, hi] cut at D, and 4 pi rho w^2 times weights."""
+        w, wt = panel_nodes(np.minimum(np.stack((lo, hi), axis=-1), D), 1,
+                            order)
+        return w, sphere_area(3) * eval_rho(psf, w) * w * w * wt
+
+    core = piece(np.zeros_like(r), np.maximum(R - r, 0.0) / a)[1].sum(1)
+    w, mass = piece(np.abs(R - r) / a, (R + r) / a)
+    rc, aw = r[:, None], a * w
+    gap, den = (rc - R) * (rc + R), 4.0 * rc * aw
+    return (core + (mass * (0.5 - (gap + aw * aw) / den)).sum(1),
+            core + (mass * (0.5 + (np.abs(gap) + aw * aw) / den)).sum(1))
+
+
+def _disc_ball_2d(psf: Psf, a: float, R: float, r):
+    """Grey values of B(R) under the d=2 disc at radii r, the area of the
+    lens of B(R) and the disc of radius aD about the point over that
+    disc's area, and the sum of their terms' magnitudes: the value
+    itself, as both of the lens's terms are positive (_lens)."""
+    theta = _lens(R, a * psf.support_radius, r, 2) / (
+        math.pi * (a * psf.support_radius) ** 2)
+    return theta, theta
+
+
+def _closed_form(psf: Psf):
+    """The closed-form grey values of a centered ball for the PSF's kind
+    and dimension, or None (the d=2 Gaussian and bump)."""
+    if psf.dim == 3:
+        return _gaussian_ball_3d if psf.kind == "gaussian" else \
+            _compact_ball_3d
+    return _disc_ball_2d if psf.kind == "ball_indicator" else None
+
+
+# a closed form's rounding bound, in ulps of the sum of its terms'
+# magnitudes
+_ROUNDING_ULPS = 8
+_EPS = float(np.finfo(float).eps)
+
+
+def _ball_intensity_radii(psf: Psf, a: float, R: float, radii):
+    """Grey values of a centered ball at the given radii (vectorized) and
+    a bound on the rounding of each: the closed form where one exists
+    (_closed_form), _ROUNDING_ULPS ulps of its terms' magnitudes, and
+    else the cap quadrature, whose bound reads 0 (its error is its
+    rule's, which the tests measure).  Radii under 1e-9 (R + a) read the
+    PSF's mass in B(R/a), as the quadrature's do."""
+    r = np.atleast_1d(np.asarray(radii, dtype=float))
+    closed = _closed_form(psf)
+    if closed is None:
+        return _cap_quadrature(psf, a, R, r), np.zeros_like(r)
+    theta, size = np.empty_like(r), np.ones_like(r)
+    central = r < 1e-9 * (R + a)
+    theta[central] = psf_mod.radial_mass(
+        psf, min(R / a, psf_mod._integration_radius(psf)))
+    theta[~central], size[~central] = closed(psf, a, R, r[~central])
+    return np.clip(theta, 0.0, 1.0), _ROUNDING_ULPS * _EPS * size
+
+
 # the intensity fit (_fit_radial_model): Chebyshev-Lobatto grids of
 # _FIT_NODES intervals, doubling up to _FIT_NODES_MAX, each kept once
-# its chopped series is within _FIT_TOL of the cap quadrature at the
+# its chopped series is within _FIT_TOL of the grey values at the
 # midpoints between its nodes; the chop drops the trailing coefficients
 # whose absolute sum stays under _CHOP_TOL.  The stated error is twice
-# the largest gap at the midpoints plus _FIT_FLOOR: on 20,001 radii (R
-# in {0.7, 1, 2.5}, a from 0.005 to 0.3, every PSF in d = 2 and 3) the
-# gap to the quadrature reached 2.1 times the checked one, where both
-# were at the quadrature's own rounding of a few 1e-15
+# the largest gap at the midpoints plus _FIT_FLOOR, plus the closed
+# form's rounding bound: on 20,001 radii (R in {0.7, 1, 2.5}, a from
+# 0.005 to 0.3, every PSF in d = 2 and 3) the gap to the cap quadrature
+# reached 2.1 times the checked one, where both were at the
+# quadrature's own rounding of a few 1e-15
 _FIT_NODES, _FIT_NODES_MAX = 16, 256
 _FIT_TOL, _CHOP_TOL, _FIT_FLOOR = 1e-13, 1e-14, 1e-14
 
@@ -249,8 +397,8 @@ _FIT_TOL, _CHOP_TOL, _FIT_FLOOR = 1e-13, 1e-14, 1e-14
 class _RadialFit:
     """sum c_k T_k(x) on the transition zone [lo, hi] = mid -/+ half,
     r = mid + half sin(pi x / 2) (compact PSFs) or r = mid + half x (the
-    Gaussian), x in [-1, 1], and its stated error against the cap
-    quadrature."""
+    Gaussian), x in [-1, 1], and its stated error against the grey
+    values."""
 
     coefs: np.ndarray
     lo: float
@@ -304,9 +452,10 @@ def _chop(coefs) -> np.ndarray:
 
 
 def _fit_radial_model(psf: Psf, a: float, R: float) -> _RadialFit:
-    """Chopped Chebyshev series of the cap quadrature of B(R) on the
-    transition zone R -/+ a T (T the edge profile's half-width; theta is
-    1 or 0 outside it), in a variable where theta is analytic.
+    """Chopped Chebyshev series of the grey values of B(R)
+    (_ball_intensity_radii) on the transition zone R -/+ a T (T the edge
+    profile's half-width; theta is 1 or 0 outside it), in a variable
+    where theta is analytic.
 
     A compact PSF's grey value has a (gap)^{3/2} edge at each end of the
     zone (the d=2 disc's) or a smoother one; r = mid + half sin(pi x/2)
@@ -314,17 +463,24 @@ def _fit_radial_model(psf: Psf, a: float, R: float) -> _RadialFit:
     Gaussian has no edge and is fitted in r.  On the grid of n + 1
     Chebyshev-Lobatto points, n = _FIT_NODES, 2 _FIT_NODES, ..., the
     chopped interpolant is checked at the n midpoints in angle, which are
-    the odd points of the next grid, so each quadrature value is taken
-    once.  The first series within _FIT_TOL of every check is kept,
-    stating twice its largest gap plus _FIT_FLOOR as its error; none by
-    n = _FIT_NODES_MAX raises TruncationError.
+    the odd points of the next grid, so each grey value is taken once.
+    The first series within _FIT_TOL of every check is kept, stating
+    twice its largest gap plus _FIT_FLOOR, plus the largest rounding
+    bound of the grey values it read, as its error; none by n =
+    _FIT_NODES_MAX raises TruncationError.
     """
     T = halfspace_profile(psf).T
     # the zone and its map; the series and its error come last
     fit = _RadialFit(np.zeros(1), max(R - a * T, 0.0), R + a * T,
                      psf.compact, math.nan)
-    theta = lambda j, n: _ball_intensity_radii(
-        psf, a, R, fit.radius(np.cos(j * (math.pi / n))))
+    rounding = [0.0]
+
+    def theta(j, n):
+        values, bound = _ball_intensity_radii(
+            psf, a, R, fit.radius(np.cos(j * (math.pi / n))))
+        rounding.append(float(bound.max()))
+        return values
+
     n = _FIT_NODES
     values = theta(np.arange(2 * n + 1), 2 * n)
     while True:
@@ -334,8 +490,8 @@ def _fit_radial_model(psf: Psf, a: float, R: float) -> _RadialFit:
                                              * (math.pi / (2 * n))))
             - values[1::2])))
         if error <= _FIT_TOL:
-            return replace(fit, coefs=coefs,
-                           error=2.0 * error + _FIT_FLOOR)
+            return replace(fit, coefs=coefs, error=2.0 * error
+                           + _FIT_FLOOR + max(rounding))
         if 2 * n > _FIT_NODES_MAX:
             raise TruncationError(
                 f"intensity model of B({R:g}) at a = {a:g} misses its "
@@ -361,12 +517,12 @@ def _level_radii(psf: Psf, a: float, R: float, levels):
     gets r_lo.
 
     Each level starts at its half-space radius R + a phi(level) and takes
-    Newton steps on the cap quadrature with a forward-difference slope,
-    all levels in one vectorized quadrature call per step (the first also
-    reads theta(r_lo)).  A step that leaves the level's bracket, which
-    every evaluation narrows, is replaced by bisection.  A level stops
-    when its step falls below 1e-13; one still moving after _SOLVER_STEPS
-    raises TruncationError.
+    Newton steps on the grey values (_ball_intensity_radii) with a
+    forward-difference slope, all levels in one vectorized call per step
+    (the first also reads theta(r_lo)).  A step that leaves the level's
+    bracket, which every evaluation narrows, is replaced by bisection.  A
+    level stops when its step falls below 1e-13; one still moving after
+    _SOLVER_STEPS raises TruncationError.
     """
     profile = halfspace_profile(psf)
     levels = np.asarray(levels, dtype=float)
@@ -375,7 +531,8 @@ def _level_radii(psf: Psf, a: float, R: float, levels):
     h = _SLOPE_STEP * a
     x = np.clip([R + a * profile.phi(y) for y in levels], r_lo, r_hi)
     lo, hi = np.full(n, r_lo), np.full(n, r_hi)
-    v = _ball_intensity_radii(psf, a, R, np.concatenate((x, x + h, [r_lo])))
+    v, _ = _ball_intensity_radii(psf, a, R,
+                                 np.concatenate((x, x + h, [r_lo])))
     theta_lo = v[-1]
     x[levels >= theta_lo] = r_lo
     live = np.flatnonzero(levels < theta_lo)
@@ -393,8 +550,8 @@ def _level_radii(psf: Psf, a: float, R: float, levels):
         live = live[np.abs(new - xl) >= 1e-13]
         if live.size == 0:
             return float(theta_lo), x
-        v = _ball_intensity_radii(psf, a, R,
-                                  np.concatenate((x[live], x[live] + h)))
+        v, _ = _ball_intensity_radii(psf, a, R,
+                                     np.concatenate((x[live], x[live] + h)))
         theta, ahead = v[:live.size], v[live.size:]
     raise TruncationError(
         f"level {levels[live[0]]:g} radius: Newton did not converge")
@@ -404,10 +561,12 @@ def ball_knot_radii(radius: float, psf: Psf, a: float,
                     knots) -> tuple[float, ...]:
     """Radii where the grey value of the centered ball B(radius) falls
     through each of the ascending weight knots, innermost (the largest
-    knot's) first, solved afresh on the cap quadrature (_level_radii).  A
-    knot at or above the grey value at the inner end of the transition
-    zone gets that end (0 for a wide blur); a blur that keeps it at or
-    below the smallest knot is refused."""
+    knot's) first, solved afresh on the grey values (_level_radii): in
+    closed form for the d=3 PSFs and the d=2 disc, by the cap quadrature
+    for the d=2 Gaussian and bump.  A knot at or above the grey value at
+    the inner end of the transition zone gets that end (0 for a wide
+    blur); a blur that keeps it at or below the smallest knot is
+    refused."""
     if not 0 < a < math.inf:
         raise DomainError("blur scale a must be positive and finite")
     if not 0.0 < knots[0] < knots[-1] < 1.0:
@@ -427,12 +586,12 @@ class IntensityModel:
     """Chebyshev model of a ball's grey value against the distance from
     its centre, for one (ball, psf, a); any other phantom is refused.
 
-    The chopped series of the cap quadrature over the transition zone
-    (_fit_radial_model), the only fit of the quadrature; the grey value
-    is 1 or 0 outside it.  `error` bounds its gap to the quadrature, from
-    the largest gap where it was checked, and `degree` is the degree its
-    coefficients chose.  intensity_model caches the models
-    per radius and blur.
+    The chopped series of the grey values over the transition zone
+    (_fit_radial_model), the only fit of them; the grey value is 1 or 0
+    outside it.  `error` bounds its gap to the grey values, from the
+    largest gap where it was checked and the closed form's rounding, and
+    `degree` is the degree its coefficients chose.  intensity_model
+    caches the models per radius and blur.
     """
 
     def __init__(self, phantom: Phantom, psf: Psf, a: float):
@@ -473,10 +632,12 @@ def intensity_model(phantom: Phantom, psf: Psf, a: float) -> IntensityModel:
 
 
 def intensity(phantom: Phantom, psf: Psf, a: float, x) -> float:
-    """Grey value theta_a(X)(x) at a single point (exact 1-D quadrature).
+    """Grey value theta_a(X)(x) at a single point.
 
-    Absolute accuracy ~1e-10; balls go through the radial cap integral,
-    half-spaces through their grey_values.
+    Balls read _ball_intensity_radii: the closed form for the d=3 PSFs
+    and the d=2 disc, within a few ulps, and the cap quadrature for the
+    d=2 bump and Gaussian, within a few 1e-15 (6e-13 for the Gaussian
+    near R); half-spaces read their grey_values.
     """
     _check_blur(phantom, psf, a)
     x = np.asarray(x, dtype=float)
@@ -485,4 +646,4 @@ def intensity(phantom: Phantom, psf: Psf, a: float, x) -> float:
     if isinstance(phantom, HalfSpace):
         return phantom.grey_values(psf, a, x)
     r = float(np.linalg.norm(x - np.asarray(phantom.center)))
-    return float(_ball_intensity_radii(psf, a, phantom.radius, [r])[0])
+    return float(_ball_intensity_radii(psf, a, phantom.radius, [r])[0][0])

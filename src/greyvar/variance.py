@@ -73,7 +73,7 @@ from ._quad import panel_nodes
 from .errors import DomainError, TruncationError
 from .estimator import Indicator, alpha_f, weight_lipschitz, weight_tv
 from .lattice import Lattice
-from .phantom import Ball, cached_knot_radii, intensity_model
+from .phantom import Ball, _lens, cached_knot_radii, intensity_model
 from .psf import (HalfspaceProfile, Psf, ball_volume, halfspace_profile,
                   sphere_area)
 # profile_fourier_1d is unused here: perfbench/spans.py wraps it by name
@@ -234,33 +234,6 @@ def weighted_layer(radius: float, psf: Psf, a: float, f):
     model = intensity_model(Ball(psf.dim, radius), psf, a)
     return RadialFourier(lambda r: f(model.radial(r)), r_in, r_out, psf.dim,
                          tuple(splits))
-
-
-def _lens(r1: float, r2: float, s, dim: int):
-    """Measure of the intersection of two balls of radii r1, r2 whose
-    centres are s apart (vectorized over s >= 0): the closed-form
-    circle-circle area (d=2) or sphere-sphere volume (d=3).
-
-    The circle case takes both half-angles by atan2 from the one half
-    chord h, so that near tangency, where the area is far smaller than
-    its pieces, the pieces' rounding cancels with them.
-    """
-    s = np.asarray(s, dtype=float)
-    out = np.zeros_like(s)
-    out[s <= abs(r1 - r2)] = ball_volume(dim, min(r1, r2))
-    mid = (s > abs(r1 - r2)) & (s < r1 + r2)
-    t = s[mid]
-    if dim == 2:
-        h = np.sqrt((r1 + r2 - t) * (t + r1 - r2) * (t - r1 + r2)
-                    * (r1 + r2 + t)) / (2.0 * t)
-        d1 = (t * t + r1 * r1 - r2 * r2) / (2.0 * t)
-        out[mid] = (r1 * r1 * np.arctan2(h, d1)
-                    + r2 * r2 * np.arctan2(h, t - d1) - t * h)
-    else:
-        out[mid] = (math.pi * (r1 + r2 - t) ** 2
-                    * (t * t + 2.0 * t * (r1 + r2) - 3.0 * (r1 - r2) ** 2)
-                    / (12.0 * t))
-    return out
 
 
 def _primal_variance(lattice: Lattice, b: float, pieces, mass: float):
@@ -1120,12 +1093,6 @@ def mc_random_radius(psf: Psf, f, a: float, lattice: Lattice, b: float,
 
 # ---------------------------------------------------------------------------
 # cross-checks
-
-def envelope_check(report: VarianceReport, asym: AsymptoticReport) -> bool:
-    """Exact variance must lie inside the oscillation band [0, 2 * main]
-    up to a relative slack of 5%: [-0.05 main, 1.05 envelope]."""
-    return -0.05 * asym.main <= report.value <= 1.05 * asym.envelope
-
 
 @dataclass
 class BoundReport:

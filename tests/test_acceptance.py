@@ -23,13 +23,14 @@ import pytest
 from scipy.optimize import brentq
 
 from _spatial_oracle import spatial_variance
+# the exact variance against the asymptotic band
+from test_variance import envelope_check
 from greyvar.estimator import Indicator, SmoothPlateau
 from greyvar.lattice import unit_lattice
 from greyvar.phantom import Ball
 from greyvar.psf import compact_bump, gaussian, halfspace_profile
 from greyvar.spectral import RadialFourier, ball_main_term, bessel_j
-from greyvar.variance import (RadiusDensity, envelope_check,
-                              mc_random_radius, mc_surface,
+from greyvar.variance import (RadiusDensity, mc_random_radius, mc_surface,
                               variance_asymptotic_isotropic,
                               variance_asymptotic_random_radius,
                               variance_exact_ball, volume_variance_exact,

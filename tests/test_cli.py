@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 import greyvar
-from greyvar import lattice, variance
+from greyvar import lattice, phantom, variance
 from greyvar.cli import _COMMANDS, main
 from greyvar.estimator import Indicator, SmoothPlateau
 from greyvar.lattice import unit_lattice
@@ -589,6 +589,37 @@ def test_argument_order_does_not_change_the_run(command, tmp_path):
     assert len(csvs) == 1
     assert configs[0]["phantom.dim"] == "3"
     assert configs[0] == configs[1] == configs[2]
+
+
+@pytest.mark.parametrize("kind, dim", [("gaussian", 3), ("bump", 3),
+                                       ("disc", 3), ("disc", 2)])
+def test_closed_form_runs_take_no_cap_quadrature(kind, dim, tmp_path,
+                                                 monkeypatch):
+    """A run whose PSF and dimension have closed-form grey values reads
+    them for its knot radii and intensity models, in every command, and
+    never the cap quadrature."""
+    calls, grey = [], phantom._ball_intensity_radii
+
+    def counted(*args):
+        calls.append(args)
+        return grey(*args)
+
+    def refused(*args):
+        raise AssertionError("cap quadrature called")
+
+    monkeypatch.setattr(phantom, "_ball_intensity_radii", counted)
+    monkeypatch.setattr(phantom, "_cap_quadrature", refused)
+    phantom.intensity_model.cache_clear()
+    phantom.cached_knot_radii.cache_clear()
+    keys = {"estimate": ["estimate.replicates=2"], "fourier": [],
+            "mc-variance": ["mc.replicates=200"], "theory-variance": [],
+            "scaling-study": ["mc.replicates=200"]}
+    for command, extra in keys.items():
+        sets = [f"phantom.dim={dim}", f"psf.kind={kind}",
+                "weight.kind=plateau", "scales.a=0.25", *extra]
+        argv = [command, *(a for k in sets for a in ("--set", k))]
+        assert main(argv + ["--out", str(tmp_path / command)]) == 0, command
+    assert calls
 
 
 def test_module_entry_point(tmp_path):

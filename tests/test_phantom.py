@@ -12,6 +12,7 @@ compact kernels are cross-checked with a dense polar convolution.
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.stats import ncx2
@@ -138,12 +139,13 @@ def test_intensity_model_radial_matches_bump_quadrature(dim):
 def test_intensity_model_within_its_stated_error(make, dim):
     """Every model's stated error bounds its gap to the cap quadrature on
     4,001 radii across the transition zone, and the gap stays under
-    1e-13, for the d=2 disc too (4.5e-7 with a degree-80 fit in r)."""
+    1e-13, for the d=2 disc too (4.5e-7 with a degree-80 fit in r), and
+    for the models fitted to closed forms."""
     psf = make(dim)
     for a in (0.1, 0.05, 0.0125):
         model = IntensityModel(Ball(dim, 1.0), psf, a)
         rs = np.linspace(*model.table_range, 4001)
-        gap = np.max(np.abs(model.radial(rs) - phantom._ball_intensity_radii(
+        gap = np.max(np.abs(model.radial(rs) - phantom._cap_quadrature(
             psf, a, 1.0, rs)))
         assert gap <= model.error
         assert gap <= 1e-13
@@ -264,15 +266,15 @@ def test_transition_offsets_match_chi2_roots(dim):
                          ids=["bump", "disc"])
 def test_band_radii_match_brentq_on_the_quadrature(make, wide, dim):
     """The band radii of the compact kernels are the roots of the grey
-    value, found here by brentq on the point evaluation `intensity`: to
-    1e-13 at a narrow and a moderate blur, and at a blur wide enough that
-    the band reaches the centre (r_in = 0, where theta is at most omega
-    already).  The disc's grey value has square-root edges."""
+    value, found here by brentq on the cap quadrature, which the closed
+    forms share no code with: to 1e-13 at a narrow and a moderate blur,
+    and at a blur wide enough that the band reaches the centre (r_in = 0,
+    where theta is at most omega already).  The disc's grey value has
+    square-root edges in d=2."""
     from scipy.optimize import brentq
     R, beta, omega, psf = 1.0, 0.3, 0.7, make(dim)
     T = halfspace_profile(psf).T
-    theta = lambda r: intensity(Ball(dim, R), psf, a,
-                                np.eye(dim)[0] * r)
+    theta = lambda r: phantom._cap_quadrature(psf, a, R, [r])[0]
     for a in (0.1, 0.0125, wide):
         r_lo, r_hi = max(R - a * T, 0.0), R + a * T
         radii = cached_knot_radii(R, psf, a, (beta, omega))
@@ -289,23 +291,122 @@ def test_band_radii_match_brentq_on_the_quadrature(make, wide, dim):
 @pytest.mark.parametrize("dim", [2, 3])
 @pytest.mark.parametrize("make", [gaussian, compact_bump, ball_indicator])
 def test_band_radii_take_few_quadrature_calls(monkeypatch, make, dim):
-    """A pair of band radii costs a handful of small vectorized cap
-    quadratures: the first holds both levels, their forward-difference
-    points and theta at the inner end of the transition zone, each later
-    one the levels still moving (no call holds the 33 or more radii of
-    an intensity model's fit)."""
-    sizes, quad = [], phantom._ball_intensity_radii
+    """A pair of band radii of the d=2 Gaussian or bump costs a handful of
+    small vectorized cap quadratures: the first holds both levels, their
+    forward-difference points and theta at the inner end of the
+    transition zone, each later one the levels still moving (no call
+    holds the 33 or more radii of an intensity model's fit).  The pairs
+    with a closed form take none."""
+    sizes, quad = [], phantom._cap_quadrature
 
     def counted(psf, a, R, radii):
         sizes.append(np.size(radii))
         return quad(psf, a, R, radii)
 
-    monkeypatch.setattr(phantom, "_ball_intensity_radii", counted)
+    monkeypatch.setattr(phantom, "_cap_quadrature", counted)
+    closed = phantom._closed_form(make(dim)) is not None
+    assert closed == (dim == 3 or make is ball_indicator)
     for a, most in ((0.1, 5), (0.05, 4), (0.035, 4), (0.0125, 4)):
         sizes.clear()
         ball_knot_radii(1.0, make(dim), a, (0.3, 0.7))
+        if closed:
+            assert sizes == []
+            continue
         assert sizes[0] == 5 and max(sizes[1:]) <= 4
         assert len(sizes) <= most
+
+
+# the (PSF, d) pairs whose grey values have a closed form
+_CLOSED = [(gaussian, 3), (compact_bump, 3), (ball_indicator, 3),
+           (ball_indicator, 2)]
+
+
+def _zone_radii(psf, a, R=1.0):
+    """4,001 radii over the transition zone [max(R - aT, 0), R + aT],
+    with |R - aT| (|R - aD| for a compact PSF)."""
+    T = halfspace_profile(psf).T
+    return np.unique(np.append(np.linspace(max(R - a * T, 0.0), R + a * T,
+                                           4001), abs(R - a * T)))
+
+
+def _mp_grey(kind, dim, a, R, r):
+    """theta of B(R) at radius r > 0 by mpmath at 30 digits: in d=3 the
+    radial cap integral under tanh-sinh quadrature, rho normalized by its
+    own quadrature (D = 1); in d=2 the disc's lens area by arccos."""
+    with mp.workdps(30):
+        a, R, r = mp.mpf(a), mp.mpf(R), mp.mpf(r)
+        if dim == 2:
+            if r <= R - a or r >= R + a:
+                return float(r <= R - a)
+            h1 = mp.acos((r * r + R * R - a * a) / (2 * r * R))
+            h2 = mp.acos((r * r + a * a - R * R) / (2 * r * a))
+            area = (R * R * (h1 - mp.sin(2 * h1) / 2)
+                    + a * a * (h2 - mp.sin(2 * h2) / 2))
+            return float(area / (mp.pi * a * a))
+        shape = {"gaussian": lambda w: mp.exp(-w * w / 2),
+                 "bump": lambda w: (1 - w * w) ** 3,
+                 "ball_indicator": lambda w: mp.mpf(1)}[kind]
+        top = mp.inf if kind == "gaussian" else mp.mpf(1)
+
+        def cap(w):
+            s = a * w
+            if s <= R - r or s <= r - R or s >= R + r:
+                return mp.mpf(s <= R - r)
+            return (1 - (r * r + s * s - R * R) / (2 * r * s)) / 2
+
+        f = lambda w: shape(w) * w * w
+        pts = sorted({mp.mpf(0), top, min(abs(R - r) / a, top),
+                      min((R + r) / a, top)})
+        return float(mp.quad(lambda w: f(w) * cap(w), pts)
+                     / mp.quad(f, [0, top]))
+
+
+@pytest.mark.parametrize("make, dim", _CLOSED)
+def test_closed_forms_match_the_cap_quadrature(make, dim):
+    """Each closed form lies within 4e-15 of the cap quadrature, which
+    shares no code with it, on 4,001 radii over the transition zone, its
+    ends and |R - aD| included, at a = 0.6 (where the Gaussian's zone
+    reaches the centre) too.  At a = 0.0125 the bound is 8e-15: there
+    the quadrature's own rounding reaches 5.9e-15 for the d=3 bump (its
+    cap fraction's r^2 - R^2 cancels), and mpmath pins the closed forms
+    (test_closed_forms_match_mpmath).  Each stated rounding bound is
+    under 1e-14."""
+    psf = make(dim)
+    for a in (0.1, 0.05, 0.0125, 0.6):
+        rs = _zone_radii(psf, a)
+        got, bound = phantom._ball_intensity_radii(psf, a, 1.0, rs)
+        gap = np.max(np.abs(got - phantom._cap_quadrature(psf, a, 1.0, rs)))
+        assert gap <= (8e-15 if a == 0.0125 else 4e-15)
+        assert 0.0 < np.max(bound) < 1e-14
+    assert (rs[0] == 0.0) == (make is gaussian)
+
+
+@pytest.mark.parametrize("make, dim", _CLOSED)
+def test_closed_forms_match_mpmath(make, dim):
+    """Near R, where the grey value falls, each closed form is within its
+    stated rounding bound (under 2e-15) of mpmath at 30 digits, at the
+    radii where the cap quadrature strays most at a = 0.0125 too."""
+    psf = make(dim)
+    for a in (0.05, 0.0125):
+        rs = 1.0 + a * np.array([-2.0, -0.5, -0.1, 0.0025, 0.081, 0.5, 0.9])
+        got, bound = phantom._ball_intensity_radii(psf, a, 1.0, rs)
+        want = [_mp_grey(psf.kind, dim, a, 1.0, r) for r in rs]
+        assert np.all(np.abs(got - want) <= bound)
+        assert np.max(bound) < 2e-15
+
+
+@pytest.mark.parametrize("make, dim", _CLOSED)
+def test_closed_form_knot_radii_match_the_quadratures(monkeypatch, make,
+                                                      dim):
+    """Knot radii solved on a closed form lie within 1e-13 of those solved
+    on the cap quadrature."""
+    psf, knots = make(dim), (0.3, 0.4, 0.6, 0.7)
+    for a in (0.1, 0.05, 0.0125):
+        closed = ball_knot_radii(1.0, psf, a, knots)
+        with monkeypatch.context() as m:
+            m.setattr(phantom, "_closed_form", lambda psf: None)
+            quad = ball_knot_radii(1.0, psf, a, knots)
+        np.testing.assert_allclose(closed, quad, rtol=0, atol=1e-13)
 
 
 def test_knot_radii_are_each_levels_own_solve():

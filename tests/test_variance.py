@@ -31,8 +31,8 @@ from greyvar.psf import (ball_indicator, ball_volume, compact_bump, gaussian,
 from greyvar.spectral import AnnulusFourier
 from greyvar.variance import (AsymptoticReport, RadiusDensity,
                               ShellSumInfo, VarianceReport,
-                              convergent_dual_sum, envelope_check,
-                              mc_random_radius, mc_surface, mc_volume_binary,
+                              convergent_dual_sum, mc_random_radius,
+                              mc_surface, mc_volume_binary,
                               profile_lattice_sum,
                               variance_asymptotic_isotropic,
                               variance_asymptotic_random_radius,
@@ -457,6 +457,12 @@ def test_asymptotic_report_structure():
     assert rep.main == pytest.approx(0.05 * pref * rep.lattice_sum,
                                      rel=1e-12)
     assert rep.envelope == pytest.approx(2.0 * rep.main, rel=1e-12)
+
+
+def envelope_check(report: VarianceReport, asym: AsymptoticReport) -> bool:
+    """Exact variance must lie inside the oscillation band [0, 2 * main]
+    up to a relative slack of 5%: [-0.05 main, 1.05 envelope]."""
+    return -0.05 * asym.main <= report.value <= 1.05 * asym.envelope
 
 
 def test_exact_sits_inside_oscillation_band():
@@ -980,7 +986,7 @@ def test_band_table_error_covers_the_quadrature(make):
         table = variance._BandTable(model, f, r_in, r_out)
         assert table.error == variance._BAND_TOL + f.lipschitz * model.error
         rsq = np.random.default_rng(5).uniform(r_in ** 2, r_out ** 2, 2000)
-        want = f(phantom._ball_intensity_radii(psf, a, 1.0, np.sqrt(rsq)))
+        want = f(phantom._cap_quadrature(psf, a, 1.0, np.sqrt(rsq)))
         assert np.max(np.abs(table(rsq.copy()) - want)) <= table.error
 
 
