@@ -26,17 +26,16 @@ from .errors import (ConfigError, CoverageError, DomainError, GreyvarError,
 from .estimator import (EstimateResult, Indicator, SmoothPlateau, alpha_f,
                         estimate_surface, estimate_volume_binary,
                         estimate_volume_grey, weight_tv)
-from .lattice import (Box, Lattice, LatticePlacement, centered_box,
-                      dual_shells, enumerate_points, hexagonal_lattice,
-                      random_placement, random_rotation, scaled_lattice,
-                      unit_lattice)
+from .lattice import (Box, Lattice, LatticePlacement, dual_shells,
+                      enumerate_points, hexagonal_lattice, random_placement,
+                      random_rotation, scaled_lattice, unit_lattice)
 from .phantom import (Ball, HalfSpace, IntensityModel, intensity,
                       intensity_model)
 from .psf import (HalfspaceProfile, Psf, ball_indicator, compact_bump,
                   eval_rho, gaussian, halfspace_profile)
 from .spectral import (AnnulusFourier, RadialFourier, ball_indicator_fourier,
                        ball_main_term, bessel_j, nu_phase,
-                       profile_fourier_1d, psf_fourier, sharp_band_square)
+                       profile_fourier_1d, psf_fourier)
 from .variance import (AsymptoticReport, BoundReport, MCResult, RadiusDensity,
                        ShellSumInfo, VarianceReport, mc_random_radius,
                        mc_surface, mc_volume_binary,
@@ -55,7 +54,7 @@ __all__ = [
     "MCResult", "NormalizationError", "Psf", "RadialFourier",
     "RadiusDensity", "ShellSumInfo", "SmoothPlateau", "TruncationError",
     "VarianceReport", "alpha_f", "ball_indicator",
-    "ball_indicator_fourier", "ball_main_term", "bessel_j", "centered_box",
+    "ball_indicator_fourier", "ball_main_term", "bessel_j",
     "compact_bump", "dual_shells",
     "enumerate_points",
     "estimate_surface", "estimate_volume_binary", "estimate_volume_grey",
@@ -63,7 +62,7 @@ __all__ = [
     "hexagonal_lattice", "intensity", "intensity_model", "mc_random_radius",
     "mc_surface", "mc_volume_binary", "nu_phase", "profile_fourier_1d",
     "profile_lattice_sum", "psf_fourier", "random_placement",
-    "random_rotation", "scaled_lattice", "sharp_band_square",
+    "random_rotation", "scaled_lattice",
     "unit_lattice", "variance_asymptotic_isotropic",
     "variance_asymptotic_random_radius", "variance_bound_check",
     "variance_exact_ball", "volume_variance_exact", "weight_tv",

@@ -150,11 +150,6 @@ class Box:
         return np.all((pts >= lo) & (pts < hi), axis=1)
 
 
-def centered_box(half_widths) -> Box:
-    hw = tuple(float(h) for h in np.atleast_1d(half_widths))
-    return Box(tuple(-h for h in hw), hw)
-
-
 def integer_cover(placement: LatticePlacement, window: Box) -> np.ndarray:
     """Integer coordinates k whose points under this placement can fall
     in the window (the box that enumerate_points filters).

@@ -13,30 +13,37 @@ estimator's law does not depend on where the ball sits.
 The grey image of a set X under a PSF rho at scale a is the convolution
 theta_a = 1_X * rho_a with rho_a(x) = a^{-d} rho(x/a).  For a ball the
 convolution reduces to a 1-D radial integral: the sphere of radius s
-around an evaluation point meets the ball in a spherical cap whose
-normalized area is
+about a point at distance r from the centre meets B(R) in a spherical
+cap whose normalized area c(s) has
 
-    capfrac(r, s, R),  cos(polar angle) = (r^2 + s^2 - R^2) / (2 r s),
+    cos(polar angle) = ((r - R)(r + R) + s^2) / (2 r s),
 
-so   theta_a(B(R))(x) = int_0^inf rho(w) * surf(S^{d-1}) w^{d-1}
-                          * capfrac(|x|, a*w, R) dw.
+so   theta_a(B(R))(r) = int_0^inf c(s) dM(s),
 
-Four of the six (PSF, d) pairs take their grey values in closed form
-(_ball_intensity_radii): in d=3 the cap fraction is rational in w, so
-the Gaussian's integral is elementary and a polynomial PSF's is exact
-under a short Gauss-Legendre rule; in d=2 the disc's grey value is a
-lens area.  The d=2 Gaussian and bump take the quadrature of the
-integral above (_cap_quadrature), which is also the closed forms' test
-oracle.  In d=2 the cap fraction has square-root behaviour where the cap
-appears or disappears; the quadrature substitutes w = w_edge + zeta^2
-there, which removes the singularity and grades nodes toward the edge.
-Both are vectorized over points.  The radii where the grey value
-crosses given levels (the band radii, the weight's knot radii) are
-solved on these grey values directly, a few radii per call; only
-IntensityModel, which reads grey values everywhere in the transition
-zone, fits a Chebyshev model of them, in a variable where they are
-analytic, to the degree its coefficients choose, and states the error
-it measures.
+M(s) the mass of rho_a in the centered ball of radius s.  Every (PSF,
+d) pair takes it in closed form (_ball_intensity_radii): in d=3 c is
+rational in s, so the Gaussian's integral is elementary and a
+polynomial PSF's is exact under a short Gauss-Legendre rule; in d=2 the
+disc's grey value is a lens area, and the Gaussian's and bump's come
+from one rule in the angle chi at the ball's centre.  By parts in s, and
+with t = s^2 = (R - r)^2 + 4 r R sin^2 chi,
+
+    theta = F(S) [S < R + r]
+            + (2R/pi) int_0^chi_hi q(t) ((R - r) + 2 r sin^2 chi) dchi,
+
+q = M(sqrt t)/t, S the kernel's support aD (infinite for the Gaussian),
+chi_hi the angle where t reaches S^2 (at most pi/2), and F(S) the cap
+fraction at S, atan2(R sin 2chi_hi, (r - R) + 2R sin^2 chi_hi)/pi.  The
+integrand has no square-root edge, unlike c: the bump's is a trig
+polynomial and the Gaussian's is entire (_angle_rule).  Each form
+states a rounding bound, and the tests keep the quadrature of the cap
+integral as their oracle.  All are vectorized over points.  The radii
+where the grey value crosses given levels (the band radii, the
+weight's knot radii) are solved on these grey values directly, a few
+radii per call; only IntensityModel, which reads grey values everywhere
+in the transition zone, fits a Chebyshev model of them, in a variable
+where they are analytic, to the degree its coefficients choose, and
+states the error it measures.
 """
 
 from __future__ import annotations
@@ -152,97 +159,6 @@ def _check_blur(phantom: Phantom, psf: Psf, a: float) -> None:
         raise DomainError("psf and phantom dimensions differ")
 
 
-def capfrac(r, s, R: float, d: int):
-    """Fraction of the sphere of radius s centered at distance r from the
-    origin that lies inside the centered ball of radius R (vectorized)."""
-    r = np.asarray(r, dtype=float)
-    s = np.asarray(s, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        mu = (r * r + s * s - R * R) / (2.0 * r * s)
-    mu = np.where(np.isfinite(mu), mu, np.where(s <= R, -1.0, 1.0))
-    mu = np.clip(mu, -1.0, 1.0)
-    if d == 2:
-        return np.arccos(mu) / math.pi
-    return 0.5 * (1.0 - mu)
-
-
-# quadrature layout for the radial cap integral (see _cap_quadrature)
-_N_CORE = 24        # panels on [0, w1] (cap fraction constant there)
-_N_EDGE = 16        # zeta-panels per transition half
-# their rules on [0, 1], built once: nodes and weights of each
-_CORE_RULE = panel_nodes((0.0, 1.0), _N_CORE)
-_EDGE_RULE = panel_nodes((0.0, 1.0), _N_EDGE)
-# transition radii per block: its (32, 240) temporaries stay under glibc's
-# 128 KiB mmap threshold, so a call on many radii (an intensity fit's)
-# reuses heap pages instead of mapping and faulting fresh ones for every
-# temporary
-_ROW_BLOCK = 32
-
-
-def _cap_quadrature(psf: Psf, a: float, R: float, radii) -> np.ndarray:
-    """Grey values of a centered ball at the given radii (vectorized), by
-    quadrature of the radial cap integral: the (PSF, d) pairs without a
-    closed form read it, and the tests check the closed forms against
-    it."""
-    d = psf.dim
-    W = psf_mod._integration_radius(psf)
-    r = np.atleast_1d(np.asarray(radii, dtype=float))
-    out = np.zeros_like(r)
-
-    tiny = 1e-9 * (R + a)
-    central = r < tiny
-    if np.any(central):
-        out[central] = psf_mod.radial_mass(psf, min(R / a, W))
-
-    rest = ~central
-    if not np.any(rest):
-        return out
-    rr = r[rest]
-    w1 = np.abs(R - rr) / a
-    w2 = (R + rr) / a
-
-    vals = np.zeros_like(rr)
-
-    # core segment [0, min(w1, W)], cap fraction is 1 inside / 0 outside
-    inside = rr < R
-    core_hi = np.minimum(w1, W)
-    if np.any(inside):
-        v, w = _CORE_RULE
-        hi = core_hi[inside]
-        nodes = hi[:, None] * v[None, :]
-        f = eval_rho(psf, nodes) * nodes ** (d - 1)
-        vals[inside] += sphere_area(d) * hi * (f @ w)
-
-    # transition segment [w1, min(w2, W)], graded toward the cap edges,
-    # _ROW_BLOCK radii at a time (each row's sum is the same either way)
-    lo = w1
-    hi = np.minimum(w2, W)
-    rows = np.flatnonzero(hi > lo)
-    z, zw = _EDGE_RULE
-    for start in range(0, rows.size, _ROW_BLOCK):
-        sel = rows[start:start + _ROW_BLOCK]
-        li, hi_, ri = lo[sel], hi[sel], rr[sel]
-        mid = 0.5 * (li + hi_)
-        contrib = np.zeros_like(li)
-        for seg_lo, seg_hi, anchor_lo in ((li, mid, True), (mid, hi_, False)):
-            span = seg_hi - seg_lo
-            # w = anchor +/- (sqrt(span) * z)^2 grades nodes toward the
-            # anchor edge and removes the d=2 arccos sqrt singularity
-            zz = np.sqrt(span)[:, None] * z[None, :]
-            if anchor_lo:
-                nodes = seg_lo[:, None] + zz * zz
-            else:
-                nodes = seg_hi[:, None] - zz * zz
-            jac = 2.0 * np.sqrt(span)[:, None] * zw[None, :] * zz
-            f = (eval_rho(psf, nodes) * nodes ** (d - 1)
-                 * capfrac(ri[:, None], a * nodes, R, d))
-            contrib += (f * jac).sum(axis=1)
-        vals[sel] += sphere_area(d) * contrib
-
-    out[rest] = vals
-    return np.clip(out, 0.0, 1.0)
-
-
 # (x - sin x) / x^3 = sum_k (-1)^k x^{2k} / (2k + 3)!; the ninth term is
 # under 1e-17 of the first for x < 1
 _SIN_SERIES = [(-1) ** k / math.factorial(2 * k + 3) for k in range(9)]
@@ -309,16 +225,16 @@ def _gaussian_ball_3d(psf: Psf, a: float, R: float, r):
 
 def _compact_ball_3d(psf: Psf, a: float, R: float, r):
     """Grey values of B(R) under the d=3 bump or disc at radii r > 0, and
-    the sum of their terms' magnitudes: 4 pi int rho(w) w^2 capfrac dw
-    over the core [0, (R - r)+ / a], where capfrac = 1, and over the
-    transition [|R - r| / a, (R + r) / a], where
+    the sum of their terms' magnitudes: 4 pi int rho(w) w^2 c dw over
+    the core [0, (R - r)+ / a], where the cap fraction c is 1, and over
+    the transition [|R - r| / a, (R + r) / a], where
 
-        capfrac = 1/2 - ((r - R)(r + R) + (a w)^2) / (4 r a w),
+        c = 1/2 - ((r - R)(r + R) + (a w)^2) / (4 r a w),
 
     each piece cut at the support D.  rho ~ (1 - w^2/D^2)^k makes each
     integrand a polynomial in w of degree at most 2k + 3, which k + 2
     Gauss-Legendre nodes integrate exactly: no antiderivative and no
-    1/r cancellation.  The magnitudes add capfrac's three terms apart."""
+    1/r cancellation.  The magnitudes add c's three terms apart."""
     D, order = psf.support_radius, psf_mod._compact_power(psf) + 2
 
     def piece(lo, hi):
@@ -345,13 +261,75 @@ def _disc_ball_2d(psf: Psf, a: float, R: float, r):
     return theta, theta
 
 
+# Gauss-Legendre nodes per panel of the centre-angle rule: they integrate
+# the bump's trig polynomial and each graded panel of the Gaussian's to
+# rounding
+_ANGLE_ORDER = 12
+
+
+def _angle_rule(R: float, r, edges, q):
+    """(2R/pi) int q(t) ((R - r) + 2 r sin^2 chi) dchi, t = (R - r)^2 +
+    4 r R sin^2 chi, over the panels between each row of `edges`, and the
+    sum of its terms' magnitudes: the cap integral's part beyond its
+    boundary term, in the angle chi at the ball's centre (module
+    docstring)."""
+    chi, wt = panel_nodes(edges, 1, _ANGLE_ORDER)
+    rc = r[:, None]
+    sin2 = np.sin(chi) ** 2
+    t = (R - rc) ** 2 + 4.0 * R * rc * sin2
+    terms = q(t) * ((R - rc) + 2.0 * rc * sin2) * wt
+    scale = 2.0 * R / math.pi
+    return scale * terms.sum(1), scale * np.abs(terms).sum(1)
+
+
+def _bump_ball_2d(psf: Psf, a: float, R: float, r):
+    """Grey values of B(R) under the d=2 bump at radii r > 0, and the sum
+    of their terms' magnitudes: the boundary term F(S), S = aD, plus the
+    centre-angle rule up to chi_hi, where the kernel's support ends
+    (t = S^2) or chi = pi/2.  With M = 1 - (1 - t/S^2)^{k+1},
+    q = S^{-2} sum_{j<=k} (1 - t/S^2)^j, so the integrand is a trig
+    polynomial and one panel integrates it."""
+    S, k = a * psf.support_radius, psf_mod._compact_power(psf)
+    gap = np.abs(R - r)
+    sin2_hi = np.clip((S - gap) * (S + gap) / (4.0 * r * R), 0.0, 1.0)
+    chi_hi = np.arcsin(np.sqrt(sin2_hi))
+    theta, size = _angle_rule(
+        R, r, np.stack((np.zeros_like(r), chi_hi), axis=-1),
+        lambda t: sum((1.0 - t / S ** 2) ** j for j in range(k + 1)) / S ** 2)
+    edge = np.where(S < R + r, np.arctan2(
+        R * np.sin(2.0 * chi_hi), (r - R) + 2.0 * R * sin2_hi) / math.pi, 0.0)
+    return theta + edge, size + edge
+
+
+def _gaussian_ball_2d(psf: Psf, a: float, R: float, r):
+    """Grey values of B(R) under the d=2 Gaussian at radii r > 0, and the
+    sum of their terms' magnitudes: the centre-angle rule over [0, pi/2]
+    with q = -expm1(-t/2a^2)/t.  The integrand is entire but turns over
+    within w = a / sqrt(r R) of chi = 0, so the panels end at w, 2w, 4w,
+    ... up to pi/2, as many as the call's narrowest layer needs."""
+    half = 0.5 * math.pi
+    w = a / np.sqrt(r * R)
+    n = max(1, math.ceil(math.log2(half / np.min(w, initial=half))) + 1)
+    edges = np.minimum(w[:, None] * np.append(0.0, 2.0 ** np.arange(n)),
+                       half)
+    edges[:, -1] = half
+    return _angle_rule(R, r, edges,
+                       lambda t: -np.expm1(-t / (2.0 * a * a)) / t)
+
+
+# the grey values of a centered ball for each (PSF kind, dimension)
+_CLOSED_FORMS = {("gaussian", 3): _gaussian_ball_3d,
+                 ("bump", 3): _compact_ball_3d,
+                 ("ball_indicator", 3): _compact_ball_3d,
+                 ("gaussian", 2): _gaussian_ball_2d,
+                 ("bump", 2): _bump_ball_2d,
+                 ("ball_indicator", 2): _disc_ball_2d}
+
+
 def _closed_form(psf: Psf):
     """The closed-form grey values of a centered ball for the PSF's kind
-    and dimension, or None (the d=2 Gaussian and bump)."""
-    if psf.dim == 3:
-        return _gaussian_ball_3d if psf.kind == "gaussian" else \
-            _compact_ball_3d
-    return _disc_ball_2d if psf.kind == "ball_indicator" else None
+    and dimension."""
+    return _CLOSED_FORMS[psf.kind, psf.dim]
 
 
 # a closed form's rounding bound, in ulps of the sum of its terms'
@@ -362,15 +340,12 @@ _EPS = float(np.finfo(float).eps)
 
 def _ball_intensity_radii(psf: Psf, a: float, R: float, radii):
     """Grey values of a centered ball at the given radii (vectorized) and
-    a bound on the rounding of each: the closed form where one exists
-    (_closed_form), _ROUNDING_ULPS ulps of its terms' magnitudes, and
-    else the cap quadrature, whose bound reads 0 (its error is its
-    rule's, which the tests measure).  Radii under 1e-9 (R + a) read the
-    PSF's mass in B(R/a), as the quadrature's do."""
+    a bound on the rounding of each: the closed form of the PSF's kind
+    and dimension (_closed_form), _ROUNDING_ULPS ulps of its terms'
+    magnitudes.  Radii under 1e-9 (R + a) read the PSF's mass in
+    B(R/a)."""
     r = np.atleast_1d(np.asarray(radii, dtype=float))
     closed = _closed_form(psf)
-    if closed is None:
-        return _cap_quadrature(psf, a, R, r), np.zeros_like(r)
     theta, size = np.empty_like(r), np.ones_like(r)
     central = r < 1e-9 * (R + a)
     theta[central] = psf_mod.radial_mass(
@@ -384,13 +359,13 @@ def _ball_intensity_radii(psf: Psf, a: float, R: float, radii):
 # its chopped series is within _FIT_TOL of the grey values at the
 # midpoints between its nodes; the chop drops the trailing coefficients
 # whose absolute sum stays under _CHOP_TOL.  The stated error is twice
-# the largest gap at the midpoints plus _FIT_FLOOR, plus the closed
-# form's rounding bound: on 20,001 radii (R in {0.7, 1, 2.5}, a from
-# 0.005 to 0.3, every PSF in d = 2 and 3) the gap to the cap quadrature
-# reached 2.1 times the checked one, where both were at the
-# quadrature's own rounding of a few 1e-15
+# the largest gap at the midpoints plus the grey values' largest
+# rounding bound, which together bound the gap to the exact grey value
+# there: on 20,001 radii (R in {0.7, 1, 2.5}, a from 0.005 to 0.3, every
+# PSF in d = 2 and 3) the gap to the grey values reached 1.7 times the
+# checked one and 0.63 of the stated error
 _FIT_NODES, _FIT_NODES_MAX = 16, 256
-_FIT_TOL, _CHOP_TOL, _FIT_FLOOR = 1e-13, 1e-14, 1e-14
+_FIT_TOL, _CHOP_TOL = 1e-13, 1e-14
 
 
 @dataclass(frozen=True)
@@ -465,9 +440,9 @@ def _fit_radial_model(psf: Psf, a: float, R: float) -> _RadialFit:
     chopped interpolant is checked at the n midpoints in angle, which are
     the odd points of the next grid, so each grey value is taken once.
     The first series within _FIT_TOL of every check is kept, stating
-    twice its largest gap plus _FIT_FLOOR, plus the largest rounding
-    bound of the grey values it read, as its error; none by n =
-    _FIT_NODES_MAX raises TruncationError.
+    twice the sum of its largest gap and the largest rounding bound of
+    the grey values it read as its error; none by n = _FIT_NODES_MAX
+    raises TruncationError.
     """
     T = halfspace_profile(psf).T
     # the zone and its map; the series and its error come last
@@ -490,8 +465,8 @@ def _fit_radial_model(psf: Psf, a: float, R: float) -> _RadialFit:
                                              * (math.pi / (2 * n))))
             - values[1::2])))
         if error <= _FIT_TOL:
-            return replace(fit, coefs=coefs, error=2.0 * error
-                           + _FIT_FLOOR + max(rounding))
+            return replace(fit, coefs=coefs,
+                           error=2.0 * (error + max(rounding)))
         if 2 * n > _FIT_NODES_MAX:
             raise TruncationError(
                 f"intensity model of B({R:g}) at a = {a:g} misses its "
@@ -561,9 +536,8 @@ def ball_knot_radii(radius: float, psf: Psf, a: float,
                     knots) -> tuple[float, ...]:
     """Radii where the grey value of the centered ball B(radius) falls
     through each of the ascending weight knots, innermost (the largest
-    knot's) first, solved afresh on the grey values (_level_radii): in
-    closed form for the d=3 PSFs and the d=2 disc, by the cap quadrature
-    for the d=2 Gaussian and bump.  A knot at or above the grey value at
+    knot's) first, solved afresh on the closed-form grey values of every
+    (PSF, d) pair (_level_radii).  A knot at or above the grey value at
     the inner end of the transition zone gets that end (0 for a wide
     blur); a blur that keeps it at or below the smallest knot is
     refused."""
@@ -588,10 +562,10 @@ class IntensityModel:
 
     The chopped series of the grey values over the transition zone
     (_fit_radial_model), the only fit of them; the grey value is 1 or 0
-    outside it.  `error` bounds its gap to the grey values, from the
-    largest gap where it was checked and the closed form's rounding, and
-    `degree` is the degree its coefficients chose.  intensity_model
-    caches the models per radius and blur.
+    outside it.  `error` bounds its gap to the exact grey values, from
+    the largest gap where it was checked and the closed forms' rounding
+    bound, and `degree` is the degree its coefficients chose.
+    intensity_model caches the models per radius and blur.
     """
 
     def __init__(self, phantom: Phantom, psf: Psf, a: float):
@@ -634,10 +608,9 @@ def intensity_model(phantom: Phantom, psf: Psf, a: float) -> IntensityModel:
 def intensity(phantom: Phantom, psf: Psf, a: float, x) -> float:
     """Grey value theta_a(X)(x) at a single point.
 
-    Balls read _ball_intensity_radii: the closed form for the d=3 PSFs
-    and the d=2 disc, within a few ulps, and the cap quadrature for the
-    d=2 bump and Gaussian, within a few 1e-15 (6e-13 for the Gaussian
-    near R); half-spaces read their grey_values.
+    Balls read _ball_intensity_radii, the closed form of their PSF and
+    dimension, within its rounding bound of a few ulps; half-spaces read
+    their grey_values.
     """
     _check_blur(phantom, psf, a)
     x = np.asarray(x, dtype=float)

@@ -9,9 +9,7 @@ a one-dimensional Hankel-type integral
 The estimator's variance is driven by such transforms of the weighted
 grey layer g(r) = f(theta_a(B(R))(r)), a thin shell around r = R.  Large
 arguments turn the Bessel kernel into a cosine with phase shift
-nu = -(d-1) pi/4, giving an oscillatory main term with explicit envelope;
-when many oscillations cross the grey band its square has an elementary
-closed model, the sharp-band model.
+nu = -(d-1) pi/4, giving an oscillatory main term with explicit envelope.
 
 Only dimensions 2 and 3 are supported, so the Hankel kernels have the
 orders 0, 1/2, 1 and 3/2 (bessel_j), and the closed-form transforms of
@@ -253,24 +251,3 @@ def ball_main_term(radius: float, profile: HalfspaceProfile, f, a: float,
         out[i:i + _Q_CHUNK] = osc @ (base * rad ** ((dim - 1) / 2.0))
     out *= 2.0 * a * q ** (-(dim - 1) / 2.0)
     return float(out[0]) if scalar else out
-
-
-def sharp_band_square(radius: float, profile: HalfspaceProfile, f,
-                      a: float, q, dim: int):
-    """Squared-amplitude model for many kernel oscillations across the
-    grey band, a q (phi(beta) - phi(omega)) >> 1: only the weight's edge
-    jumps survive,
-
-        pi^{-2} q^{-d-1} R^{d-1} (f(beta) sin X_b - f(omega) sin X_w)^2,
-
-    X_y = 2 pi q (R + a phi(y)) + nu.  Identically zero for weights that
-    vanish at their band edges."""
-    q = np.asarray(q, dtype=float)
-    beta, omega = f.knots[0], f.knots[-1]
-    fb, fw = f.boundary_values
-    nu = nu_phase(dim)
-    xb = 2.0 * math.pi * q * (radius + a * profile.phi(beta)) + nu
-    xw = 2.0 * math.pi * q * (radius + a * profile.phi(omega)) + nu
-    amp = fb * np.sin(xb) - fw * np.sin(xw)
-    return (radius ** (dim - 1) * q ** (-dim - 1.0) * amp ** 2
-            / math.pi ** 2)

@@ -592,23 +592,28 @@ def test_argument_order_does_not_change_the_run(command, tmp_path):
 
 
 @pytest.mark.parametrize("kind, dim", [("gaussian", 3), ("bump", 3),
-                                       ("disc", 3), ("disc", 2)])
+                                       ("disc", 3), ("disc", 2),
+                                       ("gaussian", 2), ("bump", 2)])
 def test_closed_form_runs_take_no_cap_quadrature(kind, dim, tmp_path,
                                                  monkeypatch):
-    """A run whose PSF and dimension have closed-form grey values reads
-    them for its knot radii and intensity models, in every command, and
-    never the cap quadrature."""
+    """A run reads the closed-form grey values of its PSF and dimension
+    for its knot radii and intensity models, in every command, and no
+    other; the package has no cap quadrature to fall back on (the tests
+    keep it as the closed forms' oracle)."""
+    assert not hasattr(phantom, "_cap_quadrature")
     calls, grey = [], phantom._ball_intensity_radii
+    forms, closed_form = set(), phantom._closed_form
 
     def counted(*args):
         calls.append(args)
         return grey(*args)
 
-    def refused(*args):
-        raise AssertionError("cap quadrature called")
+    def recorded(psf):
+        forms.add(closed_form(psf))
+        return closed_form(psf)
 
     monkeypatch.setattr(phantom, "_ball_intensity_radii", counted)
-    monkeypatch.setattr(phantom, "_cap_quadrature", refused)
+    monkeypatch.setattr(phantom, "_closed_form", recorded)
     phantom.intensity_model.cache_clear()
     phantom.cached_knot_radii.cache_clear()
     keys = {"estimate": ["estimate.replicates=2"], "fourier": [],
@@ -620,6 +625,8 @@ def test_closed_form_runs_take_no_cap_quadrature(kind, dim, tmp_path,
         argv = [command, *(a for k in sets for a in ("--set", k))]
         assert main(argv + ["--out", str(tmp_path / command)]) == 0, command
     assert calls
+    assert forms == {phantom._CLOSED_FORMS[
+        {"disc": "ball_indicator"}.get(kind, kind), dim]}
 
 
 def test_module_entry_point(tmp_path):

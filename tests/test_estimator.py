@@ -13,6 +13,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.stats import norm
 
+from _windows import centered_box
 from greyvar import estimator
 from greyvar._quad import panel_nodes
 from greyvar.errors import CoverageError, DomainError, TruncationError
@@ -20,8 +21,8 @@ from greyvar.estimator import (EstimateResult, Indicator, SmoothPlateau,
                                alpha_f, estimate_surface,
                                estimate_volume_binary, estimate_volume_grey,
                                smoothstep7, weight_tv)
-from greyvar.lattice import (Box, LatticePlacement, centered_box,
-                             random_placement, unit_lattice)
+from greyvar.lattice import (Box, LatticePlacement, random_placement,
+                             unit_lattice)
 from greyvar.phantom import Ball, HalfSpace
 from greyvar.psf import (ball_indicator, compact_bump, gaussian,
                          halfspace_profile)

@@ -17,7 +17,7 @@ from scipy.special import bernoulli, gamma, gammaincc, zeta
 
 from greyvar import lattice as lattice_module
 from greyvar.errors import DomainError, TruncationError
-from greyvar.lattice import (Box, Lattice, LatticePlacement, centered_box,
+from greyvar.lattice import (Box, Lattice, LatticePlacement,
                              dual_shells, enumerate_points,
                              epstein_zeta, hexagonal_lattice, integer_cover,
                              point_shells, random_placement, random_rotation,
@@ -25,6 +25,7 @@ from greyvar.lattice import (Box, Lattice, LatticePlacement, centered_box,
                              _sum_of_squares_counts, _upper_gamma)
 
 from _dual_oracle import dual_points
+from _windows import centered_box
 
 
 @pytest.mark.parametrize("lattice", [

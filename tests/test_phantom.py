@@ -7,7 +7,9 @@ center equal to the noncentral chi-square probability
     theta(r) = P( chi2_d(nc = (r/a)^2) <= (R/a)^2 ),
 
 which scipy evaluates independently of everything in this package.  The
-compact kernels are cross-checked with a dense polar convolution.
+compact kernels are cross-checked with a dense polar convolution, and
+every closed form with the radial cap quadrature (tests/_cap_oracle.py)
+and with mpmath.
 """
 
 import math
@@ -17,12 +19,13 @@ import numpy as np
 import pytest
 from scipy.stats import ncx2
 
+from _cap_oracle import cap_quadrature, capfrac
+from _windows import centered_box
 from greyvar import phantom
 from greyvar.errors import DomainError, TruncationError
-from greyvar.lattice import centered_box
 from greyvar.phantom import (Ball, HalfSpace, IntensityModel, Phantom,
-                             ball_knot_radii, cached_knot_radii, capfrac,
-                             intensity, intensity_model)
+                             ball_knot_radii, cached_knot_radii, intensity,
+                             intensity_model)
 from greyvar.psf import (ball_indicator, compact_bump, eval_rho, gaussian,
                          halfspace_profile)
 
@@ -145,11 +148,11 @@ def test_intensity_model_within_its_stated_error(make, dim):
     for a in (0.1, 0.05, 0.0125):
         model = IntensityModel(Ball(dim, 1.0), psf, a)
         rs = np.linspace(*model.table_range, 4001)
-        gap = np.max(np.abs(model.radial(rs) - phantom._cap_quadrature(
+        gap = np.max(np.abs(model.radial(rs) - cap_quadrature(
             psf, a, 1.0, rs)))
         assert gap <= model.error
         assert gap <= 1e-13
-        assert model.error <= 2.0 * phantom._FIT_TOL + phantom._FIT_FLOOR
+        assert model.error <= 2.0 * phantom._FIT_TOL + 1e-14
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -274,7 +277,7 @@ def test_band_radii_match_brentq_on_the_quadrature(make, wide, dim):
     from scipy.optimize import brentq
     R, beta, omega, psf = 1.0, 0.3, 0.7, make(dim)
     T = halfspace_profile(psf).T
-    theta = lambda r: phantom._cap_quadrature(psf, a, R, [r])[0]
+    theta = lambda r: cap_quadrature(psf, a, R, [r])[0]
     for a in (0.1, 0.0125, wide):
         r_lo, r_hi = max(R - a * T, 0.0), R + a * T
         radii = cached_knot_radii(R, psf, a, (beta, omega))
@@ -291,34 +294,28 @@ def test_band_radii_match_brentq_on_the_quadrature(make, wide, dim):
 @pytest.mark.parametrize("dim", [2, 3])
 @pytest.mark.parametrize("make", [gaussian, compact_bump, ball_indicator])
 def test_band_radii_take_few_quadrature_calls(monkeypatch, make, dim):
-    """A pair of band radii of the d=2 Gaussian or bump costs a handful of
-    small vectorized cap quadratures: the first holds both levels, their
+    """A pair of band radii costs a handful of small vectorized reads of
+    the grey values: the first holds both levels, their
     forward-difference points and theta at the inner end of the
     transition zone, each later one the levels still moving (no call
-    holds the 33 or more radii of an intensity model's fit).  The pairs
-    with a closed form take none."""
-    sizes, quad = [], phantom._cap_quadrature
+    holds the 33 or more radii of an intensity model's fit)."""
+    sizes, grey = [], phantom._ball_intensity_radii
 
     def counted(psf, a, R, radii):
         sizes.append(np.size(radii))
-        return quad(psf, a, R, radii)
+        return grey(psf, a, R, radii)
 
-    monkeypatch.setattr(phantom, "_cap_quadrature", counted)
-    closed = phantom._closed_form(make(dim)) is not None
-    assert closed == (dim == 3 or make is ball_indicator)
+    monkeypatch.setattr(phantom, "_ball_intensity_radii", counted)
     for a, most in ((0.1, 5), (0.05, 4), (0.035, 4), (0.0125, 4)):
         sizes.clear()
         ball_knot_radii(1.0, make(dim), a, (0.3, 0.7))
-        if closed:
-            assert sizes == []
-            continue
         assert sizes[0] == 5 and max(sizes[1:]) <= 4
         assert len(sizes) <= most
 
 
-# the (PSF, d) pairs whose grey values have a closed form
+# every (PSF, d) pair: each has its grey values in closed form
 _CLOSED = [(gaussian, 3), (compact_bump, 3), (ball_indicator, 3),
-           (ball_indicator, 2)]
+           (ball_indicator, 2), (compact_bump, 2), (gaussian, 2)]
 
 
 def _zone_radii(psf, a, R=1.0):
@@ -330,12 +327,15 @@ def _zone_radii(psf, a, R=1.0):
 
 
 def _mp_grey(kind, dim, a, R, r):
-    """theta of B(R) at radius r > 0 by mpmath at 30 digits: in d=3 the
-    radial cap integral under tanh-sinh quadrature, rho normalized by its
-    own quadrature (D = 1); in d=2 the disc's lens area by arccos."""
+    """theta of B(R) at radius r > 0 by mpmath at 30 digits (D = 1): in
+    d=3 the radial cap integral under tanh-sinh quadrature, rho
+    normalized by its own quadrature; in d=2 the disc's lens area by
+    arccos, the bump's cap integral int c(s) dM(s), c by arccos, and the
+    Gaussian's Rice density int_0^R (p/a^2) e^{-(p^2 + r^2)/2a^2}
+    I0(r p/a^2) dp."""
     with mp.workdps(30):
         a, R, r = mp.mpf(a), mp.mpf(R), mp.mpf(r)
-        if dim == 2:
+        if (kind, dim) == ("ball_indicator", 2):
             if r <= R - a or r >= R + a:
                 return float(r <= R - a)
             h1 = mp.acos((r * r + R * R - a * a) / (2 * r * R))
@@ -343,21 +343,35 @@ def _mp_grey(kind, dim, a, R, r):
             area = (R * R * (h1 - mp.sin(2 * h1) / 2)
                     + a * a * (h2 - mp.sin(2 * h2) / 2))
             return float(area / (mp.pi * a * a))
+        if (kind, dim) == ("gaussian", 2):
+            # I0(x) e^{-x} with x = r p/a^2 keeps the factors moderate
+            rice = lambda p: (p / a ** 2 * mp.exp(-(p - r) ** 2 / (2 * a * a))
+                              * mp.besseli(0, r * p / a ** 2)
+                              * mp.exp(-r * p / a ** 2))
+            pts = sorted({mp.mpf(0), R, *(p for p in (r - 10 * a, r,
+                                                      r + 10 * a)
+                                          if 0 < p < R)})
+            return float(mp.quad(rice, pts))
+
+        def cap(s):
+            if s <= R - r or s <= r - R or s >= R + r:
+                return mp.mpf(s <= R - r)
+            mu = (r * r + s * s - R * R) / (2 * r * s)
+            return mp.acos(mu) / mp.pi if dim == 2 else (1 - mu) / 2
+
+        if dim == 2:
+            # M(s) = 1 - (1 - s^2/a^2)^4 on [0, a]
+            dM = lambda s: 8 * s / a ** 2 * (1 - s * s / a ** 2) ** 3
+            pts = sorted({mp.mpf(0), a, min(abs(R - r), a), min(R + r, a)})
+            return float(mp.quad(lambda s: dM(s) * cap(s), pts))
         shape = {"gaussian": lambda w: mp.exp(-w * w / 2),
                  "bump": lambda w: (1 - w * w) ** 3,
                  "ball_indicator": lambda w: mp.mpf(1)}[kind]
         top = mp.inf if kind == "gaussian" else mp.mpf(1)
-
-        def cap(w):
-            s = a * w
-            if s <= R - r or s <= r - R or s >= R + r:
-                return mp.mpf(s <= R - r)
-            return (1 - (r * r + s * s - R * R) / (2 * r * s)) / 2
-
         f = lambda w: shape(w) * w * w
         pts = sorted({mp.mpf(0), top, min(abs(R - r) / a, top),
                       min((R + r) / a, top)})
-        return float(mp.quad(lambda w: f(w) * cap(w), pts)
+        return float(mp.quad(lambda w: f(w) * cap(a * w), pts)
                      / mp.quad(f, [0, top]))
 
 
@@ -366,17 +380,16 @@ def test_closed_forms_match_the_cap_quadrature(make, dim):
     """Each closed form lies within 4e-15 of the cap quadrature, which
     shares no code with it, on 4,001 radii over the transition zone, its
     ends and |R - aD| included, at a = 0.6 (where the Gaussian's zone
-    reaches the centre) too.  At a = 0.0125 the bound is 8e-15: there
-    the quadrature's own rounding reaches 5.9e-15 for the d=3 bump (its
-    cap fraction's r^2 - R^2 cancels), and mpmath pins the closed forms
-    (test_closed_forms_match_mpmath).  Each stated rounding bound is
-    under 1e-14."""
+    reaches the centre) too.  These radii keep 5e-4 a or more from R,
+    where the quadrature is within a few 1e-16 of mpmath; nearer R
+    mpmath pins the closed forms (test_closed_forms_match_mpmath).  Each
+    stated rounding bound is under 1e-14."""
     psf = make(dim)
     for a in (0.1, 0.05, 0.0125, 0.6):
         rs = _zone_radii(psf, a)
         got, bound = phantom._ball_intensity_radii(psf, a, 1.0, rs)
-        gap = np.max(np.abs(got - phantom._cap_quadrature(psf, a, 1.0, rs)))
-        assert gap <= (8e-15 if a == 0.0125 else 4e-15)
+        gap = np.max(np.abs(got - cap_quadrature(psf, a, 1.0, rs)))
+        assert gap <= 4e-15
         assert 0.0 < np.max(bound) < 1e-14
     assert (rs[0] == 0.0) == (make is gaussian)
 
@@ -384,11 +397,14 @@ def test_closed_forms_match_the_cap_quadrature(make, dim):
 @pytest.mark.parametrize("make, dim", _CLOSED)
 def test_closed_forms_match_mpmath(make, dim):
     """Near R, where the grey value falls, each closed form is within its
-    stated rounding bound (under 2e-15) of mpmath at 30 digits, at the
-    radii where the cap quadrature strays most at a = 0.0125 too."""
+    stated rounding bound (under 2e-15) of mpmath, at the radii where the
+    cap quadrature strays most too: r - R = 0.081 a for the d=3 bump, and
+    within 1e-5 a of R for the d=2 bump (1.2e-14) and Gaussian
+    (6.1e-13)."""
     psf = make(dim)
     for a in (0.05, 0.0125):
-        rs = 1.0 + a * np.array([-2.0, -0.5, -0.1, 0.0025, 0.081, 0.5, 0.9])
+        rs = 1.0 + a * np.array([-2.0, -0.5, -0.1, -1e-5, -1.29e-6, 6e-7,
+                                 1e-5, 0.0025, 0.081, 0.5, 0.9])
         got, bound = phantom._ball_intensity_radii(psf, a, 1.0, rs)
         want = [_mp_grey(psf.kind, dim, a, 1.0, r) for r in rs]
         assert np.all(np.abs(got - want) <= bound)
@@ -401,10 +417,12 @@ def test_closed_form_knot_radii_match_the_quadratures(monkeypatch, make,
     """Knot radii solved on a closed form lie within 1e-13 of those solved
     on the cap quadrature."""
     psf, knots = make(dim), (0.3, 0.4, 0.6, 0.7)
+    quadrature = lambda psf, a, R, r: (cap_quadrature(psf, a, R, r),
+                                       np.zeros_like(r))
     for a in (0.1, 0.05, 0.0125):
         closed = ball_knot_radii(1.0, psf, a, knots)
         with monkeypatch.context() as m:
-            m.setattr(phantom, "_closed_form", lambda psf: None)
+            m.setattr(phantom, "_closed_form", lambda psf: quadrature)
             quad = ball_knot_radii(1.0, psf, a, knots)
         np.testing.assert_allclose(closed, quad, rtol=0, atol=1e-13)
 

@@ -16,7 +16,7 @@ import pytest
 from scipy import integrate, special
 from scipy.optimize import brentq
 
-from _band_models import band_cycles, flat_band_square
+from _band_models import band_cycles, flat_band_square, sharp_band_square
 from greyvar._quad import oscillatory_nodes
 from greyvar.errors import DomainError, TruncationError
 from greyvar.estimator import Indicator, SmoothPlateau, alpha_f
@@ -25,8 +25,7 @@ from greyvar.psf import (ball_indicator, ball_volume, compact_bump,
                          eval_rho, gaussian, halfspace_profile)
 from greyvar.spectral import (AnnulusFourier, RadialFourier, ball_main_term,
                               ball_indicator_fourier, bessel_j, nu_phase,
-                              profile_fourier_1d, psf_fourier,
-                              sharp_band_square)
+                              profile_fourier_1d, psf_fourier)
 import greyvar
 from greyvar.variance import weighted_layer
 

@@ -48,6 +48,8 @@ GAUSS2 = gaussian(2)
 import _mc_oracle as mc_oracle
 # the dual-shell sums of the indicator and binary-volume variances and LS
 import _dual_oracle as dual_oracle
+# the radial cap quadrature of a ball's grey values
+from _cap_oracle import cap_quadrature
 # independent grey-layer pieces built on scipy only; shared with the
 # acceptance suite
 from _spatial_oracle import (alpha_quad as _alpha_quad,
@@ -986,7 +988,7 @@ def test_band_table_error_covers_the_quadrature(make):
         table = variance._BandTable(model, f, r_in, r_out)
         assert table.error == variance._BAND_TOL + f.lipschitz * model.error
         rsq = np.random.default_rng(5).uniform(r_in ** 2, r_out ** 2, 2000)
-        want = f(phantom._cap_quadrature(psf, a, 1.0, np.sqrt(rsq)))
+        want = f(cap_quadrature(psf, a, 1.0, np.sqrt(rsq)))
         assert np.max(np.abs(table(rsq.copy()) - want)) <= table.error
 
 
