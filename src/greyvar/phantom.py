@@ -5,10 +5,10 @@ nonvanishing curvature that the variance theory is about, or a
 HalfSpace(dim, normal, offset), its local model at a boundary point.
 Each answers contains(points) and grey_values(psf, a, points) and
 carries its own geometry; a ball's grey values depend only on the
-distance from its centre, read from the cached IntensityModel of the
-centered ball of its radius.  The exact and Monte Carlo variance
-engines read only the radius: under a stationary random lattice the
-estimator's law does not depend on where the ball sits.
+distance from its centre, read from the IntensityModel of its radius,
+cached per (radius, psf, a) by intensity_model.  The exact and Monte
+Carlo variance engines read only the radius: under a stationary random
+lattice the estimator's law does not depend on where the ball sits.
 
 The grey image of a set X under a PSF rho at scale a is the convolution
 theta_a = 1_X * rho_a with rho_a(x) = a^{-d} rho(x/a).  For a ball the
@@ -49,7 +49,7 @@ states the error it measures.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -113,8 +113,9 @@ class Ball(Phantom):
     def grey_values(self, psf: Psf, a: float, points) -> np.ndarray:
         """Grey values at the rows of `points`: the cached model of the
         centered ball of this radius, at the distances from the centre."""
+        _check_blur(self, psf, a)
         pts = np.atleast_2d(as_points(points, self.dim))
-        model = intensity_model(Ball(self.dim, self.radius), psf, a)
+        model = intensity_model(self.radius, psf, a)
         return model.radial(np.linalg.norm(pts - self.center, axis=1))
 
 
@@ -348,13 +349,13 @@ def _ball_intensity_radii(psf: Psf, a: float, R: float, radii):
     closed = _closed_form(psf)
     theta, size = np.empty_like(r), np.ones_like(r)
     central = r < 1e-9 * (R + a)
-    theta[central] = psf_mod.radial_mass(
-        psf, min(R / a, psf_mod._integration_radius(psf)))
+    if central.any():
+        theta[central] = psf_mod.radial_mass(psf, R / a)
     theta[~central], size[~central] = closed(psf, a, R, r[~central])
     return np.clip(theta, 0.0, 1.0), _ROUNDING_ULPS * _EPS * size
 
 
-# the intensity fit (_fit_radial_model): Chebyshev-Lobatto grids of
+# the intensity fit (IntensityModel): Chebyshev-Lobatto grids of
 # _FIT_NODES intervals, doubling up to _FIT_NODES_MAX, each kept once
 # its chopped series is within _FIT_TOL of the grey values at the
 # midpoints between its nodes; the chop drops the trailing coefficients
@@ -366,43 +367,6 @@ def _ball_intensity_radii(psf: Psf, a: float, R: float, radii):
 # checked one and 0.63 of the stated error
 _FIT_NODES, _FIT_NODES_MAX = 16, 256
 _FIT_TOL, _CHOP_TOL = 1e-13, 1e-14
-
-
-@dataclass(frozen=True)
-class _RadialFit:
-    """sum c_k T_k(x) on the transition zone [lo, hi] = mid -/+ half,
-    r = mid + half sin(pi x / 2) (compact PSFs) or r = mid + half x (the
-    Gaussian), x in [-1, 1], and its stated error against the grey
-    values."""
-
-    coefs: np.ndarray
-    lo: float
-    hi: float
-    angular: bool
-    error: float
-
-    @property
-    def mid(self) -> float:
-        return 0.5 * (self.lo + self.hi)
-
-    @property
-    def half(self) -> float:
-        return 0.5 * (self.hi - self.lo)
-
-    def radius(self, x):
-        """r at Chebyshev variable(s) x."""
-        return self.mid + self.half * (np.sin(0.5 * math.pi * x)
-                                       if self.angular else x)
-
-    def variable(self, r):
-        """x at radii r (a 1-D array) inside the zone."""
-        x = np.subtract(r, self.mid)
-        x /= self.half
-        if self.angular:
-            np.clip(x, -1.0, 1.0, out=x)
-            np.arcsin(x, out=x)
-            x *= 2.0 / math.pi
-        return x
 
 
 def _lobatto_coefs(values) -> np.ndarray:
@@ -425,58 +389,6 @@ def _chop(coefs) -> np.ndarray:
     keep = int(np.count_nonzero(tail > _CHOP_TOL))
     return coefs[:max(keep, 1)]
 
-
-def _fit_radial_model(psf: Psf, a: float, R: float) -> _RadialFit:
-    """Chopped Chebyshev series of the grey values of B(R)
-    (_ball_intensity_radii) on the transition zone R -/+ a T (T the edge
-    profile's half-width; theta is 1 or 0 outside it), in a variable
-    where theta is analytic.
-
-    A compact PSF's grey value has a (gap)^{3/2} edge at each end of the
-    zone (the d=2 disc's) or a smoother one; r = mid + half sin(pi x/2)
-    makes the gap quadratic in x there and the edge analytic.  The
-    Gaussian has no edge and is fitted in r.  On the grid of n + 1
-    Chebyshev-Lobatto points, n = _FIT_NODES, 2 _FIT_NODES, ..., the
-    chopped interpolant is checked at the n midpoints in angle, which are
-    the odd points of the next grid, so each grey value is taken once.
-    The first series within _FIT_TOL of every check is kept, stating
-    twice the sum of its largest gap and the largest rounding bound of
-    the grey values it read as its error; none by n = _FIT_NODES_MAX
-    raises TruncationError.
-    """
-    T = halfspace_profile(psf).T
-    # the zone and its map; the series and its error come last
-    fit = _RadialFit(np.zeros(1), max(R - a * T, 0.0), R + a * T,
-                     psf.compact, math.nan)
-    rounding = [0.0]
-
-    def theta(j, n):
-        values, bound = _ball_intensity_radii(
-            psf, a, R, fit.radius(np.cos(j * (math.pi / n))))
-        rounding.append(float(bound.max()))
-        return values
-
-    n = _FIT_NODES
-    values = theta(np.arange(2 * n + 1), 2 * n)
-    while True:
-        coefs = _chop(_lobatto_coefs(values[0::2]))
-        error = float(np.max(np.abs(
-            _special._clenshaw(coefs, np.cos(np.arange(1, 2 * n, 2)
-                                             * (math.pi / (2 * n))))
-            - values[1::2])))
-        if error <= _FIT_TOL:
-            return replace(fit, coefs=coefs,
-                           error=2.0 * (error + max(rounding)))
-        if 2 * n > _FIT_NODES_MAX:
-            raise TruncationError(
-                f"intensity model of B({R:g}) at a = {a:g} misses its "
-                f"bound {_FIT_TOL:g} by {error:.3e} on {n + 1} nodes, the "
-                f"most allowed")
-        n *= 2
-        finer = np.empty(2 * n + 1)
-        finer[0::2] = values
-        finer[1::2] = theta(np.arange(1, 2 * n, 2), 2 * n)
-        values = finer
 
 # the level solver's forward-difference step, in units of a, and the
 # steps (Newton or bisection) a level radius may take before it is
@@ -557,27 +469,72 @@ cached_knot_radii = lru_cache(maxsize=64)(ball_knot_radii)
 
 
 class IntensityModel:
-    """Chebyshev model of a ball's grey value against the distance from
-    its centre, for one (ball, psf, a); any other phantom is refused.
+    """Chebyshev model of the grey value of the centered ball B(radius)
+    against the distance r from its centre, for one (radius, psf, a); a
+    radius or blur scale outside (0, inf) is refused.
 
-    The chopped series of the grey values over the transition zone
-    (_fit_radial_model), the only fit of them; the grey value is 1 or 0
-    outside it.  `error` bounds its gap to the exact grey values, from
-    the largest gap where it was checked and the closed forms' rounding
-    bound, and `degree` is the degree its coefficients chose.
-    intensity_model caches the models per radius and blur.
+    The chopped series sum c_k T_k(x) of the grey values
+    (_ball_intensity_radii) over the transition zone table_range =
+    R -/+ a T (T the edge profile's half-width; the grey value is 1 or 0
+    outside it), the only fit of them, in a variable x in [-1, 1] where
+    they are analytic.  A compact PSF's grey value has a (gap)^{3/2}
+    edge at each end of the zone (the d=2 disc's) or a smoother one;
+    r = mid + half sin(pi x/2) makes the gap quadratic in x there and
+    the edge analytic.  The Gaussian has no edge and is fitted in
+    r = mid + half x.  On the grid of n + 1 Chebyshev-Lobatto points,
+    n = _FIT_NODES, 2 _FIT_NODES, ..., the chopped interpolant is
+    checked at the n midpoints in angle, which are the odd points of the
+    next grid, so each grey value is taken once.  The first series
+    within _FIT_TOL of every check is kept; none by n = _FIT_NODES_MAX
+    raises TruncationError.
+
+    `error` bounds its gap to the exact grey values: twice the sum of
+    the largest gap where it was checked and the largest rounding bound
+    of the grey values it read.  `degree` is the degree its coefficients
+    chose.  intensity_model caches the models per (radius, psf, a).
     """
 
-    def __init__(self, phantom: Phantom, psf: Psf, a: float):
-        _check_blur(phantom, psf, a)
-        self._fit = _fit_radial_model(psf, a, phantom.radius)
-        self.error = self._fit.error
-        self.degree = len(self._fit.coefs) - 1
+    def __init__(self, radius: float, psf: Psf, a: float):
+        if not 0.0 < radius < math.inf:
+            raise DomainError("ball radius must be positive and finite")
+        if not 0 < a < math.inf:
+            raise DomainError("blur scale a must be positive and finite")
+        T = halfspace_profile(psf).T
+        lo, hi = self.table_range = max(radius - a * T, 0.0), radius + a * T
+        self._mid, self._half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        self._angular = psf.compact
+        rounding = [0.0]
 
-    @property
-    def table_range(self) -> tuple[float, float]:
-        """Radius interval of the modelled transition zone."""
-        return self._fit.lo, self._fit.hi
+        def theta(j, n):
+            x = np.cos(j * (math.pi / n))
+            values, bound = _ball_intensity_radii(
+                psf, a, radius, self._mid + self._half * (
+                    np.sin(0.5 * math.pi * x) if self._angular else x))
+            rounding.append(float(bound.max()))
+            return values
+
+        n = _FIT_NODES
+        values = theta(np.arange(2 * n + 1), 2 * n)
+        while True:
+            self.coefs = _chop(_lobatto_coefs(values[0::2]))
+            gap = float(np.max(np.abs(
+                _special._clenshaw(self.coefs, np.cos(np.arange(1, 2 * n, 2)
+                                                      * (math.pi / (2 * n))))
+                - values[1::2])))
+            if gap <= _FIT_TOL:
+                break
+            if 2 * n > _FIT_NODES_MAX:
+                raise TruncationError(
+                    f"intensity model of B({radius:g}) at a = {a:g} misses "
+                    f"its bound {_FIT_TOL:g} by {gap:.3e} on {n + 1} nodes, "
+                    f"the most allowed")
+            n *= 2
+            finer = np.empty(2 * n + 1)
+            finer[0::2] = values
+            finer[1::2] = theta(np.arange(1, 2 * n, 2), 2 * n)
+            values = finer
+        self.error = 2.0 * (gap + max(rounding))
+        self.degree = len(self.coefs) - 1
 
     def radial(self, r):
         """Grey value at radius r from the ball center."""
@@ -594,15 +551,24 @@ class IntensityModel:
         return out
 
     def _series(self, r):
-        """The series at radii r (a 1-D array) in the zone, clipped to
-        [0, 1]."""
-        theta = _special._clenshaw(self._fit.coefs, self._fit.variable(r))
+        """The series at radii r (a 1-D array) in the zone, read at
+        x = (r - mid) / half, or its arcsine map, and clipped to [0, 1]."""
+        x = np.subtract(r, self._mid)
+        x /= self._half
+        if self._angular:
+            np.clip(x, -1.0, 1.0, out=x)
+            np.arcsin(x, out=x)
+            x *= 2.0 / math.pi
+        theta = _special._clenshaw(self.coefs, x)
         return np.clip(theta, 0.0, 1.0, out=theta)
 
 
 @lru_cache(maxsize=64)
-def intensity_model(phantom: Phantom, psf: Psf, a: float) -> IntensityModel:
-    return IntensityModel(phantom, psf, a)
+def intensity_model(radius: float, psf: Psf, a: float) -> IntensityModel:
+    """The IntensityModel of B(radius) under psf at scale a, cached: the
+    exact and Monte Carlo routes of a row, and every ball of one radius,
+    share one fit."""
+    return IntensityModel(radius, psf, a)
 
 
 def intensity(phantom: Phantom, psf: Psf, a: float, x) -> float:

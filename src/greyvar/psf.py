@@ -148,16 +148,12 @@ def radial_mass(psf: Psf, r: float) -> float:
     if psf.compact:
         x = min(r / psf.support_radius, 1.0) ** 2
         return float(_special.betainc(d / 2.0, _compact_power(psf) + 1.0, x))
-    # the regularized gamma P(d/2, x), x = r^2/2
+    # the regularized gamma P(d/2, x), x = r^2/2; x overflows past
+    # r ~ 1.3e154, where the mass is 1 in d=3 too
     x = 0.5 * r * r
-    if d == 2:
+    if d == 2 or x == math.inf:
         return -math.expm1(-x)
     return math.erf(math.sqrt(x)) - 2.0 * math.sqrt(x / math.pi) * math.exp(-x)
-
-
-def _integration_radius(psf: Psf) -> float:
-    """Radius beyond which rho is (numerically) zero."""
-    return psf.support_radius if psf.compact else 20.0
 
 
 class HalfspaceProfile:

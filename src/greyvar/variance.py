@@ -73,7 +73,7 @@ from ._quad import panel_nodes
 from .errors import DomainError, TruncationError
 from .estimator import Indicator, alpha_f, weight_lipschitz, weight_tv
 from .lattice import Lattice
-from .phantom import Ball, _lens, cached_knot_radii, intensity_model
+from .phantom import _lens, cached_knot_radii, intensity_model
 from .psf import (HalfspaceProfile, Psf, ball_volume, halfspace_profile,
                   sphere_area)
 # profile_fourier_1d is unused here: perfbench/spans.py wraps it by name
@@ -216,6 +216,13 @@ class VarianceReport:
     shells: ShellSumInfo
 
 
+def _knot_radii(radius: float, psf: Psf, a: float, f):
+    """Radii where the grey value of the centered ball falls through the
+    knots of f, innermost first, from the process cache; the knots, any
+    sequence a weight gives, become the tuple of floats it is keyed on."""
+    return cached_knot_radii(radius, psf, a, tuple(map(float, f.knots)))
+
+
 def weighted_layer(radius: float, psf: Psf, a: float, f):
     """Radial transform of the weighted grey layer r -> f(theta(r)) of a
     ball, supported exactly between the radii where theta crosses the
@@ -228,10 +235,10 @@ def weighted_layer(radius: float, psf: Psf, a: float, f):
     where theta crosses the inner knots of f, which the solve of the
     band radii returns with them.
     """
-    r_in, *splits, r_out = cached_knot_radii(radius, psf, a, f.knots)
+    r_in, *splits, r_out = _knot_radii(radius, psf, a, f)
     if isinstance(f, Indicator):
         return AnnulusFourier(r_in, r_out, psf.dim)
-    model = intensity_model(Ball(psf.dim, radius), psf, a)
+    model = intensity_model(radius, psf, a)
     return RadialFourier(lambda r: f(model.radial(r)), r_in, r_out, psf.dim,
                          tuple(splits))
 
@@ -306,7 +313,7 @@ def variance_exact_ball(phantom, psf: Psf, f, a: float, lattice: Lattice,
             lattice, lambda q: layer.at(q / b) ** 2, a, b, 1e-3)
         # the layer reads f of the intensity model, within Lip(f) eps of
         # f(theta) at every radius
-        eps = intensity_model(Ball(psf.dim, radius), psf, a).error
+        eps = intensity_model(radius, psf, a).error
         drift = _model_drift(layer, lattice, b, weight_lipschitz(f) * eps)
         info = replace(info, tail_bound=info.tail_bound + drift * (
             2.0 * math.sqrt(max(total, 0.0)) + drift))
@@ -927,13 +934,13 @@ def _surface_sampler(radius, psf, f, a, lattice, b, alpha):
     """The Monte Carlo sampler of the surface estimator for a centered
     ball, on its cached band radii: lines for an indicator weight, points
     and a band table (of the cached model, built afresh) for any other."""
-    radii = cached_knot_radii(radius, psf, a, f.knots)
+    radii = _knot_radii(radius, psf, a, f)
     r_in, r_out = radii[0], radii[-1]
     scale = (lattice.cell_volume / alpha) * b ** psf.dim / a
     if isinstance(f, Indicator):
         # f(theta(r)) = 1[r_in <= r <= r_out] exactly
         return _LineSampler(lattice, b, r_in, r_out, scale)
-    model = intensity_model(Ball(psf.dim, radius), psf, a)
+    model = intensity_model(radius, psf, a)
     return _RadialSampler(lattice, b, r_in, r_out,
                           _BandTable(model, f, r_in, r_out), scale)
 

@@ -25,7 +25,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from greyvar.estimator import alpha_f
-from greyvar.phantom import Ball, IntensityModel
+from greyvar.phantom import IntensityModel
 from greyvar.psf import halfspace_profile
 
 CHUNK = 256
@@ -90,7 +90,7 @@ def _batches(points, basis_b, weight, scale, n_reps, seed, n_batches):
 def surface_points(radius, psf, f, a, lattice, b):
     """The intensity model and every lattice point that can see a grey
     value inside the band of f under some shift."""
-    model = IntensityModel(Ball(psf.dim, radius), psf, a)
+    model = IntensityModel(radius, psf, a)
     r_lo, r_hi = model.table_range
     r_in, r_out = (
         brentq(lambda r: model.radial(np.array([r]))[0] - y, r_lo, r_hi,

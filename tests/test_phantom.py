@@ -116,7 +116,7 @@ def test_intensity_model_radial_table(dim):
     psf = gaussian(dim)
     R = 1.0
     for a in (0.1, 0.05, 0.0125):
-        model = IntensityModel(Ball(dim, R), psf, a)
+        model = IntensityModel(R, psf, a)
         r_lo, r_hi = model.table_range
         assert r_lo < R < r_hi
         rs = np.linspace(r_lo, r_hi, 201)
@@ -129,7 +129,7 @@ def test_intensity_model_radial_matches_bump_quadrature(dim):
     psf = compact_bump(dim, 1.0)
     R = 1.0
     for a in (0.1, 0.0125):
-        model = IntensityModel(Ball(dim, R), psf, a)
+        model = IntensityModel(R, psf, a)
         r_lo, r_hi = model.table_range
         rs = np.linspace(r_lo - a, r_hi + a, 101)
         expected = [intensity(Ball(dim, R), psf, a, np.eye(dim)[0] * r)
@@ -146,7 +146,7 @@ def test_intensity_model_within_its_stated_error(make, dim):
     for the models fitted to closed forms."""
     psf = make(dim)
     for a in (0.1, 0.05, 0.0125):
-        model = IntensityModel(Ball(dim, 1.0), psf, a)
+        model = IntensityModel(1.0, psf, a)
         rs = np.linspace(*model.table_range, 4001)
         gap = np.max(np.abs(model.radial(rs) - cap_quadrature(
             psf, a, 1.0, rs)))
@@ -162,7 +162,7 @@ def test_intensity_model_degree_stays_under_its_cap(make, dim):
     model stays at or below the cap and below the degree 80 of a fixed
     fit in r."""
     for a in np.geomspace(0.3, 0.005, 9):
-        model = IntensityModel(Ball(dim, 1.0), make(dim), a)
+        model = IntensityModel(1.0, make(dim), a)
         assert 0 < model.degree <= min(80, phantom._FIT_NODES_MAX)
 
 
@@ -171,20 +171,20 @@ def test_intensity_model_past_its_cap_is_refused(monkeypatch):
     not returned with a larger error: the Gaussian needs 65 nodes."""
     monkeypatch.setattr(phantom, "_FIT_NODES_MAX", 32)
     with pytest.raises(TruncationError, match="intensity model"):
-        IntensityModel(Ball(2, 1.0), gaussian(2), 0.05)
+        IntensityModel(1.0, gaussian(2), 0.05)
 
 
 def test_intensity_model_clamps_outside_table():
-    model = IntensityModel(Ball(2, 1.0), gaussian(2), 0.05)
+    model = IntensityModel(1.0, gaussian(2), 0.05)
     assert model.radial(np.array([0.0]))[0] == pytest.approx(1.0,
                                                              abs=1e-10)
     assert model.radial(np.array([50.0]))[0] == 0.0
 
 
 def test_intensity_model_cache_keyed_on_arguments():
-    m1 = intensity_model(Ball(2, 1.0), gaussian(2), 0.05)
-    m2 = intensity_model(Ball(2, 1.0), gaussian(2), 0.05)
-    m3 = intensity_model(Ball(2, 1.0), gaussian(2), 0.04)
+    m1 = intensity_model(1.0, gaussian(2), 0.05)
+    m2 = intensity_model(1.0, gaussian(2), 0.05)
+    m3 = intensity_model(1.0, gaussian(2), 0.04)
     assert m1 is m2 and m1 is not m3
 
 
@@ -192,13 +192,13 @@ def test_balls_of_one_radius_share_one_model(monkeypatch):
     """A moved ball reads the cached model of the centered ball of its
     radius: one fit serves both, and the grey values at equal distances
     from the centres agree."""
-    fits, fit = [], phantom._fit_radial_model
+    fits, init = [], IntensityModel.__init__
 
-    def counted(psf, a, R):
-        fits.append((psf, a, R))
-        return fit(psf, a, R)
+    def counted(self, *args):
+        fits.append(args)
+        init(self, *args)
 
-    monkeypatch.setattr(phantom, "_fit_radial_model", counted)
+    monkeypatch.setattr(IntensityModel, "__init__", counted)
     intensity_model.cache_clear()
     psf, a, centre = gaussian(2), 0.05, np.array([0.5, -0.25])
     # dyadic offsets, so that centre + v - centre is v exactly
@@ -380,13 +380,13 @@ def test_closed_forms_match_the_cap_quadrature(make, dim):
     """Each closed form lies within 4e-15 of the cap quadrature, which
     shares no code with it, on 4,001 radii over the transition zone, its
     ends and |R - aD| included, at a = 0.6 (where the Gaussian's zone
-    reaches the centre) too.  These radii keep 5e-4 a or more from R,
-    where the quadrature is within a few 1e-16 of mpmath; nearer R
-    mpmath pins the closed forms (test_closed_forms_match_mpmath).  Each
-    stated rounding bound is under 1e-14."""
+    reaches the centre) too, and on radii within 1e-6 a of R, where the
+    quadrature is within a few 1e-16 of mpmath as well.  Each stated
+    rounding bound is under 1e-14."""
     psf = make(dim)
+    near = np.array([-1e-6, -1e-7, -1e-8, -1e-10, 1e-10, 1e-8, 1e-7, 1e-6])
     for a in (0.1, 0.05, 0.0125, 0.6):
-        rs = _zone_radii(psf, a)
+        rs = np.append(_zone_radii(psf, a), 1.0 + a * near)
         got, bound = phantom._ball_intensity_radii(psf, a, 1.0, rs)
         gap = np.max(np.abs(got - cap_quadrature(psf, a, 1.0, rs)))
         assert gap <= 4e-15
@@ -397,10 +397,8 @@ def test_closed_forms_match_the_cap_quadrature(make, dim):
 @pytest.mark.parametrize("make, dim", _CLOSED)
 def test_closed_forms_match_mpmath(make, dim):
     """Near R, where the grey value falls, each closed form is within its
-    stated rounding bound (under 2e-15) of mpmath, at the radii where the
-    cap quadrature strays most too: r - R = 0.081 a for the d=3 bump, and
-    within 1e-5 a of R for the d=2 bump (1.2e-14) and Gaussian
-    (6.1e-13)."""
+    stated rounding bound (under 2e-15) of mpmath, within 1e-5 a of R
+    too."""
     psf = make(dim)
     for a in (0.05, 0.0125):
         rs = 1.0 + a * np.array([-2.0, -0.5, -0.1, -1e-5, -1.29e-6, 6e-7,
@@ -471,14 +469,15 @@ def test_validation_errors():
         with pytest.raises(DomainError):
             intensity(Ball(2, 1.0), gaussian(2), bad, np.zeros(2))
         with pytest.raises(DomainError):
-            IntensityModel(Ball(2, 1.0), gaussian(2), bad)
+            IntensityModel(1.0, gaussian(2), bad)
         with pytest.raises(DomainError):
             cached_knot_radii(1.0, gaussian(2), bad, (0.3, 0.7))
     for beta, omega in ((0.7, 0.3), (0.0, 0.7), (0.3, 1.0)):
         with pytest.raises(DomainError, match="0 < beta < omega < 1"):
             cached_knot_radii(1.0, gaussian(2), 0.05, (beta, omega))
-    with pytest.raises(DomainError, match="not a ball"):
-        IntensityModel(HalfSpace(2), gaussian(2), 0.05)
+    for bad in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(DomainError, match="radius must be positive"):
+            IntensityModel(bad, gaussian(2), 0.05)
 
 
 def test_points_of_another_dimension_are_refused():
@@ -507,9 +506,12 @@ def test_phantoms_answer_membership_and_others_are_refused():
     np.testing.assert_array_equal(moved.contains(pts), [True, False, False])
     hs = HalfSpace(2, normal=(0.0, 2.0), offset=0.25)
     np.testing.assert_array_equal(hs.contains(pts), [True, True, False])
-    # a phantom that is neither a ball nor a half-space has no grey values
+    # a phantom that is neither a ball nor a half-space has no grey
+    # values, and a model needs a positive finite radius and blur scale
     bare, psf = Phantom(2), gaussian(2)
-    for call in (lambda: IntensityModel(bare, psf, 0.05),
-                 lambda: intensity(bare, psf, 0.05, np.zeros(2))):
-        with pytest.raises(DomainError, match="unsupported phantom"):
-            call()
+    with pytest.raises(DomainError, match="unsupported phantom"):
+        intensity(bare, psf, 0.05, np.zeros(2))
+    for radius, a in ((0.0, 0.05), (math.nan, 0.05), (1.0, 0.0),
+                      (1.0, -math.inf)):
+        with pytest.raises(DomainError, match="must be positive and finite"):
+            IntensityModel(radius, psf, a)

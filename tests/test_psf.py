@@ -43,6 +43,7 @@ def test_rho_integrates_to_one(make, dim):
 def test_radial_mass_saturates(make, dim):
     psf = make(dim)
     assert radial_mass(psf, 1e3) == pytest.approx(1.0, abs=1e-10)
+    assert radial_mass(psf, 1e200) == 1.0
     assert radial_mass(psf, 0.0) == 0.0
 
 

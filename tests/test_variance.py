@@ -728,7 +728,7 @@ def test_in_band_sums_equal_dense_read(a, f):
     r_in, r_out = cached_knot_radii(1.0, GAUSS2, a, (0.3, 0.7))
     assert (r_in == 0.0) == (a == 0.85)
     table = variance._BandTable(
-        phantom.intensity_model(Ball(2, 1.0), GAUSS2, a), f, r_in, r_out)
+        phantom.intensity_model(1.0, GAUSS2, a), f, r_in, r_out)
     sampler = variance._RadialSampler(Z2, 1.0, r_in, r_out, table, 1.0)
     lo, hi = table.band
     assert lo == (-math.inf if r_in == 0.0 else r_in * r_in - 1e-12 * hi)
@@ -955,7 +955,7 @@ def test_smooth_mc_weight_reads_the_model_only_in_the_band(psf, a):
     f = SmoothPlateau()
     latt = unit_lattice(psf.dim)
     sampler = variance._surface_sampler(1.0, psf, f, a, latt, 0.05, 1.0)
-    model = phantom.intensity_model(Ball(psf.dim, 1.0), psf, a)
+    model = phantom.intensity_model(1.0, psf, a)
     r_in, r_out = cached_knot_radii(1.0, psf, a, (f.beta, f.omega))
     offs = (np.random.default_rng(3).random((16, psf.dim))
             @ sampler.basis_b.T)
@@ -983,7 +983,7 @@ def test_band_table_error_covers_the_quadrature(make):
     against the cap quadrature, for the disc in d=2 too."""
     f, psf = SmoothPlateau(), make(2)
     for a in (0.1, 0.0125):
-        model = phantom.intensity_model(Ball(2, 1.0), psf, a)
+        model = phantom.intensity_model(1.0, psf, a)
         r_in, *_, r_out = cached_knot_radii(1.0, psf, a, f.knots)
         table = variance._BandTable(model, f, r_in, r_out)
         assert table.error == variance._BAND_TOL + f.lipschitz * model.error
@@ -1012,7 +1012,7 @@ def test_smooth_tail_bound_carries_the_model_error(monkeypatch):
     monkeypatch.setattr(variance, "_model_drift", lambda *args: 0.0)
     bare = variance_exact_ball(Ball(2, 1.0), psf, f, a, Z2, a)
     monkeypatch.undo()
-    eps = phantom.intensity_model(Ball(2, 1.0), psf, a).error
+    eps = phantom.intensity_model(1.0, psf, a).error
     r_in, *_, r_out = cached_knot_radii(1.0, psf, a, f.knots)
     reach = 0.5 * a * Z2.cell_diameter
     drift = f.lipschitz * eps * (ball_volume(2, r_out + reach)
@@ -1091,9 +1091,11 @@ def test_indicator_rows_fit_no_intensity_model(monkeypatch, tmp_path):
     """An indicator row reads no grey value: its exact variance, its
     Monte Carlo and a theory-variance run solve the band radii on the
     cap quadrature and fit no Chebyshev model, cached or one-off."""
-    fits = []
-    monkeypatch.setattr(phantom, "_fit_radial_model",
-                        lambda *args: fits.append(args))
+    fits, init = [], phantom.IntensityModel.__init__
+    monkeypatch.setattr(phantom.IntensityModel, "__init__",
+                        lambda self, *args: fits.append(args)
+                        or init(self, *args))
+    phantom.intensity_model.cache_clear()
     args = (Ball(3, 1.0), gaussian(3), Indicator(), 0.05,
             unit_lattice(3), 0.05)
     variance_exact_ball(*args)
@@ -1113,9 +1115,10 @@ def test_random_radius_builds_once_per_radius(monkeypatch, f):
     phantom.intensity_model.cache_clear()
     phantom.cached_knot_radii.cache_clear()
     fits, tables = [], []
-    fit, table = phantom._fit_radial_model, variance._BandTable
-    monkeypatch.setattr(phantom, "_fit_radial_model",
-                        lambda *args: fits.append(args) or fit(*args))
+    init, table = phantom.IntensityModel.__init__, variance._BandTable
+    monkeypatch.setattr(phantom.IntensityModel, "__init__",
+                        lambda self, *args: fits.append(args)
+                        or init(self, *args))
     monkeypatch.setattr(variance, "_BandTable",
                         lambda *args: tables.append(args) or table(*args))
     mc = mc_random_radius(GAUSS2, f, 0.1, Z2, 0.1, RadiusDensity(), 40, 20,
@@ -1303,6 +1306,26 @@ def test_bound_check_takes_a_bare_weight():
     assert got.structural == want.structural
     assert got.implied_constant == pytest.approx(want.implied_constant,
                                                  rel=1e-12)
+
+
+@pytest.mark.parametrize("sequence", [list, np.array],
+                         ids=["list", "ndarray"])
+def test_weight_knots_may_be_any_sequence(sequence):
+    """A weight whose knots are a list or an array, which the knot radii's
+    cache cannot hash, gives the exact, Monte Carlo and asymptotic numbers
+    of the same weight with tuple knots."""
+    tupled, listed = _BareWeight(), _BareWeight()
+    listed.knots = sequence(_BareWeight.knots)
+    runs = [(variance_exact_ball(Ball(2, 1.0), GAUSS2, f, 0.1, Z2, 0.1),
+             mc_surface(Ball(2, 1.0), GAUSS2, f, 0.1, Z2, 0.1, 400, seed=0),
+             variance_asymptotic_isotropic(2.0 * math.pi, GAUSS2, f, Z2,
+                                           0.1))
+            for f in (tupled, listed)]
+    (ex, mc, asym), (ex_l, mc_l, asym_l) = runs
+    assert (ex_l.value, ex_l.shells) == (ex.value, ex.shells)
+    np.testing.assert_array_equal(mc_l.batch_means, mc.batch_means)
+    np.testing.assert_array_equal(mc_l.batch_variances, mc.batch_variances)
+    assert (asym_l.main, asym_l.lattice_sum) == (asym.main, asym.lattice_sum)
 
 
 def test_bound_check_fast_b_bounded():
