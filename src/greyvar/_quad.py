@@ -5,8 +5,9 @@ panels of one order over sorted breakpoints (the kinks of the
 integrand), each gap cut into equal panels.  `panel_nodes` takes their
 number from the caller, the same for every gap (alpha_f and the lattice
 sum LS compare against the rule with half the panels);
-`oscillatory_nodes` ties each gap's number to the oscillation period of
-a Fourier kernel.  The rules are deterministic, so repeated runs are
+`oscillatory_panels` ties each gap's number to the oscillation period
+of a Fourier kernel, and `gap_nodes` builds the rule for any number per
+gap.  The rules are deterministic, so repeated runs are
 bit-identical.
 """
 
@@ -48,27 +49,40 @@ def panel_nodes(edges, n_panels: int, order: int = _ORDER):
     return (lo + half + half * x).reshape(shape), (half * w).reshape(shape)
 
 
-def oscillatory_nodes(edges, freq: float, min_panels: int):
-    """Composite GL nodes over the sorted breakpoints `edges`, each gap
-    cut into its own number of panels, max(min_panels, ceil(gap *
-    freq)), so that no panel is wider than one period of
-    cos(2*pi*freq*t).
-
-    `freq` is in cycles per unit of t; freq <= 0 falls back to min_panels.
-    Raises TruncationError, before allocating, if the rule would need more
-    than 20 million nodes.
-    """
-    edges = np.asarray(edges, dtype=float)
-    if edges[-1] - edges[0] <= 0:
-        return np.empty(0), np.empty(0)
+def oscillatory_panels(edges, freq: float, min_panels: int) -> tuple:
+    """Panels per gap between the sorted breakpoints `edges`,
+    max(min_panels, ceil(gap * freq)), so that no panel is wider than
+    one period of cos(2*pi*freq*t).  `freq` is in cycles per unit of t;
+    freq <= 0 falls back to min_panels."""
     counts = np.full(len(edges) - 1, float(min_panels))
     if freq > 0:
         counts = np.maximum(counts, np.ceil(np.diff(edges) * freq))
-    n_nodes = counts.sum() * _ORDER
+    return tuple(counts.tolist())
+
+
+def gap_nodes(edges, counts):
+    """Composite GL nodes over the sorted breakpoints `edges`, gap i cut
+    into counts[i] equal panels and left out where that is 0.  Raises
+    TruncationError, before allocating, if the rule would need more than
+    20 million nodes."""
+    n_nodes = sum(counts) * _ORDER
     if n_nodes > _MAX_NODES:
         raise TruncationError(
-            f"oscillatory rule would need {n_nodes:.0f} nodes "
-            f"(freq={freq:g})")
-    nodes, weights = zip(*(panel_nodes((lo, hi), int(n)) for lo, hi, n
-                           in zip(edges[:-1], edges[1:], counts)))
+            f"oscillatory rule would need {n_nodes:.0f} nodes")
+    parts = [panel_nodes((lo, hi), int(n)) for lo, hi, n
+             in zip(edges[:-1], edges[1:], counts) if n]
+    if not parts:
+        return np.empty(0), np.empty(0)
+    nodes, weights = zip(*parts)
     return np.concatenate(nodes), np.concatenate(weights)
+
+
+def oscillatory_nodes(edges, freq: float, min_panels: int):
+    """Composite GL nodes over the sorted breakpoints `edges`, each gap
+    cut into its own number of panels (oscillatory_panels).  Raises
+    TruncationError, before allocating, if the rule would need more than
+    20 million nodes."""
+    edges = np.asarray(edges, dtype=float)
+    if edges[-1] - edges[0] <= 0:
+        return np.empty(0), np.empty(0)
+    return gap_nodes(edges, oscillatory_panels(edges, freq, min_panels))

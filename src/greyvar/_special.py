@@ -26,7 +26,12 @@ orders 1, 3/2, 4 and 9/2.
   come from ``tools/fit_special.py`` (mpmath).  The phase is reduced
   modulo a two-part 2 pi (Cody-Waite) before the cosine, so below
   x = 2^20 pi it does not pay the ulp of x that rounding x - pi/4
-  costs.
+  costs.  From the fixed cuts x = 64 and x = 256 on, Horner runs over
+  only the leading terms of each modulus and phase polynomial: as few
+  as leave a dropped tail sum_{i>=n} |c_i| w^i under 2^-60 of |c_0| at
+  the cut, where w is largest (7 of the 12 terms from x = 64, 4 of the
+  modulus's and 5 of the phase's from x = 256).  The cuts are fixed, so
+  a value depends on its own argument alone.
 * ``bessel_lambda`` is Gamma(nu+1) (2/z)^nu J_nu(z), which is 1 at 0:
   its power series below z = 5, and above it 2 J1(z)/z, the forward
   recurrence from J0 and J1 to J4, or the elementary sin/cos forms of
@@ -341,6 +346,10 @@ _J1_PHASE = (
 _TWO_PI_HI = 6.2831853069365025
 _TWO_PI_LO = 2.430840202602477e-10
 _LARGE_X = 8.0
+# from each cut on, _modulus_phase keeps the leading terms of the
+# modulus and phase polynomials whose dropped tail is under _TAIL_TOL of
+# the first term at the cut
+_TAIL_CUTS, _TAIL_TOL = (64.0, 256.0), 2.0 ** -60
 # points per pass of _modulus_phase: its four temporaries (64 KiB each)
 # stay under glibc's 128 KiB mmap threshold, so they are reused from the
 # heap instead of mapped and faulted in afresh on every call
@@ -364,9 +373,38 @@ def _clenshaw(coeffs, t):
     return b1
 
 
+@lru_cache(maxsize=None)
+def _leading(coeffs: tuple, cut: float) -> tuple:
+    """The fewest leading terms of sum_i c_i w^i whose dropped tail
+    sum_{i>=n} |c_i| w^i at w = 64/cut^2 is under _TAIL_TOL |c_0|; the
+    tail only shrinks as x grows past the cut."""
+    w = 64.0 / (cut * cut)
+    n, tail = len(coeffs), 0.0
+    while n > 1:
+        tail += abs(coeffs[n - 1]) * w ** (n - 1)
+        if tail >= _TAIL_TOL * abs(coeffs[0]):
+            break
+        n -= 1
+    return coeffs[:n]
+
+
 def _modulus_phase(x, modulus, phase, offset: float):
     """M(x) cos(theta(x)) for x >= 8, with M^2 x/8 = modulus(w) and
-    theta = x - offset + (8/x) phase(w), w = 64/x^2."""
+    theta = x - offset + (8/x) phase(w), w = 64/x^2: each range between
+    _LARGE_X and the _TAIL_CUTS sums the leading terms kept from its
+    lower end on."""
+    def series(cut):
+        return lambda s: _modulus_phase_series(
+            s, _leading(modulus, cut), _leading(phase, cut), offset)
+
+    lo, hi = _TAIL_CUTS
+    return _split(x, hi, lambda s: _split(s, lo, series(_LARGE_X),
+                                          series(lo)), series(hi))
+
+
+def _modulus_phase_series(x, modulus, phase, offset: float):
+    """M(x) cos(theta(x)) as in _modulus_phase, by Horner's rule over
+    the given terms of the modulus and phase polynomials."""
     out = np.empty_like(x)
     flat_x, flat_out = x.reshape(-1), out.reshape(-1)
     for i in range(0, flat_x.size, _BLOCK):

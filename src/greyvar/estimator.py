@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -123,8 +124,19 @@ def alpha_f(f, profile: HalfspaceProfile) -> float:
     The integrand is supported on [phi(omega), phi(beta)] and is smooth
     between the images of the weight knots: a composite Gauss-Legendre
     rule of 8 panels per gap between them, checked against 4 panels.
-    Raises TruncationError if the two differ by more than 1e-11.
+    Raises TruncationError if the two differ by more than 1e-11.  The
+    value is cached per (f, profile); a weight that cannot be hashed is
+    integrated afresh each call.
     """
+    try:
+        hash(f)
+    except TypeError:
+        return _alpha_f(f, profile)
+    return _cached_alpha_f(f, profile)
+
+
+def _alpha_f(f, profile: HalfspaceProfile) -> float:
+    """alpha_f, computed and checked."""
     knots = knot_images(f, profile)
     lo, hi = knots[0], knots[-1]
     if hi <= lo:
@@ -142,6 +154,9 @@ def alpha_f(f, profile: HalfspaceProfile) -> float:
     if abs(val) < 1e-9 * (hi - lo):
         raise NormalizationError("alpha_f is numerically degenerate")
     return val
+
+
+_cached_alpha_f = lru_cache(maxsize=64)(_alpha_f)
 
 
 def weight_tv(f) -> float:

@@ -465,7 +465,18 @@ def ball_knot_radii(radius: float, psf: Psf, a: float,
 
 # ball_knot_radii through a process cache: the exact and Monte Carlo
 # routes of one row ask for the same radii
-cached_knot_radii = lru_cache(maxsize=64)(ball_knot_radii)
+_cached_knot_radii = lru_cache(maxsize=64)(ball_knot_radii)
+
+
+def cached_knot_radii(radius: float, psf: Psf, a: float,
+                      knots) -> tuple[float, ...]:
+    """ball_knot_radii from a process cache of 64 entries, keyed on the
+    knots, any sequence (a tuple, a list or a numpy array), as a tuple
+    of floats."""
+    return _cached_knot_radii(radius, psf, a, tuple(map(float, knots)))
+
+
+cached_knot_radii.cache_clear = _cached_knot_radii.cache_clear
 
 
 class IntensityModel:

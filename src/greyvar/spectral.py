@@ -20,13 +20,13 @@ the compact kernels and the ball take the orders d/2 + k in {1, 3/2, 4,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from . import _special
-from ._quad import oscillatory_nodes, panel_nodes
+from ._quad import gap_nodes, oscillatory_nodes, oscillatory_panels
 from .errors import DomainError
 from .psf import (HalfspaceProfile, Psf, _compact_power, ball_volume,
                   sphere_area)
@@ -67,10 +67,19 @@ class RadialFourier:
     """Hankel-quadrature transform of a radial function with compact
     support [r_lo, r_hi], smooth between the radii `splits` inside it.
 
-    One Gauss-Legendre rule of order 15 over each gap between r_lo, the
-    splits and r_hi: at least 8 panels for the non-oscillatory factor,
-    more as the largest requested frequency grows, so that every panel
-    spans at most one oscillation (16 panels per gap at q = 0).
+    `flats` holds pairs (i, c): the function is the constant c over gap
+    i between consecutive edges (r_lo, the splits, r_hi), a gap of
+    positive width.  That gap's share of the transform is c times the
+    closed-form annulus transform (AnnulusFourier), at q = 0 too, and
+    the quadrature runs over the other gaps only.
+
+    One Gauss-Legendre rule of order 15 over each of those gaps: at
+    least 8 panels for the non-oscillatory factor, more as the largest
+    requested frequency grows, so that every panel spans at most one
+    oscillation (16 panels per gap at q = 0).  Each tuple of per-gap
+    panel counts builds its nodes and fn(nodes) r^{d/2} w once and keeps
+    them on the transform, so the calls of one dual sum that ask for the
+    same counts share one rule.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
@@ -78,25 +87,45 @@ class RadialFourier:
     r_hi: float
     dim: int
     splits: tuple = ()
+    flats: tuple = ()
+    _rules: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     def __post_init__(self):
         if self.dim not in (2, 3):
             raise DomainError("dim must be 2 or 3")
         if not (0.0 <= self.r_lo < self.r_hi):
             raise DomainError("need 0 <= r_lo < r_hi")
-        if not np.all(np.diff(self.edges) >= 0.0):
+        edges = self.edges
+        if not np.all(np.diff(edges) >= 0.0):
             raise DomainError("splits must be sorted within [r_lo, r_hi]")
+        if not all(0 <= i < len(edges) - 1 and edges[i] < edges[i + 1]
+                   for i, _ in self.flats):
+            raise DomainError("a flat must be a gap of positive width")
 
     @property
     def edges(self) -> tuple:
         """r_lo, the splits and r_hi: the breakpoints of every rule."""
         return (self.r_lo, *self.splits, self.r_hi)
 
+    def _annuli(self):
+        """(c, annulus transform) of each flat gap."""
+        edges = self.edges
+        return [(c, AnnulusFourier(edges[i], edges[i + 1], self.dim))
+                for i, c in self.flats]
+
+    def _panels(self, panels) -> tuple:
+        """Per-gap panel counts with the flat gaps' set to 0."""
+        flat = {i for i, _ in self.flats}
+        return tuple(0 if i in flat else n for i, n in enumerate(panels))
+
     def volume_integral(self) -> float:
         """F at q = 0: the full d-dimensional integral of the function."""
-        r, w = panel_nodes(self.edges, 16)
+        r, w = gap_nodes(self.edges,
+                         self._panels([16] * (len(self.edges) - 1)))
         val = float(np.dot(self.fn(r) * r ** (self.dim - 1), w))
-        return sphere_area(self.dim) * val
+        return sphere_area(self.dim) * val + sum(
+            c * ann.volume_integral() for c, ann in self._annuli())
 
     def at(self, q):
         """Transform values at nonnegative frequencies q (vectorized)."""
@@ -114,10 +143,19 @@ class RadialFourier:
             out[live] = self._at_positive(q[live])
         return float(out[0]) if scalar else out
 
+    def _rule(self, panels: tuple):
+        """Nodes and fn(nodes) r^{d/2} w of the rule with panels[i]
+        panels over gap i, built on the first call for those counts."""
+        rule = self._rules.get(panels)
+        if rule is None:
+            nodes, w = gap_nodes(self.edges, panels)
+            rule = self._rules[panels] = (
+                nodes, self.fn(nodes) * nodes ** (self.dim / 2.0) * w)
+        return rule
+
     def _at_positive(self, q):
-        nodes, w = oscillatory_nodes(self.edges, freq=float(q.max()),
-                                     min_panels=8)
-        gv = self.fn(nodes) * nodes ** (self.dim / 2.0) * w
+        nodes, gv = self._rule(self._panels(oscillatory_panels(
+            self.edges, float(q.max()), 8)))
         nu = self.dim / 2.0 - 1.0
         pref = 2.0 * math.pi * q ** (-(self.dim - 2) / 2.0)
         out = np.empty_like(q)
@@ -125,7 +163,10 @@ class RadialFourier:
             qb = q[i:i + _Q_CHUNK]
             kern = bessel_j(nu, 2.0 * math.pi * np.outer(qb, nodes))
             out[i:i + _Q_CHUNK] = kern @ gv
-        return pref * out
+        out = pref * out
+        for c, ann in self._annuli():
+            out += c * ann.at(q)
+        return out
 
 
 @dataclass(frozen=True)

@@ -216,13 +216,6 @@ class VarianceReport:
     shells: ShellSumInfo
 
 
-def _knot_radii(radius: float, psf: Psf, a: float, f):
-    """Radii where the grey value of the centered ball falls through the
-    knots of f, innermost first, from the process cache; the knots, any
-    sequence a weight gives, become the tuple of floats it is keyed on."""
-    return cached_knot_radii(radius, psf, a, tuple(map(float, f.knots)))
-
-
 def weighted_layer(radius: float, psf: Psf, a: float, f):
     """Radial transform of the weighted grey layer r -> f(theta(r)) of a
     ball, supported exactly between the radii where theta crosses the
@@ -233,14 +226,21 @@ def weighted_layer(radius: float, psf: Psf, a: float, f):
     needs no grey values; any other weight goes through Hankel
     quadrature of the (cached) intensity model, split at the radii
     where theta crosses the inner knots of f, which the solve of the
-    band radii returns with them.
+    band radii returns with them.  A gap of positive width between two
+    knot radii where f takes one value c at both knots is a flat: f is
+    monotone between knots, so the layer is c there, and the transform
+    takes that gap in closed form.
     """
-    r_in, *splits, r_out = _knot_radii(radius, psf, a, f)
+    edges = cached_knot_radii(radius, psf, a, f.knots)
     if isinstance(f, Indicator):
-        return AnnulusFourier(r_in, r_out, psf.dim)
+        return AnnulusFourier(edges[0], edges[-1], psf.dim)
+    # the weight at its knots, in the order of their radii
+    levels = f(np.asarray(f.knots, dtype=float))[::-1]
+    flats = tuple((i, float(levels[i])) for i in range(len(edges) - 1)
+                  if levels[i] == levels[i + 1] and edges[i] < edges[i + 1])
     model = intensity_model(radius, psf, a)
-    return RadialFourier(lambda r: f(model.radial(r)), r_in, r_out, psf.dim,
-                         tuple(splits))
+    return RadialFourier(lambda r: f(model.radial(r)), edges[0], edges[-1],
+                         psf.dim, edges[1:-1], flats)
 
 
 def _primal_variance(lattice: Lattice, b: float, pieces, mass: float):
@@ -934,7 +934,7 @@ def _surface_sampler(radius, psf, f, a, lattice, b, alpha):
     """The Monte Carlo sampler of the surface estimator for a centered
     ball, on its cached band radii: lines for an indicator weight, points
     and a band table (of the cached model, built afresh) for any other."""
-    radii = _knot_radii(radius, psf, a, f)
+    radii = cached_knot_radii(radius, psf, a, f.knots)
     r_in, r_out = radii[0], radii[-1]
     scale = (lattice.cell_volume / alpha) * b ** psf.dim / a
     if isinstance(f, Indicator):

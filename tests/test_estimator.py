@@ -143,6 +143,8 @@ def test_alpha_refuses_a_rule_that_moves_when_halved(monkeypatch):
         nodes, weights = panel_nodes(edges, n_panels, order)
         return nodes, weights * (1.0 + 1e-9 * (n_panels == 4))
 
+    # the first call cached its value; the patched rule must run
+    estimator._cached_alpha_f.cache_clear()
     monkeypatch.setattr(estimator, "panel_nodes", skewed)
     with pytest.raises(TruncationError, match="halved"):
         alpha_f(f, profile)

@@ -480,6 +480,19 @@ def test_validation_errors():
             IntensityModel(bad, gaussian(2), 0.05)
 
 
+def test_cached_knot_radii_take_any_sequence_of_knots():
+    """cached_knot_radii keys its cache on the knots as a tuple of
+    floats, so tuple, list and numpy knots give the same radii."""
+    psf, knots = gaussian(2), (0.3, 0.4, 0.6, 0.7)
+    want = cached_knot_radii(1.0, psf, 0.05, knots)
+    assert want == ball_knot_radii(1.0, psf, 0.05, knots)
+    for given in (list(knots), np.array(knots), [0.3, 0.7]):
+        got = cached_knot_radii(1.0, psf, 0.05, given)
+        assert got == ball_knot_radii(1.0, psf, 0.05, tuple(given))
+        assert all(isinstance(r, float) for r in got)
+    assert cached_knot_radii(1.0, psf, 0.05, np.array(knots)) == want
+
+
 def test_points_of_another_dimension_are_refused():
     """Points that are not d-vectors raise DomainError, (n, 1) points
     included, which numpy would broadcast as d-vectors; a single

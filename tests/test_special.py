@@ -155,6 +155,75 @@ def test_j0_j1_match_scipy_and_parity():
     assert np.array_equal(_special.j1(-x), -_special.j1(x))
 
 
+LARGE_SERIES = [(_special.j0, _special._J0_MODULUS, _special._J0_PHASE,
+                 0.25 * math.pi),
+                (_special.j1, _special._J1_MODULUS, _special._J1_PHASE,
+                 0.75 * math.pi)]
+
+
+def _around_cuts(n):
+    """geomspace(8, 1e6, n) and the three floats on each side of every
+    cut of the modulus-phase series."""
+    x = [np.geomspace(8.0, 1e6, n)]
+    for cut in _special._TAIL_CUTS:
+        below, above = [cut], [cut]
+        for _ in range(3):
+            below.append(np.nextafter(below[-1], 0.0))
+            above.append(np.nextafter(above[-1], np.inf))
+        x.append(np.array(below[1:] + above))
+    return np.sort(np.concatenate(x))
+
+
+@pytest.mark.parametrize("fn,modulus,phase,offset", LARGE_SERIES)
+def test_cut_modulus_phase_series_within_an_ulp_of_the_envelope(
+        fn, modulus, phase, offset):
+    """From x = 64 and x = 256 on, J0 and J1 sum only the leading terms
+    of their modulus and phase polynomials.  Over geomspace(8, 1e6) and
+    on both sides of each cut, no value moves by more than one ulp of
+    the envelope sqrt(2/(pi x)) from the full 12-term series."""
+    x = _around_cuts(200_001)
+    full = _special._modulus_phase_series(x, modulus, phase, offset)
+    envelope = np.spacing(np.sqrt(2.0 / (math.pi * x)))
+    assert np.all(np.abs(fn(x) - full) <= envelope)
+
+
+@pytest.mark.parametrize("coeffs", [_special._J0_MODULUS, _special._J0_PHASE,
+                                    _special._J1_MODULUS, _special._J1_PHASE])
+def test_cut_series_drop_a_tail_under_2_to_the_minus_60(coeffs):
+    """The terms each cut keeps are the fewest whose dropped tail
+    sum_{i>=n} |c_i| w^i at w = 64/cut^2 is under 2^-60 |c_0|: 7 of 12
+    from x = 64, 4 or 5 from x = 256, and all 12 below."""
+    assert _special._leading(coeffs, _special._LARGE_X) == coeffs
+    for cut in _special._TAIL_CUTS:
+        n = len(_special._leading(coeffs, cut))
+        w = 64.0 / cut ** 2
+        tail = [sum(abs(c) * w ** i for i, c in enumerate(coeffs) if i >= k)
+                for k in (n - 1, n)]
+        assert tail[1] < 2.0 ** -60 * abs(coeffs[0]) <= tail[0]
+        assert (n == 7) if cut == 64.0 else (n in (4, 5))
+
+
+def test_bessel_values_do_not_depend_on_the_other_points_of_a_call():
+    """J0 and J1 at one point give the same bits as a scalar, as a
+    one-element array and inside an array (1-D, or the 2-D outer product
+    a Hankel rule takes) that straddles every cut: the terms are chosen
+    by fixed argument ranges, never by the other points."""
+    x = np.concatenate([_around_cuts(500), np.geomspace(1.0, 8.0, 50)])
+    grid = np.outer(np.linspace(0.5, 3.0, 40), np.linspace(1.0, 200.0, 60))
+    many = _around_cuts(200_001)
+    ranges = np.searchsorted(_special._TAIL_CUTS, many, side="right")
+    for fn in (_special.j0, _special.j1):
+        np.testing.assert_array_equal(
+            fn(many), np.concatenate([fn(many[ranges == k])
+                                      for k in range(3)]))
+        row = fn(x)
+        for one in (lambda t: float(fn(t)), lambda t: fn(np.array([t]))[0]):
+            np.testing.assert_array_equal([one(t) for t in x], row)
+        np.testing.assert_array_equal(
+            fn(grid), np.reshape([fn(np.array([t]))[0] for t in grid.flat],
+                                 grid.shape))
+
+
 @pytest.mark.parametrize("nu", [1.0, 1.5, 4.0, 4.5])
 def test_compact_fourier_across_series_cutover(nu):
     """Gamma(nu+1) x^{-nu} J_nu(2x) for 2x in [3, 10], across the cut-over

@@ -142,6 +142,9 @@ def test_radial_fourier_validation():
     rf = RadialFourier(lambda r: np.ones_like(r), 0.0, 1.0, 2)
     with pytest.raises(DomainError):
         rf.at(-1.0)
+    for flats in (((0, 1.0),), ((3, 1.0),)):  # zero width; no such gap
+        with pytest.raises(DomainError, match="flat"):
+            RadialFourier(lambda r: r, 0.0, 1.0, 2, (0.0, 0.5), flats)
     with pytest.raises(DomainError):
         AnnulusFourier(1.2, 0.8, 2)
     with pytest.raises(DomainError):

@@ -21,7 +21,7 @@ from scipy.optimize import brentq
 from scipy.special import j0
 from scipy.stats import ncx2, norm
 
-from greyvar import cli, lattice, phantom, variance
+from greyvar import cli, lattice, phantom, spectral, variance
 from greyvar.errors import DomainError, TruncationError
 from greyvar.estimator import Indicator, SmoothPlateau, weight_lipschitz
 from greyvar.lattice import Lattice, hexagonal_lattice, unit_lattice
@@ -111,36 +111,84 @@ def test_weighted_layer_indicator_is_annulus():
     assert layer.r_hi == pytest.approx(_crossing(0.3, R, a), abs=1e-9)
 
 
+def _plateau_layer_quad(R, psf, a, f, qs):
+    """The layer transform of f(theta(r)) by scipy's adaptive quad_vec
+    split at the knot radii.  The Gaussian's grey value is the
+    noncentral chi-square cdf with d degrees of freedom, the bump's the
+    point evaluation `intensity`; the knot radii are their brentq
+    roots."""
+    dim = psf.dim
+    if psf.compact:
+        theta = lambda r: phantom.intensity(Ball(dim, R), psf, a,
+                                            np.eye(dim)[0] * r)
+    else:
+        theta = lambda r: ncx2.cdf((R / a) ** 2, df=dim, nc=(r / a) ** 2)
+    cuts = sorted(brentq(lambda r: theta(r) - y, R - 8 * a, R + 8 * a,
+                         xtol=1e-15) for y in f.knots)
+    if dim == 2:  # 2 pi J_0(2 pi q r) r
+        kernel = lambda r: 2 * math.pi * r * j0(2 * math.pi * qs * r)
+    else:  # 2 pi q^{-1/2} J_{1/2}(2 pi q r) r^{3/2} = 4 pi r^2 sinc(2 q r)
+        kernel = lambda r: 4 * math.pi * r * r * np.sinc(2 * qs * r)
+    return sum(quad_vec(lambda r: float(f(theta(r))) * kernel(r), lo, hi,
+                        epsabs=1e-16, epsrel=1e-14, norm="max",
+                        limit=2000)[0]
+               for lo, hi in zip(cuts[:-1], cuts[1:]))
+
+
 def test_weighted_layer_plateau_vs_quad():
     """Hankel quadrature of the plateau layer against scipy's adaptive
-    quad_vec split at the knot radii, to 1e-12 relative (and 1e-12 of
-    the largest value where the transform is small).  The Gaussian's
-    grey value is the noncentral chi-square cdf with d degrees of
-    freedom, the bump's the point evaluation `intensity`; the knot radii
-    are their brentq roots."""
+    quad_vec split at the knot radii (_plateau_layer_quad), to 1e-12
+    relative (and 1e-12 of the largest value where the transform is
+    small)."""
     R, a, f = 1.0, 0.05, SmoothPlateau()
     qs = np.array([7.0, 30.0, 212.0])
-    for dim, psf in ((2, GAUSS2), (3, gaussian(3)), (2, compact_bump(2)),
-                     (3, compact_bump(3))):
-        if psf.compact:
-            theta = lambda r: phantom.intensity(Ball(dim, R), psf, a,
-                                                np.eye(dim)[0] * r)
-        else:
-            theta = lambda r: ncx2.cdf((R / a) ** 2, df=dim,
-                                       nc=(r / a) ** 2)
-        cuts = sorted(brentq(lambda r: theta(r) - y, R - 8 * a, R + 8 * a,
-                             xtol=1e-15) for y in f.knots)
-        if dim == 2:  # 2 pi J_0(2 pi q r) r
-            kernel = lambda r: 2 * math.pi * r * j0(2 * math.pi * qs * r)
-        else:  # 2 pi q^{-1/2} J_{1/2}(2 pi q r) r^{3/2}
-            kernel = lambda r: 2 * r * np.sin(2 * math.pi * qs * r) / qs
-        want = sum(quad_vec(lambda r: float(f(theta(r))) * kernel(r), lo,
-                            hi, epsabs=1e-16, epsrel=1e-14, norm="max",
-                            limit=2000)[0]
-                   for lo, hi in zip(cuts[:-1], cuts[1:]))
+    for psf in (GAUSS2, gaussian(3), compact_bump(2), compact_bump(3)):
+        want = _plateau_layer_quad(R, psf, a, f, qs)
         got = weighted_layer(R, psf, a, f).at(qs)
         np.testing.assert_allclose(got, want, rtol=1e-12,
                                    atol=1e-12 * np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("f,flats", [
+    (SmoothPlateau(), ((1, 1.0),)),
+    (SmoothPlateau(0.3, 0.5, 0.5, 0.7), ())])
+def test_weighted_layer_takes_flats_in_closed_form(dim, f, flats):
+    """The plateau is 1 at both inner knots, so the layer is 1 on the
+    gap between their radii: that gap is a closed-form annulus and only
+    the ramps take quadrature.  A zero-width gap (beta_inner ==
+    omega_inner) is no flat.  Either way the layer agrees with the
+    quadrature of the whole layer (_plateau_layer_quad) to 1e-12, at
+    q = 0 too."""
+    R, a, psf = 1.0, 0.05, gaussian(dim)
+    layer = weighted_layer(R, psf, a, f)
+    assert layer.flats == flats
+    qs = np.array([0.0, 7.0, 30.0, 212.0])
+    want = _plateau_layer_quad(R, psf, a, f, qs)
+    np.testing.assert_allclose(layer.at(qs), want, rtol=1e-12,
+                               atol=1e-12 * np.max(np.abs(want)))
+    assert layer.at(0.0) == pytest.approx(want[0], rel=1e-12)
+
+
+def test_dual_sum_builds_one_rule_per_panel_counts(monkeypatch):
+    """The rungs of a dual sum that ask the layer for the same per-gap
+    panel counts share one rule: the layer reads its intensity model
+    once per distinct tuple of counts, not once per rung."""
+    a, f = 0.0125, SmoothPlateau()
+    layer = weighted_layer(1.0, compact_bump(2), a, f)
+    reads, panels = [], []
+    radial = phantom.IntensityModel.radial
+    monkeypatch.setattr(phantom.IntensityModel, "radial",
+                        lambda self, r: reads.append(r) or radial(self, r))
+    counts = spectral.oscillatory_panels
+    monkeypatch.setattr(spectral, "oscillatory_panels", lambda *args: (
+        panels.append(layer._panels(counts(*args))) or counts(*args)))
+    convergent_dual_sum(Z2, lambda q: layer.at(q / a) ** 2, tail_tol=1e-3)
+    assert len(panels) > len(set(panels)) >= 1
+    assert len(reads) == len(set(panels))
+    # a second sum reads the model no more
+    convergent_dual_sum(Z2, lambda q: layer.at(q / a) ** 2, tail_tol=1e-3)
+    assert len(reads) == len(set(panels))
 
 
 def test_variance_scale_identity():
